@@ -1,6 +1,7 @@
 """Command-line surface: JSON problem files in, verdicts and intervals out.
 
-Exit codes: 0 success (coherent for `check`), 1 incoherent, 2 input error.
+Exit codes: 0 success (coherent for `check`), 1 incoherent, 2 input error,
+3 internal error (a self-check of the engine failed).
 All exact rationals print as `p/q` strings so JSON output round-trips
 without float corruption; decimal input such as "0.35" is converted to an
 exact rational (7/20) before any computation.
@@ -500,6 +501,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PrevisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -78,12 +78,18 @@ class ExtensionInterval:
 
 
 def dutch_book_gains(
-    assessment: Assessment, book: DutchBook
+    assessment: Assessment, book: DutchBook, partition=None
 ) -> list[tuple[QuantityConstituent, Fraction]]:
     """Gain of the stakes on every constituent inside the booked sub-family's
-    union of antecedents.  Void members contribute nothing by construction."""
+    union of antecedents.  Void members contribute nothing by construction.
+
+    `partition` is the booked sub-family's quantity_constituents when
+    already computed.
+    """
     sub = assessment.restrict([p - 1 for p in book.member_indices])
-    inside, _ = quantity_constituents(sub.family)
+    if partition is None:
+        partition = quantity_constituents(sub.family)
+    inside, _ = partition
     gains = []
     for c in inside:
         gain = sum(
@@ -95,8 +101,8 @@ def dutch_book_gains(
     return gains
 
 
-def _checked_book(assessment: Assessment, book: DutchBook) -> DutchBook:
-    for c, gain in dutch_book_gains(assessment, book):
+def _checked_book(assessment: Assessment, book: DutchBook, partition=None) -> DutchBook:
+    for c, gain in dutch_book_gains(assessment, book, partition):
         if gain < book.margin or gain <= 0:
             raise RuntimeError(f"betting certificate failed on {c.label()}")
     return book
@@ -126,19 +132,24 @@ def _active_sets(inside, n):
     ]
 
 
-def _run_level(assessment: Assessment, index_map: tuple):
-    system = build_sigma(assessment)
-    inside, _ = quantity_constituents(assessment.family)
-    labels = tuple(q.label for q in assessment.family)
+def _run_level(assessment: Assessment, current: Assessment, index_map: tuple):
+    """One recursion level on `current`, the members `index_map` (1-based) of
+    `assessment`; its one partition serves the system and the book check."""
+    partition = quantity_constituents(current.family)
+    system = build_sigma(current, partition)
+    inside, _ = partition
+    labels = tuple(q.label for q in current.family)
     cert = solve_feasibility(system)
     if not cert.feasible:
         stakes = tuple(-u for u in cert.dual[:-1])
-        book = DutchBook(index_map, stakes, cert.margin)
+        book = _checked_book(
+            assessment, DutchBook(index_map, stakes, cert.margin), partition
+        )
         record = LevelRecord(
             index_map, labels, False, None, None, frozenset(), None
         )
         return record, book, None
-    n = len(assessment)
+    n = len(current)
     actives = _active_sets(inside, n)
     witnesses = [cert.solution]
     m_values = [None] * n
@@ -184,12 +195,10 @@ def check_coherence(assessment: Assessment) -> CoherenceVerdict:
     current = assessment
     index_map = tuple(range(1, len(assessment) + 1))
     for _ in range(len(assessment)):
-        record, book, zero = _run_level(current, index_map)
+        record, book, zero = _run_level(assessment, current, index_map)
         trace.append(record)
         if book is not None:
-            return CoherenceVerdict(
-                False, tuple(trace), _checked_book(assessment, book)
-            )
+            return CoherenceVerdict(False, tuple(trace), book)
         if not zero:
             return CoherenceVerdict(True, tuple(trace))
         current = current.restrict(zero)

@@ -9,6 +9,10 @@ class EmptySpace(PrevisionError):
     """No truth assignment survives the declared constraints."""
 
 
+class SpaceTooLarge(PrevisionError):
+    """More atoms declared than a world space may enumerate."""
+
+
 class UnknownAtom(PrevisionError):
     """A formula references an atom that was never declared."""
 

@@ -14,7 +14,11 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .errors import EmptySpace, FormulaError, UnknownAtom
+from .errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom
+
+# A world space holds up to 2**MAX_ATOMS assignment tuples (about 200 MB at
+# 20 atoms); every coherence system scans all of them.
+MAX_ATOMS = 20
 
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()=])|(\S))")
 
@@ -169,10 +173,15 @@ class WorldSpace:
 def build_world_space(atoms, constraints=()) -> WorldSpace:
     """Enumerate the assignments over `atoms` satisfying every constraint.
 
-    Raises UnknownAtom for undeclared references and EmptySpace when the
+    Raises SpaceTooLarge for more than MAX_ATOMS atoms, before anything is
+    enumerated, UnknownAtom for undeclared references and EmptySpace when the
     constraints are jointly unsatisfiable.
     """
     atoms = tuple(atoms)
+    if len(atoms) > MAX_ATOMS:
+        raise SpaceTooLarge(
+            f"{len(atoms)} atoms declared; at most {MAX_ATOMS} are supported"
+        )
     if len(set(atoms)) != len(atoms):
         raise ValueError("atom names must be distinct")
     index = {a: i for i, a in enumerate(atoms)}

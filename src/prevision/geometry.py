@@ -294,10 +294,15 @@ class PointSet:
     c0: Optional[QuantityConstituent]
 
 
-def build_points(assessment: Assessment) -> PointSet:
+def build_points(assessment: Assessment, partition=None) -> PointSet:
     """Q_h takes the quantity's value where active and the assessed prevision
-    where void; the all-void block gets the assessment vector itself."""
-    inside, c0 = quantity_constituents(assessment.family)
+    where void; the all-void block gets the assessment vector itself.
+
+    `partition` is the family's quantity_constituents when already computed.
+    """
+    if partition is None:
+        partition = quantity_constituents(assessment.family)
+    inside, c0 = partition
     points = tuple(
         tuple(
             assessment.values[i] if v is None else v
@@ -337,10 +342,13 @@ class LinearSystem:
         return True
 
 
-def build_sigma(assessment: Assessment) -> LinearSystem:
+def build_sigma(assessment: Assessment, partition=None) -> LinearSystem:
     """The solvability system of the assessment: one equality per quantity,
-    unknowns indexed by the constituents inside the union of antecedents."""
-    ps = build_points(assessment)
+    unknowns indexed by the constituents inside the union of antecedents.
+
+    `partition` is the family's quantity_constituents when already computed.
+    """
+    ps = build_points(assessment, partition)
     n = len(assessment)
     equalities = tuple(
         tuple(q[i] for q in ps.points) for i in range(n)

@@ -1,17 +1,24 @@
 """Exact linear solving for feasibility systems over non-negative unknowns.
 
-A dense two-phase simplex on Fractions with Bland's rule, so runs terminate
-and answers are exact.  An infeasible system yields a separating certificate:
-multipliers u, one per row (normalization row last when present), with
-u . column <= 0 for every unknown's column while u . rhs equals a strictly
-positive margin.  Certificates and solutions are re-verified before being
-returned.
+A dense two-phase simplex with Bland's rule, so runs terminate and answers
+are exact.  The tableau is fraction-free: every row is scaled to integers and
+all rows share one positive common denominator, the previous pivot, so each
+pivot divides exactly (Bareiss elimination) and no gcd is ever taken.
+Solutions, optima and multipliers come back as Fractions.
+
+An infeasible system yields a separating certificate: multipliers u, one per
+row (normalization row last when present), with u . column <= 0 for every
+unknown's column while u . rhs equals a strictly positive margin.  An optimum
+comes with a dual y, y . column >= cost for every unknown's column and
+y . rhs equal to the optimum.  Certificates, duals and solutions are
+re-verified before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InfeasibleSystem
@@ -33,9 +40,13 @@ class FeasibilityCertificate:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The optimum, a maximizer, and the dual multipliers (one per row,
+    normalization row last) that prove the optimum."""
+
     value: Optional[Fraction]
     solution: Optional[tuple]
     bounded: bool = True
+    dual: Optional[tuple] = None
 
 
 def _expanded(system: LinearSystem):
@@ -49,72 +60,102 @@ def _expanded(system: LinearSystem):
     return rows, rhs
 
 
+def _to_integers(values):
+    """The Fractions times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 class _Simplex:
-    """Tableau with unknown columns first, one artificial per row, rhs last."""
+    """Integer tableau: unknown columns, one artificial per row, rhs last,
+    plus a cost row.
+
+    Input row r is flipped to a non-negative rhs and multiplied by s_r, the
+    lcm of its denominators.  Its artificial keeps a unit column, so it stands
+    for s_r times the unscaled artificial.  This is the same LP in rescaled
+    variables: Bland's rule takes the same pivots as on the rational tableau.
+
+    The true tableau is T / D.  Pivoting on p = T[r][c] maps every other row
+    to (p * T[i] - T[i][c] * T[r]) / D, an exact division by Sylvester's
+    identity, and D becomes p.  A negative pivot negates its row first, so
+    D stays positive and ratio and sign tests compare integers directly.
+    The cost row holds D * (c_B B^-1 A - c); a negative entry prices its
+    column in.
+    """
 
     def __init__(self, rows, rhs):
         self.m = len(rows[0]) if rows else 0
         self.k = len(rows)
         self.flip = [-1 if b < 0 else 1 for b in rhs]
+        self.scale = []
         self.T = []
         for r in range(self.k):
+            entries, s = _to_integers(list(rows[r]) + [rhs[r]])
             f = self.flip[r]
-            row = [f * v for v in rows[r]] + [ZERO] * self.k + [f * rhs[r]]
-            row[self.m + r] = ONE
+            row = [f * v for v in entries[:-1]] + [0] * self.k + [f * entries[-1]]
+            row[self.m + r] = 1
             self.T.append(row)
+            self.scale.append(s)
+        self.T.append([0] * (self.m + self.k + 1))
+        self.D = 1
         self.basis = [self.m + r for r in range(self.k)]
 
     def _pivot(self, r, c):
-        T = self.T
-        d = T[r][c]
-        T[r] = [v / d for v in T[r]]
+        T, D = self.T, self.D
+        if T[r][c] < 0:
+            T[r] = [-v for v in T[r]]
         row_r = T[r]
-        for i in range(self.k):
-            if i != r and T[i][c] != 0:
-                f = T[i][c]
-                T[i] = [v - f * w for v, w in zip(T[i], row_r)]
+        p = row_r[c]
+        for i, row in enumerate(T):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                T[i] = [(p * v - f * w) // D for v, w in zip(row, row_r)]
+            elif p != D:
+                T[i] = [p * v // D for v in row]
+        self.D = p
         self.basis[r] = c
 
-    def _maximize(self, costs, allowed):
+    def _set_costs(self, costs, cost_scale):
+        """Install integer costs for every non-rhs column; the true costs are
+        costs / cost_scale."""
+        self.costs, self.cost_scale = costs, cost_scale
+        z = [-self.D * c for c in costs] + [0]
+        for i, b in enumerate(self.basis):
+            if costs[b]:
+                z = [v + costs[b] * t for v, t in zip(z, self.T[i])]
+        self.T[self.k] = z
+
+    def _maximize(self):
         """Bland's rule throughout; True at optimum, False when unbounded."""
+        T, k, basis = self.T, self.k, self.basis
         while True:
-            basic = set(self.basis)
-            cb = [costs[b] for b in self.basis]
-            entering = None
-            for j in allowed:
-                if j in basic:
-                    continue
-                reduced = costs[j]
-                for r in range(self.k):
-                    if cb[r] != 0 and self.T[r][j] != 0:
-                        reduced -= cb[r] * self.T[r][j]
-                if reduced > 0:
-                    entering = j
-                    break
+            z = T[k]
+            entering = next((j for j in range(self.m) if z[j] < 0), None)
             if entering is None:
                 return True
-            leaving, best = None, None
-            for r in range(self.k):
-                a = self.T[r][entering]
-                if a > 0:
-                    ratio = self.T[r][-1] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leaving])
-                    ):
-                        best, leaving = ratio, r
+            leaving = None
+            for r in range(k):
+                a = T[r][entering]
+                if a <= 0:
+                    continue
+                if leaving is not None:
+                    # ratios T[r][-1] / a against the best, cross-multiplied
+                    lhs, rhs = T[r][-1] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leaving]):
+                        continue
+                leaving, best_a, best_b = r, a, T[r][-1]
             if leaving is None:
                 return False
             self._pivot(leaving, entering)
 
     def phase1(self) -> Fraction:
         """Drive the artificials toward zero; returns their residual sum."""
-        costs = [ZERO] * self.m + [Fraction(-1)] * self.k
-        self._maximize(costs, range(self.m))
-        return sum(
-            self.T[r][-1] for r in range(self.k) if self.basis[r] >= self.m
-        )
+        top = lcm(*self.scale)
+        self._set_costs([0] * self.m + [-(top // s) for s in self.scale], top)
+        self._maximize()
+        return Fraction(-self.T[self.k][-1], top * self.D)
 
     def drive_out_artificials(self):
         for r in range(self.k):
@@ -126,23 +167,32 @@ class _Simplex:
             # rows with no unknown left are redundant and stay inert
 
     def maximize_objective(self, objective) -> bool:
-        costs = list(objective) + [ZERO] * self.k
-        return self._maximize(costs, range(self.m))
+        costs, cost_scale = _to_integers(objective)
+        self._set_costs(costs + [0] * self.k, cost_scale)
+        return self._maximize()
 
     def solution(self) -> tuple:
         x = [ZERO] * self.m
         for r in range(self.k):
             if self.basis[r] < self.m:
-                x[self.basis[r]] = self.T[r][-1]
+                x[self.basis[r]] = Fraction(self.T[r][-1], self.D)
         return tuple(x)
 
-    def refutation(self) -> tuple:
-        """Row multipliers v with v . column <= 0 and v . rhs > 0."""
-        art_rows = [r for r in range(self.k) if self.basis[r] >= self.m]
+    def dual(self) -> tuple:
+        """y = c_B B^-1 on the input rows, read from the artificial columns
+        of the cost row and undoing the row flips and scalings."""
+        z, m, D = self.T[self.k], self.m, self.D
         return tuple(
-            self.flip[r] * sum(self.T[i][self.m + r] for i in art_rows)
-            for r in range(self.k)
+            Fraction(
+                f * s * (z[m + r] + D * self.costs[m + r]), self.cost_scale * D
+            )
+            for r, (f, s) in enumerate(zip(self.flip, self.scale))
         )
+
+    def refutation(self) -> tuple:
+        """Row multipliers v with v . column <= 0 and v . rhs > 0: minus the
+        phase-1 dual."""
+        return tuple(-v for v in self.dual())
 
 
 def _verify_certificate(rows, rhs, cert: FeasibilityCertificate, system: LinearSystem):
@@ -158,6 +208,16 @@ def _verify_certificate(rows, rhs, cert: FeasibilityCertificate, system: LinearS
             raise RuntimeError("refutation prices a column positively")
     if sum(u * b for u, b in zip(cert.dual, rhs)) != cert.margin:
         raise RuntimeError("refutation margin mismatch")
+
+
+def _verify_optimum(rows, rhs, objective, result: OptimizationResult):
+    """Weak duality: y . A_j >= c_j on every column and y . b equal to the
+    value prove that no feasible point does better."""
+    for j, c in enumerate(objective):
+        if sum(u * row[j] for u, row in zip(result.dual, rows) if u) < c:
+            raise RuntimeError("optimum dual prices a column below its cost")
+    if sum(u * b for u, b in zip(result.dual, rhs)) != result.value:
+        raise RuntimeError("optimum dual bound mismatch")
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityCertificate:
@@ -190,7 +250,11 @@ def maximize_linear(system: LinearSystem, objective: Sequence) -> OptimizationRe
     x = simplex.solution()
     if not system.check_solution(x):
         raise RuntimeError("optimizer produced a non-solution")
-    return OptimizationResult(sum(c * v for c, v in zip(objective, x)), x)
+    result = OptimizationResult(
+        sum(c * v for c, v in zip(objective, x)), x, dual=simplex.dual()
+    )
+    _verify_optimum(rows, rhs, objective, result)
+    return result
 
 
 def maximize_component_sum(system: LinearSystem, index_set) -> OptimizationResult:

@@ -5,10 +5,19 @@ the equality system and keeping the non-negative ones.  A non-empty system
 of the form {A x = b, x >= 0} always has a basic feasible point, and a linear
 functional over the bounded ones we test attains its maximum at one, so
 exhaustive enumeration is a complete oracle for small sizes.
+
+`FractionSimplex` is the two-phase simplex on a Fraction tableau that the
+integer solver in `prevision.lp` replaced.  It takes the same pivots, so the
+fast solver must return identical certificates and optima.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from prevision.lp import FeasibilityCertificate, OptimizationResult
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def _echelon(rows):
@@ -54,7 +63,7 @@ def _solve_square(matrix, rhs):
 
 
 def _full_rows(system):
-    rows = [list(r) for r in system.equalities]
+    rows = [[Fraction(v) for v in r] for r in system.equalities]
     rhs = [Fraction(v) for v in system.rhs]
     if system.normalization:
         rows.append([Fraction(1)] * system.n_unknowns)
@@ -102,3 +111,123 @@ def oracle_maximum(system, objective):
         return None
     objective = [Fraction(c) for c in objective]
     return max(sum(c * x for c, x in zip(objective, p)) for p in points)
+
+
+class FractionSimplex:
+    """Tableau with unknown columns first, one artificial per row, rhs last."""
+
+    def __init__(self, rows, rhs):
+        self.m = len(rows[0]) if rows else 0
+        self.k = len(rows)
+        self.flip = [-1 if b < 0 else 1 for b in rhs]
+        self.T = []
+        for r in range(self.k):
+            f = self.flip[r]
+            row = [f * v for v in rows[r]] + [ZERO] * self.k + [f * rhs[r]]
+            row[self.m + r] = ONE
+            self.T.append(row)
+        self.basis = [self.m + r for r in range(self.k)]
+
+    def _pivot(self, r, c):
+        T = self.T
+        d = T[r][c]
+        T[r] = [v / d for v in T[r]]
+        row_r = T[r]
+        for i in range(self.k):
+            if i != r and T[i][c] != 0:
+                f = T[i][c]
+                T[i] = [v - f * w for v, w in zip(T[i], row_r)]
+        self.basis[r] = c
+
+    def _maximize(self, costs, allowed):
+        """Bland's rule throughout; True at optimum, False when unbounded."""
+        while True:
+            basic = set(self.basis)
+            cb = [costs[b] for b in self.basis]
+            entering = None
+            for j in allowed:
+                if j in basic:
+                    continue
+                reduced = costs[j]
+                for r in range(self.k):
+                    if cb[r] != 0 and self.T[r][j] != 0:
+                        reduced -= cb[r] * self.T[r][j]
+                if reduced > 0:
+                    entering = j
+                    break
+            if entering is None:
+                return True
+            leaving, best = None, None
+            for r in range(self.k):
+                a = self.T[r][entering]
+                if a > 0:
+                    ratio = self.T[r][-1] / a
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and self.basis[r] < self.basis[leaving])
+                    ):
+                        best, leaving = ratio, r
+            if leaving is None:
+                return False
+            self._pivot(leaving, entering)
+
+    def phase1(self) -> Fraction:
+        """Drive the artificials toward zero; returns their residual sum."""
+        costs = [ZERO] * self.m + [Fraction(-1)] * self.k
+        self._maximize(costs, range(self.m))
+        return sum(
+            self.T[r][-1] for r in range(self.k) if self.basis[r] >= self.m
+        )
+
+    def drive_out_artificials(self):
+        for r in range(self.k):
+            if self.basis[r] < self.m:
+                continue
+            c = next((j for j in range(self.m) if self.T[r][j] != 0), None)
+            if c is not None:
+                self._pivot(r, c)
+            # rows with no unknown left are redundant and stay inert
+
+    def maximize_objective(self, objective) -> bool:
+        costs = list(objective) + [ZERO] * self.k
+        return self._maximize(costs, range(self.m))
+
+    def solution(self) -> tuple:
+        x = [ZERO] * self.m
+        for r in range(self.k):
+            if self.basis[r] < self.m:
+                x[self.basis[r]] = self.T[r][-1]
+        return tuple(x)
+
+    def refutation(self) -> tuple:
+        """Row multipliers v with v . column <= 0 and v . rhs > 0."""
+        art_rows = [r for r in range(self.k) if self.basis[r] >= self.m]
+        return tuple(
+            self.flip[r] * sum(self.T[i][self.m + r] for i in art_rows)
+            for r in range(self.k)
+        )
+
+
+def fraction_solve_feasibility(system) -> FeasibilityCertificate:
+    """solve_feasibility on the Fraction tableau, without re-verification."""
+    rows, rhs = _full_rows(system)
+    simplex = FractionSimplex(rows, rhs)
+    residual = simplex.phase1()
+    if residual == 0:
+        return FeasibilityCertificate(True, solution=simplex.solution())
+    return FeasibilityCertificate(False, dual=simplex.refutation(), margin=residual)
+
+
+def fraction_maximize_linear(system, objective):
+    """maximize_linear on the Fraction tableau; None when infeasible."""
+    objective = [Fraction(c) for c in objective]
+    rows, rhs = _full_rows(system)
+    simplex = FractionSimplex(rows, rhs)
+    if simplex.phase1() != 0:
+        return None
+    simplex.drive_out_artificials()
+    if not simplex.maximize_objective(objective):
+        return OptimizationResult(None, None, bounded=False)
+    x = simplex.solution()
+    return OptimizationResult(sum(c * v for c, v in zip(objective, x)), x)

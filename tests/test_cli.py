@@ -183,8 +183,28 @@ class TestCheck:
         assert code == 2
         assert "'Z'" in err
 
+    def test_too_many_atoms_exits_two(self, capsys, tmp_path):
+        data = pair_problem()
+        data["atoms"] += [f"P{i}" for i in range(60)]
+        path = write_problem(tmp_path, data)
+        code, out, err = run(capsys, "check", "--problem", path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: 64 atoms declared; at most 20 are supported\n"
+
 
 class TestExtend:
+    def test_internal_failure_exits_three(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no coherent extension located inside the bounds")
+
+        monkeypatch.setattr("prevision.cli.extension_interval", broken)
+        path = write_problem(tmp_path, pair_problem("C"))
+        code, out, err = run(capsys, "extend", "--problem", path)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: no coherent extension located inside the bounds\n"
+
     def test_pair_conjunction_interval(self, capsys, tmp_path):
         path = write_problem(tmp_path, pair_problem("C"))
         code, out, _ = run(capsys, "extend", "--problem", path, "--json")

@@ -139,6 +139,37 @@ class TestCheckCoherence:
             assert verdict.trace[0].i0 == frozenset({2})
             assert verdict.trace[1].member_indices == (2,)
 
+    def test_one_partition_per_level_serves_system_and_book(self, monkeypatch):
+        import prevision.coherence as coherence
+        import prevision.geometry as geometry
+
+        space = build_world_space(["E", "H"])
+        h = indicator(ConditionalEvent(space.event("H"), space.everything), "H")
+        e_given_h = indicator(
+            ConditionalEvent(space.event("E"), space.event("H")), "E|H"
+        )
+        same = indicator(
+            ConditionalEvent(space.event("E & H"), space.event("H")), "EH|H"
+        )
+        assessment = Assessment((h, e_given_h, same), (F(0), F(1, 3), F(1, 2)))
+        real = geometry.quantity_constituents
+        partitions = []
+
+        def counted(family):
+            partitions.append(len(family))
+            return real(family)
+
+        def recomputed(family):
+            raise AssertionError("partition recomputed outside the level")
+
+        monkeypatch.setattr(coherence, "quantity_constituents", counted)
+        monkeypatch.setattr(geometry, "quantity_constituents", recomputed)
+        verdict = check_coherence(assessment)
+        assert not verdict.coherent
+        assert [r.member_indices for r in verdict.trace] == [(1, 2, 3), (2, 3)]
+        assert verdict.dutch_book.member_indices == (2, 3)
+        assert partitions == [3, 2]
+
     def test_family7_counterexample_incoherent_with_book(self):
         assessment, _ = family7_assessment(
             ("1/2", "3/5", "7/10", "1/10", "1/5", "3/10", 0)

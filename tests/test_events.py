@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevision.errors import EmptySpace, FormulaError, UnknownAtom
+from prevision.errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom
 from prevision.events import (
+    MAX_ATOMS,
     ConditionalEvent,
     Outcome,
     build_world_space,
@@ -35,6 +36,14 @@ def test_constraint_drops_forbidden_assignments():
 def test_contradictory_constraint_raises():
     with pytest.raises(EmptySpace):
         build_world_space(["A"], ["A&!A"])
+
+
+def test_too_many_atoms_raise_before_enumeration():
+    # 2**64 worlds: only a check made before enumerating can return here
+    with pytest.raises(SpaceTooLarge, match="64 atoms"):
+        build_world_space([f"A{i}" for i in range(64)])
+    with pytest.raises(SpaceTooLarge):
+        build_world_space([f"A{i}" for i in range(MAX_ATOMS + 1)])
 
 
 def test_undeclared_atom_raises():

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import basic_feasible_points, oracle_feasible, oracle_maximum
+from oracles import (
+    FractionSimplex,
+    basic_feasible_points,
+    fraction_maximize_linear,
+    fraction_solve_feasibility,
+    oracle_feasible,
+    oracle_maximum,
+)
+from prevision import lp
 from prevision import (
     Assessment,
     ConditionalEvent,
@@ -219,3 +227,172 @@ def test_reduced_system_feasibility_matches_bruteforce(xs, overall):
     cert = solve_feasibility(system)
     assert cert.feasible == oracle_feasible(system)
     assert_valid_certificate(system, cert)
+
+
+# --- differential tests against the Fraction tableau ------------------------
+
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 12)
+
+
+def _rational(rng, span=3):
+    d = rng.choice(DENOMINATORS)
+    return F(rng.randint(-span * d, span * d), d)
+
+
+def differential_systems(seed=11, count=300):
+    """Random systems with negative right-hand sides (row flips), mixed
+    denominators, redundant rows, infeasible ones, and unnormalized ones
+    with unbounded objectives."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 7)
+        k = rng.randint(1, 4)
+        rows = [[_rational(rng) if rng.random() < 0.7 else F(0) for _ in range(m)]
+                for _ in range(k)]
+        rhs = [_rational(rng) for _ in range(k)]
+        if rng.random() < 0.3:
+            # a redundant row: a rational combination of two existing rows
+            i, j = rng.randrange(k), rng.randrange(k)
+            a, b = _rational(rng), _rational(rng)
+            rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+            rhs.append(a * rhs[i] + b * rhs[j])
+        if rng.random() < 0.3:
+            # a planted non-negative point keeps the system feasible
+            x = [F(rng.randint(0, 4), rng.choice(DENOMINATORS)) for _ in range(m)]
+            rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        normalization = rng.random() < 0.6
+        objective = [_rational(rng) for _ in range(m)]
+        yield LinearSystem(
+            tuple(map(tuple, rows)), tuple(rhs), tuple(f"x{j}" for j in range(m)),
+            normalization=normalization,
+        ), objective
+
+
+def assert_certifies_optimum(system, result, objective):
+    cols, rhs = full_columns(system)
+    for col, c in zip(cols, objective):
+        assert sum(y * a for y, a in zip(result.dual, col)) >= c
+    assert sum(y * b for y, b in zip(result.dual, rhs)) == result.value
+
+
+def test_integer_tableau_matches_fraction_tableau():
+    kinds = set()
+    for system, objective in differential_systems():
+        cert = solve_feasibility(system)
+        assert cert == fraction_solve_feasibility(system)
+        reference = fraction_maximize_linear(system, objective)
+        if reference is None:
+            kinds.add("infeasible")
+            with pytest.raises(InfeasibleSystem):
+                maximize_linear(system, objective)
+            continue
+        result = maximize_linear(system, objective)
+        assert (result.value, result.solution, result.bounded) == (
+            reference.value, reference.solution, reference.bounded
+        )
+        if result.bounded:
+            kinds.add("optimum")
+            assert_certifies_optimum(system, result, objective)
+        else:
+            kinds.add("unbounded")
+            assert result.dual is None
+        if any(b < 0 for b in system.rhs):
+            kinds.add("flipped")
+    assert kinds == {"infeasible", "optimum", "unbounded", "flipped"}
+
+
+class CheckedSimplex(lp._Simplex):
+    """Checks that each pivot divides exactly and leaves the integer tableau
+    equal to the Fraction tableau pivoted on the same element."""
+
+    def __init__(self, rows, rhs):
+        super().__init__(rows, rhs)
+        self.oracle = FractionSimplex(rows, rhs)
+        self.pivots = []
+        self.negative_pivots = 0
+
+    def _pivot(self, r, c):
+        self.negative_pivots += self.T[r][c] < 0
+        row_r = self.T[r] if self.T[r][c] > 0 else [-v for v in self.T[r]]
+        p = row_r[c]
+        for i, row in enumerate(self.T):
+            if i != r:
+                assert all(
+                    (p * v - row[c] * w) % self.D == 0 for v, w in zip(row, row_r)
+                )
+        super()._pivot(r, c)
+        self.oracle._pivot(r, c)
+        self.pivots.append((r, c))
+        assert self.D > 0
+        m, k = self.m, self.k
+        for i in range(k):
+            b = self.basis[i]
+            row_scale = self.scale[b - m] if b >= m else 1
+            for j, v in enumerate(self.T[i]):
+                col_scale = self.scale[j - m] if m <= j < m + k else 1
+                assert F(v, self.D) * col_scale == row_scale * self.oracle.T[i][j]
+
+
+class RecordingFractionSimplex(FractionSimplex):
+    def __init__(self, rows, rhs):
+        super().__init__(rows, rhs)
+        self.pivots = []
+
+    def _pivot(self, r, c):
+        super()._pivot(r, c)
+        self.pivots.append((r, c))
+
+
+def test_pivots_divide_exactly_and_follow_the_fraction_tableau(monkeypatch):
+    import oracles
+
+    runs = {}
+
+    def recorder(cls, name):
+        def make(rows, rhs):
+            simplex = cls(rows, rhs)
+            runs.setdefault(name, []).append(simplex)
+            return simplex
+        return make
+
+    monkeypatch.setattr(lp, "_Simplex", recorder(CheckedSimplex, "integer"))
+    monkeypatch.setattr(
+        oracles, "FractionSimplex", recorder(RecordingFractionSimplex, "fraction")
+    )
+    for system, objective in differential_systems(seed=12, count=150):
+        fraction_solve_feasibility(system)
+        if solve_feasibility(system).feasible:
+            fraction_maximize_linear(system, objective)
+            maximize_linear(system, objective)
+    assert len(runs["integer"]) == len(runs["fraction"])
+    assert sum(len(s.pivots) for s in runs["integer"]) > 400
+    assert sum(s.negative_pivots for s in runs["integer"]) > 0
+    for fast, slow in zip(runs["integer"], runs["fraction"]):
+        assert fast.pivots == slow.pivots
+
+
+def test_wrong_optimum_dual_raises(monkeypatch):
+    system = example_pair_system()
+    assert maximize_component_sum(system, [0]).dual is not None
+    monkeypatch.setattr(
+        lp._Simplex, "dual", lambda self: (F(0),) * self.k
+    )
+    with pytest.raises(RuntimeError, match="dual"):
+        maximize_component_sum(system, [0])
+
+
+def test_zero_mass_optimum_carries_a_dual():
+    # H = 0 leaves no mass for the worlds where H holds: a zero m-value,
+    # proved by the dual rather than trusted
+    space = build_world_space(["E", "H"], ["!(E & H)"])
+    family = (
+        indicator(conditional(space, "E", "H | !H"), "E"),
+        indicator(conditional(space, "H", "H | !H"), "H"),
+    )
+    system = build_sigma(Assessment(family, (F(1, 2), F(0))))
+    h_blocks = [j for j, label in enumerate(system.unknown_labels) if label[1] == "+"]
+    result = maximize_component_sum(system, h_blocks)
+    assert result.value == 0
+    assert_certifies_optimum(
+        system, result, [1 if j in h_blocks else 0 for j in range(system.n_unknowns)]
+    )
