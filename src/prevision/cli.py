@@ -64,10 +64,6 @@ def parse_rational(raw: Any, where: str) -> Fraction:
         raise ProblemError(f"{where}: {raw!r} is not a valid rational ({exc})") from None
 
 
-def fmt(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass
 class Problem:
     """A parsed problem file: the world space, every named quantity, the
@@ -226,7 +222,7 @@ def _trace_json(trace) -> List[Dict[str, Any]]:
                 "feasible": level.feasible,
                 "zeroMass": sorted(level.i0) if level.i0 is not None else None,
                 "mValues": (
-                    [fmt(m) if m is not None else None for m in level.m_values]
+                    [str(m) if m is not None else None for m in level.m_values]
                     if level.m_values is not None
                     else None
                 ),
@@ -263,14 +259,14 @@ def cmd_check(ns: argparse.Namespace) -> int:
     if book is not None:
         report["dutchBook"] = {
             "members": list(book.member_indices),
-            "stakes": [fmt(s) for s in book.stakes],
-            "margin": fmt(book.margin),
+            "stakes": [str(s) for s in book.stakes],
+            "margin": str(book.margin),
         }
         members = ",".join(str(i) for i in book.member_indices)
-        stakes = ", ".join(fmt(s) for s in book.stakes)
+        stakes = ", ".join(str(s) for s in book.stakes)
         lines.append(f"dutch book on members {members}")
         lines.append(f"  stakes: {stakes}")
-        lines.append(f"  margin: {fmt(book.margin)}")
+        lines.append(f"  margin: {book.margin}")
     _emit(report, lines, ns.json)
     return 0 if verdict.coherent else 1
 
@@ -291,12 +287,12 @@ def cmd_extend(ns: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {
-        "lower": fmt(result.lower),
-        "upper": fmt(result.upper),
+        "lower": str(result.lower),
+        "upper": str(result.upper),
         "exact": result.exact,
     }
     lines = [
-        f"interval: [{fmt(result.lower)}, {fmt(result.upper)}]",
+        f"interval: [{result.lower}, {result.upper}]",
         f"exact: {'yes' if result.exact else 'no'}",
     ]
     _emit(report, lines, ns.json)
@@ -311,8 +307,8 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         else frechet_bounds_disjunction
     )
     lower, upper = fn(values)
-    report = {"kind": ns.kind, "lower": fmt(lower), "upper": fmt(upper)}
-    _emit(report, [f"lower: {fmt(lower)}", f"upper: {fmt(upper)}"], ns.json)
+    report = {"kind": ns.kind, "lower": str(lower), "upper": str(upper)}
+    _emit(report, [f"lower: {lower}", f"upper: {upper}"], ns.json)
     return 0
 
 
@@ -335,7 +331,7 @@ def parse_parameter(raw: str) -> FrankParameter:
 
 def _value_report(result, precision: int) -> Tuple[Dict[str, Any], str]:
     if isinstance(result, Fraction):
-        return {"value": fmt(result), "exact": True}, fmt(result)
+        return {"value": str(result), "exact": True}, str(result)
     text = format(float(result), f".{precision}g")
     return {"value": text, "exact": False}, text
 
@@ -374,7 +370,7 @@ def cmd_lambda_solution(ns: argparse.Namespace) -> int:
     builder = lambda_solution_TL if ns.boundary == "lower" else lambda_solution_TM
     vector = builder(values)
     components = {
-        label: fmt(mass) for label, mass in zip(vector.labels(), vector.as_tuple())
+        label: str(mass) for label, mass in zip(vector.labels(), vector.as_tuple())
     }
     report: Dict[str, Any] = {
         "boundary": ns.boundary,
@@ -398,13 +394,13 @@ def cmd_table(ns: argparse.Namespace) -> int:
         "rows": [
             {
                 "constituent": constituent.label(),
-                "value": fmt(value) if value is not None else None,
+                "value": str(value) if value is not None else None,
             }
             for constituent, value in rows
         ]
     }
     lines = [
-        f"{constituent.label()}: {fmt(value) if value is not None else 'free'}"
+        f"{constituent.label()}: {value if value is not None else 'free'}"
         for constituent, value in rows
     ]
     _emit(report, lines, ns.json)

@@ -5,7 +5,7 @@ non-negative normalized mass vector over the 2^n fully-active blocks that
 hits the lower (Lukasiewicz) or upper (min) envelope value for the overall
 conjunction.  Their existence is what makes the envelope sharp.  The rest of
 the module carries the worked three-event material: the seven-value
-coherence characterization, its extension interval, the shared-consequent
+coherence characterization, its triple-value bounds, the shared-consequent
 special case, and the sufficient conditions for the all-Lukasiewicz
 assessment.
 """
@@ -191,7 +191,11 @@ class Family7Assessment:
 
 
 def family7_bounds(x_1, x_2, x_3, x_12, x_13, x_23) -> tuple[Fraction, Fraction]:
-    """Admissible range for the triple value given the six others."""
+    """Admissible range for the triple value given the six others.
+
+    The range is the coherent extension interval of the six values; it comes
+    back empty, lower > upper, exactly when the six are incoherent.
+    """
     x_1, x_2, x_3, x_12, x_13, x_23 = _unit_fractions(
         (x_1, x_2, x_3, x_12, x_13, x_23)
     )
@@ -228,16 +232,6 @@ def check_family7(assessment: Family7Assessment) -> Family7Verdict:
     else:
         failure = None
     return Family7Verdict(failure is None, lower, upper, failure)
-
-
-def extension_interval_family7(
-    x_1, x_2, x_3, x_12, x_13, x_23
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Coherent triple-value interval, or None when the six are incoherent."""
-    lower, upper = family7_bounds(x_1, x_2, x_3, x_12, x_13, x_23)
-    if lower > upper:
-        return None
-    return lower, upper
 
 
 def special_case_same_consequent(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .closed_form import family7_bounds
 from .errors import IncoherentBase
@@ -30,7 +30,6 @@ from .lp import maximize_component_sum, maximize_linear, solve_feasibility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-WIDTH_GOAL = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,10 @@ class CoherenceVerdict:
 
 @dataclass(frozen=True)
 class ExtensionInterval:
-    """The closed interval of coherent values for one further quantity."""
+    """The closed interval of coherent values for one further quantity.
+
+    Every path computes both endpoints exactly, so `exact` is always True.
+    """
 
     lower: Fraction
     upper: Fraction
@@ -132,6 +134,32 @@ def _active_sets(inside, n):
     ]
 
 
+def _m_values(system: LinearSystem, actives, witnesses):
+    """Maximal mass each active set can carry over `system`.
+
+    A set that some witness solution already gives positive mass needs no
+    solve; every other set gets its verified maximum, and each maximizer
+    joins the witnesses.  Returns the m-values, the positions settled by a
+    witness, and the positions stuck at zero.
+    """
+    witnesses = list(witnesses)
+    m_values = [None] * len(actives)
+    witnessed = set()
+    zero = []
+    for i, active in enumerate(actives):
+        mass = max(sum(w[h] for h in active) for w in witnesses)
+        if mass > 0:
+            m_values[i] = mass
+            witnessed.add(i)
+            continue
+        best = maximize_component_sum(system, active)
+        m_values[i] = best.value
+        witnesses.append(best.solution)
+        if best.value == 0:
+            zero.append(i)
+    return m_values, witnessed, zero
+
+
 def _run_level(assessment: Assessment, current: Assessment, index_map: tuple):
     """One recursion level on `current`, the members `index_map` (1-based) of
     `assessment`; its one partition serves the system and the book check."""
@@ -149,25 +177,9 @@ def _run_level(assessment: Assessment, current: Assessment, index_map: tuple):
             index_map, labels, False, None, None, frozenset(), None
         )
         return record, book, None
-    n = len(current)
-    actives = _active_sets(inside, n)
-    witnesses = [cert.solution]
-    m_values = [None] * n
-    witnessed = set()
-    zero = []
-    for i in range(n):
-        mass = max(sum(w[h] for h in actives[i]) for w in witnesses)
-        if mass > 0:
-            # some already-found solution puts mass on this member's
-            # antecedent, so its maximum is positive without another solve
-            m_values[i] = mass
-            witnessed.add(i)
-            continue
-        best = maximize_component_sum(system, actives[i])
-        m_values[i] = best.value
-        witnesses.append(best.solution)
-        if best.value == 0:
-            zero.append(i)
+    m_values, witnessed, zero = _m_values(
+        system, _active_sets(inside, len(current)), [cert.solution]
+    )
     record = LevelRecord(
         index_map,
         labels,
@@ -425,133 +437,77 @@ def _closed_form_interval(assessment: Assessment, target: ConditionalQuantity):
     return None
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator rational strictly between lo and hi."""
-    if not lo < hi:
-        raise ValueError("need a non-empty open interval")
-    if hi <= 0:
-        return -_simplest_between(-hi, -lo)
-    if lo < 0:
-        return ZERO
-    floor = lo.numerator // lo.denominator
-    if lo == floor:
-        if hi > floor + 1:
-            return Fraction(floor + 1)
-        reciprocal = ONE / (hi - floor)
-        k = reciprocal.numerator // reciprocal.denominator + 1
-        return floor + Fraction(1, k)
-    if floor + 1 < hi:
-        return Fraction(floor + 1)
-    return floor + 1 / _simplest_between(ONE / (hi - floor), ONE / (lo - floor))
+def _charnes_cooper_range(system: LinearSystem, inside, t: int):
+    """Least and greatest target value over the solutions of `system` that
+    give the target's active blocks positive mass.
 
-
-def _level_one_range(assessment: Assessment, target: ConditionalQuantity):
-    """The first-level solvable range of the target's value, when the target
-    must receive positive antecedent mass; None when mass can vanish."""
-    family = assessment.family + (target,)
-    inside, _ = quantity_constituents(family)
-    t = len(assessment)
-    active = [h for h, c in enumerate(inside) if c.profile[t] is not None]
-    rows = tuple(
-        tuple(
-            assessment.values[i] if c.profile[i] is None else c.profile[i]
-            for c in inside
-        )
-        for i in range(t)
-    )
-    base = LinearSystem(rows, assessment.values, tuple(c.label() for c in inside))
-    low_mass = -maximize_linear(
-        base, [-1 if h in active else 0 for h in range(len(inside))]
-    ).value
-    if low_mass == 0:
-        return None
-    # scale-invariant form: mass vector zeta with unit mass on the target's
-    # active blocks, total mass t_scale; the target value is the active sum
+    Scale-invariant form: a mass vector zeta with unit mass on the target's
+    active blocks and total mass `scale`; the target value is then the
+    active sum of zeta times the target's values.
+    """
     cc_rows = tuple(
-        row + (-assessment.values[i],) for i, row in enumerate(rows)
+        row + (-mu,) for row, mu in zip(system.equalities, system.rhs)
     ) + (
         tuple(ONE for _ in inside) + (-ONE,),
-        tuple(ONE if h in active else ZERO for h in range(len(inside))) + (ZERO,),
+        tuple(ZERO if c.profile[t] is None else ONE for c in inside) + (ZERO,),
     )
-    cc_rhs = (ZERO,) * (t + 1) + (ONE,)
     cc = LinearSystem(
         cc_rows,
-        cc_rhs,
-        tuple(c.label() for c in inside) + ("scale",),
+        (ZERO,) * (len(system.rhs) + 1) + (ONE,),
+        system.unknown_labels + ("scale",),
         normalization=False,
     )
     objective = [
-        inside[h].profile[t] if h in active else ZERO for h in range(len(inside))
+        ZERO if c.profile[t] is None else c.profile[t] for c in inside
     ] + [ZERO]
     hi = maximize_linear(cc, objective).value
     lo = -maximize_linear(cc, [-c for c in objective]).value
     return lo, hi
 
 
-def _probe_factory(assessment: Assessment, target: ConditionalQuantity):
-    cache: dict[Fraction, bool] = {}
+def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
+    """The exact coherent range of the target over a coherent assessment,
+    walking the levels `trace` of the assessment's own verdict.
 
-    def probe(mu: Fraction) -> bool:
-        if mu not in cache:
-            cache[mu] = check_coherence(assessment.extend(target, mu)).coherent
-        return cache[mu]
-
-    return probe
-
-
-def _refine_endpoint(
-    bad: Fraction, good: Fraction, probe: Callable[[Fraction], bool]
-) -> Fraction:
-    """Shrink (bad, good] below the width goal; returns the coherent side."""
-    while abs(good - bad) > WIDTH_GOAL:
-        lo, hi = (bad, good) if bad < good else (good, bad)
-        mid = _simplest_between(lo, hi)
-        plain = (lo + hi) / 2
-        if abs(mid - plain) > (hi - lo) / 4:
-            mid = plain
-        if probe(mid):
-            good = mid
-        else:
-            bad = mid
-    lo, hi = (bad, good) if bad < good else (good, bad)
-    if hi - lo > 0:
-        snap = _simplest_between(lo, hi)
-        if snap != good and probe(snap):
-            good = snap
-    return good
-
-
-def _seed_coherent(a: Fraction, b: Fraction, probe) -> Optional[Fraction]:
-    seen = set()
-    for depth in range(1, 13):
-        for k in range(1, 1 << depth, 2):
-            mu = a + (b - a) * Fraction(k, 1 << depth)
-            if mu in seen:
-                continue
-            seen.add(mu)
-            if probe(mu):
-                return mu
-    return None
-
-
-def _generic_interval(
-    assessment: Assessment, target: ConditionalQuantity
-) -> ExtensionInterval:
-    lo_hull, hi_hull = target.hull()
-    level_one = _level_one_range(assessment, target)
-    a, b = level_one if level_one is not None else (lo_hull, hi_hull)
-    probe = _probe_factory(assessment, target)
-    probe_a, probe_b = probe(a), probe(b)
-    if probe_a and probe_b:
-        return ExtensionInterval(a, b, True)
-    if a == b:
-        raise RuntimeError("pinned extension value failed the coherence probe")
-    seed = a if probe_a else (b if probe_b else _seed_coherent(a, b, probe))
-    if seed is None:
-        raise RuntimeError("no coherent extension located inside the bounds")
-    lower = a if probe_a else _refine_endpoint(a, seed, probe)
-    upper = b if probe_b else _refine_endpoint(b, seed, probe)
-    return ExtensionInterval(lower, upper, False)
+    At each level the members in play and the target share one partition.
+    Where the target's active blocks K must carry mass, the level's
+    linear-fractional range is the answer.  Where K never carries mass, the
+    target joins the next level.  Where K may carry mass or not, values
+    outside that range leave the target void, and the members that then get
+    no mass, with the target, form a strictly smaller problem whose range
+    joins the level's range.
+    """
+    hull = target.hull()
+    for record in trace:
+        current = assessment.restrict(p - 1 for p in record.member_indices)
+        t = len(current)
+        partition = quantity_constituents(current.family + (target,))
+        system = build_sigma(current, partition)
+        inside, _ = partition
+        k_mass = tuple(ZERO if c.profile[t] is None else ONE for c in inside)
+        least = maximize_linear(system, [-v for v in k_mass])
+        if least.value == 0 and maximize_linear(system, k_mass).value == 0:
+            continue
+        lo, hi = _charnes_cooper_range(system, inside, t)
+        if least.value < 0 or (lo, hi) == hull:
+            return lo, hi
+        void_target = LinearSystem(
+            system.equalities + (k_mass,),
+            system.rhs + (ZERO,),
+            system.unknown_labels,
+        )
+        _, _, zero = _m_values(
+            void_target, _active_sets(inside, t), [least.solution]
+        )
+        if not zero:
+            return hull
+        sub = current.restrict(zero)
+        verdict = check_coherence(sub)
+        if not verdict.coherent:
+            raise RuntimeError("restriction of a coherent assessment failed")
+        sub_lo, sub_hi = _propagate(sub, verdict.trace, target)
+        return min(lo, sub_lo), max(hi, sub_hi)
+    return hull
 
 
 def extension_interval(
@@ -563,11 +519,12 @@ def extension_interval(
     the assessment coherent.
 
     Raises IncoherentBase when the assessment itself fails.  Known family
-    shapes go through the closed forms; everything else runs the first-level
-    value-range analysis, endpoint probes, and, only when an endpoint is not
-    confirmed, a rational bisection to width 1e-9 (`exact` is False then).
+    shapes go through the closed forms; everything else propagates the
+    target exactly through the levels of the assessment's own verdict, with
+    linear programs only.  Both endpoints are exact: `exact` is always True.
     """
-    if not check_coherence(assessment).coherent:
+    verdict = check_coherence(assessment)
+    if not verdict.coherent:
         raise IncoherentBase("the base assessment is not coherent")
     for q, mu in zip(assessment.family, assessment.values):
         if (
@@ -579,4 +536,5 @@ def extension_interval(
         interval = _closed_form_interval(assessment, target)
         if interval is not None:
             return ExtensionInterval(interval[0], interval[1], True)
-    return _generic_interval(assessment, target)
+    lower, upper = _propagate(assessment, verdict.trace, target)
+    return ExtensionInterval(lower, upper, True)

@@ -155,19 +155,9 @@ class WorldSpace:
         )
         return Event(self, members)
 
-    def atom_event(self, name: str) -> "Event":
-        if name not in self._index:
-            raise UnknownAtom(name)
-        k = self._index[name]
-        return Event(self, frozenset(i for i, w in enumerate(self.worlds) if w[k]))
-
     @property
     def everything(self) -> "Event":
         return Event(self, frozenset(range(len(self.worlds))))
-
-    @property
-    def nothing(self) -> "Event":
-        return Event(self, frozenset())
 
 
 def build_world_space(atoms, constraints=()) -> WorldSpace:
@@ -226,10 +216,6 @@ class Event:
 
     def __contains__(self, world_index: int) -> bool:
         return world_index in self.members
-
-    def __le__(self, other) -> bool:
-        self._check(other)
-        return self.members <= other.members
 
     @property
     def is_empty(self) -> bool:

@@ -299,14 +299,16 @@ def build_points(assessment: Assessment, partition=None) -> PointSet:
     where void; the all-void block gets the assessment vector itself.
 
     `partition` is the family's quantity_constituents when already computed.
+    It may be the partition of the family plus further trailing quantities;
+    their profile entries only refine the blocks and are ignored here.
     """
     if partition is None:
         partition = quantity_constituents(assessment.family)
     inside, c0 = partition
     points = tuple(
         tuple(
-            assessment.values[i] if v is None else v
-            for i, v in enumerate(c.profile)
+            mu if v is None else v
+            for v, mu in zip(c.profile, assessment.values)
         )
         for c in inside
     )
@@ -322,7 +324,6 @@ class LinearSystem:
     rhs: tuple[Fraction, ...]
     unknown_labels: tuple[str, ...]
     normalization: bool = True
-    non_negativity: bool = True
 
     @property
     def n_unknowns(self) -> int:
@@ -332,7 +333,7 @@ class LinearSystem:
         vec = [to_fraction(v) for v in vec]
         if len(vec) != self.n_unknowns:
             return False
-        if self.non_negativity and any(v < 0 for v in vec):
+        if any(v < 0 for v in vec):
             return False
         if self.normalization and sum(vec) != 1:
             return False
@@ -452,25 +453,3 @@ def _matches_conjunction_pattern(events, compound) -> bool:
             return False
     return True
 
-
-def _matches_disjunction_pattern(events, compound) -> bool:
-    for w in compound.conditioning.members:
-        true_seen = False
-        all_false = True
-        for ce in events:
-            if w in ce.antecedent:
-                if w in ce.consequent:
-                    true_seen = True
-                    all_false = False
-            else:
-                all_false = False
-        value = compound.values[w]
-        if true_seen:
-            if value != ONE:
-                return False
-        elif all_false:
-            if value != ZERO:
-                return False
-        elif not ZERO <= value <= ONE:
-            return False
-    return True

@@ -50,8 +50,6 @@ class OptimizationResult:
 
 
 def _expanded(system: LinearSystem):
-    if not system.non_negativity:
-        raise ValueError("solver requires non-negative unknowns")
     rows = [[Fraction(v) for v in row] for row in system.equalities]
     rhs = [Fraction(b) for b in system.rhs]
     if system.normalization:

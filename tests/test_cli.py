@@ -232,6 +232,24 @@ class TestExtend:
         assert "interval: [63/400, 7/20]" in out
         assert "exact: yes" in out
 
+    def test_target_with_vanishing_antecedent_mass(self, capsys, tmp_path):
+        # the target's antecedent may carry zero mass; its only coherent
+        # value is still pinned
+        data = {
+            "atoms": ["A", "B", "C"],
+            "conditionals": [
+                {"name": "X", "consequent": "B", "antecedent": "!A"},
+                {"name": "Y", "consequent": "!B", "antecedent": "A & !C"},
+                {"name": "T", "consequent": "B", "antecedent": "A & !C"},
+            ],
+            "assessment": {"X": "3/5", "Y": "3/5"},
+            "query": {"target": "T"},
+        }
+        path = write_problem(tmp_path, data)
+        code, out, _ = run(capsys, "extend", "--problem", path)
+        assert code == 0
+        assert out == "interval: [2/5, 2/5]\nexact: yes\n"
+
     def test_incoherent_base_exits_one(self, capsys, tmp_path):
         data = {
             "atoms": ["E", "H"],

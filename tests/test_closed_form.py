@@ -13,7 +13,6 @@ from prevision import (
     SufficiencyVerdict,
     build_sigma_star,
     check_family7,
-    extension_interval_family7,
     family7_bounds,
     frechet_bounds_conjunction,
     lambda_solution_TL,
@@ -242,22 +241,24 @@ class TestCheckFamily7:
 
 class TestExtensionIntervalFamily7:
     def test_empty_when_six_values_incoherent(self):
-        assert extension_interval_family7(
+        lower, upper = family7_bounds(
             F(1, 2), F(3, 5), F(7, 10), F(1, 10), F(1, 5), F(3, 10)
-        ) is None
+        )
+        assert lower > upper
 
     def test_degenerate_all_ones(self):
-        assert extension_interval_family7(1, 1, 1, 1, 1, 1) == (F(1), F(1))
+        assert family7_bounds(1, 1, 1, 1, 1, 1) == (F(1), F(1))
 
     def test_point_interval(self):
-        interval = extension_interval_family7(
+        interval = family7_bounds(
             F(9, 10), F(4, 5), F(9, 10), F(7, 10), F(4, 5), F(7, 10)
         )
         assert interval == (F(3, 5), F(3, 5))
 
     def test_matches_bounds_helper(self):
         six = (F(1, 2), F(1, 2), F(1, 2), F(1, 4), F(1, 4), F(1, 4))
-        assert extension_interval_family7(*six) == family7_bounds(*six)
+        verdict = check_family7(Family7Assessment(*six, F(1, 8)))
+        assert (verdict.lower, verdict.upper) == family7_bounds(*six)
 
     @given(rational_unit, rational_unit, rational_unit)
     @settings(max_examples=200, deadline=None)
@@ -265,7 +266,7 @@ class TestExtensionIntervalFamily7:
         total = x_1 + x_2 + x_3
         if total < 2:
             return
-        interval = extension_interval_family7(
+        interval = family7_bounds(
             x_1, x_2, x_3,
             x_1 + x_2 - 1, x_1 + x_3 - 1, x_2 + x_3 - 1,
         )

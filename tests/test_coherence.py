@@ -1,5 +1,7 @@
 """The coherence engine: recursion, betting certificates, extensions."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,6 @@ from prevision import (
     make_disjunction,
     value_table,
 )
-from prevision.coherence import _refine_endpoint, _simplest_between
 
 F = Fraction
 
@@ -390,38 +391,67 @@ class TestExtensionInterval:
             ))
 
 
-class TestRefinementHelpers:
-    def test_simplest_between_prefers_small_denominators(self):
-        assert _simplest_between(F(0), F(1)) == F(1, 2)
-        assert _simplest_between(F(1, 3), F(2, 3)) == F(1, 2)
-        assert _simplest_between(F(138, 1000), F(141, 1000)) == F(5, 36)
-        assert _simplest_between(F(2), F(7, 2)) == F(3)
-        assert _simplest_between(F(-1, 2), F(1, 3)) == F(0)
+class TestExactPropagation:
+    """Generic extension intervals on random indicator families: the target's
+    antecedent may carry zero mass, so propagation past the first level
+    decides the endpoints."""
 
-    def test_simplest_between_is_minimal_and_inside(self):
-        pairs = [
-            (F(1, 7), F(1, 6)),
-            (F(3, 10), F(1, 3)),
-            (F(99, 100), F(100, 100)),
-            (F(355, 113) - F(1, 10**8), F(355, 113)),
-        ]
-        for lo, hi in pairs:
-            mid = _simplest_between(lo, hi)
-            assert lo < mid < hi
-            for d in range(1, mid.denominator):
-                low_num = lo * d
-                high_num = hi * d
-                n = low_num.numerator // low_num.denominator + 1
-                assert not (low_num < n < high_num), (lo, hi, F(n, d))
+    LITERALS = ("A", "B", "C", "!A", "!B", "!C")
+    EVENT_POOL = LITERALS + tuple(
+        f"{a} & {b}"
+        for a, b in itertools.combinations(LITERALS, 2)
+        if a.lstrip("!") != b.lstrip("!")
+    )
+    STEP = F(1, 10**6)
 
-    def test_refine_endpoint_converges_and_snaps(self):
-        threshold = F(1, 3)
-        result = _refine_endpoint(F(0), F(1), lambda mu: mu >= threshold)
-        assert result >= threshold
-        assert result - threshold <= F(1, 10**9)
+    def test_pinned_value_with_vanishing_antecedent_mass(self):
+        space = build_world_space(["A", "B", "C"])
+        x = indicator(ConditionalEvent(space.event("B"), space.event("!A")), "X")
+        y = indicator(ConditionalEvent(space.event("!B"), space.event("A & !C")), "Y")
+        target = indicator(
+            ConditionalEvent(space.event("B"), space.event("A & !C")), "T"
+        )
+        base = Assessment((x, y), (F(3, 5), F(3, 5)))
+        for use_closed_form in (True, False):
+            result = extension_interval(base, target, use_closed_form)
+            assert (result.lower, result.upper, result.exact) == (
+                F(2, 5), F(2, 5), True
+            )
 
-    def test_refine_endpoint_upper_side(self):
-        threshold = F(63, 400)
-        result = _refine_endpoint(F(1), F(0), lambda mu: mu <= threshold)
-        assert result <= threshold
-        assert threshold - result <= F(1, 10**9)
+    def test_fifth_valued_sweep_is_sharp(self):
+        space = build_world_space(["A", "B", "C"])
+        rng = random.Random(5)
+
+        def draw(label):
+            return indicator(
+                ConditionalEvent(
+                    space.event(rng.choice(self.EVENT_POOL)),
+                    space.event(rng.choice(self.EVENT_POOL)),
+                ),
+                label,
+            )
+
+        coherent_bases = 0
+        for _ in range(4000):
+            size = rng.randint(1, 3)
+            members = tuple(draw(f"X{i}") for i in range(1, size + 1))
+            values = tuple(F(rng.randint(0, 5), 5) for _ in range(size))
+            target = draw("T")
+            base = Assessment(members, values)
+            if not check_coherence(base).coherent:
+                continue
+            coherent_bases += 1
+            result = extension_interval(base, target, use_closed_form=False)
+            assert result.exact and result.lower <= result.upper
+            middle = (result.lower + result.upper) / 2
+            for mu in (result.lower, middle, result.upper):
+                assert check_coherence(base.extend(target, mu)).coherent
+            for mu in (result.lower - self.STEP, result.upper + self.STEP):
+                beyond = base.extend(target, mu)
+                book = find_dutch_book(beyond)
+                assert book is not None
+                gains = dutch_book_gains(beyond, book)
+                assert gains and all(g > 0 for _, g in gains)
+        # pins the draw: among its bases are two whose target is pinned (to
+        # 1/5 and 2/5) only past the first level
+        assert coherent_bases == 1240
