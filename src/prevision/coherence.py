@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .closed_form import family7_bounds
@@ -79,6 +80,38 @@ class ExtensionInterval:
     exact: bool
 
 
+def _book_gains(assessment: Assessment, book: DutchBook, partition=None):
+    """The booked sub-family's constituents inside its union of antecedents
+    and the gain of the stakes on each, as integers over one common
+    denominator L; returns (inside, gains, L).
+
+    Member i's values and prevision are integers over d_i, the lcm of their
+    denominators, so its stake weighs them by s_i / d_i, and L is a common
+    denominator of those weights.
+    """
+    sub = assessment.restrict([p - 1 for p in book.member_indices])
+    if partition is None:
+        partition = quantity_constituents(sub.family)
+    inside, _ = partition
+    columns = list(zip(*(c.profile for c in inside)))[: len(sub)]
+    scales, weights = [], []
+    for stake, mu, column in zip(book.stakes, sub.values, columns):
+        d = lcm(mu.denominator, *(v.denominator for v in column if v is not None))
+        scales.append(d)
+        weights.append((stake.numerator, stake.denominator * d))
+    L = lcm(*(den for _, den in weights))
+    terms = []
+    for (num, den), d, mu, column in zip(weights, scales, sub.values, columns):
+        W = num * (L // den)
+        M = mu.numerator * (d // mu.denominator)
+        terms.append(
+            [0 if v is None else W * (v.numerator * (d // v.denominator) - M)
+             for v in column]
+        )
+    gains = [sum(t) for t in zip(*terms)]
+    return inside, gains, L
+
+
 def dutch_book_gains(
     assessment: Assessment, book: DutchBook, partition=None
 ) -> list[tuple[QuantityConstituent, Fraction]]:
@@ -88,24 +121,17 @@ def dutch_book_gains(
     `partition` is the booked sub-family's quantity_constituents when
     already computed.
     """
-    sub = assessment.restrict([p - 1 for p in book.member_indices])
-    if partition is None:
-        partition = quantity_constituents(sub.family)
-    inside, _ = partition
-    gains = []
-    for c in inside:
-        gain = sum(
-            (s * (v - mu) for s, v, mu in zip(book.stakes, c.profile, sub.values)
-             if v is not None),
-            ZERO,
-        )
-        gains.append((c, gain))
-    return gains
+    inside, gains, L = _book_gains(assessment, book, partition)
+    return [(c, Fraction(g, L)) for c, g in zip(inside, gains)]
 
 
 def _checked_book(assessment: Assessment, book: DutchBook, partition=None) -> DutchBook:
-    for c, gain in dutch_book_gains(assessment, book, partition):
-        if gain < book.margin or gain <= 0:
+    """Require gain >= margin and gain > 0 on every constituent, compared
+    in integers: gain g / L against margin p / q as g * q against p * L."""
+    inside, gains, L = _book_gains(assessment, book, partition)
+    p, q = book.margin.numerator, book.margin.denominator
+    for c, g in zip(inside, gains):
+        if g * q < p * L or g <= 0:
             raise RuntimeError(f"betting certificate failed on {c.label()}")
     return book
 

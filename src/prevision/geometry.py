@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import MissingPrevision, NotApplicable, OutOfRange
@@ -245,10 +247,11 @@ class QuantityConstituent:
         def mark(v):
             if v is None:
                 return "0"
-            if v == ONE:
-                return "+"
-            if v == ZERO:
-                return "-"
+            if v.denominator == 1:
+                if v.numerator == 1:
+                    return "+"
+                if v.numerator == 0:
+                    return "-"
             return f"({v})"
 
         return "".join(mark(v) for v in self.profile)
@@ -329,18 +332,44 @@ class LinearSystem:
     def n_unknowns(self) -> int:
         return len(self.unknown_labels)
 
+    @cached_property
+    def scaled_rows(self) -> tuple:
+        """(rows, scales): every row with its rhs appended, normalization row
+        last, times s, the lcm of that row's denominators, as integers; and
+        the s of each row.
+
+        Built once per system; the simplex and every certificate check of
+        `lp` work on these rows.
+        """
+        rows, scales = [], []
+        for row, b in zip(self.equalities, self.rhs):
+            entries = (*row, b)
+            s = lcm(*(v.denominator for v in entries))
+            rows.append(tuple(v.numerator * (s // v.denominator) for v in entries))
+            scales.append(s)
+        if self.normalization:
+            rows.append((1,) * (self.n_unknowns + 1))
+            scales.append(1)
+        return tuple(rows), tuple(scales)
+
     def check_solution(self, vec) -> bool:
+        """Non-negativity and every row, normalization included, checked in
+        integers: vec times the lcm L of its denominators against each scaled
+        row, whose rhs is then scaled by L too."""
         vec = [to_fraction(v) for v in vec]
         if len(vec) != self.n_unknowns:
             return False
-        if any(v < 0 for v in vec):
-            return False
-        if self.normalization and sum(vec) != 1:
-            return False
-        for row, b in zip(self.equalities, self.rhs):
-            if sum(c * v for c, v in zip(row, vec)) != b:
+        L = lcm(*(v.denominator for v in vec))
+        support = []
+        for j, v in enumerate(vec):
+            if v.numerator < 0:
                 return False
-        return True
+            if v.numerator:
+                support.append((j, v.numerator * (L // v.denominator)))
+        rows, _ = self.scaled_rows
+        return all(
+            sum(row[j] * x for j, x in support) == row[-1] * L for row in rows
+        )
 
 
 def build_sigma(assessment: Assessment, partition=None) -> LinearSystem:

@@ -1,17 +1,20 @@
 """Exact linear solving for feasibility systems over non-negative unknowns.
 
 A dense two-phase simplex with Bland's rule, so runs terminate and answers
-are exact.  The tableau is fraction-free: every row is scaled to integers and
-all rows share one positive common denominator, the previous pivot, so each
-pivot divides exactly (Bareiss elimination) and no gcd is ever taken.
-Solutions, optima and multipliers come back as Fractions.
+are exact.  The tableau is fraction-free: it starts from the system's scaled
+integer rows (each row times the lcm of its denominators, built once per
+system), and all rows share one positive common denominator, the previous
+pivot, so each pivot divides exactly (Bareiss elimination) and no gcd is ever
+taken.  Solutions, optima and multipliers come back as Fractions.
 
 An infeasible system yields a separating certificate: multipliers u, one per
 row (normalization row last when present), with u . column <= 0 for every
 unknown's column while u . rhs equals a strictly positive margin.  An optimum
 comes with a dual y, y . column >= cost for every unknown's column and
 y . rhs equal to the optimum.  Certificates, duals and solutions are
-re-verified before being returned.
+re-verified before being returned, in integer arithmetic on the same scaled
+input rows: the returned Fractions are brought over one common denominator,
+so no check trusts the tableau and none does Fraction arithmetic per entry.
 """
 
 from __future__ import annotations
@@ -49,15 +52,6 @@ class OptimizationResult:
     dual: Optional[tuple] = None
 
 
-def _expanded(system: LinearSystem):
-    rows = [[Fraction(v) for v in row] for row in system.equalities]
-    rhs = [Fraction(b) for b in system.rhs]
-    if system.normalization:
-        rows.append([ONE] * system.n_unknowns)
-        rhs.append(ONE)
-    return rows, rhs
-
-
 def _to_integers(values):
     """The Fractions times the lcm of their denominators, and that lcm."""
     scale = lcm(*(v.denominator for v in values))
@@ -68,9 +62,9 @@ class _Simplex:
     """Integer tableau: unknown columns, one artificial per row, rhs last,
     plus a cost row.
 
-    Input row r is flipped to a non-negative rhs and multiplied by s_r, the
-    lcm of its denominators.  Its artificial keeps a unit column, so it stands
-    for s_r times the unscaled artificial.  This is the same LP in rescaled
+    Input row r, already multiplied by s_r, the lcm of its denominators, is
+    flipped to a non-negative rhs.  Its artificial keeps a unit column, so it
+    stands for s_r times the unscaled artificial.  This is the same LP in rescaled
     variables: Bland's rule takes the same pivots as on the rational tableau.
 
     The true tableau is T / D.  Pivoting on p = T[r][c] maps every other row
@@ -81,19 +75,20 @@ class _Simplex:
     column in.
     """
 
-    def __init__(self, rows, rhs):
-        self.m = len(rows[0]) if rows else 0
+    def __init__(self, rows, scales):
+        """`rows` and `scales` are a system's scaled_rows: integer rows with
+        the rhs last, each s_r times the input row."""
+        self.m = len(rows[0]) - 1 if rows else 0
         self.k = len(rows)
-        self.flip = [-1 if b < 0 else 1 for b in rhs]
-        self.scale = []
+        self.scale = list(scales)
+        self.flip = []
         self.T = []
-        for r in range(self.k):
-            entries, s = _to_integers(list(rows[r]) + [rhs[r]])
-            f = self.flip[r]
+        for r, entries in enumerate(rows):
+            f = -1 if entries[-1] < 0 else 1
             row = [f * v for v in entries[:-1]] + [0] * self.k + [f * entries[-1]]
             row[self.m + r] = 1
             self.T.append(row)
-            self.scale.append(s)
+            self.flip.append(f)
         self.T.append([0] * (self.m + self.k + 1))
         self.D = 1
         self.basis = [self.m + r for r in range(self.k)]
@@ -193,35 +188,56 @@ class _Simplex:
         return tuple(-v for v in self.dual())
 
 
-def _verify_certificate(rows, rhs, cert: FeasibilityCertificate, system: LinearSystem):
+def _combined(system: LinearSystem, weights):
+    """sum_r w_r * row_r over the unscaled input rows, rhs last, as integers
+    over one common denominator L; returns (sums, L).
+
+    Row r is its scaled row over s_r, so the weight on the scaled row is
+    w_r / s_r; L is a common denominator of those weights.
+    """
+    rows, scales = system.scaled_rows
+    dens = [w.denominator * s for w, s in zip(weights, scales)]
+    L = lcm(*dens)
+    sums = [0] * (len(rows[0]) if rows else 1)
+    for w, d, row in zip(weights, dens, rows):
+        if w:
+            W = w.numerator * (L // d)
+            sums = [a + W * v for a, v in zip(sums, row)]
+    return sums, L
+
+
+def _verify_certificate(system: LinearSystem, cert: FeasibilityCertificate):
     if cert.feasible:
         if not system.check_solution(cert.solution):
             raise RuntimeError("solver produced a non-solution")
         return
     if cert.margin is None or cert.margin <= 0:
         raise RuntimeError("refutation lacks a positive margin")
-    m = len(rows[0]) if rows else 0
-    for j in range(m):
-        if sum(u * row[j] for u, row in zip(cert.dual, rows)) > 0:
-            raise RuntimeError("refutation prices a column positively")
-    if sum(u * b for u, b in zip(cert.dual, rhs)) != cert.margin:
+    sums, L = _combined(system, cert.dual)
+    if any(a > 0 for a in sums[:-1]):
+        raise RuntimeError("refutation prices a column positively")
+    if sums[-1] * cert.margin.denominator != cert.margin.numerator * L:
         raise RuntimeError("refutation margin mismatch")
 
 
-def _verify_optimum(rows, rhs, objective, result: OptimizationResult):
-    """Weak duality: y . A_j >= c_j on every column and y . b equal to the
-    value prove that no feasible point does better."""
-    for j, c in enumerate(objective):
-        if sum(u * row[j] for u, row in zip(result.dual, rows) if u) < c:
-            raise RuntimeError("optimum dual prices a column below its cost")
-    if sum(u * b for u, b in zip(result.dual, rhs)) != result.value:
+def _verify_optimum(system: LinearSystem, objective, result: OptimizationResult):
+    """The maximizer is feasible, and by weak duality y . A_j >= c_j on every
+    column and y . b equal to the value prove that no feasible point does
+    better."""
+    if not system.check_solution(result.solution):
+        raise RuntimeError("optimizer produced a non-solution")
+    sums, L = _combined(system, result.dual)
+    costs, cost_scale = _to_integers(objective)
+    # y . A_j = sums_j / L against c_j = costs_j / cost_scale
+    if any(a * cost_scale < c * L for a, c in zip(sums, costs)):
+        raise RuntimeError("optimum dual prices a column below its cost")
+    if sums[-1] * result.value.denominator != result.value.numerator * L:
         raise RuntimeError("optimum dual bound mismatch")
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityCertificate:
     """Decide {equalities, non-negativity, normalization} exactly."""
-    rows, rhs = _expanded(system)
-    simplex = _Simplex(rows, rhs)
+    simplex = _Simplex(*system.scaled_rows)
     residual = simplex.phase1()
     if residual == 0:
         cert = FeasibilityCertificate(True, solution=simplex.solution())
@@ -229,7 +245,7 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityCertificate:
         cert = FeasibilityCertificate(
             False, dual=simplex.refutation(), margin=residual
         )
-    _verify_certificate(rows, rhs, cert, system)
+    _verify_certificate(system, cert)
     return cert
 
 
@@ -238,20 +254,17 @@ def maximize_linear(system: LinearSystem, objective: Sequence) -> OptimizationRe
     objective = [Fraction(c) for c in objective]
     if len(objective) != system.n_unknowns:
         raise ValueError("objective length must match the unknown count")
-    rows, rhs = _expanded(system)
-    simplex = _Simplex(rows, rhs)
+    simplex = _Simplex(*system.scaled_rows)
     if simplex.phase1() != 0:
         raise InfeasibleSystem("system has no non-negative solution")
     simplex.drive_out_artificials()
     if not simplex.maximize_objective(objective):
         return OptimizationResult(None, None, bounded=False)
     x = simplex.solution()
-    if not system.check_solution(x):
-        raise RuntimeError("optimizer produced a non-solution")
     result = OptimizationResult(
         sum(c * v for c, v in zip(objective, x)), x, dual=simplex.dual()
     )
-    _verify_optimum(rows, rhs, objective, result)
+    _verify_optimum(system, objective, result)
     return result
 
 

@@ -9,11 +9,16 @@ exhaustive enumeration is a complete oracle for small sizes.
 `FractionSimplex` is the two-phase simplex on a Fraction tableau that the
 integer solver in `prevision.lp` replaced.  It takes the same pivots, so the
 fast solver must return identical certificates and optima.
+
+The `fraction_*` checks are the certificate, optimum and betting-book checks
+in Fraction arithmetic on the unscaled rows that the integer checks in
+`prevision.lp` and `prevision.coherence` replaced; they must agree.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from prevision.geometry import quantity_constituents
 from prevision.lp import FeasibilityCertificate, OptimizationResult
 
 ZERO = Fraction(0)
@@ -231,3 +236,62 @@ def fraction_maximize_linear(system, objective):
         return OptimizationResult(None, None, bounded=False)
     x = simplex.solution()
     return OptimizationResult(sum(c * v for c, v in zip(objective, x)), x)
+
+
+def fraction_check_solution(system, vec) -> bool:
+    """LinearSystem.check_solution on Fraction rows."""
+    vec = [Fraction(v) for v in vec]
+    if len(vec) != system.n_unknowns:
+        return False
+    if any(v < 0 for v in vec):
+        return False
+    if system.normalization and sum(vec) != 1:
+        return False
+    for row, b in zip(system.equalities, system.rhs):
+        if sum(c * v for c, v in zip(row, vec)) != b:
+            return False
+    return True
+
+
+def fraction_verify_certificate(system, cert) -> None:
+    """Raise RuntimeError unless the certificate holds, in Fractions."""
+    rows, rhs = _full_rows(system)
+    if cert.feasible:
+        if not fraction_check_solution(system, cert.solution):
+            raise RuntimeError("solver produced a non-solution")
+        return
+    if cert.margin is None or cert.margin <= 0:
+        raise RuntimeError("refutation lacks a positive margin")
+    for j in range(system.n_unknowns):
+        if sum(u * row[j] for u, row in zip(cert.dual, rows)) > 0:
+            raise RuntimeError("refutation prices a column positively")
+    if sum(u * b for u, b in zip(cert.dual, rhs)) != cert.margin:
+        raise RuntimeError("refutation margin mismatch")
+
+
+def fraction_verify_optimum(system, objective, result) -> None:
+    """Raise RuntimeError unless the maximizer is feasible and the dual
+    proves its value by weak duality, in Fractions."""
+    rows, rhs = _full_rows(system)
+    if not fraction_check_solution(system, result.solution):
+        raise RuntimeError("optimizer produced a non-solution")
+    for j, c in enumerate(objective):
+        if sum(u * row[j] for u, row in zip(result.dual, rows) if u) < c:
+            raise RuntimeError("optimum dual prices a column below its cost")
+    if sum(u * b for u, b in zip(result.dual, rhs)) != result.value:
+        raise RuntimeError("optimum dual bound mismatch")
+
+
+def fraction_book_gains(assessment, book):
+    """The gain of the book's stakes on every constituent inside the booked
+    sub-family's union of antecedents, in Fractions."""
+    sub = assessment.restrict([p - 1 for p in book.member_indices])
+    inside, _ = quantity_constituents(sub.family)
+    return [
+        (c, sum(
+            (s * (v - mu) for s, v, mu in zip(book.stakes, c.profile, sub.values)
+             if v is not None),
+            ZERO,
+        ))
+        for c in inside
+    ]

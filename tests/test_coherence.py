@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fraction_book_gains
 from prevision import (
     Assessment,
     CompoundPrevisionMap,
     ConditionalEvent,
+    DutchBook,
     Family7Assessment,
     IncoherentBase,
     build_world_space,
@@ -24,8 +26,10 @@ from prevision import (
     indicator,
     make_conjunction,
     make_disjunction,
+    quantity_constituents,
     value_table,
 )
+from prevision.coherence import _checked_book
 
 F = Fraction
 
@@ -236,6 +240,79 @@ class TestCheckCoherence:
             assessment, _ = family7_assessment(values, shared_antecedent=True)
             expected = check_family7(Family7Assessment(*values)).coherent
             assert check_coherence(assessment).coherent == expected
+
+
+def quarter_grid():
+    """The criterion-5 grid: quarter-valued (x1, x2, x3, x12, x13, x23, x123)
+    with each pair at most its members' minimum and the triple at most the
+    pairs' minimum."""
+    grid = [F(k, 4) for k in range(5)]
+    points = []
+    for xs in itertools.product(grid, repeat=3):
+        caps = [min(xs[i], xs[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+        for pairs in itertools.product(*([g for g in grid if g <= c] for c in caps)):
+            points += [xs + pairs + (z,) for z in grid if z <= min(pairs)]
+    return points
+
+
+def assert_book_check_matches_fraction_gains(assessment, book):
+    """dutch_book_gains equals the Fraction gains on every constituent, and
+    the integer check accepts the book exactly when every gain is at least
+    a positive margin: at the least gain when that is positive, and never
+    just above it."""
+    reference = fraction_book_gains(assessment, book)
+    sub = assessment.restrict([p - 1 for p in book.member_indices])
+    partition = quantity_constituents(sub.family)
+    assert dutch_book_gains(assessment, book, partition) == reference
+    least = min(g for _, g in reference)
+    at_least = DutchBook(book.member_indices, book.stakes, least)
+    if least > 0:
+        assert _checked_book(assessment, at_least, partition) is at_least
+    else:
+        with pytest.raises(RuntimeError, match="betting certificate"):
+            _checked_book(assessment, at_least, partition)
+    above = DutchBook(book.member_indices, book.stakes, least + F(1, 10**12))
+    with pytest.raises(RuntimeError, match="betting certificate"):
+        _checked_book(assessment, above, partition)
+    return least
+
+
+class TestIntegerBookCheck:
+    def test_quarter_grid_books_match_fraction_gains(self):
+        assert len(quarter_grid()) == 2603
+        books = 0
+        for values in random.Random(43).sample(quarter_grid(), 640):
+            assessment, _ = family7_assessment(values)
+            book = check_coherence(assessment).dutch_book
+            if book is None:
+                continue
+            books += 1
+            assert assert_book_check_matches_fraction_gains(assessment, book) >= book.margin > 0
+        assert books >= 500
+
+    def test_mixed_denominator_stakes_and_previsions(self):
+        _, first, second = pair_setup()
+        x, y = F(1, 3), F(2, 7)
+        books = []
+        # z above min(x, y) is incoherent, and its book inherits the
+        # denominators 3 and 7
+        for z in (F(3, 7), F(5, 21), F(1, 5)):
+            assessment = pair_conjunction_assessment(first, second, x, y, z)
+            verdict = check_coherence(assessment)
+            assert verdict.coherent == (z <= min(x, y))
+            if verdict.dutch_book is not None:
+                books.append((assessment, verdict.dutch_book))
+        assert len(books) == 1
+        assessment, book = books[0]
+        assert assert_book_check_matches_fraction_gains(assessment, book) >= book.margin
+        rng = random.Random(7)
+        for _ in range(200):
+            members = sorted(rng.sample((1, 2, 3), rng.randint(1, 3)))
+            stakes = tuple(
+                F(rng.randint(-9, 9), rng.choice((1, 3, 7, 21))) for _ in members
+            )
+            book = DutchBook(tuple(members), stakes, F(2, 7))
+            assert_book_check_matches_fraction_gains(assessment, book)
 
 
 class TestValueTable:

@@ -213,6 +213,13 @@ def test_quantity_constituents_two_overlapping_conditionals():
     assert [c.label() for c in inside] == ["++", "+0", "--", "-0", "0+", "0-"]
 
 
+def test_constituent_labels_mark_values_exactly():
+    from prevision.geometry import QuantityConstituent
+
+    profile = (F(1), None, F(3, 5), F(0), F(2), F(-1), F(4, 4), F(0, 7))
+    assert QuantityConstituent(frozenset(), profile).label() == "+0(3/5)-(2)(-1)+-"
+
+
 def test_build_points_substitutes_previsions():
     space = build_world_space(["A", "H", "K"])
     family = (

@@ -1,6 +1,7 @@
 """Tests for the exact feasibility and optimization solver."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,8 @@ from oracles import (
     basic_feasible_points,
     fraction_maximize_linear,
     fraction_solve_feasibility,
+    fraction_verify_certificate,
+    fraction_verify_optimum,
     oracle_feasible,
     oracle_maximum,
 )
@@ -305,9 +308,12 @@ class CheckedSimplex(lp._Simplex):
     """Checks that each pivot divides exactly and leaves the integer tableau
     equal to the Fraction tableau pivoted on the same element."""
 
-    def __init__(self, rows, rhs):
-        super().__init__(rows, rhs)
-        self.oracle = FractionSimplex(rows, rhs)
+    def __init__(self, rows, scales):
+        super().__init__(rows, scales)
+        self.oracle = FractionSimplex(
+            [[F(v, s) for v in row[:-1]] for row, s in zip(rows, scales)],
+            [F(row[-1], s) for row, s in zip(rows, scales)],
+        )
         self.pivots = []
         self.negative_pivots = 0
 
@@ -349,8 +355,8 @@ def test_pivots_divide_exactly_and_follow_the_fraction_tableau(monkeypatch):
     runs = {}
 
     def recorder(cls, name):
-        def make(rows, rhs):
-            simplex = cls(rows, rhs)
+        def make(*args):
+            simplex = cls(*args)
             runs.setdefault(name, []).append(simplex)
             return simplex
         return make
@@ -396,3 +402,146 @@ def test_zero_mass_optimum_carries_a_dual():
     assert_certifies_optimum(
         system, result, [1 if j in h_blocks else 0 for j in range(system.n_unknowns)]
     )
+
+
+# --- integer certificate checks against the Fraction reference --------------
+
+SEVENTH = F(1, 7)
+CERTIFICATE_CHECKS = (lp._verify_certificate, fraction_verify_certificate)
+OPTIMUM_CHECKS = (lp._verify_optimum, fraction_verify_optimum)
+
+
+def _mixed(values):
+    return len({F(v).denominator for v in values}) > 1
+
+
+def _bump(values, i, delta=SEVENTH):
+    values = list(values)
+    values[i] += delta
+    return tuple(values)
+
+
+def corrupted(system, cert_or_result):
+    """One-entry corruptions by 1/7 that break the certificate or optimum:
+    (kind, mixed, corrupted copy).  A solution entry moves on a column that
+    some row weighs; a multiplier moves on a row with non-zero rhs; a
+    refutation's margin is raised.  A row with mixed denominators is taken
+    where there is one."""
+    cols, rhs = full_columns(system)
+    rows = list(zip(*cols)) if cols else [()] * len(rhs)
+    mixed_row = [_mixed(row + (b,)) for row, b in zip(rows, rhs)]
+    out = []
+    solution = cert_or_result.solution
+    if solution is not None:
+        entries = [
+            (r, j) for r, row in enumerate(rows) for j, a in enumerate(row) if a != 0
+        ]
+        hit = min(entries, key=lambda rj: not mixed_row[rj[0]], default=None)
+        if hit is not None:
+            bad = replace(cert_or_result, solution=_bump(solution, hit[1]))
+            out.append(("solution", mixed_row[hit[0]], bad))
+    dual = cert_or_result.dual
+    if dual is not None:
+        nonzero = [r for r, b in enumerate(rhs) if b != 0]
+        r = min(nonzero, key=lambda r: not mixed_row[r], default=None)
+        if r is not None:
+            out.append(("dual", mixed_row[r], replace(cert_or_result, dual=_bump(dual, r))))
+        if getattr(cert_or_result, "margin", None) is not None:
+            raised = replace(cert_or_result, margin=cert_or_result.margin + SEVENTH)
+            out.append(("margin", False, raised))
+    return out
+
+
+def test_integer_checks_agree_with_the_fraction_reference():
+    kinds = set()
+    mixed_hits = 0
+    for system, objective in differential_systems():
+        cert = solve_feasibility(system)
+        for verify in CERTIFICATE_CHECKS:
+            verify(system, cert)
+        for kind, mixed, bad in corrupted(system, cert):
+            kinds.add(("feasible" if cert.feasible else "refutation", kind))
+            mixed_hits += mixed
+            for verify in CERTIFICATE_CHECKS:
+                with pytest.raises(RuntimeError):
+                    verify(system, bad)
+        if not cert.feasible:
+            continue
+        result = maximize_linear(system, objective)
+        if not result.bounded:
+            continue
+        for verify in OPTIMUM_CHECKS:
+            verify(system, objective, result)
+        for kind, mixed, bad in corrupted(system, result):
+            kinds.add(("optimum", kind))
+            mixed_hits += mixed
+            for verify in OPTIMUM_CHECKS:
+                with pytest.raises(RuntimeError):
+                    verify(system, objective, bad)
+    assert kinds == {
+        ("feasible", "solution"),
+        ("refutation", "dual"),
+        ("refutation", "margin"),
+        ("optimum", "solution"),
+        ("optimum", "dual"),
+    }
+    assert mixed_hits > 300
+
+
+def mixed_denominator_system(rhs):
+    """(1/3) x0 + (2/7) x1 + x2 = rhs over the simplex x0 + x1 + x2 = 1."""
+    return LinearSystem(((F(1, 3), F(2, 7), F(1)),), (rhs,), ("x0", "x1", "x2"))
+
+
+def test_each_refutation_check_raises():
+    system = mixed_denominator_system(F(3, 2))  # the row is at most 1
+    cert = solve_feasibility(system)
+    assert not cert.feasible
+    cols, _ = full_columns(system)
+    # moving the normalization multiplier by t, and the margin with it,
+    # prices every column up by t
+    t = 1 + max(abs(sum(u * a for u, a in zip(cert.dual, col))) for col in cols)
+    cases = {
+        "lacks a positive margin": replace(cert, margin=F(0)),
+        "prices a column positively": replace(
+            cert, dual=_bump(cert.dual, -1, t), margin=cert.margin + t
+        ),
+        "margin mismatch": replace(cert, margin=cert.margin + SEVENTH),
+    }
+    for message, bad in cases.items():
+        for verify in CERTIFICATE_CHECKS:
+            with pytest.raises(RuntimeError, match=message):
+                verify(system, bad)
+
+
+def test_each_solution_and_optimum_check_raises():
+    system = mixed_denominator_system(F(1, 2))
+    objective = [F(1), F(0), F(0)]
+    result = maximize_linear(system, objective)
+    assert result.value == F(3, 4)
+    for verify in OPTIMUM_CHECKS:
+        verify(system, objective, result)
+    # both rows hold at (9/2, -7/2, 0): only non-negativity fails
+    negative = (F(9, 2), F(-7, 2), F(0))
+    assert sum(a * v for a, v in zip(system.equalities[0], negative)) == F(1, 2)
+    cases = {
+        "non-solution": [
+            replace(result, solution=negative),
+            replace(result, solution=_bump(result.solution, 1)),
+        ],
+        # the normalization multiplier moved by -1 prices every column down
+        # by 1 and the bound with it
+        "below its cost": [
+            replace(result, dual=_bump(result.dual, -1, F(-1)), value=result.value - 1)
+        ],
+        "bound mismatch": [replace(result, value=result.value + SEVENTH)],
+    }
+    for message, corruptions in cases.items():
+        for bad in corruptions:
+            for verify in OPTIMUM_CHECKS:
+                with pytest.raises(RuntimeError, match=message):
+                    verify(system, objective, bad)
+    feasible = solve_feasibility(system)
+    for verify in CERTIFICATE_CHECKS:
+        with pytest.raises(RuntimeError, match="non-solution"):
+            verify(system, replace(feasible, solution=negative))
