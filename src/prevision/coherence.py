@@ -16,7 +16,11 @@ from typing import Optional
 
 from .closed_form import family7_bounds
 from .errors import IncoherentBase
-from .events import constituents_in_all_antecedents, enumerate_constituents
+from .events import (
+    ConditionalEvent,
+    constituents_in_all_antecedents,
+    enumerate_constituents,
+)
 from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction
 from .geometry import (
     Assessment,
@@ -25,6 +29,7 @@ from .geometry import (
     QuantityConstituent,
     as_conditional_event,
     build_sigma,
+    follows_compound_table,
     quantity_constituents,
 )
 from .lp import maximize_component_sum, maximize_linear, solve_feasibility
@@ -280,50 +285,6 @@ def _indicator_events(quantities):
     return events
 
 
-def _member_statuses(events, world):
-    void, any_true, any_false = [], False, False
-    for i, ce in enumerate(events):
-        if world not in ce.antecedent:
-            void.append(i)
-        elif world in ce.consequent:
-            any_true = True
-        else:
-            any_false = True
-    return void, any_true, any_false
-
-
-def _antecedent_union(events):
-    union = events[0].antecedent
-    for ce in events[1:]:
-        union = union | ce.antecedent
-    return union
-
-
-def _compound_values_consistent(events, xs, target, kind) -> bool:
-    """Does the target's table follow the n-ary compound pattern with every
-    partially-void value inside its own sub-family envelope?"""
-    for w in target.conditioning.members:
-        void, any_true, any_false = _member_statuses(events, w)
-        value = target.values[w]
-        if kind == "conjunction":
-            if any_false:
-                lo = hi = ZERO
-            elif not void:
-                lo = hi = ONE
-            else:
-                lo, hi = frechet_bounds_conjunction([xs[i] for i in void])
-        else:
-            if any_true:
-                lo = hi = ONE
-            elif not void:
-                lo = hi = ZERO
-            else:
-                lo, hi = frechet_bounds_disjunction([xs[i] for i in void])
-        if not lo <= value <= hi:
-            return False
-    return True
-
-
 def _full_compound_dispatch(assessment: Assessment, target: ConditionalQuantity):
     """Envelope bounds for the conjunction or disjunction of the whole family.
 
@@ -337,14 +298,20 @@ def _full_compound_dispatch(assessment: Assessment, target: ConditionalQuantity)
     if events is None:
         return None
     n = len(events)
-    if target.conditioning.members != _antecedent_union(events).members:
-        return None
     if len(constituents_in_all_antecedents(events)) != 1 << n:
         return None
     xs = assessment.values
-    if _compound_values_consistent(events, xs, target, "conjunction"):
+
+    def envelope(bounds, all_active):
+        return lambda s: bounds([xs[i - 1] for i in s]) if s else (all_active,) * 2
+
+    conjunction = envelope(frechet_bounds_conjunction, ONE)
+    if follows_compound_table(target, events, ZERO, conjunction):
         return frechet_bounds_conjunction(xs)
-    if _compound_values_consistent(events, xs, target, "disjunction"):
+    # the disjunction is 1 where a negated event fails, 0 where all hold
+    negated = [ConditionalEvent(~ce.consequent, ce.antecedent) for ce in events]
+    disjunction = envelope(frechet_bounds_disjunction, ZERO)
+    if follows_compound_table(target, negated, ONE, disjunction):
         return frechet_bounds_disjunction(xs)
     return None
 
@@ -352,20 +319,10 @@ def _full_compound_dispatch(assessment: Assessment, target: ConditionalQuantity)
 def _match_pair_conjunction(events, xs, compound):
     """Does `compound` follow the two-member conjunction table for `events`
     with partially-void values equal to the assessed previsions?"""
-    if compound.conditioning.members != _antecedent_union(events).members:
-        return False
-    for w in compound.conditioning.members:
-        void, _, any_false = _member_statuses(events, w)
-        value = compound.values[w]
-        if any_false:
-            expected = ZERO
-        elif not void:
-            expected = ONE
-        else:
-            expected = xs[void[0]] if len(void) == 1 else None
-        if expected is not None and value != expected:
-            return False
-    return True
+    exact = {(): ONE, (1,): xs[0], (2,): xs[1]}
+    return follows_compound_table(
+        compound, events, ZERO, lambda s: (exact[s], exact[s]) if s in exact else None
+    )
 
 
 def _family7_dispatch(assessment: Assessment, target: ConditionalQuantity):
@@ -388,7 +345,7 @@ def _family7_dispatch(assessment: Assessment, target: ConditionalQuantity):
         matched = None
         for pair in ((0, 1), (0, 2), (1, 2)):
             pair_events = [events[pair[0]], events[pair[1]]]
-            pair_xs = {0: xs[pair[0]], 1: xs[pair[1]]}
+            pair_xs = (xs[pair[0]], xs[pair[1]])
             if _match_pair_conjunction(pair_events, pair_xs, compound):
                 matched = pair
                 break
@@ -398,21 +355,10 @@ def _family7_dispatch(assessment: Assessment, target: ConditionalQuantity):
     if set(pair_of.values()) != {(0, 1), (0, 2), (1, 2)}:
         return None
     by_pair = {pair: assessment.values[k] for k, pair in pair_of.items()}
-    if target.conditioning.members != _antecedent_union(events).members:
+    exact = {(): ONE, (1,): xs[0], (2,): xs[1], (3,): xs[2]}
+    exact.update(((i + 1, j + 1), v) for (i, j), v in by_pair.items())
+    if not follows_compound_table(target, events, ZERO, lambda s: (exact[s], exact[s])):
         return None
-    for w in target.conditioning.members:
-        void, _, any_false = _member_statuses(events, w)
-        value = target.values[w]
-        if any_false:
-            expected = ZERO
-        elif not void:
-            expected = ONE
-        elif len(void) == 1:
-            expected = xs[void[0]]
-        else:
-            expected = by_pair[tuple(void)]
-        if value != expected:
-            return None
     bounds = family7_bounds(
         xs[0], xs[1], xs[2], by_pair[(0, 1)], by_pair[(0, 2)], by_pair[(1, 2)]
     )
@@ -430,19 +376,13 @@ def _same_consequent_dispatch(assessment: Assessment, target: ConditionalQuantit
     events = _indicator_events(assessment.family)
     if events is None:
         return None
-    xs = {0: assessment.values[0], 1: assessment.values[1]}
-    if not _match_pair_conjunction(events, xs, target):
+    if not _match_pair_conjunction(events, assessment.values, target):
         return None
     inside, c0 = quantity_constituents(assessment.family)
-
-    def mark(v):
-        return "V" if v is None else ("T" if v == ONE else "F")
-
-    classes = {tuple(mark(v) for v in c.profile) for c in inside}
-    overlapping = {
-        ("T", "T"), ("F", "F"), ("T", "V"), ("V", "T"), ("F", "V"), ("V", "F")
-    }
-    disjoint = {("T", "V"), ("V", "T"), ("F", "V"), ("V", "F")}
+    # each label marks a member true (+), false (-) or void (0)
+    classes = {c.label() for c in inside}
+    overlapping = {"++", "--", "+0", "0+", "-0", "0-"}
+    disjoint = {"+0", "0+", "-0", "0-"}
     x, y = assessment.values
     if classes == overlapping and c0 is not None:
         return x * y, min(x, y)

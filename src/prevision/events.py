@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from .errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom
 
 # A world space holds up to 2**MAX_ATOMS assignment tuples (about 200 MB at
-# 20 atoms); every coherence system scans all of them.
+# 20 atoms), and each conditional quantity holds one value code per world
+# (8 MB at 20 atoms); every partition scans the codes of all worlds.
 MAX_ATOMS = 20
 
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()=])|(\S))")

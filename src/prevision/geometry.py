@@ -2,16 +2,20 @@
 
 A conditional quantity X|K carries one exact rational value per world of K;
 outside K it is void and, once assessed, stands in for its own prevision.
-Conjunctions and disjunctions of conditional events are conditional quantities
-over the union of the antecedents, with previously assessed previsions filling
-the partially-void cases.  From an assessed family this module builds the
-vectors Q_h attached to the constituents and the feasibility systems whose
-solvability coherence checking rests on.
+Each quantity also carries integer value codes: its distinct values in
+descending order and, per world, the index of the world's value among them
+or VOID.  Conjunctions and disjunctions of conditional events are conditional
+quantities over the union of the antecedents, with previously assessed
+previsions filling the partially-void cases; they are built by set algebra on
+the events.  From an assessed family this module partitions the worlds by
+their joint codes and builds the vectors Q_h attached to the constituents and
+the feasibility systems whose solvability coherence checking rests on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -22,6 +26,9 @@ from .events import ConditionalEvent, Event, WorldSpace, constituents_in_all_ant
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# The value code of a world outside a quantity's conditioning event; it
+# exceeds every level index, so ascending codes put void after every value.
+VOID = sys.maxsize
 
 
 def to_fraction(value) -> Fraction:
@@ -48,8 +55,11 @@ class ConditionalQuantity:
     void_value: Optional[Fraction] = None
 
     def __post_init__(self):
-        vals = {w: to_fraction(v) for w, v in self.values.items()}
-        if set(vals) != set(self.conditioning.members):
+        vals = {
+            w: v if isinstance(v, Fraction) else to_fraction(v)
+            for w, v in self.values.items()
+        }
+        if vals.keys() != self.conditioning.members:
             raise ValueError("values must cover exactly the conditioning worlds")
         object.__setattr__(self, "values", vals)
         if self.void_value is not None:
@@ -59,12 +69,33 @@ class ConditionalQuantity:
     def space(self) -> WorldSpace:
         return self.conditioning.space
 
+    @cached_property
+    def coded(self) -> tuple:
+        """(levels, codes): the distinct values in descending order, and for
+        each world of the space the index of its value in `levels`, or VOID.
+
+        Values are grouped by object identity first; the few distinct objects
+        are then compared as integers over their common denominator, so no
+        Fraction is hashed or compared, let alone one per world.
+        """
+        objects = {id(v): v for v in self.values.values()}
+        L = lcm(*(v.denominator for v in objects.values()))
+        scaled = {key: v.numerator * (L // v.denominator) for key, v in objects.items()}
+        by_value = {scaled[key]: v for key, v in objects.items()}
+        order = sorted(by_value, reverse=True)
+        rank = {s: i for i, s in enumerate(order)}
+        code_of = {key: rank[s] for key, s in scaled.items()}
+        codes = [VOID] * len(self.space)
+        for w, v in self.values.items():
+            codes[w] = code_of[id(v)]
+        return tuple(by_value[s] for s in order), tuple(codes)
+
     def hull(self) -> tuple[Fraction, Fraction]:
-        vs = self.values.values()
-        return min(vs), max(vs)
+        levels = self.coded[0]
+        return levels[-1], levels[0]
 
     def is_indicator(self) -> bool:
-        return set(self.values.values()) <= {ZERO, ONE}
+        return set(self.coded[0]) <= {ZERO, ONE}
 
 
 def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
@@ -98,7 +129,7 @@ class CompoundPrevisionMap:
             if not subset or not all(isinstance(i, int) and i >= 1 for i in subset):
                 raise ValueError(f"bad member subset {key!r}")
             v = to_fraction(value)
-            if not ZERO <= v <= ONE:
+            if not 0 <= v.numerator <= v.denominator:
                 raise OutOfRange(f"prevision {v} for subset {sorted(subset)} not in [0,1]")
             store[subset] = v
         self._entries = store
@@ -125,14 +156,55 @@ def demorgan_previsions(m: CompoundPrevisionMap) -> CompoundPrevisionMap:
     return CompoundPrevisionMap({tuple(sorted(s)): ONE - v for s, v in m.items()})
 
 
-def _compound_statuses(family, world):
-    void, false = [], False
+def antecedent_union(family) -> Event:
+    """The union of the antecedents of a family of conditional events."""
+    union = family[0].antecedent
+    for ce in family[1:]:
+        union = union | ce.antecedent
+    return union
+
+
+def _conjunction_blocks(family):
+    """(union, false, blocks): the union of antecedents, its worlds where some
+    member fails, and its other worlds grouped by the tuple of 1-based members
+    void on them; the block of () holds the worlds where every member holds.
+
+    Each member splits every block by its antecedent, so the work is set
+    algebra on the events, not a classification of each world.
+    """
+    union = antecedent_union(family)
+    false = frozenset().union(
+        *(ce.antecedent.members - ce.consequent.members for ce in family)
+    )
+    blocks = {(): union.members - false}
     for i, ce in enumerate(family, start=1):
-        if world not in ce.antecedent:
-            void.append(i)
-        elif world not in ce.consequent:
-            false = True
-    return void, false
+        split = {}
+        for void, worlds in blocks.items():
+            active = worlds & ce.antecedent.members
+            if active:
+                split[void] = active
+            if len(active) < len(worlds):
+                split[void + (i,)] = worlds - active
+        blocks = split
+    return union, false, blocks
+
+
+def follows_compound_table(target, events, at_false, bounds) -> bool:
+    """Is the target conditioned on the events' union of antecedents, equal
+    to `at_false` wherever some event fails, and inside bounds(S) = (lo, hi)
+    wherever exactly the events S (1-based; () for none) are void?  S with
+    bounds(S) None is left free."""
+    union, false, blocks = _conjunction_blocks(events)
+    if target.conditioning.members != union.members:
+        return False
+    values = target.values
+    if any(values[w] != at_false for w in false):
+        return False
+    for void, worlds in blocks.items():
+        lohi = bounds(void)
+        if lohi is not None and not all(lohi[0] <= values[w] <= lohi[1] for w in worlds):
+            return False
+    return True
 
 
 def make_conjunction(
@@ -151,18 +223,17 @@ def make_conjunction(
         raise ValueError("family must be non-empty")
     if not isinstance(previsions, CompoundPrevisionMap):
         previsions = CompoundPrevisionMap(previsions)
-    union = family[0].antecedent
-    for ce in family[1:]:
-        union = union | ce.antecedent
-    values = {}
-    for w in union.members:
-        void, false = _compound_statuses(family, w)
-        if false:
-            values[w] = ZERO
-        elif not void:
-            values[w] = ONE
-        else:
-            values[w] = previsions.require(void)
+    union, _, blocks = _conjunction_blocks(family)
+    xs = {void: previsions.get(void) if void else ONE for void in blocks}
+    # keyed in the union's order; updating a key keeps its place
+    values = dict.fromkeys(union.members, ZERO)
+    for void, worlds in blocks.items():
+        values.update(dict.fromkeys(worlds, xs[void]))
+    if any(x is None for x in xs.values()):
+        # report the subset of the first world, in the union's order, that
+        # lacks its prevision
+        first = next(w for w, x in values.items() if x is None)
+        previsions.require(next(v for v, ws in blocks.items() if first in ws))
     return ConditionalQuantity(
         union,
         values,
@@ -232,58 +303,64 @@ class Assessment:
         return Assessment(self.family + (quantity,), self.values + (to_fraction(value),))
 
 
+def _mark(v) -> str:
+    """A profile entry's mark: + for 1, - for 0, 0 for void, else (v)."""
+    if v is None:
+        return "0"
+    if v.denominator == 1:
+        if v.numerator == 1:
+            return "+"
+        if v.numerator == 0:
+            return "-"
+    return f"({v})"
+
+
 @dataclass(frozen=True)
 class QuantityConstituent:
     """A block of worlds with one common value-or-void profile."""
 
     worlds: frozenset[int]
     profile: tuple  # per member: a Fraction, or None when void
+    # the label, when the partition already joined it from per-level marks
+    marks: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
     def all_void(self) -> bool:
         return all(v is None for v in self.profile)
 
     def label(self) -> str:
-        def mark(v):
-            if v is None:
-                return "0"
-            if v.denominator == 1:
-                if v.numerator == 1:
-                    return "+"
-                if v.numerator == 0:
-                    return "-"
-            return f"({v})"
-
-        return "".join(mark(v) for v in self.profile)
-
-
-def _profile_sort_key(profile):
-    # active values descending, void last; mirrors TRUE < FALSE < VOID
-    return tuple((1, ZERO) if v is None else (0, -v) for v in profile)
+        if self.marks is not None:
+            return self.marks
+        return "".join(_mark(v) for v in self.profile)
 
 
 def quantity_constituents(family):
     """Partition the space by joint profile.
 
-    Returns (inside, c0): the blocks meeting some conditioning event, ordered
-    lexicographically by profile, and the all-void block or None.
+    Worlds are grouped by their tuple of value codes, one per member, and the
+    blocks ordered by those tuples: per member, values descending, void last.
+    Returns (inside, c0): the blocks meeting some conditioning event, in that
+    order, and the all-void block or None.
     """
-    family = list(family)
-    space = family[0].space
+    coded = [q.coded for q in family]
+    # sets grown world by world, as the order a frozenset iterates in (and
+    # so each block's repr) depends on how its source was built
     blocks: dict[tuple, set[int]] = {}
-    for w in range(len(space)):
-        profile = tuple(q.values.get(w) for q in family)
-        blocks.setdefault(profile, set()).add(w)
-    ordered = sorted(blocks, key=_profile_sort_key)
-    inside = [
-        QuantityConstituent(frozenset(blocks[p]), p)
-        for p in ordered
-        if not all(v is None for v in p)
-    ]
-    c0_profile = (None,) * len(family)
-    c0 = None
-    if c0_profile in blocks:
-        c0 = QuantityConstituent(frozenset(blocks[c0_profile]), c0_profile)
+    for w, key in enumerate(zip(*(codes for _, codes in coded))):
+        blocks.setdefault(key, set()).add(w)
+    values = [{**dict(enumerate(levels)), VOID: None} for levels, _ in coded]
+    marks = [{code: _mark(v) for code, v in vs.items()} for vs in values]
+
+    def block(key):
+        return QuantityConstituent(
+            frozenset(blocks[key]),
+            tuple(vs[k] for vs, k in zip(values, key)),
+            "".join(ms[k] for ms, k in zip(marks, key)),
+        )
+
+    void_key = (VOID,) * len(coded)
+    inside = [block(key) for key in sorted(blocks) if key != void_key]
+    c0 = block(void_key) if void_key in blocks else None
     return inside, c0
 
 
@@ -456,29 +533,12 @@ def _sigma_star_values_from_assessment(assessment: Assessment):
         if ce is None:
             raise NotApplicable(f"{q.label} is not a conditional-event indicator")
         events.append(ce)
-    union = events[0].antecedent
-    for ce in events[1:]:
-        union = union | ce.antecedent
-    if compound.conditioning.members != union.members:
+    if compound.conditioning.members != antecedent_union(events).members:
         raise NotApplicable("compound must be conditioned on the union of antecedents")
-    if not _matches_conjunction_pattern(events, compound):
+    if not follows_compound_table(
+        compound, events, ZERO, lambda s: (ZERO, ONE) if s else (ONE, ONE)
+    ):
         raise NotApplicable("last member does not look like the family's conjunction")
     if len(constituents_in_all_antecedents(events)) != 1 << len(events):
         raise NotApplicable("events are not logically independent inside the joint antecedent")
     return list(assessment.values[:-1]), assessment.values[-1]
-
-
-def _matches_conjunction_pattern(events, compound) -> bool:
-    for w in compound.conditioning.members:
-        void, false = _compound_statuses(events, w)
-        value = compound.values[w]
-        if false:
-            if value != ZERO:
-                return False
-        elif not void:
-            if value != ONE:
-                return False
-        elif not ZERO <= value <= ONE:
-            return False
-    return True
-

@@ -13,12 +13,22 @@ fast solver must return identical certificates and optima.
 The `fraction_*` checks are the certificate, optimum and betting-book checks
 in Fraction arithmetic on the unscaled rows that the integer checks in
 `prevision.lp` and `prevision.coherence` replaced; they must agree.
+
+`fraction_quantity_constituents` and `per_world_conjunction` are the
+partition and the conjunction built world by world from Fraction values that
+the integer value codes and the set algebra of `prevision.geometry` replaced;
+they must return identical blocks and values.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from prevision.geometry import quantity_constituents
+from prevision.geometry import (
+    CompoundPrevisionMap,
+    ConditionalQuantity,
+    QuantityConstituent,
+    quantity_constituents,
+)
 from prevision.lp import FeasibilityCertificate, OptimizationResult
 
 ZERO = Fraction(0)
@@ -295,3 +305,66 @@ def fraction_book_gains(assessment, book):
         ))
         for c in inside
     ]
+
+
+def _profile_sort_key(profile):
+    # active values descending, void last; mirrors TRUE < FALSE < VOID
+    return tuple((1, ZERO) if v is None else (0, -v) for v in profile)
+
+
+def fraction_quantity_constituents(family):
+    """Partition the space by the joint profile of Fraction values, world by
+    world; returns (inside, c0) like `quantity_constituents`."""
+    family = list(family)
+    space = family[0].space
+    blocks = {}
+    for w in range(len(space)):
+        profile = tuple(q.values.get(w) for q in family)
+        blocks.setdefault(profile, set()).add(w)
+    ordered = sorted(blocks, key=_profile_sort_key)
+    inside = [
+        QuantityConstituent(frozenset(blocks[p]), p)
+        for p in ordered
+        if not all(v is None for v in p)
+    ]
+    c0_profile = (None,) * len(family)
+    c0 = None
+    if c0_profile in blocks:
+        c0 = QuantityConstituent(frozenset(blocks[c0_profile]), c0_profile)
+    return inside, c0
+
+
+def _compound_statuses(family, world):
+    void, false = [], False
+    for i, ce in enumerate(family, start=1):
+        if world not in ce.antecedent:
+            void.append(i)
+        elif world not in ce.consequent:
+            false = True
+    return void, false
+
+
+def per_world_conjunction(family, previsions, label=None):
+    """The conjunction of the family, each world of the union of antecedents
+    classified member by member; mirrors `make_conjunction`."""
+    family = list(family)
+    if not isinstance(previsions, CompoundPrevisionMap):
+        previsions = CompoundPrevisionMap(previsions)
+    union = family[0].antecedent
+    for ce in family[1:]:
+        union = union | ce.antecedent
+    values = {}
+    for w in union.members:
+        void, false = _compound_statuses(family, w)
+        if false:
+            values[w] = ZERO
+        elif not void:
+            values[w] = ONE
+        else:
+            values[w] = previsions.require(void)
+    return ConditionalQuantity(
+        union,
+        values,
+        label or f"and({len(family)})",
+        void_value=previsions.get(range(1, len(family) + 1)),
+    )

@@ -11,6 +11,7 @@ from prevision import (
     Assessment,
     CompoundPrevisionMap,
     ConditionalEvent,
+    ConditionalQuantity,
     DutchBook,
     Family7Assessment,
     IncoherentBase,
@@ -29,7 +30,7 @@ from prevision import (
     quantity_constituents,
     value_table,
 )
-from prevision.coherence import _checked_book
+from prevision.coherence import _checked_book, _closed_form_interval
 
 F = Fraction
 
@@ -418,6 +419,35 @@ class TestExtensionInterval:
         assert (generic.lower, generic.upper, generic.exact) == (
             F(63, 400), F(63, 400), True
         )
+
+    def test_closed_forms_answer_for_their_own_shapes(self):
+        # propagation gives the same intervals, so only the dispatchers
+        # themselves show that each shape is recognized
+        x, y = F(7, 20), F(9, 20)
+        space, first, second = pair_setup()
+        base = Assessment((indicator(first, "X"), indicator(second, "Y")), (x, y))
+        conj = make_conjunction([first, second], {(1,): x, (2,): y})
+        disj = make_disjunction(
+            [first, second], demorgan_previsions(CompoundPrevisionMap({(1,): x, (2,): y}))
+        )
+        assert _closed_form_interval(base, conj) == (F(0), x)
+        assert _closed_form_interval(base, disj) == (y, F(4, 5))
+        # off the table: 1 where only member 1 is void (its envelope is x_1
+        # alone), 0 where both members hold
+        for formula, value in (("!H & K & B", F(1)), ("A & H & B & K", F(0))):
+            values = dict(conj.values)
+            values[min(space.event(formula).members)] = value
+            off = ConditionalQuantity(conj.conditioning, values)
+            assert _closed_form_interval(base, off) is None
+        for constraints, expected in (((), (F(63, 400), x)), (["!(H & K)"], (F(63, 400),) * 2)):
+            ahk = build_world_space(["A", "H", "K"], constraints)
+            first = ConditionalEvent(ahk.event("A"), ahk.event("H"))
+            second = ConditionalEvent(ahk.event("A"), ahk.event("K"))
+            base = Assessment((indicator(first, "X"), indicator(second, "Y")), (x, y))
+            target = make_conjunction([first, second], {(1,): x, (2,): y})
+            assert _closed_form_interval(base, target) == expected
+        assessment, triple = family7_assessment(("1/2", "1/2", "1/2", "3/8", "3/8", "3/8", 0))
+        assert _closed_form_interval(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
 
     def test_target_already_in_family(self):
         space, first, second = pair_setup()

@@ -1,14 +1,18 @@
 """Tests for conditional quantities, compounds, points, and linear systems."""
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
+from oracles import fraction_quantity_constituents, per_world_conjunction
 
 from prevision import (
     Assessment,
     CompoundPrevisionMap,
     ConditionalEvent,
     ConditionalQuantity,
+    Event,
     MissingPrevision,
     NotApplicable,
     OutOfRange,
@@ -26,6 +30,7 @@ from prevision import (
     signature_label,
     to_fraction,
 )
+from prevision.geometry import VOID
 
 
 def conditional(space, consequent, antecedent):
@@ -218,6 +223,107 @@ def test_constituent_labels_mark_values_exactly():
 
     profile = (F(1), None, F(3, 5), F(0), F(2), F(-1), F(4, 4), F(0, 7))
     assert QuantityConstituent(frozenset(), profile).label() == "+0(3/5)-(2)(-1)+-"
+    # the partition joins the same label from per-level marks: world 0 has
+    # the profile, world 1 is where the void member is active
+    space = build_world_space(["A"])
+    family = [
+        ConditionalQuantity(Event(space, frozenset({1 if v is None else 0})),
+                            {1 if v is None else 0: F(0) if v is None else v})
+        for v in profile
+    ]
+    inside, _ = quantity_constituents(family)
+    assert inside[0].worlds == {0}
+    assert inside[0].label() == "+0(3/5)-(2)(-1)+-"
+
+
+def _random_quantity(rng, space, conditioning):
+    """Values from a pool with negatives and values outside {0, 1}, each a
+    fresh object, so equal values (2/4 and 1/2) are distinct Fractions."""
+    pool = [(-1, 1), (-1, 2), (0, 1), (1, 2), (3, 5), (1, 1), (2, 1)]
+    if rng.random() < 0.3:
+        pool = pool[2:4] + pool[5:6]
+    values = {}
+    for w in conditioning:
+        num, den = rng.choice(pool)
+        k = rng.randint(1, 3)
+        values[w] = num if den == 1 and rng.random() < 0.2 else F(num * k, den * k)
+    return ConditionalQuantity(Event(space, frozenset(conditioning)), values)
+
+
+def test_value_codes_match_the_fraction_partition():
+    rng = random.Random(20)
+    spaces = [build_world_space(["A", "B", "C"]), build_world_space(["A", "B", "C", "D"])]
+    seen_c0 = set()
+    for _ in range(400):
+        space = rng.choice(spaces)
+        worlds = range(len(space))
+        family = [
+            _random_quantity(rng, space, rng.sample(worlds, rng.randint(1, len(space))))
+            for _ in range(rng.randint(1, 5))
+        ]
+        inside, c0 = quantity_constituents(family)
+        ref_inside, ref_c0 = fraction_quantity_constituents(family)
+        assert [(c.worlds, c.profile) for c in inside] == [
+            (c.worlds, c.profile) for c in ref_inside
+        ]
+        assert [c.label() for c in inside] == [c.label() for c in ref_inside]
+        assert repr((inside, c0)) == repr((ref_inside, ref_c0))
+        seen_c0.add(c0 is not None)
+        for q in family:
+            values = list(q.values.values())
+            assert q.hull() == (min(values), max(values))
+            assert q.is_indicator() == (set(values) <= {F(0), F(1)})
+            levels, codes = q.coded
+            assert list(levels) == sorted(set(values), reverse=True)
+            for w in worlds:
+                if w in q.values:
+                    assert levels[codes[w]] == q.values[w]
+                else:
+                    assert codes[w] == VOID
+    assert seen_c0 == {True, False}
+
+
+def _random_event(rng, space, pool):
+    # reuse an earlier event half of the time: shared antecedents, and
+    # consequents that imply or exclude each other
+    if pool and rng.random() < 0.5:
+        return rng.choice(pool)
+    event = Event(space, frozenset(w for w in range(len(space)) if rng.random() < 0.5))
+    pool.append(event)
+    return event
+
+
+def test_set_algebra_conjunction_matches_the_per_world_one():
+    rng = random.Random(21)
+    space = build_world_space(["A", "B", "C", "D"])
+    outcomes = {"built": 0, "missing": 0}
+    for _ in range(600):
+        pool, family, size = [], [], rng.randint(1, 4)
+        while len(family) < size:
+            antecedent = _random_event(rng, space, pool)
+            if antecedent.members:
+                family.append(ConditionalEvent(_random_event(rng, space, pool), antecedent))
+        n = len(family)
+        previsions = {
+            subset: F(rng.randint(0, 4), 4)
+            for r in range(1, n + 1)
+            for subset in itertools.combinations(range(1, n + 1), r)
+            if rng.random() < 0.85
+        }
+        try:
+            expected = per_world_conjunction(family, previsions, "C")
+        except MissingPrevision as missing:
+            with pytest.raises(MissingPrevision) as exc:
+                make_conjunction(family, previsions, "C")
+            assert exc.value.subset == missing.subset
+            outcomes["missing"] += 1
+            continue
+        conj = make_conjunction(family, previsions, "C")
+        assert conj.conditioning.members == expected.conditioning.members
+        assert list(conj.values.items()) == list(expected.values.items())
+        assert (conj.label, conj.void_value) == (expected.label, expected.void_value)
+        outcomes["built"] += 1
+    assert min(outcomes.values()) > 50
 
 
 def test_build_points_substitutes_previsions():
@@ -328,6 +434,23 @@ def test_sigma_star_rejects_wrong_conditioning(space4, pair):
     )
     with pytest.raises(NotApplicable):
         build_sigma_star(Assessment(family, (X, Y, Y)))
+
+
+def test_sigma_star_checks_the_compound_against_the_conjunction_table(space4, pair):
+    members = (indicator(pair[0], "A|H"), indicator(pair[1], "B|K"))
+    conj = make_conjunction(pair, {(1,): F(0), (2,): F(1), (1, 2): Z})
+    assert build_sigma_star(Assessment(members + (conj,), (X, Y, Z))).n_unknowns == 4
+    worlds = {
+        "true": space4.event("A&H&B&K"),
+        "false": space4.event("!A&H"),
+        "void": space4.event("!H&K"),
+    }
+    for kind, value in (("true", F(0)), ("false", F(1)), ("void", F(2))):
+        values = dict(conj.values)
+        values[min(worlds[kind].members)] = value
+        off = ConditionalQuantity(conj.conditioning, values)
+        with pytest.raises(NotApplicable):
+            build_sigma_star(Assessment(members + (off,), (X, Y, Z)))
 
 
 def test_sigma_star_rejects_logically_dependent_events(space4):
