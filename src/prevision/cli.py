@@ -115,7 +115,10 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
         raise ProblemError(f"{origin}: top level must be a JSON object")
     atoms = _require_list_of_str(data, "atoms", required=True)
     constraints = _require_list_of_str(data, "constraints", required=False)
-    space = build_world_space(atoms, constraints)
+    try:
+        space = build_world_space(atoms, constraints)
+    except ValueError as exc:
+        raise ProblemError(f"atoms: {exc}") from None
 
     events: Dict[str, ConditionalEvent] = {}
     quantities: Dict[str, ConditionalQuantity] = {}
@@ -135,9 +138,12 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
         for key in ("consequent", "antecedent"):
             if not isinstance(entry.get(key), str):
                 raise ProblemError(f"{where}: {key} must be a formula string")
-        ce = ConditionalEvent(
-            space.event(entry["consequent"]), space.event(entry["antecedent"])
-        )
+        try:
+            ce = ConditionalEvent(
+                space.event(entry["consequent"]), space.event(entry["antecedent"])
+            )
+        except ValueError as exc:
+            raise ProblemError(f"{where}: {exc}") from None
         events[name] = ce
         quantities[name] = indicator(ce, name)
 
@@ -154,7 +160,7 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
             raise ProblemError(f"{where}: members must list at least two conditionals")
         family = []
         for m in members:
-            if m not in events:
+            if not isinstance(m, str) or m not in events:
                 raise ProblemError(f"{where}: member {m!r} is not a declared conditional")
             family.append(events[m])
         raw_prevs = entry.get("previsions", {}) or {}
@@ -322,7 +328,7 @@ def parse_parameter(raw: str) -> FrankParameter:
         return FrankParameter.lukasiewicz()
     try:
         value = float(Fraction(s))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ProblemError(
             f"--lambda: {raw!r} is neither min|product|lukasiewicz nor a positive real"
         ) from None
@@ -490,10 +496,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         return 2
     try:
+        if getattr(ns, "precision", 0) < 0:
+            raise ProblemError(f"--precision: {ns.precision} is negative")
         return ns.handler(ns)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PrevisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .closed_form import family7_bounds
@@ -85,36 +84,15 @@ class ExtensionInterval:
     exact: bool
 
 
-def _book_gains(assessment: Assessment, book: DutchBook, partition=None):
-    """The booked sub-family's constituents inside its union of antecedents
-    and the gain of the stakes on each, as integers over one common
-    denominator L; returns (inside, gains, L).
+def _book_gains(system: LinearSystem, stakes):
+    """The stakes' gain on every unknown of the booked sub-family's system,
+    as integers over one common denominator L; returns (gains, L).
 
-    Member i's values and prevision are integers over d_i, the lcm of their
-    denominators, so its stake weighs them by s_i / d_i, and L is a common
-    denominator of those weights.
+    Row i holds member i's value where active and its prevision where void,
+    so a gain is the stakes' combination of a column minus that of the rhs.
     """
-    sub = assessment.restrict([p - 1 for p in book.member_indices])
-    if partition is None:
-        partition = quantity_constituents(sub.family)
-    inside, _ = partition
-    columns = list(zip(*(c.profile for c in inside)))[: len(sub)]
-    scales, weights = [], []
-    for stake, mu, column in zip(book.stakes, sub.values, columns):
-        d = lcm(mu.denominator, *(v.denominator for v in column if v is not None))
-        scales.append(d)
-        weights.append((stake.numerator, stake.denominator * d))
-    L = lcm(*(den for _, den in weights))
-    terms = []
-    for (num, den), d, mu, column in zip(weights, scales, sub.values, columns):
-        W = num * (L // den)
-        M = mu.numerator * (d // mu.denominator)
-        terms.append(
-            [0 if v is None else W * (v.numerator * (d // v.denominator) - M)
-             for v in column]
-        )
-    gains = [sum(t) for t in zip(*terms)]
-    return inside, gains, L
+    sums, L = system.combine(tuple(stakes) + (0,))
+    return [a - sums[-1] for a in sums[:-1]], L
 
 
 def dutch_book_gains(
@@ -126,14 +104,18 @@ def dutch_book_gains(
     `partition` is the booked sub-family's quantity_constituents when
     already computed.
     """
-    inside, gains, L = _book_gains(assessment, book, partition)
-    return [(c, Fraction(g, L)) for c, g in zip(inside, gains)]
+    sub = assessment.restrict([p - 1 for p in book.member_indices])
+    if partition is None:
+        partition = quantity_constituents(sub.family)
+    gains, L = _book_gains(build_sigma(sub, partition), book.stakes)
+    return [(c, Fraction(g, L)) for c, g in zip(partition[0], gains)]
 
 
-def _checked_book(assessment: Assessment, book: DutchBook, partition=None) -> DutchBook:
-    """Require gain >= margin and gain > 0 on every constituent, compared
-    in integers: gain g / L against margin p / q as g * q against p * L."""
-    inside, gains, L = _book_gains(assessment, book, partition)
+def _checked_book(book: DutchBook, system: LinearSystem, inside) -> DutchBook:
+    """Require gain >= margin and gain > 0 on every constituent of the booked
+    sub-family's `system`, compared in integers: gain g / L against margin
+    p / q as g * q against p * L."""
+    gains, L = _book_gains(system, book.stakes)
     p, q = book.margin.numerator, book.margin.denominator
     for c, g in zip(inside, gains):
         if g * q < p * L or g <= 0:
@@ -150,7 +132,13 @@ def _hull_screen(assessment: Assessment):
             continue
         stake = ONE if mu < lo else -ONE
         margin = lo - mu if mu < lo else mu - hi
-        book = _checked_book(assessment, DutchBook((pos,), (stake,), margin))
+        single = assessment.restrict([pos - 1])
+        partition = quantity_constituents(single.family)
+        book = _checked_book(
+            DutchBook((pos,), (stake,), margin),
+            build_sigma(single, partition),
+            partition[0],
+        )
         record = LevelRecord(
             (pos,), (q.label,), False, None, None, frozenset(), None
         )
@@ -191,9 +179,9 @@ def _m_values(system: LinearSystem, actives, witnesses):
     return m_values, witnessed, zero
 
 
-def _run_level(assessment: Assessment, current: Assessment, index_map: tuple):
+def _run_level(current: Assessment, index_map: tuple):
     """One recursion level on `current`, the members `index_map` (1-based) of
-    `assessment`; its one partition serves the system and the book check."""
+    the assessment; its one system serves the simplex and the book check."""
     partition = quantity_constituents(current.family)
     system = build_sigma(current, partition)
     inside, _ = partition
@@ -201,9 +189,7 @@ def _run_level(assessment: Assessment, current: Assessment, index_map: tuple):
     cert = solve_feasibility(system)
     if not cert.feasible:
         stakes = tuple(-u for u in cert.dual[:-1])
-        book = _checked_book(
-            assessment, DutchBook(index_map, stakes, cert.margin), partition
-        )
+        book = _checked_book(DutchBook(index_map, stakes, cert.margin), system, inside)
         record = LevelRecord(
             index_map, labels, False, None, None, frozenset(), None
         )
@@ -238,7 +224,7 @@ def check_coherence(assessment: Assessment) -> CoherenceVerdict:
     current = assessment
     index_map = tuple(range(1, len(assessment) + 1))
     for _ in range(len(assessment)):
-        record, book, zero = _run_level(assessment, current, index_map)
+        record, book, zero = _run_level(current, index_map)
         trace.append(record)
         if book is not None:
             return CoherenceVerdict(False, tuple(trace), book)
@@ -409,17 +395,14 @@ def _charnes_cooper_range(system: LinearSystem, inside, t: int):
 
     Scale-invariant form: a mass vector zeta with unit mass on the target's
     active blocks and total mass `scale`; the target value is then the
-    active sum of zeta times the target's values.
+    active sum of zeta times the target's values.  Member row i becomes
+    (row_i | -mu_i | 0) with the same scale s_i.
     """
-    cc_rows = tuple(
-        row + (-mu,) for row, mu in zip(system.equalities, system.rhs)
-    ) + (
-        tuple(ONE for _ in inside) + (-ONE,),
-        tuple(ZERO if c.profile[t] is None else ONE for c in inside) + (ZERO,),
-    )
+    k_mass = tuple(0 if c.profile[t] is None else 1 for c in inside)
     cc = LinearSystem(
-        cc_rows,
-        (ZERO,) * (len(system.rhs) + 1) + (ONE,),
+        tuple(row[:-1] + (-row[-1], 0) for row in system.rows[:t])
+        + ((1,) * len(inside) + (-1, 0), k_mass + (0, 1)),
+        system.scales[:t] + (1, 1),
         system.unknown_labels + ("scale",),
         normalization=False,
     )
@@ -450,16 +433,17 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
         partition = quantity_constituents(current.family + (target,))
         system = build_sigma(current, partition)
         inside, _ = partition
-        k_mass = tuple(ZERO if c.profile[t] is None else ONE for c in inside)
+        k_mass = tuple(0 if c.profile[t] is None else 1 for c in inside)
         least = maximize_linear(system, [-v for v in k_mass])
         if least.value == 0 and maximize_linear(system, k_mass).value == 0:
             continue
         lo, hi = _charnes_cooper_range(system, inside, t)
         if least.value < 0 or (lo, hi) == hull:
             return lo, hi
+        # the member rows, K's mass set to zero, then the normalization row
         void_target = LinearSystem(
-            system.equalities + (k_mass,),
-            system.rhs + (ZERO,),
+            system.rows[:t] + (k_mass + (0,),) + system.rows[t:],
+            system.scales[:t] + (1,) + system.scales[t:],
             system.unknown_labels,
         )
         _, _, zero = _m_values(
@@ -477,9 +461,7 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
 
 
 def extension_interval(
-    assessment: Assessment,
-    target: ConditionalQuantity,
-    use_closed_form: bool = True,
+    assessment: Assessment, target: ConditionalQuantity
 ) -> ExtensionInterval:
     """The closed interval of values mu for which adding (target, mu) keeps
     the assessment coherent.
@@ -498,9 +480,8 @@ def extension_interval(
             and q.values == target.values
         ):
             return ExtensionInterval(mu, mu, True)
-    if use_closed_form:
-        interval = _closed_form_interval(assessment, target)
-        if interval is not None:
-            return ExtensionInterval(interval[0], interval[1], True)
+    interval = _closed_form_interval(assessment, target)
+    if interval is not None:
+        return ExtensionInterval(interval[0], interval[1], True)
     lower, upper = _propagate(assessment, verdict.trace, target)
     return ExtensionInterval(lower, upper, True)

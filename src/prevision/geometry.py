@@ -1,4 +1,4 @@
-"""Conditional quantities, compound conditionals, points, and linear systems.
+"""Conditional quantities, compound conditionals, partitions, and linear systems.
 
 A conditional quantity X|K carries one exact rational value per world of K;
 outside K it is void and, once assessed, stands in for its own prevision.
@@ -8,8 +8,11 @@ or VOID.  Conjunctions and disjunctions of conditional events are conditional
 quantities over the union of the antecedents, with previously assessed
 previsions filling the partially-void cases; they are built by set algebra on
 the events.  From an assessed family this module partitions the worlds by
-their joint codes and builds the vectors Q_h attached to the constituents and
-the feasibility systems whose solvability coherence checking rests on.
+their joint codes and builds, straight from those codes, the feasibility
+systems whose solvability coherence checking rests on; their columns are the
+vectors Q_h attached to the constituents.  A system has one form, integer rows
+each scaled by the lcm of its denominators, and `scale_to_integers` is the one
+place a Fraction row becomes such a row.
 """
 
 from __future__ import annotations
@@ -79,8 +82,7 @@ class ConditionalQuantity:
         Fraction is hashed or compared, let alone one per world.
         """
         objects = {id(v): v for v in self.values.values()}
-        L = lcm(*(v.denominator for v in objects.values()))
-        scaled = {key: v.numerator * (L // v.denominator) for key, v in objects.items()}
+        scaled = dict(zip(objects, scale_to_integers(list(objects.values()))[0]))
         by_value = {scaled[key]: v for key, v in objects.items()}
         order = sorted(by_value, reverse=True)
         rank = {s: i for i, s in enumerate(order)}
@@ -323,6 +325,8 @@ class QuantityConstituent:
     profile: tuple  # per member: a Fraction, or None when void
     # the label, when the partition already joined it from per-level marks
     marks: Optional[str] = field(default=None, repr=False, compare=False)
+    # per member, the code of its value (VOID when void), from the partition
+    codes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def all_void(self) -> bool:
@@ -356,6 +360,7 @@ def quantity_constituents(family):
             frozenset(blocks[key]),
             tuple(vs[k] for vs, k in zip(values, key)),
             "".join(ms[k] for ms, k in zip(marks, key)),
+            key,
         )
 
     void_key = (VOID,) * len(coded)
@@ -364,107 +369,110 @@ def quantity_constituents(family):
     return inside, c0
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """The vectors Q_h of an assessed family, one per constituent."""
-
-    points: tuple[tuple[Fraction, ...], ...]
-    prevision_point: Optional[tuple[Fraction, ...]]
-    constituents: tuple[QuantityConstituent, ...]
-    c0: Optional[QuantityConstituent]
-
-
-def build_points(assessment: Assessment, partition=None) -> PointSet:
-    """Q_h takes the quantity's value where active and the assessed prevision
-    where void; the all-void block gets the assessment vector itself.
-
-    `partition` is the family's quantity_constituents when already computed.
-    It may be the partition of the family plus further trailing quantities;
-    their profile entries only refine the blocks and are ignored here.
-    """
-    if partition is None:
-        partition = quantity_constituents(assessment.family)
-    inside, c0 = partition
-    points = tuple(
-        tuple(
-            mu if v is None else v
-            for v, mu in zip(c.profile, assessment.values)
-        )
-        for c in inside
-    )
-    prevision_point = tuple(assessment.values) if c0 is not None else None
-    return PointSet(points, prevision_point, tuple(inside), c0)
+def scale_to_integers(values) -> tuple:
+    """(ints, s): the rationals times s, the lcm of their denominators, as
+    integers.  Every Fraction row, vector or objective that meets the
+    integer form below goes through here."""
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Equalities over non-negative unknowns that sum to one."""
+    """Equalities over non-negative unknowns that sum to one, unless
+    `normalization` is False, in one integer form.
 
-    equalities: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    Row r of `rows` is the r-th equality with its rhs appended, times
+    `scales[r]`, the lcm of that row's denominators, as integers; with
+    normalization the last row is (1, ..., 1 | 1) with scale 1.  The simplex,
+    every certificate check of `lp` and the book check of `coherence` read
+    these rows; `equalities` and `rhs` are Fraction views of them.
+    """
+
+    rows: tuple
+    scales: tuple
     unknown_labels: tuple[str, ...]
     normalization: bool = True
+
+    @classmethod
+    def from_fractions(cls, equalities, rhs, unknown_labels, normalization=True):
+        """The system of rational `equalities` with right-hand sides `rhs`."""
+        rows, scales = [], []
+        for row, b in zip(equalities, rhs):
+            ints, s = scale_to_integers((*row, b))
+            rows.append(tuple(ints))
+            scales.append(s)
+        if normalization:
+            rows.append((1,) * (len(unknown_labels) + 1))
+            scales.append(1)
+        return cls(tuple(rows), tuple(scales), tuple(unknown_labels), normalization)
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknown_labels)
 
-    @cached_property
-    def scaled_rows(self) -> tuple:
-        """(rows, scales): every row with its rhs appended, normalization row
-        last, times s, the lcm of that row's denominators, as integers; and
-        the s of each row.
+    def _given(self):
+        """(row, scale) of every equality, the normalization row left out."""
+        k = len(self.rows) - self.normalization
+        return zip(self.rows[:k], self.scales[:k])
 
-        Built once per system; the simplex and every certificate check of
-        `lp` work on these rows.
-        """
-        rows, scales = [], []
-        for row, b in zip(self.equalities, self.rhs):
-            entries = (*row, b)
-            s = lcm(*(v.denominator for v in entries))
-            rows.append(tuple(v.numerator * (s // v.denominator) for v in entries))
-            scales.append(s)
-        if self.normalization:
-            rows.append((1,) * (self.n_unknowns + 1))
-            scales.append(1)
-        return tuple(rows), tuple(scales)
+    @cached_property
+    def equalities(self) -> tuple:
+        return tuple(tuple(Fraction(v, s) for v in row[:-1]) for row, s in self._given())
+
+    @cached_property
+    def rhs(self) -> tuple:
+        return tuple(Fraction(row[-1], s) for row, s in self._given())
+
+    def combine(self, weights) -> tuple:
+        """(sums, L): sum_r w_r * row_r over the rational rows, normalization
+        row included, rhs last, as integers over one common denominator L.
+        Integer row r is s_r times rational row r, so it weighs w_r / s_r."""
+        W, L = scale_to_integers([Fraction(w, s) for w, s in zip(weights, self.scales)])
+        sums = [0] * (self.n_unknowns + 1)
+        for w, row in zip(W, self.rows):
+            if w:
+                sums = [a + w * v for a, v in zip(sums, row)]
+        return sums, L
 
     def check_solution(self, vec) -> bool:
         """Non-negativity and every row, normalization included, checked in
-        integers: vec times the lcm L of its denominators against each scaled
-        row, whose rhs is then scaled by L too."""
-        vec = [to_fraction(v) for v in vec]
-        if len(vec) != self.n_unknowns:
+        integers: vec times the lcm L of its denominators against each row,
+        whose rhs is then scaled by L too."""
+        ints, L = scale_to_integers([to_fraction(v) for v in vec])
+        if len(ints) != self.n_unknowns or any(x < 0 for x in ints):
             return False
-        L = lcm(*(v.denominator for v in vec))
-        support = []
-        for j, v in enumerate(vec):
-            if v.numerator < 0:
-                return False
-            if v.numerator:
-                support.append((j, v.numerator * (L // v.denominator)))
-        rows, _ = self.scaled_rows
+        support = [(j, x) for j, x in enumerate(ints) if x]
         return all(
-            sum(row[j] * x for j, x in support) == row[-1] * L for row in rows
+            sum(row[j] * x for j, x in support) == row[-1] * L for row in self.rows
         )
 
 
 def build_sigma(assessment: Assessment, partition=None) -> LinearSystem:
-    """The solvability system of the assessment: one equality per quantity,
+    """The solvability system of the assessment: one row per quantity,
     unknowns indexed by the constituents inside the union of antecedents.
 
+    Row i holds, per block, the value of quantity i where active and its
+    prevision mu_i where void, with mu_i as rhs.  It is built in integers
+    from the block's code: s_i is the lcm of the denominators of the
+    quantity's levels and mu_i, and each entry is a level or mu_i times s_i.
+
     `partition` is the family's quantity_constituents when already computed.
+    It may be the partition of the family plus further trailing quantities;
+    their codes only refine the blocks and are ignored here.
     """
-    ps = build_points(assessment, partition)
-    n = len(assessment)
-    equalities = tuple(
-        tuple(q[i] for q in ps.points) for i in range(n)
-    )
-    return LinearSystem(
-        equalities,
-        tuple(assessment.values),
-        tuple(c.label() for c in ps.constituents),
-    )
+    if partition is None:
+        partition = quantity_constituents(assessment.family)
+    inside, _ = partition
+    rows, scales = [], []
+    for i, (q, mu) in enumerate(zip(assessment.family, assessment.values)):
+        ints, s = scale_to_integers((*q.coded[0], mu))
+        entry = {**dict(enumerate(ints[:-1])), VOID: ints[-1]}
+        rows.append(tuple(entry[c.codes[i]] for c in inside) + (ints[-1],))
+        scales.append(s)
+    rows.append((1,) * (len(inside) + 1))
+    scales.append(1)
+    return LinearSystem(tuple(rows), tuple(scales), tuple(c.label() for c in inside))
 
 
 def conjunction_signatures(n: int) -> list[frozenset]:
@@ -515,10 +523,8 @@ def build_sigma_star(assessment: Union[Assessment, Sequence]) -> LinearSystem:
         tuple(ONE if j in s else ZERO for s in sigs) for j in range(1, n + 1)
     ]
     equalities.append(tuple(ONE if s == full else ZERO for s in sigs))
-    return LinearSystem(
-        tuple(equalities),
-        tuple(xs) + (x_all,),
-        tuple(signature_label(s, n) for s in sigs),
+    return LinearSystem.from_fractions(
+        equalities, tuple(xs) + (x_all,), [signature_label(s, n) for s in sigs]
     )
 
 

@@ -1,19 +1,20 @@
 """Exact linear solving for feasibility systems over non-negative unknowns.
 
 A dense two-phase simplex with Bland's rule, so runs terminate and answers
-are exact.  The tableau is fraction-free: it starts from the system's scaled
-integer rows (each row times the lcm of its denominators, built once per
-system), and all rows share one positive common denominator, the previous
-pivot, so each pivot divides exactly (Bareiss elimination) and no gcd is ever
-taken.  Solutions, optima and multipliers come back as Fractions.
+are exact.  The tableau is fraction-free: it starts from the system's integer
+rows (each rational row times the lcm of its denominators, as
+`geometry.LinearSystem` stores them), and all rows share one positive common
+denominator, the previous pivot, so each pivot divides exactly (Bareiss
+elimination) and no gcd is ever taken.  Solutions, optima and multipliers
+come back as Fractions.
 
 An infeasible system yields a separating certificate: multipliers u, one per
 row (normalization row last when present), with u . column <= 0 for every
 unknown's column while u . rhs equals a strictly positive margin.  An optimum
 comes with a dual y, y . column >= cost for every unknown's column and
 y . rhs equal to the optimum.  Certificates, duals and solutions are
-re-verified before being returned, in integer arithmetic on the same scaled
-input rows: the returned Fractions are brought over one common denominator,
+re-verified before being returned, in integer arithmetic on the same integer
+rows: the returned Fractions are brought over one common denominator,
 so no check trusts the tableau and none does Fraction arithmetic per entry.
 """
 
@@ -25,7 +26,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InfeasibleSystem
-from .geometry import LinearSystem
+from .geometry import LinearSystem, scale_to_integers
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,12 +53,6 @@ class OptimizationResult:
     dual: Optional[tuple] = None
 
 
-def _to_integers(values):
-    """The Fractions times the lcm of their denominators, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 class _Simplex:
     """Integer tableau: unknown columns, one artificial per row, rhs last,
     plus a cost row.
@@ -76,8 +71,8 @@ class _Simplex:
     """
 
     def __init__(self, rows, scales):
-        """`rows` and `scales` are a system's scaled_rows: integer rows with
-        the rhs last, each s_r times the input row."""
+        """`rows` and `scales` are a system's integer rows, rhs last, each
+        s_r times the input row, and the s_r."""
         self.m = len(rows[0]) - 1 if rows else 0
         self.k = len(rows)
         self.scale = list(scales)
@@ -160,7 +155,7 @@ class _Simplex:
             # rows with no unknown left are redundant and stay inert
 
     def maximize_objective(self, objective) -> bool:
-        costs, cost_scale = _to_integers(objective)
+        costs, cost_scale = scale_to_integers(objective)
         self._set_costs(costs + [0] * self.k, cost_scale)
         return self._maximize()
 
@@ -188,24 +183,6 @@ class _Simplex:
         return tuple(-v for v in self.dual())
 
 
-def _combined(system: LinearSystem, weights):
-    """sum_r w_r * row_r over the unscaled input rows, rhs last, as integers
-    over one common denominator L; returns (sums, L).
-
-    Row r is its scaled row over s_r, so the weight on the scaled row is
-    w_r / s_r; L is a common denominator of those weights.
-    """
-    rows, scales = system.scaled_rows
-    dens = [w.denominator * s for w, s in zip(weights, scales)]
-    L = lcm(*dens)
-    sums = [0] * (len(rows[0]) if rows else 1)
-    for w, d, row in zip(weights, dens, rows):
-        if w:
-            W = w.numerator * (L // d)
-            sums = [a + W * v for a, v in zip(sums, row)]
-    return sums, L
-
-
 def _verify_certificate(system: LinearSystem, cert: FeasibilityCertificate):
     if cert.feasible:
         if not system.check_solution(cert.solution):
@@ -213,7 +190,7 @@ def _verify_certificate(system: LinearSystem, cert: FeasibilityCertificate):
         return
     if cert.margin is None or cert.margin <= 0:
         raise RuntimeError("refutation lacks a positive margin")
-    sums, L = _combined(system, cert.dual)
+    sums, L = system.combine(cert.dual)
     if any(a > 0 for a in sums[:-1]):
         raise RuntimeError("refutation prices a column positively")
     if sums[-1] * cert.margin.denominator != cert.margin.numerator * L:
@@ -226,8 +203,8 @@ def _verify_optimum(system: LinearSystem, objective, result: OptimizationResult)
     better."""
     if not system.check_solution(result.solution):
         raise RuntimeError("optimizer produced a non-solution")
-    sums, L = _combined(system, result.dual)
-    costs, cost_scale = _to_integers(objective)
+    sums, L = system.combine(result.dual)
+    costs, cost_scale = scale_to_integers(objective)
     # y . A_j = sums_j / L against c_j = costs_j / cost_scale
     if any(a * cost_scale < c * L for a, c in zip(sums, costs)):
         raise RuntimeError("optimum dual prices a column below its cost")
@@ -237,7 +214,7 @@ def _verify_optimum(system: LinearSystem, objective, result: OptimizationResult)
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityCertificate:
     """Decide {equalities, non-negativity, normalization} exactly."""
-    simplex = _Simplex(*system.scaled_rows)
+    simplex = _Simplex(system.rows, system.scales)
     residual = simplex.phase1()
     if residual == 0:
         cert = FeasibilityCertificate(True, solution=simplex.solution())
@@ -254,7 +231,7 @@ def maximize_linear(system: LinearSystem, objective: Sequence) -> OptimizationRe
     objective = [Fraction(c) for c in objective]
     if len(objective) != system.n_unknowns:
         raise ValueError("objective length must match the unknown count")
-    simplex = _Simplex(*system.scaled_rows)
+    simplex = _Simplex(system.rows, system.scales)
     if simplex.phase1() != 0:
         raise InfeasibleSystem("system has no non-negative solution")
     simplex.drive_out_artificials()

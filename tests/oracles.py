@@ -17,12 +17,20 @@ in Fraction arithmetic on the unscaled rows that the integer checks in
 `fraction_quantity_constituents` and `per_world_conjunction` are the
 partition and the conjunction built world by world from Fraction values that
 the integer value codes and the set algebra of `prevision.geometry` replaced;
-they must return identical blocks and values.
+they must return identical blocks and values.  `fraction_sigma` is the
+solvability system as Fraction rows, which `build_sigma` now emits as integer
+rows straight from the value codes; through `LinearSystem.from_fractions` the
+two must give identical rows and scales.
+
+`propagated_interval` is `extension_interval` with the closed forms left
+out, so tests can hold each closed form against exact propagation.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from prevision.coherence import ExtensionInterval, _propagate, check_coherence
+from prevision.errors import IncoherentBase
 from prevision.geometry import (
     CompoundPrevisionMap,
     ConditionalQuantity,
@@ -305,6 +313,29 @@ def fraction_book_gains(assessment, book):
         ))
         for c in inside
     ]
+
+
+def fraction_sigma(assessment, partition=None):
+    """(equalities, rhs, labels) of the solvability system in Fractions: per
+    quantity, its value on each block inside the union of antecedents, or its
+    prevision where void, and the prevision as rhs.  `partition` may carry
+    further trailing quantities; they only refine the blocks."""
+    if partition is None:
+        partition = quantity_constituents(assessment.family)
+    inside, _ = partition
+    mus = assessment.values
+    points = [[mu if v is None else v for v, mu in zip(c.profile, mus)] for c in inside]
+    equalities = [tuple(point[i] for point in points) for i in range(len(mus))]
+    return equalities, mus, [c.label() for c in inside]
+
+
+def propagated_interval(base, target):
+    """The target propagated through the levels of the base verdict's trace:
+    extension_interval without the closed forms."""
+    verdict = check_coherence(base)
+    if not verdict.coherent:
+        raise IncoherentBase("the base assessment is not coherent")
+    return ExtensionInterval(*_propagate(base, verdict.trace, target), True)
 
 
 def _profile_sort_key(profile):

@@ -1,12 +1,14 @@
 """The CLI is a thin adapter: same values as the library, stable exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import prevision
 from prevision import (
     Assessment,
     ConditionalEvent,
@@ -191,6 +193,42 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err == "error: 64 atoms declared; at most 20 are supported\n"
+
+
+def _edit_pair_problem(path, value):
+    """pair_problem() with the entry at `path` (keys and indices) set."""
+    data = pair_problem()
+    *outer, last = path
+    entry = data
+    for key in outer:
+        entry = entry[key]
+    entry[last] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit, argv",
+    [
+        ((("conditionals", 0, "antecedent"), "H & !H"), ("check",)),
+        ((("atoms",), ["A", "A"]), ("check",)),
+        ((("compounds", 0, "members"), [["X"], "X"]), ("check",)),
+        (None, ("tnorm", "--lambda", "2.5", "--precision", "-1", "1/2", "3/5")),
+        (None, ("tconorm", "--lambda", "2.5", "--precision", "-1", "1/2", "3/5")),
+        (None, ("solve-lambda", "1/2", "3/5", "--target", "1/5", "--precision", "-1")),
+        (None, ("tnorm", "--lambda", "1e400", "1/2", "3/5")),
+    ],
+    ids=[
+        "empty-antecedent", "duplicate-atoms", "non-string-member",
+        "tnorm-negative-precision", "tconorm-negative-precision",
+        "solve-lambda-negative-precision", "overflowing-lambda",
+    ],
+)
+def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv):
+    if edit is not None:
+        argv += ("--problem", write_problem(tmp_path, _edit_pair_problem(*edit)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExtend:
@@ -467,6 +505,19 @@ class TestHarness:
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_runtime_loads_only_the_standard_library(self):
+        # -I -S: no site-packages, no PYTHONPATH; only src joins sys.path
+        src = os.path.dirname(os.path.dirname(prevision.__file__))
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import prevision, prevision.cli; "
+            "names = {m.partition('.')[0] for m in sys.modules}; "
+            "print(sorted(names - set(sys.stdlib_module_names) - {'__main__', 'prevision'}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
     def test_console_script_installed(self):
         result = subprocess.run(

@@ -1,12 +1,13 @@
 """The coherence engine: recursion, betting certificates, extensions."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_book_gains
+from oracles import fraction_book_gains, fraction_sigma, propagated_interval
 from prevision import (
     Assessment,
     CompoundPrevisionMap,
@@ -15,6 +16,8 @@ from prevision import (
     DutchBook,
     Family7Assessment,
     IncoherentBase,
+    LinearSystem,
+    build_sigma,
     build_world_space,
     check_coherence,
     check_family7,
@@ -265,16 +268,17 @@ def assert_book_check_matches_fraction_gains(assessment, book):
     sub = assessment.restrict([p - 1 for p in book.member_indices])
     partition = quantity_constituents(sub.family)
     assert dutch_book_gains(assessment, book, partition) == reference
+    system, inside = build_sigma(sub, partition), partition[0]
     least = min(g for _, g in reference)
     at_least = DutchBook(book.member_indices, book.stakes, least)
     if least > 0:
-        assert _checked_book(assessment, at_least, partition) is at_least
+        assert _checked_book(at_least, system, inside) is at_least
     else:
         with pytest.raises(RuntimeError, match="betting certificate"):
-            _checked_book(assessment, at_least, partition)
+            _checked_book(at_least, system, inside)
     above = DutchBook(book.member_indices, book.stakes, least + F(1, 10**12))
     with pytest.raises(RuntimeError, match="betting certificate"):
-        _checked_book(assessment, above, partition)
+        _checked_book(above, system, inside)
     return least
 
 
@@ -314,6 +318,85 @@ class TestIntegerBookCheck:
             )
             book = DutchBook(tuple(members), stakes, F(2, 7))
             assert_book_check_matches_fraction_gains(assessment, book)
+
+
+def assert_rows_match_fraction_sigma(assessment, partition=None):
+    """build_sigma's integer rows and scales equal the oracle's Fraction rows
+    through LinearSystem.from_fractions, and its views give them back."""
+    system = build_sigma(assessment, partition)
+    equalities, rhs, labels = fraction_sigma(assessment, partition)
+    assert system == LinearSystem.from_fractions(equalities, rhs, labels)
+    assert (system.equalities, system.rhs) == (tuple(equalities), rhs)
+
+
+def assert_book_gains_match(assessment, verdict):
+    book = verdict.dutch_book
+    if book is None:
+        return 0
+    assert dutch_book_gains(assessment, book) == fraction_book_gains(assessment, book)
+    return 1
+
+
+class TestIntegerRows:
+    """build_sigma emits integer rows straight from the value codes; the
+    Fraction rows they replaced are oracles.fraction_sigma."""
+
+    def test_grid7_level_systems_and_books(self):
+        systems = books = 0
+        for values in random.Random(61).sample(quarter_grid(), 300):
+            assessment, _ = family7_assessment(values)
+            verdict = check_coherence(assessment)
+            for record in verdict.trace:
+                level = assessment.restrict(p - 1 for p in record.member_indices)
+                assert_rows_match_fraction_sigma(level)
+                systems += 1
+            books += assert_book_gains_match(assessment, verdict)
+        assert systems > 300 and books > 200
+
+    def test_conjunction_families(self):
+        rng = random.Random(62)
+        cases = books = 0
+        for n in range(2, 6):
+            space = build_world_space(
+                [f"E{i}" for i in range(1, n + 1)] + [f"H{i}" for i in range(1, n + 1)]
+            )
+            events = [
+                ConditionalEvent(space.event(f"E{i}"), space.event(f"H{i}"))
+                for i in range(1, n + 1)
+            ]
+            for _ in range(3):
+                xs = tuple(F(rng.randint(0, 5), 5) for _ in range(n))
+                previsions = {}
+                for r in range(1, n):
+                    for subset in itertools.combinations(range(1, n + 1), r):
+                        previsions[subset] = math.prod(xs[i - 1] for i in subset)
+                family = tuple(indicator(e, f"X{i}") for i, e in enumerate(events, 1))
+                family += (make_conjunction(events, previsions, f"and({n})"),)
+                lo, hi = frechet_bounds_conjunction(xs)
+                for z in (lo, (lo + hi) / 2, hi, hi + F(1, 7), lo - F(1, 1000)):
+                    assessment = Assessment(family, xs + (z,))
+                    assert_rows_match_fraction_sigma(assessment)
+                    books += assert_book_gains_match(assessment, check_coherence(assessment))
+                    cases += 1
+        assert cases == 60 and books >= 10
+
+    def test_extend_bases_with_a_trailing_target(self):
+        space = build_world_space(["A", "B", "C"])
+        pool = TestExactPropagation.EVENT_POOL
+        rng = random.Random(63)
+
+        def draw(label):
+            return indicator(
+                ConditionalEvent(space.event(rng.choice(pool)), space.event(rng.choice(pool))),
+                label,
+            )
+
+        for _ in range(300):
+            size = rng.randint(1, 3)
+            members = tuple(draw(f"X{i}") for i in range(1, size + 1))
+            base = Assessment(members, tuple(F(rng.randint(0, 5), 5) for _ in range(size)))
+            partition = quantity_constituents(members + (draw("T"),))
+            assert_rows_match_fraction_sigma(base, partition)
 
 
 class TestValueTable:
@@ -362,7 +445,7 @@ class TestExtensionInterval:
         base = Assessment(family, (F(7, 20), F(9, 20)))
         target = make_conjunction([first, second], {(1,): F(7, 20), (2,): F(9, 20)})
         closed = extension_interval(base, target)
-        generic = extension_interval(base, target, use_closed_form=False)
+        generic = propagated_interval(base, target)
         assert (closed.lower, closed.upper) == (F(0), F(7, 20))
         assert closed.exact
         assert (generic.lower, generic.upper, generic.exact) == (
@@ -381,7 +464,7 @@ class TestExtensionInterval:
         )
         lo, hi = frechet_bounds_disjunction((F(7, 20), F(9, 20)))
         closed = extension_interval(base, target)
-        generic = extension_interval(base, target, use_closed_form=False)
+        generic = propagated_interval(base, target)
         assert (closed.lower, closed.upper) == (lo, hi) == (F(9, 20), F(4, 5))
         assert closed.exact
         assert (generic.lower, generic.upper, generic.exact) == (lo, hi, True)
@@ -396,7 +479,7 @@ class TestExtensionInterval:
         )
         target = make_conjunction([first, second], {(1,): F(7, 20), (2,): F(9, 20)})
         closed = extension_interval(base, target)
-        generic = extension_interval(base, target, use_closed_form=False)
+        generic = propagated_interval(base, target)
         assert (closed.lower, closed.upper) == (F(63, 400), F(7, 20))
         assert closed.exact
         assert (generic.lower, generic.upper, generic.exact) == (
@@ -413,7 +496,7 @@ class TestExtensionInterval:
         )
         target = make_conjunction([first, second], {(1,): F(7, 20), (2,): F(9, 20)})
         closed = extension_interval(base, target)
-        generic = extension_interval(base, target, use_closed_form=False)
+        generic = propagated_interval(base, target)
         assert (closed.lower, closed.upper) == (F(63, 400), F(63, 400))
         assert closed.exact
         assert (generic.lower, generic.upper, generic.exact) == (
@@ -463,7 +546,7 @@ class TestExtensionInterval:
         assessment, triple = family7_assessment(values)
         base = assessment.restrict(range(6))
         closed = extension_interval(base, triple)
-        generic = extension_interval(base, triple, use_closed_form=False)
+        generic = propagated_interval(base, triple)
         assert (closed.lower, closed.upper) == (F(1, 4), F(3, 8))
         assert closed.exact
         assert (generic.lower, generic.upper, generic.exact) == (
@@ -519,8 +602,7 @@ class TestExactPropagation:
             ConditionalEvent(space.event("B"), space.event("A & !C")), "T"
         )
         base = Assessment((x, y), (F(3, 5), F(3, 5)))
-        for use_closed_form in (True, False):
-            result = extension_interval(base, target, use_closed_form)
+        for result in (extension_interval(base, target), propagated_interval(base, target)):
             assert (result.lower, result.upper, result.exact) == (
                 F(2, 5), F(2, 5), True
             )
@@ -548,7 +630,7 @@ class TestExactPropagation:
             if not check_coherence(base).coherent:
                 continue
             coherent_bases += 1
-            result = extension_interval(base, target, use_closed_form=False)
+            result = propagated_interval(base, target)
             assert result.exact and result.lower <= result.upper
             middle = (result.lower + result.upper) / 2
             for mu in (result.lower, middle, result.upper):

@@ -1,4 +1,4 @@
-"""Tests for conditional quantities, compounds, points, and linear systems."""
+"""Tests for conditional quantities, compounds, partitions, and linear systems."""
 
 import itertools
 import random
@@ -17,7 +17,6 @@ from prevision import (
     NotApplicable,
     OutOfRange,
     as_conditional_event,
-    build_points,
     build_sigma,
     build_sigma_star,
     build_world_space,
@@ -326,27 +325,30 @@ def test_set_algebra_conjunction_matches_the_per_world_one():
     assert min(outcomes.values()) > 50
 
 
-def test_build_points_substitutes_previsions():
+def test_build_sigma_substitutes_previsions():
     space = build_world_space(["A", "H", "K"])
     family = (
         indicator(conditional(space, "A", "H"), "A|H"),
         indicator(conditional(space, "A", "K"), "A|K"),
     )
     mu = (F(3, 10), F(4, 5))
-    ps = build_points(Assessment(family, mu))
-    assert ps.points == (
+    system = build_sigma(Assessment(family, mu))
+    # one column Q_h per block: the value where active, the prevision where void
+    assert tuple(zip(*system.equalities)) == (
         (F(1), F(1)), (F(1), F(4, 5)), (F(0), F(0)),
         (F(0), F(4, 5)), (F(3, 10), F(1)), (F(3, 10), F(0)),
     )
-    assert ps.prevision_point == mu
+    # the all-void block stands for the assessment vector itself
+    assert quantity_constituents(family)[1] is not None
+    assert system.rhs == mu
 
 
-def test_build_points_without_all_void_block():
+def test_build_sigma_without_all_void_block():
     space = build_world_space(["A", "H"])
     family = (indicator(conditional(space, "A", "H | !H"), "A"),)
-    ps = build_points(Assessment(family, (F(1, 2),)))
-    assert ps.c0 is None and ps.prevision_point is None
-    assert ps.points == ((F(1),), (F(0),))
+    assert quantity_constituents(family)[1] is None
+    system = build_sigma(Assessment(family, (F(1, 2),)))
+    assert system.equalities == ((F(1), F(0)),)
 
 
 def test_points_for_three_events_and_their_conjunction():
@@ -360,11 +362,14 @@ def test_points_for_three_events_and_their_conjunction():
     family = tuple(indicator(ce, f"E{i+1}|H{i+1}") for i, ce in enumerate(events))
     family += (make_conjunction(events, previsions, "C"),)
     mu = (F(1, 2), F(1, 3), F(1, 4), F(1, 8))
-    ps = build_points(Assessment(family, mu))
-    by_profile = {c.profile: c for c in ps.constituents}
+    inside, _ = quantity_constituents(family)
+    points = zip(*build_sigma(Assessment(family, mu)).equalities)
+    by_profile = {c.profile: point for c, point in zip(inside, points)}
     one, zero = F(1), F(0)
     assert (one, one, one, one) in by_profile
     assert (one, zero, one, zero) in by_profile
+    for p, point in by_profile.items():
+        assert point == tuple(m if v is None else v for v, m in zip(p, mu))
     # fully active profiles carry the conjunction's own 0/1 value
     active = [p for p in by_profile if None not in p]
     assert len(active) == 8
@@ -472,14 +477,14 @@ def test_sigma_star_solution_pads_into_full_sigma(space4, pair):
     lam = (Z, Y - Z, X - Z, 1 - X - Y + Z)
     assert star.check_solution(lam)
     sigma = build_sigma(assessment)
-    ps = build_points(assessment)
+    inside, _ = quantity_constituents(family)
     one, zero = F(1), F(0)
     profile_for = {
         "12": (one, one, one), "1~2": (zero, one, zero),
         "12~": (one, zero, zero), "1~2~": (zero, zero, zero),
     }
-    padded = [F(0)] * len(ps.constituents)
-    index_of = {c.profile: i for i, c in enumerate(ps.constituents)}
+    padded = [F(0)] * len(inside)
+    index_of = {c.profile: i for i, c in enumerate(inside)}
     for sig_label, mass in zip(star.unknown_labels, lam):
         padded[index_of[profile_for[sig_label]]] = mass
     assert sigma.check_solution(padded)

@@ -146,16 +146,20 @@ def test_maximize_on_infeasible_system_raises():
 
 
 def test_unbounded_direction_is_reported():
-    free = LinearSystem(((F(0),),), (F(0),), ("x",), normalization=False)
+    free = LinearSystem.from_fractions(
+        ((F(0),),), (F(0),), ("x",), normalization=False
+    )
     result = maximize_linear(free, (F(1),))
     assert not result.bounded and result.value is None
-    capped = LinearSystem(((F(1), F(1)),), (F(1),), ("x", "y"), normalization=False)
+    capped = LinearSystem.from_fractions(
+        ((F(1), F(1)),), (F(1),), ("x", "y"), normalization=False
+    )
     result = maximize_linear(capped, (F(1), F(0)))
     assert result.bounded and result.value == 1
 
 
 def test_redundant_rows_are_tolerated():
-    system = LinearSystem(
+    system = LinearSystem.from_fractions(
         ((F(1), F(1)), (F(1), F(1)), (F(2), F(2))),
         (F(1), F(1), F(2)),
         ("x", "y"),
@@ -172,7 +176,7 @@ def test_row_permutation_invariance():
     rows = list(zip(base.equalities, base.rhs))
     for _ in range(5):
         rng.shuffle(rows)
-        shuffled = LinearSystem(
+        shuffled = LinearSystem.from_fractions(
             tuple(r for r, _ in rows), tuple(b for _, b in rows), base.unknown_labels
         )
         assert solve_feasibility(shuffled).feasible
@@ -194,7 +198,7 @@ def random_systems(draw):
     )
     rhs = tuple(draw(small_fractions) for _ in range(k))
     labels = tuple(f"x{j}" for j in range(m))
-    return LinearSystem(rows, rhs, labels)
+    return LinearSystem.from_fractions(rows, rhs, labels)
 
 
 @settings(max_examples=120, deadline=None)
@@ -265,7 +269,7 @@ def differential_systems(seed=11, count=300):
             rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
         normalization = rng.random() < 0.6
         objective = [_rational(rng) for _ in range(m)]
-        yield LinearSystem(
+        yield LinearSystem.from_fractions(
             tuple(map(tuple, rows)), tuple(rhs), tuple(f"x{j}" for j in range(m)),
             normalization=normalization,
         ), objective
@@ -490,7 +494,9 @@ def test_integer_checks_agree_with_the_fraction_reference():
 
 def mixed_denominator_system(rhs):
     """(1/3) x0 + (2/7) x1 + x2 = rhs over the simplex x0 + x1 + x2 = 1."""
-    return LinearSystem(((F(1, 3), F(2, 7), F(1)),), (rhs,), ("x0", "x1", "x2"))
+    return LinearSystem.from_fractions(
+        ((F(1, 3), F(2, 7), F(1)),), (rhs,), ("x0", "x1", "x2")
+    )
 
 
 def test_each_refutation_check_raises():
