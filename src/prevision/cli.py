@@ -39,6 +39,9 @@ from .geometry import (
     make_disjunction,
 )
 
+# The largest precision `format` takes: a C int.
+MAX_PRECISION = 2**31 - 1
+
 
 class ProblemError(PrevisionError):
     """A problem file or argument failed validation; the message names the spot."""
@@ -496,8 +499,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         return 2
     try:
-        if getattr(ns, "precision", 0) < 0:
-            raise ProblemError(f"--precision: {ns.precision} is negative")
+        precision = getattr(ns, "precision", 0)
+        if precision < 0:
+            raise ProblemError(f"--precision: {precision} is negative")
+        if precision > MAX_PRECISION:
+            raise ProblemError(f"--precision: {precision} exceeds {MAX_PRECISION}")
         return ns.handler(ns)
     except PrevisionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,11 +15,7 @@ from typing import Optional
 
 from .closed_form import family7_bounds
 from .errors import IncoherentBase
-from .events import (
-    ConditionalEvent,
-    constituents_in_all_antecedents,
-    enumerate_constituents,
-)
+from .events import ConditionalEvent
 from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction
 from .geometry import (
     Assessment,
@@ -28,6 +24,8 @@ from .geometry import (
     QuantityConstituent,
     as_conditional_event,
     build_sigma,
+    constituents_in_all_antecedents,
+    enumerate_constituents,
     follows_compound_table,
     quantity_constituents,
 )
@@ -284,7 +282,7 @@ def _full_compound_dispatch(assessment: Assessment, target: ConditionalQuantity)
     if events is None:
         return None
     n = len(events)
-    if len(constituents_in_all_antecedents(events)) != 1 << n:
+    if len(constituents_in_all_antecedents(assessment.family)) != 1 << n:
         return None
     xs = assessment.values
 
@@ -319,7 +317,7 @@ def _family7_dispatch(assessment: Assessment, target: ConditionalQuantity):
     events = _indicator_events(assessment.family[:3])
     if events is None:
         return None
-    blocks = enumerate_constituents(events)
+    blocks = enumerate_constituents(assessment.family[:3])
     same_antecedent = all(
         ce.antecedent.members == events[0].antecedent.members for ce in events
     )

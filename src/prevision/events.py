@@ -1,15 +1,14 @@
-"""Finite world spaces, events, conditional events, and constituents.
+"""Formulas, finite world spaces, events, and conditional events.
 
 A world space materializes every truth assignment over a list of atoms that
 survives the declared constraints.  Events are sets of world indices, so the
-Boolean algebra is plain set algebra.  A family of conditional events E_i|H_i
-partitions the space into constituents: maximal sets of worlds on which every
-member is uniformly true, false, or void.
+Boolean algebra is plain set algebra.  The constituents of a family of
+conditional events, its blocks of worlds with one true/false/void pattern,
+are the partition of the family's indicators in `geometry`.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -242,71 +241,3 @@ class ConditionalEvent:
     @property
     def space(self) -> WorldSpace:
         return self.antecedent.space
-
-
-class Outcome(enum.Enum):
-    """Per-member classification of a world: true, false, or void."""
-
-    TRUE = 0
-    FALSE = 1
-    VOID = 2
-
-    @property
-    def sort_key(self):
-        return self.value
-
-
-@dataclass(frozen=True)
-class Constituent:
-    """A block of the partition generated by a family of conditional events."""
-
-    worlds: frozenset[int]
-    class_vector: tuple[Outcome, ...]
-
-    @property
-    def is_c0(self) -> bool:
-        """True on the block where every antecedent fails."""
-        return all(o is Outcome.VOID for o in self.class_vector)
-
-    def label(self) -> str:
-        marks = {Outcome.TRUE: "+", Outcome.FALSE: "-", Outcome.VOID: "0"}
-        return "".join(marks[o] for o in self.class_vector)
-
-
-def classify_world(world_index: int, family) -> tuple[Outcome, ...]:
-    out = []
-    for ce in family:
-        if world_index not in ce.antecedent:
-            out.append(Outcome.VOID)
-        elif world_index in ce.consequent:
-            out.append(Outcome.TRUE)
-        else:
-            out.append(Outcome.FALSE)
-    return tuple(out)
-
-
-def enumerate_constituents(family) -> list[Constituent]:
-    """Partition of the space by the true/false/void profile of the family.
-
-    The all-void block (every antecedent false) is the last entry when it
-    exists; ordering is lexicographic on the profile with TRUE < FALSE < VOID.
-    """
-    family = list(family)
-    if not family:
-        raise ValueError("family must be non-empty")
-    space = family[0].space
-    for ce in family:
-        if ce.space is not space:
-            raise ValueError("family members live in different world spaces")
-    blocks: dict[tuple[Outcome, ...], set[int]] = {}
-    for i in range(len(space)):
-        blocks.setdefault(classify_world(i, family), set()).add(i)
-    return [
-        Constituent(frozenset(blocks[vec]), vec)
-        for vec in sorted(blocks, key=lambda v: tuple(o.sort_key for o in v))
-    ]
-
-
-def constituents_in_all_antecedents(family) -> list[Constituent]:
-    """The blocks with no void entry: worlds where every antecedent holds."""
-    return [c for c in enumerate_constituents(family) if Outcome.VOID not in c.class_vector]

@@ -8,11 +8,13 @@ or VOID.  Conjunctions and disjunctions of conditional events are conditional
 quantities over the union of the antecedents, with previously assessed
 previsions filling the partially-void cases; they are built by set algebra on
 the events.  From an assessed family this module partitions the worlds by
-their joint codes and builds, straight from those codes, the feasibility
-systems whose solvability coherence checking rests on; their columns are the
-vectors Q_h attached to the constituents.  A system has one form, integer rows
-each scaled by the lcm of its denominators, and `scale_to_integers` is the one
-place a Fraction row becomes such a row.
+their joint codes into constituents; for conditional events, through their
+indicators, these are the blocks with one true/false/void pattern.  It then
+builds, straight from the codes, the feasibility systems whose solvability
+coherence checking rests on; their columns are the vectors Q_h attached to
+the constituents.  A system has one form, integer rows each scaled by the lcm
+of its denominators, and `scale_to_integers` is the one place a Fraction row
+becomes such a row.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import MissingPrevision, NotApplicable, OutOfRange
-from .events import ConditionalEvent, Event, WorldSpace, constituents_in_all_antecedents
+from .events import ConditionalEvent, Event, WorldSpace
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -319,7 +321,11 @@ def _mark(v) -> str:
 
 @dataclass(frozen=True)
 class QuantityConstituent:
-    """A block of worlds with one common value-or-void profile."""
+    """A block of worlds with one common value-or-void profile.
+
+    For indicators the profile is 1 (true, "+"), 0 (false, "-") or None
+    (void, "0") per member.
+    """
 
     worlds: frozenset[int]
     profile: tuple  # per member: a Fraction, or None when void
@@ -367,6 +373,17 @@ def quantity_constituents(family):
     inside = [block(key) for key in sorted(blocks) if key != void_key]
     c0 = block(void_key) if void_key in blocks else None
     return inside, c0
+
+
+def enumerate_constituents(family) -> list:
+    """Every block of quantity_constituents, the all-void block last."""
+    inside, c0 = quantity_constituents(family)
+    return inside if c0 is None else inside + [c0]
+
+
+def constituents_in_all_antecedents(family) -> list:
+    """The blocks where every member is active."""
+    return [c for c in quantity_constituents(family)[0] if VOID not in c.codes]
 
 
 def scale_to_integers(values) -> tuple:
@@ -545,6 +562,6 @@ def _sigma_star_values_from_assessment(assessment: Assessment):
         compound, events, ZERO, lambda s: (ZERO, ONE) if s else (ONE, ONE)
     ):
         raise NotApplicable("last member does not look like the family's conjunction")
-    if len(constituents_in_all_antecedents(events)) != 1 << len(events):
+    if len(constituents_in_all_antecedents(members)) != 1 << len(members):
         raise NotApplicable("events are not logically independent inside the joint antecedent")
     return list(assessment.values[:-1]), assessment.values[-1]

@@ -22,6 +22,11 @@ solvability system as Fraction rows, which `build_sigma` now emits as integer
 rows straight from the value codes; through `LinearSystem.from_fractions` the
 two must give identical rows and scales.
 
+`per_world_constituents` is the partition of a family of conditional events
+that classifies each world member by member as true, false or void; the
+constituent views of `prevision.geometry`, which group the indicators' value
+codes instead, must return the same blocks, labels and order.
+
 `propagated_interval` is `extension_interval` with the closed forms left
 out, so tests can hold each closed form against exact propagation.
 """
@@ -363,6 +368,21 @@ def fraction_quantity_constituents(family):
     if c0_profile in blocks:
         c0 = QuantityConstituent(frozenset(blocks[c0_profile]), c0_profile)
     return inside, c0
+
+
+def per_world_constituents(family):
+    """(worlds, label) per constituent of the conditional events, each world
+    marked per member true (+), false (-) or void (0); ordered by label with
+    + < - < 0, so the all-void block comes last."""
+    blocks = {}
+    for w in range(len(family[0].space)):
+        label = "".join(
+            "0" if w not in ce.antecedent else "+" if w in ce.consequent else "-"
+            for ce in family
+        )
+        blocks.setdefault(label, set()).add(w)
+    order = sorted(blocks, key=lambda label: ["+-0".index(m) for m in label])
+    return [(frozenset(blocks[label]), label) for label in order]
 
 
 def _compound_statuses(family, world):

@@ -216,11 +216,16 @@ def _edit_pair_problem(path, value):
         (None, ("tconorm", "--lambda", "2.5", "--precision", "-1", "1/2", "3/5")),
         (None, ("solve-lambda", "1/2", "3/5", "--target", "1/5", "--precision", "-1")),
         (None, ("tnorm", "--lambda", "1e400", "1/2", "3/5")),
+        (None, ("tnorm", "--lambda", "2.5", "--precision", "100000000000", "1/2", "3/5")),
+        (None, ("tconorm", "--lambda", "2.5", "--precision", "2147483648", "1/2", "3/5")),
+        (None, ("solve-lambda", "1/2", "3/5", "--target", "1/5", "--precision", "10" * 20)),
     ],
     ids=[
         "empty-antecedent", "duplicate-atoms", "non-string-member",
         "tnorm-negative-precision", "tconorm-negative-precision",
         "solve-lambda-negative-precision", "overflowing-lambda",
+        "tnorm-precision-too-big", "tconorm-precision-too-big",
+        "solve-lambda-precision-too-big",
     ],
 )
 def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv):

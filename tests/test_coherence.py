@@ -51,16 +51,17 @@ def pair_conjunction_assessment(first, second, x, y, z):
     return Assessment(family, (x, y, z))
 
 
-def family7_assessment(values, shared_antecedent=False):
-    """The three conditionals, three pairwise conjunctions, and the triple."""
+def family7_assessment(values, shared_antecedent=False, events=None):
+    """The three conditionals, three pairwise conjunctions, and the triple;
+    `events`, when given, replaces the conditionals E_i|H_i."""
     x1, x2, x3, x12, x13, x23, x123 = [F(v) for v in values]
-    if shared_antecedent:
+    if events is None and shared_antecedent:
         space = build_world_space(["E1", "E2", "E3", "H"])
         events = [
             ConditionalEvent(space.event(f"E{i}"), space.event("H"))
             for i in (1, 2, 3)
         ]
-    else:
+    elif events is None:
         space = build_world_space(["E1", "E2", "E3", "H1", "H2", "H3"])
         events = [
             ConditionalEvent(space.event(f"E{i}"), space.event(f"H{i}"))
@@ -529,8 +530,24 @@ class TestExtensionInterval:
             base = Assessment((indicator(first, "X"), indicator(second, "Y")), (x, y))
             target = make_conjunction([first, second], {(1,): x, (2,): y})
             assert _closed_form_interval(base, target) == expected
-        assessment, triple = family7_assessment(("1/2", "1/2", "1/2", "3/8", "3/8", "3/8", 0))
+        values = ("1/2", "1/2", "1/2", "3/8", "3/8", "3/8", 0)
+        assessment, triple = family7_assessment(values)
         assert _closed_form_interval(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
+        # one shared antecedent: 9 blocks, and the closed form still applies
+        assessment, triple = family7_assessment(values, shared_antecedent=True)
+        assert _closed_form_interval(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
+        # dependent events, E1|H and E1|(H | K): 15 blocks, where the closed
+        # form would claim [1/4, 3/8]
+        space = build_world_space(["E1", "E3", "H", "K", "H3"])
+        events = [
+            ConditionalEvent(space.event(e), space.event(h))
+            for e, h in (("E1", "H"), ("E1", "H | K"), ("E3", "H3"))
+        ]
+        assessment, triple = family7_assessment(values, events=events)
+        base = assessment.restrict(range(6))
+        assert _closed_form_interval(base, triple) is None
+        result = extension_interval(base, triple)
+        assert (result.lower, result.upper) == (F(9, 32), F(11, 32))
 
     def test_target_already_in_family(self):
         space, first, second = pair_setup()

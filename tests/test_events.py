@@ -5,18 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prevision.errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom
-from prevision.events import (
-    MAX_ATOMS,
-    ConditionalEvent,
-    Outcome,
-    build_world_space,
+from prevision.events import MAX_ATOMS, ConditionalEvent, build_world_space
+from prevision.geometry import (
     constituents_in_all_antecedents,
     enumerate_constituents,
+    indicator,
 )
 
 
 def conditional(space, consequent, antecedent):
     return ConditionalEvent(space.event(consequent), space.event(antecedent))
+
+
+def indicators(space, *pairs):
+    """The indicators of the conditional events consequent|antecedent."""
+    return [indicator(conditional(space, e, h)) for e, h in pairs]
 
 
 def test_space_without_constraints_has_all_assignments():
@@ -98,30 +101,29 @@ def test_empty_antecedent_rejected():
 
 def test_two_independent_conditionals_give_nine_constituents():
     space = build_world_space(["E1", "H1", "E2", "H2"])
-    family = [conditional(space, "E1", "H1"), conditional(space, "E2", "H2")]
+    family = indicators(space, ("E1", "H1"), ("E2", "H2"))
     cs = enumerate_constituents(family)
     assert len(cs) == 9
-    inside = [c for c in cs if not c.is_c0]
+    inside = [c for c in cs if not c.all_void]
     assert len(inside) == 8
-    assert cs[-1].is_c0
+    assert cs[-1].all_void
 
 
 def test_same_consequent_pair_gives_six_plus_void():
     space = build_world_space(["A", "H", "K"])
-    family = [conditional(space, "A", "H"), conditional(space, "A", "K")]
+    family = indicators(space, ("A", "H"), ("A", "K"))
     cs = enumerate_constituents(family)
     assert len(cs) == 7
-    vectors = {c.class_vector for c in cs if not c.is_c0}
-    T, F, V = Outcome.TRUE, Outcome.FALSE, Outcome.VOID
-    assert vectors == {(T, T), (F, F), (V, F), (F, V), (V, T), (T, V)}
+    labels = {c.label() for c in cs if not c.all_void}
+    assert labels == {"++", "--", "0-", "-0", "0+", "+0"}
     c0 = cs[-1]
-    assert c0.is_c0
+    assert c0.all_void
     assert c0.worlds == space.event("!H & !K").members
 
 
 def test_constituents_partition_the_space():
     space = build_world_space(["A", "B", "H", "K"], ["!(H&K)"])
-    family = [conditional(space, "A", "H"), conditional(space, "B", "K | A")]
+    family = indicators(space, ("A", "H"), ("B", "K | A"))
     cs = enumerate_constituents(family)
     seen = set()
     for c in cs:
@@ -133,9 +135,9 @@ def test_constituents_partition_the_space():
 
 def test_ordering_is_lexicographic_true_false_void():
     space = build_world_space(["E1", "H1", "E2", "H2"])
-    family = [conditional(space, "E1", "H1"), conditional(space, "E2", "H2")]
+    family = indicators(space, ("E1", "H1"), ("E2", "H2"))
     keys = [
-        tuple(o.sort_key for o in c.class_vector)
+        tuple("+-0".index(mark) for mark in c.label())
         for c in enumerate_constituents(family)
     ]
     assert keys == sorted(keys)
@@ -143,25 +145,21 @@ def test_ordering_is_lexicographic_true_false_void():
 
 def test_all_antecedents_subset_n2():
     space = build_world_space(["E1", "H1", "E2", "H2"])
-    family = [conditional(space, "E1", "H1"), conditional(space, "E2", "H2")]
+    family = indicators(space, ("E1", "H1"), ("E2", "H2"))
     ks = constituents_in_all_antecedents(family)
-    T, F = Outcome.TRUE, Outcome.FALSE
-    assert [k.class_vector for k in ks] == [(T, T), (T, F), (F, T), (F, F)]
+    assert [k.label() for k in ks] == ["++", "+-", "-+", "--"]
+    assert [k.profile for k in ks] == [(1, 1), (1, 0), (0, 1), (0, 0)]
 
 
 def test_all_antecedents_empty_when_antecedents_disjoint():
     space = build_world_space(["A", "H", "K"], ["!(H&K)"])
-    family = [conditional(space, "A", "H"), conditional(space, "A", "K")]
+    family = indicators(space, ("A", "H"), ("A", "K"))
     assert constituents_in_all_antecedents(family) == []
 
 
 def test_all_antecedents_n3_has_eight():
     space = build_world_space(["E1", "H1", "E2", "H2", "E3", "H3"])
-    family = [
-        conditional(space, "E1", "H1"),
-        conditional(space, "E2", "H2"),
-        conditional(space, "E3", "H3"),
-    ]
+    family = indicators(space, ("E1", "H1"), ("E2", "H2"), ("E3", "H3"))
     assert len(constituents_in_all_antecedents(family)) == 8
     assert len(enumerate_constituents(family)) == 27
 
@@ -170,9 +168,9 @@ def test_aliased_antecedents_match_single_conditioning_event():
     # declaring H = K and using the pair A|H, B|K reproduces the structure of
     # a single conditioning event: profiles are void together or active together
     space = build_world_space(["A", "B", "H", "K"], ["H=K"])
-    family = [conditional(space, "A", "H"), conditional(space, "B", "K")]
+    family = indicators(space, ("A", "H"), ("B", "K"))
     for c in enumerate_constituents(family):
-        states = [o is Outcome.VOID for o in c.class_vector]
+        states = [v is None for v in c.profile]
         assert all(states) or not any(states)
 
 
@@ -191,8 +189,8 @@ def test_random_families_partition(e1mask, h1mask, e2mask, h2mask):
     if h1.is_empty or h2.is_empty:
         return
     family = [
-        ConditionalEvent(from_mask(e1mask), h1),
-        ConditionalEvent(from_mask(e2mask), h2),
+        indicator(ConditionalEvent(from_mask(e1mask), h1)),
+        indicator(ConditionalEvent(from_mask(e2mask), h2)),
     ]
     cs = enumerate_constituents(family)
     worlds = list(itertools.chain.from_iterable(c.worlds for c in cs))
@@ -200,6 +198,6 @@ def test_random_families_partition(e1mask, h1mask, e2mask, h2mask):
     union = h1 | h2
     for c in cs:
         inside_union = all(w in union for w in c.worlds)
-        assert inside_union != c.is_c0 or not c.is_c0
-        if c.is_c0:
+        assert inside_union != c.all_void or not c.all_void
+        if c.all_void:
             assert not any(w in union for w in c.worlds)

@@ -5,7 +5,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import fraction_quantity_constituents, per_world_conjunction
+from oracles import (
+    fraction_quantity_constituents,
+    per_world_conjunction,
+    per_world_constituents,
+)
 
 from prevision import (
     Assessment,
@@ -21,7 +25,9 @@ from prevision import (
     build_sigma_star,
     build_world_space,
     conjunction_signatures,
+    constituents_in_all_antecedents,
     demorgan_previsions,
+    enumerate_constituents,
     indicator,
     make_conjunction,
     make_disjunction,
@@ -323,6 +329,62 @@ def test_set_algebra_conjunction_matches_the_per_world_one():
         assert (conj.label, conj.void_value) == (expected.label, expected.void_value)
         outcomes["built"] += 1
     assert min(outcomes.values()) > 50
+
+
+def _random_formula(rng, atoms, depth=2):
+    if depth == 0 or rng.random() < 0.3:
+        atom = rng.choice(atoms)
+        return atom if rng.random() < 0.6 else f"!{atom}"
+    op = rng.choice(("&", "|"))
+    left, right = (_random_formula(rng, atoms, depth - 1) for _ in range(2))
+    return f"({left} {op} {right})"
+
+
+def test_constituent_views_match_the_per_world_classifier():
+    rng = random.Random(22)
+    seen = {"constraint": 0, "shared": 0, "dependent": 0, "constant": 0, "c0": 0}
+    for _ in range(1000):
+        atoms = ["A", "B", "H", "K"][-rng.randint(2, 4):]
+        constrained = rng.random() < 0.3
+        space = build_world_space(atoms, ["!(H & K)"] if constrained else [])
+        seen["constraint"] += constrained
+        family, antecedents = [], []
+        for _ in range(rng.randint(1, 4)):
+            draw = rng.random()
+            if antecedents and draw < 0.25:
+                antecedent = rng.choice(antecedents)
+                seen["shared"] += 1
+            elif antecedents and draw < 0.5:
+                # contains an earlier antecedent
+                antecedent = f"{rng.choice(antecedents)} | {_random_formula(rng, atoms)}"
+                seen["dependent"] += 1
+            else:
+                antecedent = _random_formula(rng, atoms)
+            if space.event(antecedent).is_empty:
+                antecedent = atoms[0]
+            antecedents.append(antecedent)
+            draw = rng.random()
+            if draw < 0.1:
+                # true wherever the member is active
+                consequent = f"{antecedent} | {_random_formula(rng, atoms)}"
+            elif draw < 0.2:
+                # false wherever the member is active
+                consequent = f"!({antecedent})"
+            else:
+                consequent = _random_formula(rng, atoms)
+            ce = conditional(space, consequent, antecedent)
+            seen["constant"] += ce.antecedent.members <= ce.consequent.members
+            family.append(ce)
+        expected = per_world_constituents(family)
+        quantities = [indicator(ce) for ce in family]
+        blocks = enumerate_constituents(quantities)
+        assert [(c.worlds, c.label()) for c in blocks] == expected
+        assert [c.all_void for c in blocks] == [set(label) == {"0"} for _, label in expected]
+        assert [(c.worlds, c.label()) for c in constituents_in_all_antecedents(quantities)] == [
+            (worlds, label) for worlds, label in expected if "0" not in label
+        ]
+        seen["c0"] += blocks[-1].all_void
+    assert min(seen.values()) > 100
 
 
 def test_build_sigma_substitutes_previsions():
