@@ -146,9 +146,13 @@ def _hull_screen(assessment: Assessment):
 
 def _active_sets(inside, n):
     return [
-        [h for h, c in enumerate(inside) if c.profile[i] is not None]
+        {h for h, c in enumerate(inside) if c.profile[i] is not None}
         for i in range(n)
     ]
+
+
+def _support(solution):
+    return [(h, v) for h, v in enumerate(solution) if v]
 
 
 def _m_values(system: LinearSystem, actives, witnesses):
@@ -156,22 +160,23 @@ def _m_values(system: LinearSystem, actives, witnesses):
 
     A set that some witness solution already gives positive mass needs no
     solve; every other set gets its verified maximum, and each maximizer
-    joins the witnesses.  Returns the m-values, the positions settled by a
-    witness, and the positions stuck at zero.
+    joins the witnesses.  A witness is a basic solution, so its mass on a set
+    is summed over its few non-zero entries only.  Returns the m-values, the
+    positions settled by a witness, and the positions stuck at zero.
     """
-    witnesses = list(witnesses)
+    supports = [_support(w) for w in witnesses]
     m_values = [None] * len(actives)
     witnessed = set()
     zero = []
     for i, active in enumerate(actives):
-        mass = max(sum(w[h] for h in active) for w in witnesses)
+        mass = max(sum(v for h, v in s if h in active) for s in supports)
         if mass > 0:
             m_values[i] = mass
             witnessed.add(i)
             continue
         best = maximize_component_sum(system, active)
         m_values[i] = best.value
-        witnesses.append(best.solution)
+        supports.append(_support(best.solution))
         if best.value == 0:
             zero.append(i)
     return m_values, witnessed, zero

@@ -403,7 +403,9 @@ class LinearSystem:
     `scales[r]`, the lcm of that row's denominators, as integers; with
     normalization the last row is (1, ..., 1 | 1) with scale 1.  The simplex,
     every certificate check of `lp` and the book check of `coherence` read
-    these rows; `equalities` and `rhs` are Fraction views of them.
+    these rows; `columns` is their transpose, and `equalities` and `rhs` are
+    Fraction views of them.  `lp` also keeps the simplex state after phase 1
+    on the system, so that every LP on it runs phase 1 once.
     """
 
     rows: tuple
@@ -440,6 +442,14 @@ class LinearSystem:
     @cached_property
     def rhs(self) -> tuple:
         return tuple(Fraction(row[-1], s) for row, s in self._given())
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The integer rows transposed, rhs left out: one tuple per unknown,
+        the columns that the simplex prices and enters."""
+        if not self.rows:
+            return ((),) * self.n_unknowns
+        return tuple(zip(*self.rows))[:-1]
 
     def combine(self, weights) -> tuple:
         """(sums, L): sum_r w_r * row_r over the rational rows, normalization

@@ -10,6 +10,13 @@ exhaustive enumeration is a complete oracle for small sizes.
 integer solver in `prevision.lp` replaced.  It takes the same pivots, so the
 fast solver must return identical certificates and optima.
 
+`DenseSimplex` is the dense fraction-free integer tableau that the revised
+simplex of `prevision.lp` replaced: it rewrites every column on every pivot
+and reruns phase 1 for each LP.  Its artificial columns, rhs column and cost
+row are, up to the row flips, what the revised solver keeps, so the two must
+agree after every pivot and take the same pivots.  `dense_solve_feasibility` and
+`dense_maximize_linear` run it the way `prevision.lp` used to.
+
 The `fraction_*` checks are the certificate, optimum and betting-book checks
 in Fraction arithmetic on the unscaled rows that the integer checks in
 `prevision.lp` and `prevision.coherence` replaced; they must agree.
@@ -33,6 +40,7 @@ out, so tests can hold each closed form against exact propagation.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from prevision.coherence import ExtensionInterval, _propagate, check_coherence
 from prevision.errors import IncoherentBase
@@ -41,6 +49,7 @@ from prevision.geometry import (
     ConditionalQuantity,
     QuantityConstituent,
     quantity_constituents,
+    scale_to_integers,
 )
 from prevision.lp import FeasibilityCertificate, OptimizationResult
 
@@ -259,6 +268,162 @@ def fraction_maximize_linear(system, objective):
         return OptimizationResult(None, None, bounded=False)
     x = simplex.solution()
     return OptimizationResult(sum(c * v for c, v in zip(objective, x)), x)
+
+
+class DenseSimplex:
+    """Dense integer tableau: unknown columns, one artificial per row, rhs
+    last, plus a cost row.
+
+    Input row r, already multiplied by s_r, the lcm of its denominators, is
+    flipped to a non-negative rhs.  Its artificial keeps a unit column, so it
+    stands for s_r times the unscaled artificial.  This is the same LP in rescaled
+    variables: Bland's rule takes the same pivots as on the rational tableau.
+
+    The true tableau is T / D.  Pivoting on p = T[r][c] maps every other row
+    to (p * T[i] - T[i][c] * T[r]) / D, an exact division by Sylvester's
+    identity, and D becomes p.  A negative pivot negates its row first, so
+    D stays positive and ratio and sign tests compare integers directly.
+    The cost row holds D * (c_B B^-1 A - c); a negative entry prices its
+    column in.
+    """
+
+    def __init__(self, rows, scales):
+        """`rows` and `scales` are a system's integer rows, rhs last, each
+        s_r times the input row, and the s_r."""
+        self.m = len(rows[0]) - 1 if rows else 0
+        self.k = len(rows)
+        self.scale = list(scales)
+        self.flip = []
+        self.T = []
+        for r, entries in enumerate(rows):
+            f = -1 if entries[-1] < 0 else 1
+            row = [f * v for v in entries[:-1]] + [0] * self.k + [f * entries[-1]]
+            row[self.m + r] = 1
+            self.T.append(row)
+            self.flip.append(f)
+        self.T.append([0] * (self.m + self.k + 1))
+        self.D = 1
+        self.basis = [self.m + r for r in range(self.k)]
+
+    def _pivot(self, r, c):
+        T, D = self.T, self.D
+        if T[r][c] < 0:
+            T[r] = [-v for v in T[r]]
+        row_r = T[r]
+        p = row_r[c]
+        for i, row in enumerate(T):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                T[i] = [(p * v - f * w) // D for v, w in zip(row, row_r)]
+            elif p != D:
+                T[i] = [p * v // D for v in row]
+        self.D = p
+        self.basis[r] = c
+
+    def _set_costs(self, costs, cost_scale):
+        """Install integer costs for every non-rhs column; the true costs are
+        costs / cost_scale."""
+        self.costs, self.cost_scale = costs, cost_scale
+        z = [-self.D * c for c in costs] + [0]
+        for i, b in enumerate(self.basis):
+            if costs[b]:
+                z = [v + costs[b] * t for v, t in zip(z, self.T[i])]
+        self.T[self.k] = z
+
+    def _maximize(self):
+        """Bland's rule throughout; True at optimum, False when unbounded."""
+        T, k, basis = self.T, self.k, self.basis
+        while True:
+            z = T[k]
+            entering = next((j for j in range(self.m) if z[j] < 0), None)
+            if entering is None:
+                return True
+            leaving = None
+            for r in range(k):
+                a = T[r][entering]
+                if a <= 0:
+                    continue
+                if leaving is not None:
+                    # ratios T[r][-1] / a against the best, cross-multiplied
+                    lhs, rhs = T[r][-1] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leaving]):
+                        continue
+                leaving, best_a, best_b = r, a, T[r][-1]
+            if leaving is None:
+                return False
+            self._pivot(leaving, entering)
+
+    def phase1(self) -> Fraction:
+        """Drive the artificials toward zero; returns their residual sum."""
+        top = lcm(*self.scale)
+        self._set_costs([0] * self.m + [-(top // s) for s in self.scale], top)
+        self._maximize()
+        return Fraction(-self.T[self.k][-1], top * self.D)
+
+    def drive_out_artificials(self):
+        for r in range(self.k):
+            if self.basis[r] < self.m:
+                continue
+            c = next((j for j in range(self.m) if self.T[r][j] != 0), None)
+            if c is not None:
+                self._pivot(r, c)
+            # rows with no unknown left are redundant and stay inert
+
+    def maximize_objective(self, objective) -> bool:
+        costs, cost_scale = scale_to_integers(objective)
+        self._set_costs(costs + [0] * self.k, cost_scale)
+        return self._maximize()
+
+    def solution(self) -> tuple:
+        x = [ZERO] * self.m
+        for r in range(self.k):
+            if self.basis[r] < self.m:
+                x[self.basis[r]] = Fraction(self.T[r][-1], self.D)
+        return tuple(x)
+
+    def dual(self) -> tuple:
+        """y = c_B B^-1 on the input rows, read from the artificial columns
+        of the cost row and undoing the row flips and scalings."""
+        z, m, D = self.T[self.k], self.m, self.D
+        return tuple(
+            Fraction(
+                f * s * (z[m + r] + D * self.costs[m + r]), self.cost_scale * D
+            )
+            for r, (f, s) in enumerate(zip(self.flip, self.scale))
+        )
+
+    def refutation(self) -> tuple:
+        """Row multipliers v with v . column <= 0 and v . rhs > 0: minus the
+        phase-1 dual."""
+        return tuple(-v for v in self.dual())
+
+
+def dense_solve_feasibility(system) -> FeasibilityCertificate:
+    """solve_feasibility on the dense integer tableau, without
+    re-verification."""
+    simplex = DenseSimplex(system.rows, system.scales)
+    residual = simplex.phase1()
+    if residual == 0:
+        return FeasibilityCertificate(True, solution=simplex.solution())
+    return FeasibilityCertificate(False, dual=simplex.refutation(), margin=residual)
+
+
+def dense_maximize_linear(system, objective):
+    """maximize_linear on the dense integer tableau, phase 1 included; None
+    when infeasible."""
+    objective = [Fraction(c) for c in objective]
+    simplex = DenseSimplex(system.rows, system.scales)
+    if simplex.phase1() != 0:
+        return None
+    simplex.drive_out_artificials()
+    if not simplex.maximize_objective(objective):
+        return OptimizationResult(None, None, bounded=False)
+    x = simplex.solution()
+    return OptimizationResult(
+        sum(c * v for c, v in zip(objective, x)), x, dual=simplex.dual()
+    )
 
 
 def fraction_check_solution(system, vec) -> bool:

@@ -38,6 +38,25 @@ from prevision.coherence import _checked_book, _closed_form_interval
 F = Fraction
 
 
+def conjunction_family(n, xs):
+    """E_i|H_i, i = 1..n, over 2n unconstrained atoms, and their conjunction
+    with product sub-previsions."""
+    space = build_world_space(
+        [f"E{i}" for i in range(1, n + 1)] + [f"H{i}" for i in range(1, n + 1)]
+    )
+    events = [
+        ConditionalEvent(space.event(f"E{i}"), space.event(f"H{i}"))
+        for i in range(1, n + 1)
+    ]
+    previsions = {
+        subset: math.prod(xs[i - 1] for i in subset)
+        for r in range(1, n)
+        for subset in itertools.combinations(range(1, n + 1), r)
+    }
+    family = tuple(indicator(e, f"X{i}") for i, e in enumerate(events, 1))
+    return family + (make_conjunction(events, previsions, f"and({n})"),)
+
+
 def pair_setup(consequents=("A", "B"), constraints=()):
     space = build_world_space(["A", "B", "H", "K"], constraints)
     first = ConditionalEvent(space.event(consequents[0]), space.event("H"))
@@ -234,6 +253,22 @@ class TestCheckCoherence:
         assert check_coherence(assess((lo + hi) / 2)).coherent
         assert not check_coherence(assess(hi + F(1, 100))).coherent
 
+    def test_eight_member_conjunction_at_and_past_its_upper_bound(self):
+        # 16 atoms, 65,536 worlds, 3^8 - 1 = 6,560 unknowns over 10 rows
+        n = 8
+        xs = tuple(F(k, 5) for k in (1, 2, 3, 4, 1, 2, 3, 4))
+        family = conjunction_family(n, xs)
+        _, hi = frechet_bounds_conjunction(xs)
+        at_bound = check_coherence(Assessment(family, xs + (hi,)))
+        assert at_bound.coherent
+        assert len(at_bound.trace[0].solution) == 3**n - 1
+        past = Assessment(family, xs + (hi + F(1, 1000),))
+        verdict = check_coherence(past)
+        assert not verdict.coherent
+        gains = dutch_book_gains(past, verdict.dutch_book)
+        assert len(gains) == 3**n - 1
+        assert all(g > 0 for _, g in gains)
+
     def test_shared_antecedent_family7_matches_characterization(self):
         cases = [
             Family7Assessment.all_min("2/5", "1/2", "3/5").values(),
@@ -358,21 +393,9 @@ class TestIntegerRows:
         rng = random.Random(62)
         cases = books = 0
         for n in range(2, 6):
-            space = build_world_space(
-                [f"E{i}" for i in range(1, n + 1)] + [f"H{i}" for i in range(1, n + 1)]
-            )
-            events = [
-                ConditionalEvent(space.event(f"E{i}"), space.event(f"H{i}"))
-                for i in range(1, n + 1)
-            ]
             for _ in range(3):
                 xs = tuple(F(rng.randint(0, 5), 5) for _ in range(n))
-                previsions = {}
-                for r in range(1, n):
-                    for subset in itertools.combinations(range(1, n + 1), r):
-                        previsions[subset] = math.prod(xs[i - 1] for i in subset)
-                family = tuple(indicator(e, f"X{i}") for i, e in enumerate(events, 1))
-                family += (make_conjunction(events, previsions, f"and({n})"),)
+                family = conjunction_family(n, xs)
                 lo, hi = frechet_bounds_conjunction(xs)
                 for z in (lo, (lo + hi) / 2, hi, hi + F(1, 7), lo - F(1, 1000)):
                     assessment = Assessment(family, xs + (z,))

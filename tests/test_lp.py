@@ -1,6 +1,9 @@
 """Tests for the exact feasibility and optimization solver."""
 
+import itertools
+import math
 import random
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -9,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    DenseSimplex,
     FractionSimplex,
     basic_feasible_points,
+    dense_maximize_linear,
+    dense_solve_feasibility,
     fraction_maximize_linear,
     fraction_solve_feasibility,
     fraction_verify_certificate,
@@ -27,7 +33,9 @@ from prevision import (
     build_sigma,
     build_sigma_star,
     build_world_space,
+    frechet_bounds_conjunction,
     indicator,
+    make_conjunction,
     maximize_component_sum,
     maximize_linear,
     solve_feasibility,
@@ -309,38 +317,62 @@ def test_integer_tableau_matches_fraction_tableau():
 
 
 class CheckedSimplex(lp._Simplex):
-    """Checks that each pivot divides exactly and leaves the integer tableau
-    equal to the Fraction tableau pivoted on the same element."""
+    """Runs the dense integer tableau of `DenseSimplex` in lockstep: each
+    pivot must divide exactly, enter the tableau's column with its cost-row
+    entry, and leave E, beta and the cost row equal to the tableau's
+    artificial columns, rhs column and cost row."""
 
-    def __init__(self, rows, scales):
-        super().__init__(rows, scales)
-        self.oracle = FractionSimplex(
-            [[F(v, s) for v in row[:-1]] for row, s in zip(rows, scales)],
-            [F(row[-1], s) for row, s in zip(rows, scales)],
-        )
+    def __init__(self, system):
+        super().__init__(system)
+        self.oracle = DenseSimplex(system.rows, system.scales)
         self.pivots = []
         self.negative_pivots = 0
 
-    def _pivot(self, r, c):
-        self.negative_pivots += self.T[r][c] < 0
-        row_r = self.T[r] if self.T[r][c] > 0 else [-v for v in self.T[r]]
-        p = row_r[c]
-        for i, row in enumerate(self.T):
-            if i != r:
-                assert all(
-                    (p * v - row[c] * w) % self.D == 0 for v, w in zip(row, row_r)
-                )
-        super()._pivot(r, c)
+    def copy(self):
+        twin = super().copy()
+        twin.oracle = deepcopy(self.oracle)
+        twin.pivots = list(self.pivots)
+        return twin
+
+    def _set_costs(self, costs, cost_scale):
+        super()._set_costs(costs, cost_scale)
+        self.oracle._set_costs(costs, cost_scale)
+        self.assert_matches_oracle()
+
+    def _pivot(self, r, c, alpha, z):
+        T, k = self.oracle.T, self.k
+        assert alpha == [T[i][c] for i in range(k)] and z == T[k][c]
+        self.negative_pivots += alpha[r] < 0
+        sign = -1 if alpha[r] < 0 else 1
+        p, D = sign * alpha[r], self.D
+        pivot_row = [sign * v for v in self.E[r] + [self.beta[r]]]
+        others = [
+            (f, E + [b])
+            for i, (f, E, b) in enumerate(zip(alpha, self.E, self.beta))
+            if i != r
+        ]
+        for f, row in others + [(z, self.w + [self.z0])]:
+            assert all((p * v - f * u) % D == 0 for v, u in zip(row, pivot_row))
+        super()._pivot(r, c, alpha, z)
         self.oracle._pivot(r, c)
         self.pivots.append((r, c))
-        assert self.D > 0
-        m, k = self.m, self.k
+        self.assert_matches_oracle()
+
+    def assert_matches_oracle(self):
+        """The tableau flips row r by f_r, so its artificial columns are E
+        with column r times f_r, and the cost row's artificial part is
+        w - D c_art with the same flips."""
+        T, m, k, flip = self.oracle.T, self.m, self.k, self.oracle.flip
+        assert self.D == self.oracle.D > 0
+        assert self.basis == self.oracle.basis
         for i in range(k):
-            b = self.basis[i]
-            row_scale = self.scale[b - m] if b >= m else 1
-            for j, v in enumerate(self.T[i]):
-                col_scale = self.scale[j - m] if m <= j < m + k else 1
-                assert F(v, self.D) * col_scale == row_scale * self.oracle.T[i][j]
+            assert [e * f for e, f in zip(self.E[i], flip)] == T[i][m:m + k]
+            assert self.beta[i] == T[i][-1]
+        z = T[k]
+        assert [w * f for w, f in zip(self.w, flip)] == [
+            v + self.D * c for v, c in zip(z[m:m + k], self.costs[m:])
+        ]
+        assert self.z0 == z[-1]
 
 
 class RecordingFractionSimplex(FractionSimplex):
@@ -353,32 +385,161 @@ class RecordingFractionSimplex(FractionSimplex):
         self.pivots.append((r, c))
 
 
+class RecordingDenseSimplex(DenseSimplex):
+    def __init__(self, rows, scales):
+        super().__init__(rows, scales)
+        self.pivots = []
+
+    def _pivot(self, r, c):
+        super()._pivot(r, c)
+        self.pivots.append((r, c))
+
+
+def conjunction_family(n, xs):
+    """E_i|H_i, i = 1..n, over 2n unconstrained atoms, and their conjunction
+    with product sub-previsions."""
+    space = build_world_space(
+        [f"E{i}" for i in range(1, n + 1)] + [f"H{i}" for i in range(1, n + 1)]
+    )
+    events = [
+        ConditionalEvent(space.event(f"E{i}"), space.event(f"H{i}"))
+        for i in range(1, n + 1)
+    ]
+    previsions = {
+        subset: math.prod(xs[i - 1] for i in subset)
+        for r in range(1, n)
+        for subset in itertools.combinations(range(1, n + 1), r)
+    }
+    members = tuple(indicator(e, f"X{i}") for i, e in enumerate(events, 1))
+    return members + (make_conjunction(events, previsions, f"and({n})"),)
+
+
+def conjunction_systems():
+    """The solvability systems of conjunction families, n = 3..5, at and just
+    outside their Frechet bounds: n + 2 rows and 3^n - 1 unknowns.  The
+    objectives are the masses of the first member's and of the conjunction's
+    antecedents, and minus the first."""
+    for n in range(3, 6):
+        xs = tuple(F(k, 5) for k in (1, 2, 3, 4, 2)[:n])
+        family = conjunction_family(n, xs)
+        lo, hi = frechet_bounds_conjunction(xs)
+        for z in (lo, hi, lo - F(1, 1000), hi + F(1, 1000)):
+            system = build_sigma(Assessment(family, xs + (z,)))
+            first, last = (
+                [F(label[i] != "0") for label in system.unknown_labels]
+                for i in (0, n)
+            )
+            yield system, (first, last, [-v for v in first])
+
+
 def test_pivots_divide_exactly_and_follow_the_fraction_tableau(monkeypatch):
+    """The revised solver takes the same pivots as the dense integer tableau,
+    which it runs in lockstep, and as the Fraction tableau: on the seeded
+    random systems, and on the wide conjunction systems against the dense
+    tableau only."""
     import oracles
 
-    runs = {}
+    revised, dense, fraction, phase1_runs = [], [], [], []
 
-    def recorder(cls, name):
+    class Recording(CheckedSimplex):
+        def __init__(self, system):
+            super().__init__(system)
+            revised.append(self)
+            phase1_runs.append(system)
+
+        def copy(self):
+            twin = super().copy()
+            revised.append(twin)
+            return twin
+
+    def recorder(cls, runs):
         def make(*args):
             simplex = cls(*args)
-            runs.setdefault(name, []).append(simplex)
+            runs.append(simplex)
             return simplex
         return make
 
-    monkeypatch.setattr(lp, "_Simplex", recorder(CheckedSimplex, "integer"))
+    monkeypatch.setattr(lp, "_Simplex", Recording)
+    monkeypatch.setattr(oracles, "DenseSimplex", recorder(RecordingDenseSimplex, dense))
     monkeypatch.setattr(
-        oracles, "FractionSimplex", recorder(RecordingFractionSimplex, "fraction")
+        oracles, "FractionSimplex", recorder(RecordingFractionSimplex, fraction)
     )
-    for system, objective in differential_systems(seed=12, count=150):
-        fraction_solve_feasibility(system)
-        if solve_feasibility(system).feasible:
-            fraction_maximize_linear(system, objective)
-            maximize_linear(system, objective)
-    assert len(runs["integer"]) == len(runs["fraction"])
-    assert sum(len(s.pivots) for s in runs["integer"]) > 400
-    assert sum(s.negative_pivots for s in runs["integer"]) > 0
-    for fast, slow in zip(runs["integer"], runs["fraction"]):
-        assert fast.pivots == slow.pivots
+    cases = [
+        (system, (objective, [-c for c in objective]), True)
+        for system, objective in differential_systems()
+    ] + [(system, objectives, False) for system, objectives in conjunction_systems()]
+    pivots = negative_pivots = wide = 0
+    for system, objectives, small in cases:
+        del revised[:], dense[:], fraction[:], phase1_runs[:]
+        cert = solve_feasibility(system)
+        assert cert == dense_solve_feasibility(system)
+        if small:
+            fraction_solve_feasibility(system)
+        if cert.feasible:
+            for objective in objectives:
+                assert maximize_linear(system, objective) == dense_maximize_linear(
+                    system, objective
+                )
+                if small:
+                    fraction_maximize_linear(system, objective)
+        # one phase 1 per system; each optimum pivots a copy of its end state
+        assert phase1_runs == [system]
+        assert [s.pivots for s in revised] == [s.pivots for s in dense]
+        if small:
+            assert [s.pivots for s in revised] == [s.pivots for s in fraction]
+        else:
+            wide += system.n_unknowns > 4 * len(system.rows)
+        pivots += sum(len(s.pivots) for s in revised)
+        negative_pivots += sum(s.negative_pivots for s in revised)
+    assert pivots > 400 and negative_pivots > 0 and wide == 12
+
+
+def fresh_copy(system):
+    """The same system as a new object, with no solver state kept on it."""
+    return LinearSystem(
+        system.rows, system.scales, system.unknown_labels, system.normalization
+    )
+
+
+def test_warm_starts_leave_the_phase1_state_unchanged(monkeypatch):
+    phase1_runs = []
+    phase1 = lp._Simplex.phase1
+
+    def counted(self):
+        phase1_runs.append(self)
+        return phase1(self)
+
+    monkeypatch.setattr(lp._Simplex, "phase1", counted)
+    feasible = next(s for s, _ in conjunction_systems())
+    infeasible = never_true_system(F(1, 2))
+    for base in (feasible, infeasible):
+        m = base.n_unknowns
+        objectives = (
+            [F(j % 3 - 1, j % 4 + 1) for j in range(m)],
+            [F(1) if j % 2 else F(-2) for j in range(m)],
+        )
+
+        def run(system, op):
+            if op == "feasibility":
+                return solve_feasibility(system)
+            try:
+                return maximize_linear(system, objectives[op])
+            except InfeasibleSystem:
+                return "infeasible"
+
+        ops = ("feasibility", 0, 1)
+        cold = {op: run(fresh_copy(base), op) for op in ops}
+        assert cold["feasibility"].feasible == (base is feasible)
+        if base is feasible:
+            assert cold[0].value != cold[1].value
+        else:
+            assert cold[0] == cold[1] == "infeasible"
+        for order in itertools.permutations(ops):
+            system = fresh_copy(base)
+            del phase1_runs[:]
+            for op in order:
+                assert run(system, op) == cold[op]
+            assert len(phase1_runs) == 1
 
 
 def test_wrong_optimum_dual_raises(monkeypatch):
