@@ -39,8 +39,10 @@ from .geometry import (
     make_disjunction,
 )
 
-# The largest precision `format` takes: a C int.
-MAX_PRECISION = 2**31 - 1
+# No double formats differently past about 770 significant digits.
+MAX_PRECISION = 1000
+# lambda-solution lists all 2^n member subsets of its n values.
+MAX_SOLUTION_VALUES = 16
 
 
 class ProblemError(PrevisionError):
@@ -375,6 +377,8 @@ def cmd_solve_lambda(ns: argparse.Namespace) -> int:
 
 
 def cmd_lambda_solution(ns: argparse.Namespace) -> int:
+    if len(ns.values) > MAX_SOLUTION_VALUES:
+        raise ProblemError(f"{len(ns.values)} values given; at most {MAX_SOLUTION_VALUES}")
     values = [parse_rational(v, f"argument {i}") for i, v in enumerate(ns.values, 1)]
     builder = lambda_solution_TL if ns.boundary == "lower" else lambda_solution_TM
     vector = builder(values)

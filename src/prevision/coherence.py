@@ -478,10 +478,7 @@ def extension_interval(
     if not verdict.coherent:
         raise IncoherentBase("the base assessment is not coherent")
     for q, mu in zip(assessment.family, assessment.values):
-        if (
-            q.conditioning.members == target.conditioning.members
-            and q.values == target.values
-        ):
+        if (q.levels, q.codes) == (target.levels, target.codes):
             return ExtensionInterval(mu, mu, True)
     interval = _closed_form_interval(assessment, target)
     if interval is not None:

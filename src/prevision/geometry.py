@@ -1,20 +1,20 @@
 """Conditional quantities, compound conditionals, partitions, and linear systems.
 
-A conditional quantity X|K carries one exact rational value per world of K;
-outside K it is void and, once assessed, stands in for its own prevision.
-Each quantity also carries integer value codes: its distinct values in
-descending order and, per world, the index of the world's value among them
-or VOID.  Conjunctions and disjunctions of conditional events are conditional
-quantities over the union of the antecedents, with previously assessed
-previsions filling the partially-void cases; they are built by set algebra on
-the events.  From an assessed family this module partitions the worlds by
-their joint codes into constituents; for conditional events, through their
-indicators, these are the blocks with one true/false/void pattern.  It then
-builds, straight from the codes, the feasibility systems whose solvability
-coherence checking rests on; their columns are the vectors Q_h attached to
-the constituents.  A system has one form, integer rows each scaled by the lcm
-of its denominators, and `scale_to_integers` is the one place a Fraction row
-becomes such a row.
+A conditional quantity X|K takes one exact rational value on each world of
+K; outside K it is void and, once assessed, stands in for its own prevision.
+It is stored in one form, built from level sets {value: worlds}: its
+distinct values (levels) in descending order and, per world, the index of
+the world's value among them or VOID.  Indicators and the conjunctions and
+disjunctions of conditional events (over the union of the antecedents, with
+assessed previsions filling the partially-void cases) get their level sets
+by set algebra on the events.  From an assessed family this module
+partitions the worlds by their joint codes into constituents; for
+conditional events, through their indicators, these are the blocks with one
+true/false/void pattern.  It then builds, straight from the codes, the
+feasibility systems whose solvability coherence checking rests on; their
+columns are the vectors Q_h attached to the constituents.  A system has one
+form, integer rows each scaled by the lcm of its denominators, and
+`scale_to_integers` is the one place a Fraction row becomes such a row.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from types import MappingProxyType
 from typing import Optional, Sequence, Union
 
 from .errors import MissingPrevision, NotApplicable, OutOfRange
@@ -49,72 +50,78 @@ def to_fraction(value) -> Fraction:
 class ConditionalQuantity:
     """X|K: an exact value on every world of K, void elsewhere.
 
+    Stored as `levels`, the distinct values in descending order, and `codes`,
+    for each world of the space the index of its value in `levels`, or VOID.
+    Build one with `from_level_sets` ((value, worlds) pairs) or `from_values`
+    ({world: value}).
+
     `void_value` is the quantity's own prevision when one is built in (the
     compound constructions put the top-level prevision there); None means the
     void value is supplied later through an assessment.
     """
 
     conditioning: Event
-    values: dict
+    levels: tuple
+    codes: tuple
     label: str = "X|K"
     void_value: Optional[Fraction] = None
 
     def __post_init__(self):
-        vals = {
-            w: v if isinstance(v, Fraction) else to_fraction(v)
-            for w, v in self.values.items()
-        }
-        if vals.keys() != self.conditioning.members:
-            raise ValueError("values must cover exactly the conditioning worlds")
-        object.__setattr__(self, "values", vals)
         if self.void_value is not None:
             object.__setattr__(self, "void_value", to_fraction(self.void_value))
+
+    @classmethod
+    def from_level_sets(cls, conditioning, level_sets, label="X|K", void_value=None):
+        """The quantity worth v on the worlds of each (v, worlds) pair; the
+        pairs cover the conditioning worlds.  Equal values merge, and empty
+        sets are dropped."""
+        merged = {}
+        for v, worlds in level_sets:
+            if worlds:
+                merged.setdefault(to_fraction(v), []).extend(worlds)
+        levels = sorted(merged, reverse=True)
+        codes = [VOID] * len(conditioning.space)
+        for i, v in enumerate(levels):
+            for w in merged[v]:
+                codes[w] = i
+        return cls(conditioning, tuple(levels), tuple(codes), label, void_value)
+
+    @classmethod
+    def from_values(cls, conditioning, values, label="X|K", void_value=None):
+        """The quantity worth values[w] on each world w of the conditioning."""
+        if values.keys() != conditioning.members:
+            raise ValueError("values must cover exactly the conditioning worlds")
+        level_sets = ((v, (w,)) for w, v in values.items())
+        return cls.from_level_sets(conditioning, level_sets, label, void_value)
 
     @property
     def space(self) -> WorldSpace:
         return self.conditioning.space
 
     @cached_property
-    def coded(self) -> tuple:
-        """(levels, codes): the distinct values in descending order, and for
-        each world of the space the index of its value in `levels`, or VOID.
-
-        Values are grouped by object identity first; the few distinct objects
-        are then compared as integers over their common denominator, so no
-        Fraction is hashed or compared, let alone one per world.
-        """
-        objects = {id(v): v for v in self.values.values()}
-        scaled = dict(zip(objects, scale_to_integers(list(objects.values()))[0]))
-        by_value = {scaled[key]: v for key, v in objects.items()}
-        order = sorted(by_value, reverse=True)
-        rank = {s: i for i, s in enumerate(order)}
-        code_of = {key: rank[s] for key, s in scaled.items()}
-        codes = [VOID] * len(self.space)
-        for w, v in self.values.items():
-            codes[w] = code_of[id(v)]
-        return tuple(by_value[s] for s in order), tuple(codes)
+    def values(self):
+        """A read-only {world: value} view over the conditioning worlds."""
+        return MappingProxyType({w: self.levels[c] for w, c in enumerate(self.codes) if c != VOID})
 
     def hull(self) -> tuple[Fraction, Fraction]:
-        levels = self.coded[0]
-        return levels[-1], levels[0]
+        return self.levels[-1], self.levels[0]
 
     def is_indicator(self) -> bool:
-        return set(self.coded[0]) <= {ZERO, ONE}
+        return set(self.levels) <= {ZERO, ONE}
 
 
 def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
     """The 0/1 quantity of a conditional event on its antecedent."""
-    values = {
-        w: ONE if w in ce.consequent else ZERO for w in ce.antecedent.members
-    }
-    return ConditionalQuantity(ce.antecedent, values, label)
+    h, e = ce.antecedent.members, ce.consequent.members
+    return ConditionalQuantity.from_level_sets(ce.antecedent, [(ONE, h & e), (ZERO, h - e)], label)
 
 
 def as_conditional_event(q: ConditionalQuantity) -> Optional[ConditionalEvent]:
     """Recover E|H from an indicator quantity; None if values are not 0/1."""
     if not q.is_indicator():
         return None
-    ones = frozenset(w for w, v in q.values.items() if v == ONE)
+    one = q.levels.index(ONE) if ONE in q.levels else None
+    ones = frozenset(w for w, c in enumerate(q.codes) if c == one)
     return ConditionalEvent(Event(q.space, ones), q.conditioning)
 
 
@@ -160,14 +167,6 @@ def demorgan_previsions(m: CompoundPrevisionMap) -> CompoundPrevisionMap:
     return CompoundPrevisionMap({tuple(sorted(s)): ONE - v for s, v in m.items()})
 
 
-def antecedent_union(family) -> Event:
-    """The union of the antecedents of a family of conditional events."""
-    union = family[0].antecedent
-    for ce in family[1:]:
-        union = union | ce.antecedent
-    return union
-
-
 def _conjunction_blocks(family):
     """(union, false, blocks): the union of antecedents, its worlds where some
     member fails, and its other worlds grouped by the tuple of 1-based members
@@ -176,7 +175,9 @@ def _conjunction_blocks(family):
     Each member splits every block by its antecedent, so the work is set
     algebra on the events, not a classification of each world.
     """
-    union = antecedent_union(family)
+    union = family[0].antecedent
+    for ce in family[1:]:
+        union = union | ce.antecedent
     false = frozenset().union(
         *(ce.antecedent.members - ce.consequent.members for ce in family)
     )
@@ -197,18 +198,37 @@ def follows_compound_table(target, events, at_false, bounds) -> bool:
     """Is the target conditioned on the events' union of antecedents, equal
     to `at_false` wherever some event fails, and inside bounds(S) = (lo, hi)
     wherever exactly the events S (1-based; () for none) are void?  S with
-    bounds(S) None is left free."""
+    bounds(S) None is left free.  Each block is checked by its set of codes."""
     union, false, blocks = _conjunction_blocks(events)
     if target.conditioning.members != union.members:
         return False
-    values = target.values
-    if any(values[w] != at_false for w in false):
-        return False
-    for void, worlds in blocks.items():
-        lohi = bounds(void)
-        if lohi is not None and not all(lohi[0] <= values[w] <= lohi[1] for w in worlds):
+    levels, codes = target.levels, target.codes
+    # the false worlds first, held at at_false
+    for void, worlds in [(None, false), *blocks.items()]:
+        lohi = (at_false, at_false) if void is None else bounds(void)
+        if lohi is not None and not all(
+            lohi[0] <= levels[c] <= lohi[1] for c in set(map(codes.__getitem__, worlds))
+        ):
             return False
     return True
+
+
+def _conjunction_level_sets(family, previsions):
+    """(union, level sets, x of the full set) of the family's conjunction: 0
+    on the false worlds, 1 where every member holds, and x_S on the block
+    where exactly the members S are void."""
+    if not family:
+        raise ValueError("family must be non-empty")
+    if not isinstance(previsions, CompoundPrevisionMap):
+        previsions = CompoundPrevisionMap(previsions)
+    union, false, blocks = _conjunction_blocks(family)
+    xs = {void: previsions.get(void) if void else ONE for void in blocks}
+    missing = {w: void for void, ws in blocks.items() if xs[void] is None for w in ws}
+    if missing:
+        # name the subset of the first world, in the union's order, lacking one
+        previsions.require(missing[next(w for w in union.members if w in missing)])
+    level_sets = [(ZERO, false)] + [(xs[void], ws) for void, ws in blocks.items()]
+    return union, level_sets, previsions.get(range(1, len(family) + 1))
 
 
 def make_conjunction(
@@ -223,26 +243,9 @@ def make_conjunction(
     when present, becomes the built-in void value.
     """
     family = list(family)
-    if not family:
-        raise ValueError("family must be non-empty")
-    if not isinstance(previsions, CompoundPrevisionMap):
-        previsions = CompoundPrevisionMap(previsions)
-    union, _, blocks = _conjunction_blocks(family)
-    xs = {void: previsions.get(void) if void else ONE for void in blocks}
-    # keyed in the union's order; updating a key keeps its place
-    values = dict.fromkeys(union.members, ZERO)
-    for void, worlds in blocks.items():
-        values.update(dict.fromkeys(worlds, xs[void]))
-    if any(x is None for x in xs.values()):
-        # report the subset of the first world, in the union's order, that
-        # lacks its prevision
-        first = next(w for w, x in values.items() if x is None)
-        previsions.require(next(v for v, ws in blocks.items() if first in ws))
-    return ConditionalQuantity(
-        union,
-        values,
-        label or f"and({len(family)})",
-        void_value=previsions.get(range(1, len(family) + 1)),
+    union, level_sets, void = _conjunction_level_sets(family, previsions)
+    return ConditionalQuantity.from_level_sets(
+        union, level_sets, label or f"and({len(family)})", void
     )
 
 
@@ -257,14 +260,12 @@ def make_disjunction(
     convert a map of direct disjunction previsions with demorgan_previsions.
     """
     negated = [ConditionalEvent(~ce.consequent, ce.antecedent) for ce in family]
-    inner = make_conjunction(negated, negation_previsions)
-    values = {w: ONE - v for w, v in inner.values.items()}
-    void = None if inner.void_value is None else ONE - inner.void_value
-    return ConditionalQuantity(
-        inner.conditioning,
-        values,
+    union, level_sets, void = _conjunction_level_sets(negated, negation_previsions)
+    return ConditionalQuantity.from_level_sets(
+        union,
+        [(ONE - v, worlds) for v, worlds in level_sets],
         label or f"or({len(family)})",
-        void_value=void,
+        None if void is None else ONE - void,
     )
 
 
@@ -352,13 +353,12 @@ def quantity_constituents(family):
     Returns (inside, c0): the blocks meeting some conditioning event, in that
     order, and the all-void block or None.
     """
-    coded = [q.coded for q in family]
     # sets grown world by world, as the order a frozenset iterates in (and
     # so each block's repr) depends on how its source was built
     blocks: dict[tuple, set[int]] = {}
-    for w, key in enumerate(zip(*(codes for _, codes in coded))):
+    for w, key in enumerate(zip(*(q.codes for q in family))):
         blocks.setdefault(key, set()).add(w)
-    values = [{**dict(enumerate(levels)), VOID: None} for levels, _ in coded]
+    values = [{**dict(enumerate(q.levels)), VOID: None} for q in family]
     marks = [{code: _mark(v) for code, v in vs.items()} for vs in values]
 
     def block(key):
@@ -369,7 +369,7 @@ def quantity_constituents(family):
             key,
         )
 
-    void_key = (VOID,) * len(coded)
+    void_key = (VOID,) * len(values)
     inside = [block(key) for key in sorted(blocks) if key != void_key]
     c0 = block(void_key) if void_key in blocks else None
     return inside, c0
@@ -493,7 +493,7 @@ def build_sigma(assessment: Assessment, partition=None) -> LinearSystem:
     inside, _ = partition
     rows, scales = [], []
     for i, (q, mu) in enumerate(zip(assessment.family, assessment.values)):
-        ints, s = scale_to_integers((*q.coded[0], mu))
+        ints, s = scale_to_integers((*q.levels, mu))
         entry = {**dict(enumerate(ints[:-1])), VOID: ints[-1]}
         rows.append(tuple(entry[c.codes[i]] for c in inside) + (ints[-1],))
         scales.append(s)
@@ -566,8 +566,6 @@ def _sigma_star_values_from_assessment(assessment: Assessment):
         if ce is None:
             raise NotApplicable(f"{q.label} is not a conditional-event indicator")
         events.append(ce)
-    if compound.conditioning.members != antecedent_union(events).members:
-        raise NotApplicable("compound must be conditioned on the union of antecedents")
     if not follows_compound_table(
         compound, events, ZERO, lambda s: (ZERO, ONE) if s else (ONE, ONE)
     ):

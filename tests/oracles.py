@@ -24,7 +24,9 @@ in Fraction arithmetic on the unscaled rows that the integer checks in
 `fraction_quantity_constituents` and `per_world_conjunction` are the
 partition and the conjunction built world by world from Fraction values that
 the integer value codes and the set algebra of `prevision.geometry` replaced;
-they must return identical blocks and values.  `fraction_sigma` is the
+they must return identical blocks and values.  `per_world_codes` derives a
+quantity's levels and codes from its {world: value} dict, as quantities did
+before they were built from level sets; every constructor must agree with it.  `fraction_sigma` is the
 solvability system as Fraction rows, which `build_sigma` now emits as integer
 rows straight from the value codes; through `LinearSystem.from_fractions` the
 two must give identical rows and scales.
@@ -45,11 +47,12 @@ from math import lcm
 from prevision.coherence import ExtensionInterval, _propagate, check_coherence
 from prevision.errors import IncoherentBase
 from prevision.geometry import (
+    VOID,
     CompoundPrevisionMap,
-    ConditionalQuantity,
     QuantityConstituent,
     quantity_constituents,
     scale_to_integers,
+    to_fraction,
 )
 from prevision.lp import FeasibilityCertificate, OptimizationResult
 
@@ -560,8 +563,9 @@ def _compound_statuses(family, world):
     return void, false
 
 
-def per_world_conjunction(family, previsions, label=None):
-    """The conjunction of the family, each world of the union of antecedents
+def per_world_conjunction(family, previsions):
+    """(union, values, x of the full set): the conjunction of the family as a
+    plain {world: value} dict over the union of antecedents, each world
     classified member by member; mirrors `make_conjunction`."""
     family = list(family)
     if not isinstance(previsions, CompoundPrevisionMap):
@@ -578,9 +582,21 @@ def per_world_conjunction(family, previsions, label=None):
             values[w] = ONE
         else:
             values[w] = previsions.require(void)
-    return ConditionalQuantity(
-        union,
-        values,
-        label or f"and({len(family)})",
-        void_value=previsions.get(range(1, len(family) + 1)),
-    )
+    return union, values, previsions.get(range(1, len(family) + 1))
+
+
+def per_world_codes(n_worlds, values):
+    """(levels, codes) of a {world: value} dict over a space of n_worlds
+    worlds: the distinct values descending, and per world the index of its
+    value, or VOID.  Values are grouped by object identity, then the few
+    distinct objects compared as integers over their common denominator."""
+    objects = {id(v): to_fraction(v) for v in values.values()}
+    scaled = dict(zip(objects, scale_to_integers(list(objects.values()))[0]))
+    by_value = {scaled[key]: v for key, v in objects.items()}
+    order = sorted(by_value, reverse=True)
+    rank = {s: i for i, s in enumerate(order)}
+    code_of = {key: rank[s] for key, s in scaled.items()}
+    codes = [VOID] * n_worlds
+    for w, v in values.items():
+        codes[w] = code_of[id(v)]
+    return tuple(by_value[s] for s in order), tuple(codes)

@@ -219,13 +219,16 @@ def _edit_pair_problem(path, value):
         (None, ("tnorm", "--lambda", "2.5", "--precision", "100000000000", "1/2", "3/5")),
         (None, ("tconorm", "--lambda", "2.5", "--precision", "2147483648", "1/2", "3/5")),
         (None, ("solve-lambda", "1/2", "3/5", "--target", "1/5", "--precision", "10" * 20)),
+        (None, ("tnorm", "--lambda", "2.5", "--precision", "2147483647", "1/2", "3/5")),
+        (None, ("lambda-solution",) + ("1/2",) * 17),
     ],
     ids=[
         "empty-antecedent", "duplicate-atoms", "non-string-member",
         "tnorm-negative-precision", "tconorm-negative-precision",
         "solve-lambda-negative-precision", "overflowing-lambda",
         "tnorm-precision-too-big", "tconorm-precision-too-big",
-        "solve-lambda-precision-too-big",
+        "solve-lambda-precision-too-big", "tnorm-precision-int-max",
+        "lambda-solution-too-many-members",
     ],
 )
 def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv):
@@ -411,6 +414,18 @@ class TestFrankCommands:
         code, _, err = run(capsys, "solve-lambda", "1/2", "3/5", "--target", "1/20")
         assert code == 2
         assert "error:" in err
+
+
+    def test_precision_past_every_double_changes_nothing(self, capsys):
+        outputs = [
+            run(capsys, "tnorm", "--lambda", "2.5", "--precision", p, "1/3", "3/7")
+            for p in ("800", "1000")
+        ]
+        assert outputs[0] == outputs[1]
+        code, out, _ = outputs[0]
+        # every digit of the double is printed
+        value = tnorm(FrankParameter.generic(2.5), [F(1, 3), F(3, 7)])
+        assert (code, F(out.split()[-1])) == (0, F(value))
 
 
 class TestLambdaSolution:

@@ -544,7 +544,7 @@ class TestExtensionInterval:
         for formula, value in (("!H & K & B", F(1)), ("A & H & B & K", F(0))):
             values = dict(conj.values)
             values[min(space.event(formula).members)] = value
-            off = ConditionalQuantity(conj.conditioning, values)
+            off = ConditionalQuantity.from_values(conj.conditioning, values)
             assert _closed_form_interval(base, off) is None
         for constraints, expected in (((), (F(63, 400), x)), (["!(H & K)"], (F(63, 400),) * 2)):
             ahk = build_world_space(["A", "H", "K"], constraints)

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from oracles import (
     fraction_quantity_constituents,
+    per_world_codes,
     per_world_conjunction,
     per_world_constituents,
 )
@@ -69,7 +70,7 @@ def test_quantity_requires_full_value_cover(space4):
     values = {w: F(1) for w in h.members}
     values.pop(next(iter(h.members)))
     with pytest.raises(ValueError):
-        ConditionalQuantity(h, values)
+        ConditionalQuantity.from_values(h, values)
 
 
 def test_indicator_round_trip(space4):
@@ -232,8 +233,8 @@ def test_constituent_labels_mark_values_exactly():
     # the profile, world 1 is where the void member is active
     space = build_world_space(["A"])
     family = [
-        ConditionalQuantity(Event(space, frozenset({1 if v is None else 0})),
-                            {1 if v is None else 0: F(0) if v is None else v})
+        ConditionalQuantity.from_values(Event(space, frozenset({1 if v is None else 0})),
+                                        {1 if v is None else 0: F(0) if v is None else v})
         for v in profile
     ]
     inside, _ = quantity_constituents(family)
@@ -241,9 +242,9 @@ def test_constituent_labels_mark_values_exactly():
     assert inside[0].label() == "+0(3/5)-(2)(-1)+-"
 
 
-def _random_quantity(rng, space, conditioning):
-    """Values from a pool with negatives and values outside {0, 1}, each a
-    fresh object, so equal values (2/4 and 1/2) are distinct Fractions."""
+def _random_values(rng, conditioning):
+    """{world: value} from a pool with negatives and values outside {0, 1},
+    each a fresh object, so equal values (2/4 and 1/2) are distinct Fractions."""
     pool = [(-1, 1), (-1, 2), (0, 1), (1, 2), (3, 5), (1, 1), (2, 1)]
     if rng.random() < 0.3:
         pool = pool[2:4] + pool[5:6]
@@ -252,7 +253,7 @@ def _random_quantity(rng, space, conditioning):
         num, den = rng.choice(pool)
         k = rng.randint(1, 3)
         values[w] = num if den == 1 and rng.random() < 0.2 else F(num * k, den * k)
-    return ConditionalQuantity(Event(space, frozenset(conditioning)), values)
+    return values
 
 
 def test_value_codes_match_the_fraction_partition():
@@ -262,9 +263,13 @@ def test_value_codes_match_the_fraction_partition():
     for _ in range(400):
         space = rng.choice(spaces)
         worlds = range(len(space))
-        family = [
-            _random_quantity(rng, space, rng.sample(worlds, rng.randint(1, len(space))))
+        inputs = [
+            _random_values(rng, rng.sample(worlds, rng.randint(1, len(space))))
             for _ in range(rng.randint(1, 5))
+        ]
+        family = [
+            ConditionalQuantity.from_values(Event(space, frozenset(values)), values)
+            for values in inputs
         ]
         inside, c0 = quantity_constituents(family)
         ref_inside, ref_c0 = fraction_quantity_constituents(family)
@@ -274,17 +279,18 @@ def test_value_codes_match_the_fraction_partition():
         assert [c.label() for c in inside] == [c.label() for c in ref_inside]
         assert repr((inside, c0)) == repr((ref_inside, ref_c0))
         seen_c0.add(c0 is not None)
-        for q in family:
-            values = list(q.values.values())
+        # each quantity against the dict it was built from
+        for q, given in zip(family, inputs):
+            values = list(given.values())
             assert q.hull() == (min(values), max(values))
             assert q.is_indicator() == (set(values) <= {F(0), F(1)})
-            levels, codes = q.coded
-            assert list(levels) == sorted(set(values), reverse=True)
+            assert list(q.levels) == sorted(set(values), reverse=True)
             for w in worlds:
-                if w in q.values:
-                    assert levels[codes[w]] == q.values[w]
+                if w in given:
+                    assert q.levels[q.codes[w]] == given[w]
                 else:
-                    assert codes[w] == VOID
+                    assert q.codes[w] == VOID
+            assert q.values == given
     assert seen_c0 == {True, False}
 
 
@@ -298,11 +304,13 @@ def _random_event(rng, space, pool):
     return event
 
 
-def test_set_algebra_conjunction_matches_the_per_world_one():
+def _conjunction_families(count):
+    """`count` seeded families of 1-4 conditional events on 16 worlds, drawn
+    from a shared pool, so antecedents are shared and events dependent, with
+    x_S in quarters and about 15% of them dropped."""
     rng = random.Random(21)
     space = build_world_space(["A", "B", "C", "D"])
-    outcomes = {"built": 0, "missing": 0}
-    for _ in range(600):
+    for _ in range(count):
         pool, family, size = [], [], rng.randint(1, 4)
         while len(family) < size:
             antecedent = _random_event(rng, space, pool)
@@ -315,8 +323,14 @@ def test_set_algebra_conjunction_matches_the_per_world_one():
             for subset in itertools.combinations(range(1, n + 1), r)
             if rng.random() < 0.85
         }
+        yield space, family, previsions
+
+
+def test_set_algebra_conjunction_matches_the_per_world_one():
+    outcomes = {"built": 0, "missing": 0}
+    for space, family, previsions in _conjunction_families(600):
         try:
-            expected = per_world_conjunction(family, previsions, "C")
+            union, expected, void_value = per_world_conjunction(family, previsions)
         except MissingPrevision as missing:
             with pytest.raises(MissingPrevision) as exc:
                 make_conjunction(family, previsions, "C")
@@ -324,11 +338,63 @@ def test_set_algebra_conjunction_matches_the_per_world_one():
             outcomes["missing"] += 1
             continue
         conj = make_conjunction(family, previsions, "C")
-        assert conj.conditioning.members == expected.conditioning.members
-        assert list(conj.values.items()) == list(expected.values.items())
-        assert (conj.label, conj.void_value) == (expected.label, expected.void_value)
+        assert conj.conditioning.members == union.members
+        assert {w: conj.levels[conj.codes[w]] for w in union.members} == expected
+        assert all(conj.codes[w] == VOID for w in range(len(space)) if w not in union)
+        assert (conj.label, conj.void_value) == ("C", void_value)
         outcomes["built"] += 1
     assert min(outcomes.values()) > 50
+
+
+def _void_level_in(family, values, levels):
+    """Does a world where some member is void and none fails take one of
+    `levels`, that is, an x_S merged into the 0 or 1 level?"""
+    return any(
+        v in levels
+        and any(w not in ce.antecedent for ce in family)
+        and all(w in ce.consequent or w not in ce.antecedent for ce in family)
+        for w, v in values.items()
+    )
+
+
+def test_constructors_match_the_per_world_codes():
+    seen = {"E contains H": 0, "E misses H": 0, "x_S = 0": 0, "x_S = 1": 0, "or": 0}
+    for space, family, previsions in _conjunction_families(600):
+        first = family[0]
+        h = first.antecedent
+        # the seeded family, and its first member made sure and impossible
+        for variant in (first.consequent, h, ~h):
+            members = [ConditionalEvent(variant, h)] + family[1:]
+            for ce in members:
+                q = indicator(ce)
+                given = {w: F(1) if w in ce.consequent else F(0) for w in ce.antecedent.members}
+                assert (q.levels, q.codes) == per_world_codes(len(space), given)
+                seen["E contains H"] += ce.antecedent.members <= ce.consequent.members
+                seen["E misses H"] += not ce.antecedent.members & ce.consequent.members
+            try:
+                union, values, _ = per_world_conjunction(members, previsions)
+            except MissingPrevision:
+                continue
+            expected = per_world_codes(len(space), values)
+            conj = make_conjunction(members, previsions)
+            assert (conj.levels, conj.codes) == expected
+            seen["x_S = 0"] += _void_level_in(members, values, {F(0)})
+            seen["x_S = 1"] += _void_level_in(members, values, {F(1)})
+            # fresh objects, some ints: equal values merge into one level
+            fresh = {w: int(v) if v.denominator == 1 else F(2 * v.numerator, 2 * v.denominator)
+                     for w, v in values.items()}
+            q = ConditionalQuantity.from_values(union, fresh)
+            assert (q.levels, q.codes) == expected
+            negated = [ConditionalEvent(~ce.consequent, ce.antecedent) for ce in members]
+            try:
+                _, inner, _ = per_world_conjunction(negated, previsions)
+            except MissingPrevision:
+                continue
+            disj = make_disjunction(members, previsions)
+            complement = {w: 1 - v for w, v in inner.items()}
+            assert (disj.levels, disj.codes) == per_world_codes(len(space), complement)
+            seen["or"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def _random_formula(rng, atoms, depth=2):
@@ -515,7 +581,7 @@ def test_sigma_star_checks_the_compound_against_the_conjunction_table(space4, pa
     for kind, value in (("true", F(0)), ("false", F(1)), ("void", F(2))):
         values = dict(conj.values)
         values[min(worlds[kind].members)] = value
-        off = ConditionalQuantity(conj.conditioning, values)
+        off = ConditionalQuantity.from_values(conj.conditioning, values)
         with pytest.raises(NotApplicable):
             build_sigma_star(Assessment(members + (off,), (X, Y, Z)))
 
