@@ -43,6 +43,9 @@ from .geometry import (
 MAX_PRECISION = 1000
 # lambda-solution lists all 2^n member subsets of its n values.
 MAX_SOLUTION_VALUES = 16
+# parse_rational's longest literal and largest decimal exponent, checked before
+# any integer is built; numerators and denominators then get at most twice the digits.
+MAX_LITERAL_DIGITS = 1000
 
 
 class ProblemError(PrevisionError):
@@ -56,15 +59,15 @@ def parse_rational(raw: Any, where: str) -> Fraction:
     means exactly 7/20, not the nearest binary double.
     """
     try:
-        if isinstance(raw, bool):
-            raise ValueError("booleans are not numbers")
-        if isinstance(raw, int):
-            return Fraction(raw)
-        if isinstance(raw, float):
-            return Fraction(repr(raw))
-        if isinstance(raw, str):
-            return Fraction(raw.strip())
-        raise ValueError(f"expected a rational, got {type(raw).__name__}")
+        if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+            raise ValueError(f"expected a rational, got {type(raw).__name__}")
+        text = repr(raw) if isinstance(raw, float) else str(raw).strip()
+        exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+        if len(text) > MAX_LITERAL_DIGITS or (
+            exponent.isdecimal() and int(exponent) > MAX_LITERAL_DIGITS
+        ):
+            raise ValueError(f"longer than {MAX_LITERAL_DIGITS} characters or exponent beyond it")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemError(f"{where}: {raw!r} is not a valid rational ({exc})") from None
 
@@ -332,8 +335,8 @@ def parse_parameter(raw: str) -> FrankParameter:
     if s in ("lukasiewicz", "inf", "infinity"):
         return FrankParameter.lukasiewicz()
     try:
-        value = float(Fraction(s))
-    except (ValueError, ZeroDivisionError, OverflowError):
+        value = float(parse_rational(s, "--lambda"))
+    except (ProblemError, OverflowError):
         raise ProblemError(
             f"--lambda: {raw!r} is neither min|product|lukasiewicz nor a positive real"
         ) from None

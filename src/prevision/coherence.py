@@ -20,6 +20,7 @@ from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction
 from .geometry import (
     Assessment,
     ConditionalQuantity,
+    VOID,
     LinearSystem,
     QuantityConstituent,
     as_conditional_event,
@@ -27,6 +28,7 @@ from .geometry import (
     constituents_in_all_antecedents,
     enumerate_constituents,
     follows_compound_table,
+    keyed_partition,
     quantity_constituents,
 )
 from .lp import maximize_component_sum, maximize_linear, solve_feasibility
@@ -103,21 +105,20 @@ def dutch_book_gains(
     already computed.
     """
     sub = assessment.restrict([p - 1 for p in book.member_indices])
-    if partition is None:
-        partition = quantity_constituents(sub.family)
-    gains, L = _book_gains(build_sigma(sub, partition), book.stakes)
-    return [(c, Fraction(g, L)) for c, g in zip(partition[0], gains)]
+    inside = (partition or quantity_constituents(sub.family))[0]
+    gains, L = _book_gains(build_sigma(sub, [c.codes for c in inside]), book.stakes)
+    return [(c, Fraction(g, L)) for c, g in zip(inside, gains)]
 
 
-def _checked_book(book: DutchBook, system: LinearSystem, inside) -> DutchBook:
+def _checked_book(book: DutchBook, system: LinearSystem) -> DutchBook:
     """Require gain >= margin and gain > 0 on every constituent of the booked
     sub-family's `system`, compared in integers: gain g / L against margin
     p / q as g * q against p * L."""
     gains, L = _book_gains(system, book.stakes)
     p, q = book.margin.numerator, book.margin.denominator
-    for c, g in zip(inside, gains):
+    for h, g in enumerate(gains):
         if g * q < p * L or g <= 0:
-            raise RuntimeError(f"betting certificate failed on {c.label()}")
+            raise RuntimeError(f"betting certificate failed on {system.unknown_labels[h]}")
     return book
 
 
@@ -130,25 +131,16 @@ def _hull_screen(assessment: Assessment):
             continue
         stake = ONE if mu < lo else -ONE
         margin = lo - mu if mu < lo else mu - hi
-        single = assessment.restrict([pos - 1])
-        partition = quantity_constituents(single.family)
         book = _checked_book(
-            DutchBook((pos,), (stake,), margin),
-            build_sigma(single, partition),
-            partition[0],
+            DutchBook((pos,), (stake,), margin), build_sigma(assessment.restrict([pos - 1]))
         )
-        record = LevelRecord(
-            (pos,), (q.label,), False, None, None, frozenset(), None
-        )
+        record = LevelRecord((pos,), (q.label,), False, None, None, frozenset(), None)
         return CoherenceVerdict(False, (record,), book)
     return None
 
 
-def _active_sets(inside, n):
-    return [
-        {h for h, c in enumerate(inside) if c.profile[i] is not None}
-        for i in range(n)
-    ]
+def _active_sets(columns):
+    return [{h for h, c in enumerate(column) if c != VOID} for column in columns]
 
 
 def _support(solution):
@@ -182,24 +174,20 @@ def _m_values(system: LinearSystem, actives, witnesses):
     return m_values, witnessed, zero
 
 
-def _run_level(current: Assessment, index_map: tuple):
+def _run_level(current: Assessment, index_map: tuple, keys):
     """One recursion level on `current`, the members `index_map` (1-based) of
-    the assessment; its one system serves the simplex and the book check."""
-    partition = quantity_constituents(current.family)
-    system = build_sigma(current, partition)
-    inside, _ = partition
+    the assessment: one system for the simplex and the book check, over `keys`
+    (None: one pass over the worlds), whose projection keys the next level."""
+    system = build_sigma(current, keys)
     labels = tuple(q.label for q in current.family)
     cert = solve_feasibility(system)
     if not cert.feasible:
         stakes = tuple(-u for u in cert.dual[:-1])
-        book = _checked_book(DutchBook(index_map, stakes, cert.margin), system, inside)
-        record = LevelRecord(
-            index_map, labels, False, None, None, frozenset(), None
-        )
-        return record, book, None
-    m_values, witnessed, zero = _m_values(
-        system, _active_sets(inside, len(current)), [cert.solution]
-    )
+        book = _checked_book(DutchBook(index_map, stakes, cert.margin), system)
+        record = LevelRecord(index_map, labels, False, None, None, frozenset(), None)
+        return record, book, None, None
+    columns = list(zip(*system.keys))
+    m_values, witnessed, zero = _m_values(system, _active_sets(columns), [cert.solution])
     record = LevelRecord(
         index_map,
         labels,
@@ -209,7 +197,7 @@ def _run_level(current: Assessment, index_map: tuple):
         frozenset(index_map[i] for i in witnessed),
         frozenset(index_map[i] for i in zero),
     )
-    return record, None, zero
+    return record, None, zero, keyed_partition([columns[i] for i in zero])
 
 
 def check_coherence(assessment: Assessment) -> CoherenceVerdict:
@@ -226,8 +214,9 @@ def check_coherence(assessment: Assessment) -> CoherenceVerdict:
     trace = []
     current = assessment
     index_map = tuple(range(1, len(assessment) + 1))
+    keys = None
     for _ in range(len(assessment)):
-        record, book, zero = _run_level(current, index_map)
+        record, book, zero, keys = _run_level(current, index_map, keys)
         trace.append(record)
         if book is not None:
             return CoherenceVerdict(False, tuple(trace), book)
@@ -392,26 +381,25 @@ def _closed_form_interval(assessment: Assessment, target: ConditionalQuantity):
     return None
 
 
-def _charnes_cooper_range(system: LinearSystem, inside, t: int):
+def _charnes_cooper_range(system: LinearSystem, t: int, codes, levels):
     """Least and greatest target value over the solutions of `system` that
-    give the target's active blocks positive mass.
+    give the target's active blocks positive mass; the target's levels and
+    code on each unknown are `levels` and `codes`, after `t` member rows.
 
     Scale-invariant form: a mass vector zeta with unit mass on the target's
     active blocks and total mass `scale`; the target value is then the
     active sum of zeta times the target's values.  Member row i becomes
     (row_i | -mu_i | 0) with the same scale s_i.
     """
-    k_mass = tuple(0 if c.profile[t] is None else 1 for c in inside)
+    k_mass = tuple(0 if c == VOID else 1 for c in codes)
     cc = LinearSystem(
         tuple(row[:-1] + (-row[-1], 0) for row in system.rows[:t])
-        + ((1,) * len(inside) + (-1, 0), k_mass + (0, 1)),
+        + ((1,) * len(k_mass) + (-1, 0), k_mass + (0, 1)),
         system.scales[:t] + (1, 1),
-        system.unknown_labels + ("scale",),
+        lambda: system.unknown_labels + ("scale",),
         normalization=False,
     )
-    objective = [
-        ZERO if c.profile[t] is None else c.profile[t] for c in inside
-    ] + [ZERO]
+    objective = [ZERO if c == VOID else levels[c] for c in codes] + [ZERO]
     hi = maximize_linear(cc, objective).value
     lo = -maximize_linear(cc, [-c for c in objective]).value
     return lo, hi
@@ -433,25 +421,22 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
     for record in trace:
         current = assessment.restrict(p - 1 for p in record.member_indices)
         t = len(current)
-        partition = quantity_constituents(current.family + (target,))
-        system = build_sigma(current, partition)
-        inside, _ = partition
-        k_mass = tuple(0 if c.profile[t] is None else 1 for c in inside)
+        system = build_sigma(current, keyed_partition([q.codes for q in (*current.family, target)]))
+        columns = list(zip(*system.keys))
+        k_mass = tuple(0 if c == VOID else 1 for c in columns[t])
         least = maximize_linear(system, [-v for v in k_mass])
         if least.value == 0 and maximize_linear(system, k_mass).value == 0:
             continue
-        lo, hi = _charnes_cooper_range(system, inside, t)
+        lo, hi = _charnes_cooper_range(system, t, columns[t], target.levels)
         if least.value < 0 or (lo, hi) == hull:
             return lo, hi
         # the member rows, K's mass set to zero, then the normalization row
         void_target = LinearSystem(
             system.rows[:t] + (k_mass + (0,),) + system.rows[t:],
             system.scales[:t] + (1,) + system.scales[t:],
-            system.unknown_labels,
+            system.labels,
         )
-        _, _, zero = _m_values(
-            void_target, _active_sets(inside, t), [least.solution]
-        )
+        _, _, zero = _m_values(void_target, _active_sets(columns[:t]), [least.solution])
         if not zero:
             return hull
         sub = current.restrict(zero)

@@ -7,13 +7,13 @@ distinct values (levels) in descending order and, per world, the index of
 the world's value among them or VOID.  Indicators and the conjunctions and
 disjunctions of conditional events (over the union of the antecedents, with
 assessed previsions filling the partially-void cases) get their level sets
-by set algebra on the events.  From an assessed family this module
-partitions the worlds by their joint codes into constituents; for
-conditional events, through their indicators, these are the blocks with one
-true/false/void pattern.  It then builds, straight from the codes, the
-feasibility systems whose solvability coherence checking rests on; their
-columns are the vectors Q_h attached to the constituents.  A system has one
-form, integer rows each scaled by the lcm of its denominators, and
+by set algebra on the events.  An assessed family's constituents are the
+joint code tuples (keys) of its worlds: `keyed_partition` finds them in one
+pass and projects them onto sub-families, and `quantity_constituents` adds
+each block's worlds, values and +/-/0 label for callers that show them.
+From the keys `build_sigma` builds the feasibility systems whose
+solvability coherence checking rests on, one column Q_h per constituent, in
+one form: integer rows each scaled by the lcm of its denominators;
 `scale_to_integers` is the one place a Fraction row becomes such a row.
 """
 
@@ -330,8 +330,6 @@ class QuantityConstituent:
 
     worlds: frozenset[int]
     profile: tuple  # per member: a Fraction, or None when void
-    # the label, when the partition already joined it from per-level marks
-    marks: Optional[str] = field(default=None, repr=False, compare=False)
     # per member, the code of its value (VOID when void), from the partition
     codes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
@@ -340,9 +338,17 @@ class QuantityConstituent:
         return all(v is None for v in self.profile)
 
     def label(self) -> str:
-        if self.marks is not None:
-            return self.marks
         return "".join(_mark(v) for v in self.profile)
+
+
+def keyed_partition(codes) -> list:
+    """The constituents inside the union of conditioning events as sorted
+    joint code tuples, one code per column of `codes`: one pass over the
+    worlds given the members' codes, a projection given columns of a
+    family's keys (a sub-family's keys project the family's)."""
+    keys = set(zip(*codes))
+    keys.discard((VOID,) * len(codes))
+    return sorted(keys)
 
 
 def quantity_constituents(family):
@@ -359,15 +365,10 @@ def quantity_constituents(family):
     for w, key in enumerate(zip(*(q.codes for q in family))):
         blocks.setdefault(key, set()).add(w)
     values = [{**dict(enumerate(q.levels)), VOID: None} for q in family]
-    marks = [{code: _mark(v) for code, v in vs.items()} for vs in values]
 
     def block(key):
-        return QuantityConstituent(
-            frozenset(blocks[key]),
-            tuple(vs[k] for vs, k in zip(values, key)),
-            "".join(ms[k] for ms, k in zip(marks, key)),
-            key,
-        )
+        profile = tuple(map(dict.__getitem__, values, key))
+        return QuantityConstituent(frozenset(blocks[key]), profile, key)
 
     void_key = (VOID,) * len(values)
     inside = [block(key) for key in sorted(blocks) if key != void_key]
@@ -394,7 +395,7 @@ def scale_to_integers(values) -> tuple:
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Equalities over non-negative unknowns that sum to one, unless
     `normalization` is False, in one integer form.
@@ -404,14 +405,28 @@ class LinearSystem:
     normalization the last row is (1, ..., 1 | 1) with scale 1.  The simplex,
     every certificate check of `lp` and the book check of `coherence` read
     these rows; `columns` is their transpose, and `equalities` and `rhs` are
-    Fraction views of them.  `lp` also keeps the simplex state after phase 1
+    Fraction views of them.  `labels` names the unknowns, or returns their
+    names when `unknown_labels` is first read; `keys` holds a `build_sigma`
+    system's block codes.  `lp` also keeps the simplex state after phase 1
     on the system, so that every LP on it runs phase 1 once.
     """
 
     rows: tuple
     scales: tuple
-    unknown_labels: tuple[str, ...]
+    labels: object
     normalization: bool = True
+    keys: Optional[list] = field(default=None, repr=False)
+
+    def __eq__(self, other):
+        form = lambda s: (s.rows, s.scales, s.unknown_labels, s.normalization)
+        return isinstance(other, LinearSystem) and form(self) == form(other)
+
+    def __hash__(self):
+        return hash((self.rows, self.scales))
+
+    @cached_property
+    def unknown_labels(self) -> tuple:
+        return tuple(self.labels() if callable(self.labels) else self.labels)
 
     @classmethod
     def from_fractions(cls, equalities, rhs, unknown_labels, normalization=True):
@@ -428,7 +443,7 @@ class LinearSystem:
 
     @property
     def n_unknowns(self) -> int:
-        return len(self.unknown_labels)
+        return len(self.rows[0]) - 1 if self.rows else len(self.unknown_labels)
 
     def _given(self):
         """(row, scale) of every equality, the normalization row left out."""
@@ -475,7 +490,7 @@ class LinearSystem:
         )
 
 
-def build_sigma(assessment: Assessment, partition=None) -> LinearSystem:
+def build_sigma(assessment: Assessment, keys=None) -> LinearSystem:
     """The solvability system of the assessment: one row per quantity,
     unknowns indexed by the constituents inside the union of antecedents.
 
@@ -484,22 +499,29 @@ def build_sigma(assessment: Assessment, partition=None) -> LinearSystem:
     from the block's code: s_i is the lcm of the denominators of the
     quantity's levels and mu_i, and each entry is a level or mu_i times s_i.
 
-    `partition` is the family's quantity_constituents when already computed.
-    It may be the partition of the family plus further trailing quantities;
-    their codes only refine the blocks and are ignored here.
+    `keys` is the family's keyed_partition when already known, else it is
+    computed here.  Its tuples may carry the codes of further trailing
+    quantities; these only refine the blocks.  The labels mark the family's
+    own codes and are joined only when read.
     """
-    if partition is None:
-        partition = quantity_constituents(assessment.family)
-    inside, _ = partition
+    family = assessment.family
+    if keys is None:
+        keys = keyed_partition([q.codes for q in family])
+    columns = list(zip(*keys)) or [()] * len(family)
     rows, scales = [], []
-    for i, (q, mu) in enumerate(zip(assessment.family, assessment.values)):
+    for q, mu, column in zip(family, assessment.values, columns):
         ints, s = scale_to_integers((*q.levels, mu))
         entry = {**dict(enumerate(ints[:-1])), VOID: ints[-1]}
-        rows.append(tuple(entry[c.codes[i]] for c in inside) + (ints[-1],))
+        rows.append((*map(entry.__getitem__, column), ints[-1]))
         scales.append(s)
-    rows.append((1,) * (len(inside) + 1))
+    rows.append((1,) * (len(keys) + 1))
     scales.append(1)
-    return LinearSystem(tuple(rows), tuple(scales), tuple(c.label() for c in inside))
+
+    def labels():
+        marks = [{**dict(enumerate(map(_mark, q.levels))), VOID: "0"} for q in family]
+        return ("".join(map(dict.__getitem__, marks, key)) for key in keys)
+
+    return LinearSystem(tuple(rows), tuple(scales), labels, True, keys)
 
 
 def conjunction_signatures(n: int) -> list[frozenset]:

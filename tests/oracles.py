@@ -492,14 +492,16 @@ def fraction_sigma(assessment, partition=None):
     """(equalities, rhs, labels) of the solvability system in Fractions: per
     quantity, its value on each block inside the union of antecedents, or its
     prevision where void, and the prevision as rhs.  `partition` may carry
-    further trailing quantities; they only refine the blocks."""
+    further trailing quantities; they only refine the blocks, and the labels
+    mark the assessed quantities alone."""
     if partition is None:
         partition = quantity_constituents(assessment.family)
     inside, _ = partition
     mus = assessment.values
     points = [[mu if v is None else v for v, mu in zip(c.profile, mus)] for c in inside]
     equalities = [tuple(point[i] for point in points) for i in range(len(mus))]
-    return equalities, mus, [c.label() for c in inside]
+    labels = [QuantityConstituent(c.worlds, c.profile[:len(mus)]).label() for c in inside]
+    return equalities, mus, labels
 
 
 def propagated_interval(base, target):

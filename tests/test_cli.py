@@ -221,6 +221,17 @@ def _edit_pair_problem(path, value):
         (None, ("solve-lambda", "1/2", "3/5", "--target", "1/5", "--precision", "10" * 20)),
         (None, ("tnorm", "--lambda", "2.5", "--precision", "2147483647", "1/2", "3/5")),
         (None, ("lambda-solution",) + ("1/2",) * 17),
+        *(
+            case
+            for literal in ("1e-5000", "1e-100000")
+            for case in (
+                (None, ("bounds", "conjunction", literal, "1/2")),
+                (None, ("tnorm", "--lambda", "2.5", literal, "1/2")),
+                (None, ("tnorm", "--lambda", literal, "1/2", "3/5")),
+                ((("assessment", "X"), literal), ("check",)),
+            )
+        ),
+        (None, ("bounds", "conjunction", "0." + "1" * 999, "1/2")),
     ],
     ids=[
         "empty-antecedent", "duplicate-atoms", "non-string-member",
@@ -229,6 +240,12 @@ def _edit_pair_problem(path, value):
         "tnorm-precision-too-big", "tconorm-precision-too-big",
         "solve-lambda-precision-too-big", "tnorm-precision-int-max",
         "lambda-solution-too-many-members",
+        *(
+            f"{kind}-{literal}"
+            for literal in ("1e-5000", "1e-100000")
+            for kind in ("bounds", "tnorm-value", "tnorm-lambda", "problem-assessment")
+        ),
+        "bounds-1001-character-literal",
     ],
 )
 def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv):
@@ -237,6 +254,12 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_literals_at_the_size_bound_are_read_exactly(capsys):
+    code, out, _ = run(capsys, "bounds", "conjunction", "1e-1000", "0." + "1" * 998)
+    assert code == 0
+    assert out == f"lower: 0\nupper: 1/{10**1000}\n"
 
 
 class TestExtend:

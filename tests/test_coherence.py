@@ -169,8 +169,27 @@ class TestCheckCoherence:
             assert verdict.trace[1].member_indices == (2,)
 
     def test_one_partition_per_level_serves_system_and_book(self, monkeypatch):
+        """One pass over the worlds keys a check's partition; each further
+        level projects it; no constituent object is built on the way."""
         import prevision.coherence as coherence
         import prevision.geometry as geometry
+
+        real = geometry.keyed_partition
+        passes = []
+
+        def recorded(kind):
+            def partition(codes):
+                passes.append((kind, len(codes), len(codes[0]) if codes else 0))
+                return real(codes)
+            return partition
+
+        def built(*args):
+            raise AssertionError("constituent object built on the check path")
+
+        # build_sigma keys the worlds; _run_level projects the keys
+        monkeypatch.setattr(geometry, "keyed_partition", recorded("worlds"))
+        monkeypatch.setattr(coherence, "keyed_partition", recorded("projection"))
+        monkeypatch.setattr(geometry, "QuantityConstituent", built)
 
         space = build_world_space(["E", "H"])
         h = indicator(ConditionalEvent(space.event("H"), space.everything), "H")
@@ -181,23 +200,26 @@ class TestCheckCoherence:
             ConditionalEvent(space.event("E & H"), space.event("H")), "EH|H"
         )
         assessment = Assessment((h, e_given_h, same), (F(0), F(1, 3), F(1, 2)))
-        real = geometry.quantity_constituents
-        partitions = []
-
-        def counted(family):
-            partitions.append(len(family))
-            return real(family)
-
-        def recomputed(family):
-            raise AssertionError("partition recomputed outside the level")
-
-        monkeypatch.setattr(coherence, "quantity_constituents", counted)
-        monkeypatch.setattr(geometry, "quantity_constituents", recomputed)
         verdict = check_coherence(assessment)
         assert not verdict.coherent
         assert [r.member_indices for r in verdict.trace] == [(1, 2, 3), (2, 3)]
         assert verdict.dutch_book.member_indices == (2, 3)
-        assert partitions == [3, 2]
+        level_one = len(build_sigma(assessment).keys)
+        assert passes[:2] == [("worlds", 3, len(space)), ("projection", 2, level_one)]
+
+        # the grid7 and conj-scale shapes: one world pass per check
+        cases = [family7_assessment(v)[0] for v in random.Random(3).sample(quarter_grid(), 40)]
+        for n in (3, 4, 5):
+            xs = tuple(F(k, 5) for k in (1, 2, 3, 4, 1)[:n])
+            lo, hi = frechet_bounds_conjunction(xs)
+            cases += [Assessment(conjunction_family(n, xs), xs + (z,)) for z in (lo, hi, hi + F(1, 1000))]
+        for case in cases:
+            passes.clear()
+            verdict = check_coherence(case)
+            kinds = [kind for kind, _, _ in passes]
+            assert kinds == ["worlds"] + ["projection"] * (kinds.count("projection"))
+            assert passes[0][2] == len(case.space)
+            assert kinds.count("projection") == sum(r.feasible for r in verdict.trace)
 
     def test_family7_counterexample_incoherent_with_book(self):
         assessment, _ = family7_assessment(
@@ -304,17 +326,17 @@ def assert_book_check_matches_fraction_gains(assessment, book):
     sub = assessment.restrict([p - 1 for p in book.member_indices])
     partition = quantity_constituents(sub.family)
     assert dutch_book_gains(assessment, book, partition) == reference
-    system, inside = build_sigma(sub, partition), partition[0]
+    system = build_sigma(sub, [c.codes for c in partition[0]])
     least = min(g for _, g in reference)
     at_least = DutchBook(book.member_indices, book.stakes, least)
     if least > 0:
-        assert _checked_book(at_least, system, inside) is at_least
+        assert _checked_book(at_least, system) is at_least
     else:
         with pytest.raises(RuntimeError, match="betting certificate"):
-            _checked_book(at_least, system, inside)
+            _checked_book(at_least, system)
     above = DutchBook(book.member_indices, book.stakes, least + F(1, 10**12))
     with pytest.raises(RuntimeError, match="betting certificate"):
-        _checked_book(above, system, inside)
+        _checked_book(above, system)
     return least
 
 
@@ -359,7 +381,7 @@ class TestIntegerBookCheck:
 def assert_rows_match_fraction_sigma(assessment, partition=None):
     """build_sigma's integer rows and scales equal the oracle's Fraction rows
     through LinearSystem.from_fractions, and its views give them back."""
-    system = build_sigma(assessment, partition)
+    system = build_sigma(assessment, partition and [c.codes for c in partition[0]])
     equalities, rhs, labels = fraction_sigma(assessment, partition)
     assert system == LinearSystem.from_fractions(equalities, rhs, labels)
     assert (system.equalities, system.rhs) == (tuple(equalities), rhs)

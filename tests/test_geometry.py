@@ -36,7 +36,7 @@ from prevision import (
     signature_label,
     to_fraction,
 )
-from prevision.geometry import VOID
+from prevision.geometry import VOID, keyed_partition
 
 
 def conditional(space, consequent, antecedent):
@@ -406,9 +406,11 @@ def _random_formula(rng, atoms, depth=2):
     return f"({left} {op} {right})"
 
 
-def test_constituent_views_match_the_per_world_classifier():
+def _classifier_families(seen):
+    """1,000 seeded families of conditional events over two to four atoms,
+    some under a constraint, with shared, nested and constant members;
+    `seen` counts each kind."""
     rng = random.Random(22)
-    seen = {"constraint": 0, "shared": 0, "dependent": 0, "constant": 0, "c0": 0}
     for _ in range(1000):
         atoms = ["A", "B", "H", "K"][-rng.randint(2, 4):]
         constrained = rng.random() < 0.3
@@ -441,6 +443,12 @@ def test_constituent_views_match_the_per_world_classifier():
             ce = conditional(space, consequent, antecedent)
             seen["constant"] += ce.antecedent.members <= ce.consequent.members
             family.append(ce)
+        yield family
+
+
+def test_constituent_views_match_the_per_world_classifier():
+    seen = {"constraint": 0, "shared": 0, "dependent": 0, "constant": 0, "c0": 0}
+    for family in _classifier_families(seen):
         expected = per_world_constituents(family)
         quantities = [indicator(ce) for ce in family]
         blocks = enumerate_constituents(quantities)
@@ -451,6 +459,34 @@ def test_constituent_views_match_the_per_world_classifier():
         ]
         seen["c0"] += blocks[-1].all_void
     assert min(seen.values()) > 100
+
+
+def test_keyed_partition_matches_the_constituents_and_projects():
+    seen = {"constraint": 0, "shared": 0, "dependent": 0, "constant": 0}
+    projections = 0
+    for family in _classifier_families(seen):
+        quantities = [indicator(ce) for ce in family]
+        keys = keyed_partition([q.codes for q in quantities])
+        assert keys == [c.codes for c in quantity_constituents(quantities)[0]]
+        # each key's worlds and marks are the classifier's block
+        worlds = {}
+        for w, key in enumerate(zip(*(q.codes for q in quantities))):
+            worlds.setdefault(key, set()).add(w)
+        marks = [
+            "".join("0" if c == VOID else "+" if q.levels[c] == 1 else "-" for q, c in zip(quantities, key))
+            for key in keys
+        ]
+        assert [(frozenset(worlds[key]), label) for key, label in zip(keys, marks)] == [
+            block for block in per_world_constituents(family) if set(block[1]) != {"0"}
+        ]
+        # the projection of the keys onto members is the members' partition
+        columns = list(zip(*keys))
+        for r in range(1, len(quantities) + 1):
+            for members in itertools.combinations(range(len(quantities)), r):
+                projected = keyed_partition([columns[i] for i in members])
+                assert projected == keyed_partition([quantities[i].codes for i in members])
+                projections += 1
+    assert min(seen.values()) > 100 and projections > 3000
 
 
 def test_build_sigma_substitutes_previsions():
