@@ -45,7 +45,11 @@ MAX_PRECISION = 1000
 MAX_SOLUTION_VALUES = 16
 # parse_rational's longest literal and largest decimal exponent, checked before
 # any integer is built; numerators and denominators then get at most twice the digits.
+# JSON numbers in a problem file are held to the same length.
 MAX_LITERAL_DIGITS = 1000
+# Results print exactly up to this many bits in a numerator or denominator:
+# at most 4,215 digits, inside CPython's default 4,300-digit int-to-str limit.
+MAX_RESULT_BITS = 14_000
 
 
 class ProblemError(PrevisionError):
@@ -208,14 +212,32 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
 
 
 def load_problem(path: str) -> Problem:
+    def number(convert):
+        def parse(text):
+            if len(text) > MAX_LITERAL_DIGITS:
+                raise ProblemError(
+                    f"{path}: a JSON number of {len(text)} characters; at most {MAX_LITERAL_DIGITS}"
+                )
+            return convert(text)
+        return parse
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=number(int), parse_float=number(float))
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProblemError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     return build_problem(data, origin=path)
+
+
+def exact_text(value: Fraction) -> str:
+    """The exact "p/q" text of a result, refused before any formatting when
+    its numerator or denominator has more than MAX_RESULT_BITS bits."""
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > MAX_RESULT_BITS:
+        raise ProblemError(f"a result of {bits} bits; at most {MAX_RESULT_BITS} print exactly")
+    return str(value)
 
 
 def _emit(report: Dict[str, Any], lines: List[str], as_json: bool) -> None:
@@ -236,7 +258,7 @@ def _trace_json(trace) -> List[Dict[str, Any]]:
                 "feasible": level.feasible,
                 "zeroMass": sorted(level.i0) if level.i0 is not None else None,
                 "mValues": (
-                    [str(m) if m is not None else None for m in level.m_values]
+                    [exact_text(m) if m is not None else None for m in level.m_values]
                     if level.m_values is not None
                     else None
                 ),
@@ -271,16 +293,17 @@ def cmd_check(ns: argparse.Namespace) -> int:
     lines = [f"verdict: {report['verdict']}"] + _trace_lines(verdict.trace)
     book = verdict.dutch_book
     if book is not None:
+        stakes = [exact_text(s) for s in book.stakes]
+        margin = exact_text(book.margin)
         report["dutchBook"] = {
             "members": list(book.member_indices),
-            "stakes": [str(s) for s in book.stakes],
-            "margin": str(book.margin),
+            "stakes": stakes,
+            "margin": margin,
         }
         members = ",".join(str(i) for i in book.member_indices)
-        stakes = ", ".join(str(s) for s in book.stakes)
         lines.append(f"dutch book on members {members}")
-        lines.append(f"  stakes: {stakes}")
-        lines.append(f"  margin: {book.margin}")
+        lines.append(f"  stakes: {', '.join(stakes)}")
+        lines.append(f"  margin: {margin}")
     _emit(report, lines, ns.json)
     return 0 if verdict.coherent else 1
 
@@ -300,13 +323,10 @@ def cmd_extend(ns: argparse.Namespace) -> int:
     except IncoherentBase as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = {
-        "lower": str(result.lower),
-        "upper": str(result.upper),
-        "exact": result.exact,
-    }
+    lower, upper = exact_text(result.lower), exact_text(result.upper)
+    report = {"lower": lower, "upper": upper, "exact": result.exact}
     lines = [
-        f"interval: [{result.lower}, {result.upper}]",
+        f"interval: [{lower}, {upper}]",
         f"exact: {'yes' if result.exact else 'no'}",
     ]
     _emit(report, lines, ns.json)
@@ -320,8 +340,8 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         if ns.kind == "conjunction"
         else frechet_bounds_disjunction
     )
-    lower, upper = fn(values)
-    report = {"kind": ns.kind, "lower": str(lower), "upper": str(upper)}
+    lower, upper = map(exact_text, fn(values))
+    report = {"kind": ns.kind, "lower": lower, "upper": upper}
     _emit(report, [f"lower: {lower}", f"upper: {upper}"], ns.json)
     return 0
 
@@ -345,7 +365,8 @@ def parse_parameter(raw: str) -> FrankParameter:
 
 def _value_report(result, precision: int) -> Tuple[Dict[str, Any], str]:
     if isinstance(result, Fraction):
-        return {"value": str(result), "exact": True}, str(result)
+        text = exact_text(result)
+        return {"value": text, "exact": True}, text
     text = format(float(result), f".{precision}g")
     return {"value": text, "exact": False}, text
 
@@ -386,7 +407,7 @@ def cmd_lambda_solution(ns: argparse.Namespace) -> int:
     builder = lambda_solution_TL if ns.boundary == "lower" else lambda_solution_TM
     vector = builder(values)
     components = {
-        label: str(mass) for label, mass in zip(vector.labels(), vector.as_tuple())
+        label: exact_text(mass) for label, mass in zip(vector.labels(), vector.as_tuple())
     }
     report: Dict[str, Any] = {
         "boundary": ns.boundary,
@@ -405,20 +426,12 @@ def cmd_lambda_solution(ns: argparse.Namespace) -> int:
 def cmd_table(ns: argparse.Namespace) -> int:
     problem = load_problem(ns.problem)
     target = _query_target(problem, "table")
-    rows = value_table(target)
-    report = {
-        "rows": [
-            {
-                "constituent": constituent.label(),
-                "value": str(value) if value is not None else None,
-            }
-            for constituent, value in rows
-        ]
-    }
-    lines = [
-        f"{constituent.label()}: {value if value is not None else 'free'}"
-        for constituent, value in rows
+    rows = [
+        (constituent.label(), exact_text(value) if value is not None else None)
+        for constituent, value in value_table(target)
     ]
+    report = {"rows": [{"constituent": label, "value": value} for label, value in rows]}
+    lines = [f"{label}: {value if value is not None else 'free'}" for label, value in rows]
     _emit(report, lines, ns.json)
     return 0
 

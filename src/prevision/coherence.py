@@ -15,8 +15,6 @@ from typing import Optional
 
 from .closed_form import family7_bounds
 from .errors import IncoherentBase
-from .events import ConditionalEvent
-from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction
 from .geometry import (
     Assessment,
     ConditionalQuantity,
@@ -25,13 +23,16 @@ from .geometry import (
     QuantityConstituent,
     as_conditional_event,
     build_sigma,
-    constituents_in_all_antecedents,
     enumerate_constituents,
     follows_compound_table,
     keyed_partition,
     quantity_constituents,
 )
 from .lp import maximize_component_sum, maximize_linear, solve_feasibility
+
+# Not called here: kept importable because benchmarks/tracing.py patches them by name.
+from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction  # noqa: F401
+from .geometry import constituents_in_all_antecedents  # noqa: F401
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -263,37 +264,6 @@ def _indicator_events(quantities):
     return events
 
 
-def _full_compound_dispatch(assessment: Assessment, target: ConditionalQuantity):
-    """Envelope bounds for the conjunction or disjunction of the whole family.
-
-    Applies when every member is a conditional-event indicator, the events
-    are logically independent inside the joint antecedent, and the target
-    follows the compound value pattern with each partially-void value inside
-    its own sub-family envelope; the coherent set is then exactly the
-    envelope interval.
-    """
-    events = _indicator_events(assessment.family)
-    if events is None:
-        return None
-    n = len(events)
-    if len(constituents_in_all_antecedents(assessment.family)) != 1 << n:
-        return None
-    xs = assessment.values
-
-    def envelope(bounds, all_active):
-        return lambda s: bounds([xs[i - 1] for i in s]) if s else (all_active,) * 2
-
-    conjunction = envelope(frechet_bounds_conjunction, ONE)
-    if follows_compound_table(target, events, ZERO, conjunction):
-        return frechet_bounds_conjunction(xs)
-    # the disjunction is 1 where a negated event fails, 0 where all hold
-    negated = [ConditionalEvent(~ce.consequent, ce.antecedent) for ce in events]
-    disjunction = envelope(frechet_bounds_disjunction, ZERO)
-    if follows_compound_table(target, negated, ONE, disjunction):
-        return frechet_bounds_disjunction(xs)
-    return None
-
-
 def _match_pair_conjunction(events, xs, compound):
     """Does `compound` follow the two-member conjunction table for `events`
     with partially-void values equal to the assessed previsions?"""
@@ -343,42 +313,6 @@ def _family7_dispatch(assessment: Assessment, target: ConditionalQuantity):
     if bounds[0] > bounds[1]:
         raise RuntimeError("closed form contradicts a coherent base")
     return bounds
-
-
-def _same_consequent_dispatch(assessment: Assessment, target: ConditionalQuantity):
-    """Closed-form interval for the conjunction of two indicators whose
-    joint profile classes show a shared consequent (no true-false mix) or
-    incompatible antecedents (no doubly-active class)."""
-    if len(assessment) != 2:
-        return None
-    events = _indicator_events(assessment.family)
-    if events is None:
-        return None
-    if not _match_pair_conjunction(events, assessment.values, target):
-        return None
-    inside, c0 = quantity_constituents(assessment.family)
-    # each label marks a member true (+), false (-) or void (0)
-    classes = {c.label() for c in inside}
-    overlapping = {"++", "--", "+0", "0+", "-0", "0-"}
-    disjoint = {"+0", "0+", "-0", "0-"}
-    x, y = assessment.values
-    if classes == overlapping and c0 is not None:
-        return x * y, min(x, y)
-    if classes == disjoint:
-        return x * y, x * y
-    return None
-
-
-def _closed_form_interval(assessment: Assessment, target: ConditionalQuantity):
-    for dispatch in (
-        _family7_dispatch,
-        _full_compound_dispatch,
-        _same_consequent_dispatch,
-    ):
-        interval = dispatch(assessment, target)
-        if interval is not None:
-            return interval
-    return None
 
 
 def _charnes_cooper_range(system: LinearSystem, t: int, codes, levels):
@@ -454,10 +388,13 @@ def extension_interval(
     """The closed interval of values mu for which adding (target, mu) keeps
     the assessment coherent.
 
-    Raises IncoherentBase when the assessment itself fails.  Known family
-    shapes go through the closed forms; everything else propagates the
-    target exactly through the levels of the assessment's own verdict, with
-    linear programs only.  Both endpoints are exact: `exact` is always True.
+    Raises IncoherentBase when the assessment itself fails.  A target already
+    in the family gets its assessed value, and the triple conjunction over a
+    three-event family with its pairwise conjunctions gets `family7_bounds`.
+    Every other target, the Frechet-Hoeffding and same-consequent shapes
+    included, is propagated exactly through the levels of the assessment's
+    own verdict, with linear programs only.  Both endpoints are exact:
+    `exact` is always True.
     """
     verdict = check_coherence(assessment)
     if not verdict.coherent:
@@ -465,8 +402,7 @@ def extension_interval(
     for q, mu in zip(assessment.family, assessment.values):
         if (q.levels, q.codes) == (target.levels, target.codes):
             return ExtensionInterval(mu, mu, True)
-    interval = _closed_form_interval(assessment, target)
-    if interval is not None:
-        return ExtensionInterval(interval[0], interval[1], True)
-    lower, upper = _propagate(assessment, verdict.trace, target)
-    return ExtensionInterval(lower, upper, True)
+    interval = _family7_dispatch(assessment, target)
+    if interval is None:
+        interval = _propagate(assessment, verdict.trace, target)
+    return ExtensionInterval(interval[0], interval[1], True)

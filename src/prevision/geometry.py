@@ -404,11 +404,11 @@ class LinearSystem:
     `scales[r]`, the lcm of that row's denominators, as integers; with
     normalization the last row is (1, ..., 1 | 1) with scale 1.  The simplex,
     every certificate check of `lp` and the book check of `coherence` read
-    these rows; `columns` is their transpose, and `equalities` and `rhs` are
-    Fraction views of them.  `labels` names the unknowns, or returns their
-    names when `unknown_labels` is first read; `keys` holds a `build_sigma`
-    system's block codes.  `lp` also keeps the simplex state after phase 1
-    on the system, so that every LP on it runs phase 1 once.
+    these rows, and `columns` is their transpose; the tests' Fraction view of
+    them is `oracles.fraction_rows`.  `labels` names the unknowns, or returns
+    their names when `unknown_labels` is first read; `keys` holds a
+    `build_sigma` system's block codes.  `lp` also keeps the simplex state
+    after phase 1 on the system, so that every LP on it runs phase 1 once.
     """
 
     rows: tuple
@@ -444,19 +444,6 @@ class LinearSystem:
     @property
     def n_unknowns(self) -> int:
         return len(self.rows[0]) - 1 if self.rows else len(self.unknown_labels)
-
-    def _given(self):
-        """(row, scale) of every equality, the normalization row left out."""
-        k = len(self.rows) - self.normalization
-        return zip(self.rows[:k], self.scales[:k])
-
-    @cached_property
-    def equalities(self) -> tuple:
-        return tuple(tuple(Fraction(v, s) for v in row[:-1]) for row, s in self._given())
-
-    @cached_property
-    def rhs(self) -> tuple:
-        return tuple(Fraction(row[-1], s) for row, s in self._given())
 
     @cached_property
     def columns(self) -> tuple:

@@ -29,15 +29,18 @@ quantity's levels and codes from its {world: value} dict, as quantities did
 before they were built from level sets; every constructor must agree with it.  `fraction_sigma` is the
 solvability system as Fraction rows, which `build_sigma` now emits as integer
 rows straight from the value codes; through `LinearSystem.from_fractions` the
-two must give identical rows and scales.
+two must give identical rows and scales.  `fraction_rows` reads a system's
+integer rows back as Fraction equalities and right-hand sides, the view
+`LinearSystem` used to carry for the tests alone.
 
 `per_world_constituents` is the partition of a family of conditional events
 that classifies each world member by member as true, false or void; the
 constituent views of `prevision.geometry`, which group the indicators' value
 codes instead, must return the same blocks, labels and order.
 
-`propagated_interval` is `extension_interval` with the closed forms left
-out, so tests can hold each closed form against exact propagation.
+`propagated_interval` is `extension_interval` with the one closed form it
+still dispatches, `family7_bounds`, left out, so tests can hold that closed
+form against exact propagation.
 """
 
 from fractions import Fraction
@@ -102,9 +105,18 @@ def _solve_square(matrix, rhs):
     return [aug[r][n] for r in range(n)]
 
 
+def fraction_rows(system):
+    """(equalities, rhs) of the system in Fractions, the normalization row
+    left out: each integer row over its scale, rhs split off."""
+    k = len(system.rows) - system.normalization
+    given = list(zip(system.rows[:k], system.scales[:k]))
+    equalities = tuple(tuple(Fraction(v, s) for v in row[:-1]) for row, s in given)
+    return equalities, tuple(Fraction(row[-1], s) for row, s in given)
+
+
 def _full_rows(system):
-    rows = [[Fraction(v) for v in r] for r in system.equalities]
-    rhs = [Fraction(v) for v in system.rhs]
+    equalities, rhs = fraction_rows(system)
+    rows, rhs = [list(r) for r in equalities], list(rhs)
     if system.normalization:
         rows.append([Fraction(1)] * system.n_unknowns)
         rhs.append(Fraction(1))
@@ -438,7 +450,7 @@ def fraction_check_solution(system, vec) -> bool:
         return False
     if system.normalization and sum(vec) != 1:
         return False
-    for row, b in zip(system.equalities, system.rhs):
+    for row, b in zip(*fraction_rows(system)):
         if sum(c * v for c, v in zip(row, vec)) != b:
             return False
     return True
@@ -506,7 +518,7 @@ def fraction_sigma(assessment, partition=None):
 
 def propagated_interval(base, target):
     """The target propagated through the levels of the base verdict's trace:
-    extension_interval without the closed forms."""
+    extension_interval without the family7 closed form."""
     verdict = check_coherence(base)
     if not verdict.coherent:
         raise IncoherentBase("the base assessment is not coherent")

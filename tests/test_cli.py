@@ -262,6 +262,38 @@ def test_literals_at_the_size_bound_are_read_exactly(capsys):
     assert out == f"lower: 0\nupper: 1/{10**1000}\n"
 
 
+def _oversize_json_number(tmp_path):
+    """pair_problem() with X assessed by a JSON number of 5,001 digits."""
+    path = tmp_path / "problem.json"
+    text = json.dumps(_edit_pair_problem(("assessment", "X"), "N"))
+    path.write_text(text.replace('"N"', "1" + "0" * 5000), encoding="utf-8")
+    return ("check", "--problem", str(path))
+
+
+# past 4,300 digits, CPython's default int-to-str limit: a JSON number read
+# from a problem file, and a sum of five in-bound literals with a
+# 4,955-digit denominator
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _oversize_json_number,
+        lambda _: ("bounds", "disjunction", *(f"1/{10**991 + k}" for k in range(5))),
+    ],
+    ids=["check-5001-digit-json-number", "bounds-disjunction-oversize-result"],
+)
+def test_oversize_integers_exit_two_with_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_results_up_to_the_bit_bound_print_exactly(capsys):
+    values = [F(1, 10**991 + k) for k in range(4)]
+    code, out, _ = run(capsys, "bounds", "disjunction", *map(str, values))
+    assert code == 0
+    assert out == f"lower: {values[0]}\nupper: {sum(values)}\n"
+
+
 class TestExtend:
     def test_internal_failure_exits_three(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -7,12 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_book_gains, fraction_sigma, propagated_interval
+from oracles import fraction_book_gains, fraction_rows, fraction_sigma, propagated_interval
 from prevision import (
     Assessment,
     CompoundPrevisionMap,
     ConditionalEvent,
-    ConditionalQuantity,
     DutchBook,
     Family7Assessment,
     IncoherentBase,
@@ -31,9 +30,10 @@ from prevision import (
     make_conjunction,
     make_disjunction,
     quantity_constituents,
+    special_case_same_consequent,
     value_table,
 )
-from prevision.coherence import _checked_book, _closed_form_interval
+from prevision.coherence import _checked_book, _family7_dispatch
 
 F = Fraction
 
@@ -384,7 +384,7 @@ def assert_rows_match_fraction_sigma(assessment, partition=None):
     system = build_sigma(assessment, partition and [c.codes for c in partition[0]])
     equalities, rhs, labels = fraction_sigma(assessment, partition)
     assert system == LinearSystem.from_fractions(equalities, rhs, labels)
-    assert (system.equalities, system.rhs) == (tuple(equalities), rhs)
+    assert fraction_rows(system) == (tuple(equalities), rhs)
 
 
 def assert_book_gains_match(assessment, verdict):
@@ -550,37 +550,55 @@ class TestExtensionInterval:
         )
 
     def test_closed_forms_answer_for_their_own_shapes(self):
-        # propagation gives the same intervals, so only the dispatchers
-        # themselves show that each shape is recognized
-        x, y = F(7, 20), F(9, 20)
-        space, first, second = pair_setup()
-        base = Assessment((indicator(first, "X"), indicator(second, "Y")), (x, y))
-        conj = make_conjunction([first, second], {(1,): x, (2,): y})
-        disj = make_disjunction(
-            [first, second], demorgan_previsions(CompoundPrevisionMap({(1,): x, (2,): y}))
-        )
-        assert _closed_form_interval(base, conj) == (F(0), x)
-        assert _closed_form_interval(base, disj) == (y, F(4, 5))
-        # off the table: 1 where only member 1 is void (its envelope is x_1
-        # alone), 0 where both members hold
-        for formula, value in (("!H & K & B", F(1)), ("A & H & B & K", F(0))):
-            values = dict(conj.values)
-            values[min(space.event(formula).members)] = value
-            off = ConditionalQuantity.from_values(conj.conditioning, values)
-            assert _closed_form_interval(base, off) is None
-        for constraints, expected in (((), (F(63, 400), x)), (["!(H & K)"], (F(63, 400),) * 2)):
+        # extension_interval propagates the Frechet-Hoeffding and the
+        # same-consequent shapes: each must meet its public closed form
+        fifths = [F(k, 5) for k in range(6)]
+        for n in (2, 3):
+            space = build_world_space(
+                [f"E{i}" for i in range(1, n + 1)] + [f"H{i}" for i in range(1, n + 1)]
+            )
+            events = [
+                ConditionalEvent(space.event(f"E{i}"), space.event(f"H{i}"))
+                for i in range(1, n + 1)
+            ]
+            family = tuple(indicator(e, f"X{i}") for i, e in enumerate(events, 1))
+            subsets = [
+                s for r in range(1, n) for s in itertools.combinations(range(1, n + 1), r)
+            ]
+            for xs in itertools.product(fifths, repeat=n):
+                base = Assessment(family, xs)
+                # independent sub-compounds, inside their own envelopes
+                conj = make_conjunction(
+                    events, {s: math.prod(xs[i - 1] for i in s) for s in subsets}
+                )
+                disj = make_disjunction(
+                    events, {s: math.prod(1 - xs[i - 1] for i in s) for s in subsets}
+                )
+                for target, bounds in (
+                    (conj, frechet_bounds_conjunction),
+                    (disj, frechet_bounds_disjunction),
+                ):
+                    result = extension_interval(base, target)
+                    assert (result.lower, result.upper) == bounds(xs)
+        for constraints, disjoint in (((), False), (["!(H & K)"], True)):
             ahk = build_world_space(["A", "H", "K"], constraints)
             first = ConditionalEvent(ahk.event("A"), ahk.event("H"))
             second = ConditionalEvent(ahk.event("A"), ahk.event("K"))
-            base = Assessment((indicator(first, "X"), indicator(second, "Y")), (x, y))
-            target = make_conjunction([first, second], {(1,): x, (2,): y})
-            assert _closed_form_interval(base, target) == expected
+            family = (indicator(first, "X"), indicator(second, "Y"))
+            for x, y in itertools.product(fifths, repeat=2):
+                target = make_conjunction([first, second], {(1,): x, (2,): y})
+                result = extension_interval(Assessment(family, (x, y)), target)
+                assert (result.lower, result.upper) == special_case_same_consequent(
+                    x, y, disjoint
+                )
+        # propagation gives the family7 interval too, so only the dispatcher
+        # itself shows that the shape is recognized
         values = ("1/2", "1/2", "1/2", "3/8", "3/8", "3/8", 0)
         assessment, triple = family7_assessment(values)
-        assert _closed_form_interval(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
+        assert _family7_dispatch(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
         # one shared antecedent: 9 blocks, and the closed form still applies
         assessment, triple = family7_assessment(values, shared_antecedent=True)
-        assert _closed_form_interval(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
+        assert _family7_dispatch(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
         # dependent events, E1|H and E1|(H | K): 15 blocks, where the closed
         # form would claim [1/4, 3/8]
         space = build_world_space(["E1", "E3", "H", "K", "H3"])
@@ -590,7 +608,7 @@ class TestExtensionInterval:
         ]
         assessment, triple = family7_assessment(values, events=events)
         base = assessment.restrict(range(6))
-        assert _closed_form_interval(base, triple) is None
+        assert _family7_dispatch(base, triple) is None
         result = extension_interval(base, triple)
         assert (result.lower, result.upper) == (F(9, 32), F(11, 32))
 

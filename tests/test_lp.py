@@ -18,6 +18,7 @@ from oracles import (
     dense_maximize_linear,
     dense_solve_feasibility,
     fraction_maximize_linear,
+    fraction_rows,
     fraction_solve_feasibility,
     fraction_verify_certificate,
     fraction_verify_optimum,
@@ -63,8 +64,8 @@ def never_true_system(mu):
 
 
 def full_columns(system):
-    rows = [list(r) for r in system.equalities]
-    rhs = [F(v) for v in system.rhs]
+    equalities, rhs = fraction_rows(system)
+    rows, rhs = [list(r) for r in equalities], list(rhs)
     if system.normalization:
         rows.append([F(1)] * system.n_unknowns)
         rhs.append(F(1))
@@ -99,10 +100,11 @@ def test_never_true_consequent_infeasible_with_certificate():
     assert not cert.feasible
     assert_valid_certificate(system, cert)
     # the certificate prices every constituent point below the assessment
-    points = [row for row in zip(*system.equalities)] or [()]
+    equalities, rhs = fraction_rows(system)
+    points = [row for row in zip(*equalities)] or [()]
     y = [-u for u in cert.dual[:-1]]
     for point in points:
-        gain = sum((q - mu) * s for q, mu, s in zip(point, system.rhs, y))
+        gain = sum((q - mu) * s for q, mu, s in zip(point, rhs, y))
         assert gain >= cert.margin
 
 
@@ -181,7 +183,7 @@ def test_redundant_rows_are_tolerated():
 def test_row_permutation_invariance():
     base = example_pair_system()
     rng = random.Random(7)
-    rows = list(zip(base.equalities, base.rhs))
+    rows = list(zip(*fraction_rows(base)))
     for _ in range(5):
         rng.shuffle(rows)
         shuffled = LinearSystem.from_fractions(
@@ -311,7 +313,7 @@ def test_integer_tableau_matches_fraction_tableau():
         else:
             kinds.add("unbounded")
             assert result.dual is None
-        if any(b < 0 for b in system.rhs):
+        if any(b < 0 for b in fraction_rows(system)[1]):
             kinds.add("flipped")
     assert kinds == {"infeasible", "optimum", "unbounded", "flipped"}
 
@@ -690,7 +692,7 @@ def test_each_solution_and_optimum_check_raises():
         verify(system, objective, result)
     # both rows hold at (9/2, -7/2, 0): only non-negativity fails
     negative = (F(9, 2), F(-7, 2), F(0))
-    assert sum(a * v for a, v in zip(system.equalities[0], negative)) == F(1, 2)
+    assert sum(a * v for a, v in zip(fraction_rows(system)[0][0], negative)) == F(1, 2)
     cases = {
         "non-solution": [
             replace(result, solution=negative),
