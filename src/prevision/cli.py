@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,13 +58,14 @@ class ProblemError(PrevisionError):
 
 
 def parse_rational(raw: Any, where: str) -> Fraction:
-    """Exact rational from "p/q", a decimal string, an int, or a float literal.
+    """Exact rational from "p/q", a decimal string, an int, a Decimal or a float.
 
-    Floats go through their shortest decimal representation, so a JSON 0.35
+    A Decimal (a JSON number with a fraction or exponent) goes through its exact
+    text, and a float through its shortest decimal representation, so 0.35
     means exactly 7/20, not the nearest binary double.
     """
     try:
-        if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        if isinstance(raw, bool) or not isinstance(raw, (int, float, str, Decimal)):
             raise ValueError(f"expected a rational, got {type(raw).__name__}")
         text = repr(raw) if isinstance(raw, float) else str(raw).strip()
         exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
@@ -223,7 +225,7 @@ def load_problem(path: str) -> Problem:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_int=number(int), parse_float=number(float))
+            data = json.load(fh, parse_int=number(int), parse_float=number(Decimal))
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

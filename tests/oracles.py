@@ -41,14 +41,22 @@ codes instead, must return the same blocks, labels and order.
 `propagated_interval` is `extension_interval` with the one closed form it
 still dispatches, `family7_bounds`, left out, so tests can hold that closed
 form against exact propagation.
+
+`per_world_space` and `per_world_event` are world spaces and events as they
+were before formulas were evaluated by set algebra: every surviving
+assignment materialized as a tuple of bools, and each formula's parse tree
+walked once per world after its atoms are checked.  `build_world_space` and
+`WorldSpace.event` must give the same members under the same numbering, and
+raise the same error types.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from prevision.coherence import ExtensionInterval, _propagate, check_coherence
-from prevision.errors import IncoherentBase
+from prevision.errors import EmptySpace, IncoherentBase, UnknownAtom
+from prevision.events import parse_formula
 from prevision.geometry import (
     VOID,
     CompoundPrevisionMap,
@@ -614,3 +622,54 @@ def per_world_codes(n_worlds, values):
     for w, v in values.items():
         codes[w] = code_of[id(v)]
     return tuple(by_value[s] for s in order), tuple(codes)
+
+
+def _eval_node(node, assignment, atom_index):
+    kind = node[0]
+    if kind == "atom":
+        return assignment[atom_index[node[1]]]
+    if kind == "not":
+        return not _eval_node(node[1], assignment, atom_index)
+    a = _eval_node(node[1], assignment, atom_index)
+    b = _eval_node(node[2], assignment, atom_index)
+    if kind == "and":
+        return a and b
+    if kind == "or":
+        return a or b
+    return a == b  # eq
+
+
+def _checked_node(text, atom_index):
+    """The parse tree of `text`, once every atom it names is declared."""
+    node = parse_formula(text)
+    stack = [node]
+    while stack:
+        top = stack.pop()
+        if top[0] == "atom":
+            if top[1] not in atom_index:
+                raise UnknownAtom(top[1])
+        else:
+            stack.extend(top[1:])
+    return node
+
+
+def per_world_space(atoms, constraints=()):
+    """(atom_index, worlds): the bool tuples over `atoms`, in
+    `itertools.product` order, on which every constraint holds."""
+    atom_index = {a: i for i, a in enumerate(atoms)}
+    nodes = [_checked_node(text, atom_index) for text in constraints]
+    worlds = [
+        w
+        for w in product((False, True), repeat=len(atoms))
+        if all(_eval_node(n, w, atom_index) for n in nodes)
+    ]
+    if not worlds:
+        raise EmptySpace(f"constraints {list(constraints)!r} admit no world")
+    return atom_index, worlds
+
+
+def per_world_event(space, formula):
+    """The numbers of the worlds of a `per_world_space` on which `formula` holds."""
+    atom_index, worlds = space
+    node = _checked_node(formula, atom_index)
+    return frozenset(i for i, w in enumerate(worlds) if _eval_node(node, w, atom_index))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,8 @@ class TestParseRational:
         assert parse_rational("7/20", "x") == F(7, 20)
         assert parse_rational("0.35", "x") == F(7, 20)
         assert parse_rational(0.35, "x") == F(7, 20)
+        assert parse_rational(Decimal("0.35"), "x") == F(7, 20)
+        assert parse_rational(Decimal("1E-1000"), "x") == F(1, 10**1000)
         assert parse_rational(1, "x") == F(1)
 
     def test_rejected_forms(self):
@@ -232,6 +235,14 @@ def _edit_pair_problem(path, value):
             )
         ),
         (None, ("bounds", "conjunction", "0." + "1" * 999, "1/2")),
+        *(
+            ((path, value(formula)), ("check",))
+            for formula in ("!" * 3000 + "A", "(" * 3000 + "A" + ")" * 3000, " & ".join("A" * 3000))
+            for path, value in (
+                (("conditionals", 0, "consequent"), str),
+                (("constraints",), lambda f: [f]),
+            )
+        ),
     ],
     ids=[
         "empty-antecedent", "duplicate-atoms", "non-string-member",
@@ -246,6 +257,11 @@ def _edit_pair_problem(path, value):
             for kind in ("bounds", "tnorm-value", "tnorm-lambda", "problem-assessment")
         ),
         "bounds-1001-character-literal",
+        *(
+            f"{shape}-{where}"
+            for shape in ("3000-nots", "3000-parentheses", "3000-term-chain")
+            for where in ("consequent", "constraint")
+        ),
     ],
 )
 def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv):
@@ -254,6 +270,30 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# JSON numbers with a fraction or exponent are read as their exact decimal text,
+# not through a binary double: 1e-5000 is past the exponent bound, and
+# 0.1000000000000000000001 differs from 1/10
+@pytest.mark.parametrize(
+    "x, y, code, first_line",
+    [
+        ("1e-5000", "0", 2, ""),
+        ("0.1000000000000000000001", '"1/10"', 1, "verdict: incoherent"),
+        ("0.35", '"7/20"', 0, "verdict: coherent"),
+    ],
+    ids=["exponent-past-bound", "22-digit-fraction", "0.35"],
+)
+def test_json_decimals_are_read_exactly(capsys, tmp_path, x, y, code, first_line):
+    data = pair_problem()
+    data["conditionals"][1].update(consequent="A", antecedent="H")
+    data["assessment"] = {"X": "x", "Y": "y"}
+    path = tmp_path / "problem.json"
+    text = json.dumps(data).replace('"X": "x"', f'"X": {x}').replace('"Y": "y"', f'"Y": {y}')
+    path.write_text(text, encoding="utf-8")
+    got, out, err = run(capsys, "check", "--problem", str(path))
+    assert (got, out.partition("\n")[0]) == (code, first_line)
+    assert err.count("\n") == (code == 2)
 
 
 def test_literals_at_the_size_bound_are_read_exactly(capsys):

@@ -1,11 +1,25 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prevision.errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom
-from prevision.events import MAX_ATOMS, ConditionalEvent, build_world_space
+from oracles import per_world_event, per_world_space
+from prevision.errors import (
+    EmptySpace,
+    FormulaError,
+    PrevisionError,
+    SpaceTooLarge,
+    UnknownAtom,
+)
+from prevision.events import (
+    MAX_ATOMS,
+    MAX_FORMULA_NESTING,
+    MAX_FORMULA_TOKENS,
+    ConditionalEvent,
+    build_world_space,
+)
 from prevision.geometry import (
     constituents_in_all_antecedents,
     enumerate_constituents,
@@ -25,15 +39,21 @@ def indicators(space, *pairs):
 def test_space_without_constraints_has_all_assignments():
     space = build_world_space(["A", "H", "K"])
     assert len(space) == 8
-    assert len(set(space.worlds)) == 8
+    # each conjunction of literals is one world, and the eight are distinct
+    cells = [
+        space.event(f"{a}A & {h}H & {k}K")
+        for a, h, k in itertools.product(("!", ""), repeat=3)
+    ]
+    assert [sorted(c.members) for c in cells] == [[w] for w in range(8)]
 
 
 def test_constraint_drops_forbidden_assignments():
     # 8 assignments minus the 2 with H and K both true
     space = build_world_space(["A", "H", "K"], ["!(H&K)"])
     assert len(space) == 6
-    for w in space.worlds:
-        assert not (w[1] and w[2])
+    assert space.event("H & K").is_empty
+    # the kept assignments 0, 1, 2, 4, 5, 6 are numbered in order
+    assert space.event("A").members == {3, 4, 5}
 
 
 def test_contradictory_constraint_raises():
@@ -69,6 +89,89 @@ def test_malformed_formulas_rejected():
             space.event(bad)
 
 
+# 3,000 nots, 3,000 nested parentheses and a 3,000-term chain, which nests as
+# deep as it is long: each deeper than Python's recursion limit allows
+DEEP_FORMULAS = ["!" * 3000 + "A", "(" * 3000 + "A" + ")" * 3000, " & ".join(["A"] * 3000)]
+
+
+@pytest.mark.parametrize("formula", DEEP_FORMULAS, ids=["nots", "parentheses", "chain"])
+def test_deep_formulas_are_refused_before_evaluation(formula):
+    with pytest.raises(FormulaError, match="at most"):
+        build_world_space(["A"]).event(formula)
+    with pytest.raises(FormulaError, match="at most"):
+        build_world_space(["A"], [formula])
+
+
+def test_formulas_at_the_bounds_evaluate():
+    space = build_world_space(["A", "B"])
+    a = space.event("A").members
+    n = MAX_FORMULA_NESTING
+    assert space.event("!" * n + "A").members == a
+    assert space.event("(" * n + "A" + ")" * n).members == a
+    # 3 + 497 tokens: !B | A & A & ... & A
+    chain = "!B | " + " & ".join(["A"] * ((MAX_FORMULA_TOKENS - 2) // 2))
+    assert space.event(chain).members == space.event("!B | A").members
+    for over in ["!" * (n + 1) + "A", "(" * (n + 1) + "A" + ")" * (n + 1), chain + " & A"]:
+        with pytest.raises(FormulaError):
+            space.event(over)
+
+
+def _random_formula(rng, names, depth):
+    """Formula text over `names` with ! & | = and parentheses; a fifth of the
+    = are left bare, and a chain of bare = is malformed."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return rng.choice(names)
+    if roll < 0.4:
+        return "!" + _random_formula(rng, names, depth - 1)
+    if roll < 0.5:
+        return "(" + _random_formula(rng, names, depth - 1) + ")"
+    op = rng.choice(["&", "|", "="])
+    text = f"{_random_formula(rng, names, depth - 1)} {op} {_random_formula(rng, names, depth - 1)}"
+    return f"({text})" if op == "=" and rng.random() < 0.8 else text
+
+
+def _mangled(rng, text):
+    """`text` with, one time in twenty, a character replaced or dropped."""
+    if rng.random() < 0.05:
+        cut = rng.randrange(len(text) + 1)
+        return text[:cut] + rng.choice(["(", ")", "&", "!", ""]) + text[cut + 1:]
+    return text
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except PrevisionError as exc:
+        return type(exc)
+
+
+def test_set_algebra_matches_the_per_world_evaluator():
+    rng = random.Random(20201)
+    outcomes = set()
+    for _ in range(400):
+        atoms = [f"P{i}" for i in range(rng.randint(1, 6))]
+        # an undeclared name now and then
+        names = atoms + ["Q"] if rng.random() < 0.1 else atoms
+        constraints = [
+            _mangled(rng, _random_formula(rng, names, 3)) for _ in range(rng.randint(0, 2))
+        ]
+        formulas = [_mangled(rng, _random_formula(rng, names, 4)) for _ in range(5)]
+        space = _outcome(lambda: build_world_space(atoms, constraints))
+        oracle = _outcome(lambda: per_world_space(atoms, constraints))
+        if isinstance(space, type) or isinstance(oracle, type):
+            assert space == oracle
+            outcomes.add(space)
+            continue
+        assert len(space) == len(oracle[1])
+        for formula in formulas:
+            members = _outcome(lambda: space.event(formula).members)
+            assert members == _outcome(lambda: per_world_event(oracle, formula))
+            outcomes.add(members if isinstance(members, type) else frozenset)
+    # every outcome the comparison is about occurred
+    assert outcomes == {frozenset, UnknownAtom, FormulaError, EmptySpace}
+
+
 def test_operator_precedence_not_over_and_over_or():
     space = build_world_space(["A", "B", "C"])
     # !A & B | C  ==  ((!A) & B) | C
@@ -80,8 +183,8 @@ def test_operator_precedence_not_over_and_over_or():
 def test_alias_constraint_equates_atoms():
     space = build_world_space(["A", "B"], ["A=B"])
     assert len(space) == 2
-    for w in space.worlds:
-        assert w[0] == w[1]
+    assert space.event("A & !B | !A & B").is_empty
+    assert space.event("A = B").is_sure
 
 
 def test_event_boolean_laws():
