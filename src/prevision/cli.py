@@ -75,7 +75,8 @@ def parse_rational(raw: Any, where: str) -> Fraction:
             raise ValueError(f"longer than {MAX_LITERAL_DIGITS} characters or exponent beyond it")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemError(f"{where}: {raw!r} is not a valid rational ({exc})") from None
+        shown = raw if isinstance(raw, Decimal) else repr(raw)
+        raise ProblemError(f"{where}: {shown} is not a valid rational ({exc})") from None
 
 
 @dataclass

@@ -333,7 +333,7 @@ def _charnes_cooper_range(system: LinearSystem, t: int, codes, levels):
         lambda: system.unknown_labels + ("scale",),
         normalization=False,
     )
-    objective = [ZERO if c == VOID else levels[c] for c in codes] + [ZERO]
+    objective = [0 if c == VOID else levels[c] for c in codes] + [0]
     hi = maximize_linear(cc, objective).value
     lo = -maximize_linear(cc, [-c for c in objective]).value
     return lo, hi

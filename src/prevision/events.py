@@ -152,11 +152,16 @@ class WorldSpace:
     def event(self, formula: str) -> "Event":
         """Event denoted by a Boolean formula over the declared atoms."""
         node = parse_formula(formula)
-        return Event(self, _evaluate(node, self._atom_worlds, self.everything.members))
+        return Event(self, _evaluate(node, self._atom_worlds, self._worlds))
 
     @cached_property
+    def _worlds(self) -> frozenset:
+        # not a cached Event: that would point back here, a reference cycle
+        return frozenset(range(len(self)))
+
+    @property
     def everything(self) -> "Event":
-        return Event(self, frozenset(range(len(self))))
+        return Event(self, self._worlds)
 
 
 def build_world_space(atoms, constraints=()) -> WorldSpace:
@@ -202,7 +207,7 @@ class Event:
         return Event(self.space, self.members | other.members)
 
     def __invert__(self) -> "Event":
-        return Event(self.space, self.space.everything.members - self.members)
+        return Event(self.space, self.space._worlds - self.members)
 
     def __contains__(self, world_index: int) -> bool:
         return world_index in self.members

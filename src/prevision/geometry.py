@@ -458,22 +458,25 @@ class LinearSystem:
         row included, rhs last, as integers over one common denominator L.
         Integer row r is s_r times rational row r, so it weighs w_r / s_r."""
         W, L = scale_to_integers([Fraction(w, s) for w, s in zip(weights, self.scales)])
+        return self.weigh(W), L
+
+    def weigh(self, W) -> list:
+        """sum_r W_r * row_r over the integer rows, rhs last."""
         sums = [0] * (self.n_unknowns + 1)
         for w, row in zip(W, self.rows):
             if w:
                 sums = [a + w * v for a, v in zip(sums, row)]
-        return sums, L
+        return sums
 
     def check_solution(self, vec) -> bool:
-        """Non-negativity and every row, normalization included, checked in
-        integers: vec times the lcm L of its denominators against each row,
-        whose rhs is then scaled by L too."""
+        """Non-negativity and every row, in integers: vec times the lcm of its denominators."""
         ints, L = scale_to_integers([to_fraction(v) for v in vec])
-        if len(ints) != self.n_unknowns or any(x < 0 for x in ints):
-            return False
-        support = [(j, x) for j, x in enumerate(ints) if x]
-        return all(
-            sum(row[j] * x for j, x in support) == row[-1] * L for row in self.rows
+        return len(ints) == self.n_unknowns and self.solves(dict(enumerate(ints)), L)
+
+    def solves(self, x, D) -> bool:
+        """x_j / D, for j in the dict x and 0 elsewhere, is non-negative and meets each row."""
+        return D > 0 and min(x.values(), default=0) >= 0 and all(
+            sum(row[j] * v for j, v in x.items()) == row[-1] * D for row in self.rows
         )
 
 

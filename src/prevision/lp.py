@@ -9,18 +9,18 @@ the lcm of its denominators, as `geometry.LinearSystem` stores them) only to
 price it or to enter it.  The state shares one positive common denominator,
 the previous pivot, so each pivot divides exactly and no gcd is ever taken.
 Phase 1 runs once per system and its end state is kept on the system; every
-later optimum on that system starts from a copy of it.  Solutions, optima
-and multipliers come back as Fractions.
+later optimum on that system starts from a copy of it.
 
 An infeasible system yields a separating certificate: multipliers u, one per
 row (normalization row last when present), with u . column <= 0 for every
 unknown's column while u . rhs equals a strictly positive margin.  An optimum
 comes with a dual y, y . column >= cost for every unknown's column and
-y . rhs equal to the optimum.  Certificates, duals and solutions are
-re-verified before being returned, in integer arithmetic on the same integer
-rows: the returned Fractions are brought over one common denominator,
-so no check trusts the solver state and none does Fraction arithmetic per
-entry.
+y . rhs equal to the optimum.  Each is checked before it is returned, on
+the solver's own integers against the system's integer rows: the basic
+values over D, and the cost row's multipliers over cost_scale * D, whose
+combination of the rows gives the certificate's sums directly.  The returned
+Fractions are built once, from exactly the integers that passed; no check
+trusts the solver state and none does Fraction arithmetic per entry.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .errors import InfeasibleSystem
 from .geometry import LinearSystem, scale_to_integers
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -185,16 +184,11 @@ class _Simplex:
                 return False
             self._pivot(leaving, entering, alpha, z)
 
-    def phase1(self) -> Fraction:
-        """Drive the artificials toward zero; returns their residual sum."""
+    def phase1(self):
+        """Drive the artificials toward zero."""
         top = lcm(*self.scale)
         self._set_costs([0] * self.m + [-(top // s) for s in self.scale], top)
         self._maximize()
-        return self.residual()
-
-    def residual(self) -> Fraction:
-        """The artificials' sum at the end of phase 1."""
-        return Fraction(-self.z0, self.cost_scale * self.D)
 
     def drive_out_artificials(self):
         for r in range(self.k):
@@ -209,29 +203,21 @@ class _Simplex:
                 self._pivot(r, c, self._column(c), self._reduced_cost(c))
             # rows with no unknown left are redundant and stay inert
 
-    def maximize_objective(self, objective) -> bool:
-        costs, cost_scale = scale_to_integers(objective)
+    def maximize_objective(self, costs, cost_scale) -> bool:
         self._set_costs(costs + [0] * self.k, cost_scale)
         return self._maximize()
 
-    def solution(self) -> tuple:
-        x = [ZERO] * self.m
-        for b, v in zip(self.basis, self.beta):
-            if b < self.m:
-                x[b] = Fraction(v, self.D)
-        return tuple(x)
+    def point(self) -> tuple:
+        """(x, D): x maps each basic unknown to its value times D."""
+        return {b: v for b, v in zip(self.basis, self.beta) if b < self.m}, self.D
 
-    def dual(self) -> tuple:
-        """y = c_B B^-1 = w / D on the input rows, undoing their scalings."""
-        return tuple(
-            Fraction(s * v, self.cost_scale * self.D)
-            for v, s in zip(self.w, self.scale)
-        )
+    def multipliers(self) -> list:
+        """w = c_B E, the cost row's multipliers on the integer rows, over L."""
+        return self.w
 
-    def refutation(self) -> tuple:
-        """Row multipliers v with v . column <= 0 and v . rhs > 0: minus the
-        phase-1 dual."""
-        return tuple(-v for v in self.dual())
+    def residual(self) -> tuple:
+        """(r, L): the artificials' sum after phase 1 is r / L, L = cost_scale D."""
+        return -self.z0, self.cost_scale * self.D
 
 
 def _after_phase1(system: LinearSystem) -> _Simplex:
@@ -246,67 +232,88 @@ def _after_phase1(system: LinearSystem) -> _Simplex:
     return state
 
 
+def _check_refutation(system: LinearSystem, u, margin, L):
+    """u / L on the integer rows prices every column at most 0 and the rhs
+    at margin / L > 0."""
+    if margin <= 0 or L <= 0:
+        raise RuntimeError("refutation lacks a positive margin")
+    sums = system.weigh(u)
+    if any(a > 0 for a in sums[:-1]):
+        raise RuntimeError("refutation prices a column positively")
+    if sums[-1] != margin:
+        raise RuntimeError("refutation margin mismatch")
+
+
+def _check_optimum(system: LinearSystem, w, value, L, costs, cost_scale):
+    """By weak duality, w / L on the integer rows (L > 0) proves that no
+    feasible point beats value / L on the objective costs / cost_scale."""
+    sums = system.weigh(w)
+    if any(a * cost_scale < c * L for a, c in zip(sums, costs)):
+        raise RuntimeError("optimum dual prices a column below its cost")
+    if sums[-1] != value:
+        raise RuntimeError("optimum dual bound mismatch")
+
+
 def _verify_certificate(system: LinearSystem, cert: FeasibilityCertificate):
     if cert.feasible:
         if not system.check_solution(cert.solution):
             raise RuntimeError("solver produced a non-solution")
-        return
-    if cert.margin is None or cert.margin <= 0:
-        raise RuntimeError("refutation lacks a positive margin")
-    sums, L = system.combine(cert.dual)
-    if any(a > 0 for a in sums[:-1]):
-        raise RuntimeError("refutation prices a column positively")
-    if sums[-1] * cert.margin.denominator != cert.margin.numerator * L:
-        raise RuntimeError("refutation margin mismatch")
+    else:  # multipliers y_r / s_r on the integer rows; no margin checks as 0
+        rational = [*map(Fraction, cert.dual, system.scales), cert.margin or 0]
+        (*u, margin), L = scale_to_integers(rational)
+        _check_refutation(system, u, margin, L)
 
 
 def _verify_optimum(system: LinearSystem, objective, result: OptimizationResult):
-    """The maximizer is feasible, and by weak duality y . A_j >= c_j on every
-    column and y . b equal to the value prove that no feasible point does
-    better."""
     if not system.check_solution(result.solution):
         raise RuntimeError("optimizer produced a non-solution")
-    sums, L = system.combine(result.dual)
-    costs, cost_scale = scale_to_integers(objective)
-    # y . A_j = sums_j / L against c_j = costs_j / cost_scale
-    if any(a * cost_scale < c * L for a, c in zip(sums, costs)):
-        raise RuntimeError("optimum dual prices a column below its cost")
-    if sums[-1] * result.value.denominator != result.value.numerator * L:
-        raise RuntimeError("optimum dual bound mismatch")
+    (*w, value), L = scale_to_integers([*map(Fraction, result.dual, system.scales), result.value])
+    _check_optimum(system, w, value, L, *scale_to_integers(objective))
+
+
+def _solution(system: LinearSystem, x, D) -> tuple:
+    solution = [ZERO] * system.n_unknowns
+    for j, v in x.items():
+        solution[j] = Fraction(v, D)
+    return tuple(solution)
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityCertificate:
     """Decide {equalities, non-negativity, normalization} exactly."""
     simplex = _after_phase1(system)
-    residual = simplex.residual()
-    if residual == 0:
-        cert = FeasibilityCertificate(True, solution=simplex.solution())
-    else:
-        cert = FeasibilityCertificate(
-            False, dual=simplex.refutation(), margin=residual
-        )
-    _verify_certificate(system, cert)
-    return cert
+    margin, L = simplex.residual()
+    if margin == 0:
+        x, D = simplex.point()
+        if not system.solves(x, D):
+            raise RuntimeError("solver produced a non-solution")
+        return FeasibilityCertificate(True, solution=_solution(system, x, D))
+    u = [-v for v in simplex.multipliers()]
+    _check_refutation(system, u, margin, L)
+    dual = tuple(Fraction(s * v, L) for v, s in zip(u, system.scales))
+    return FeasibilityCertificate(False, dual=dual, margin=Fraction(margin, L))
 
 
 def maximize_linear(system: LinearSystem, objective: Sequence) -> OptimizationResult:
     """Exact max of objective . x over the system; raises when infeasible."""
-    objective = [Fraction(c) for c in objective]
-    if len(objective) != system.n_unknowns:
+    objective = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in objective]
+    costs, cost_scale = scale_to_integers(objective)
+    if len(costs) != system.n_unknowns:
         raise ValueError("objective length must match the unknown count")
     simplex = _after_phase1(system)
-    if simplex.residual() != 0:
+    if simplex.residual()[0] != 0:
         raise InfeasibleSystem("system has no non-negative solution")
     simplex = simplex.copy()
     simplex.drive_out_artificials()
-    if not simplex.maximize_objective(objective):
+    if not simplex.maximize_objective(costs, cost_scale):
         return OptimizationResult(None, None, bounded=False)
-    x = simplex.solution()
-    result = OptimizationResult(
-        sum(c * v for c, v in zip(objective, x)), x, dual=simplex.dual()
-    )
-    _verify_optimum(system, objective, result)
-    return result
+    x, D = simplex.point()
+    w, L = simplex.multipliers(), cost_scale * D
+    value = sum(costs[j] * v for j, v in x.items())
+    if not system.solves(x, D):
+        raise RuntimeError("optimizer produced a non-solution")
+    _check_optimum(system, w, value, L, costs, cost_scale)
+    dual = tuple(Fraction(s * v, L) for v, s in zip(w, system.scales))
+    return OptimizationResult(Fraction(value, L), _solution(system, x, D), dual=dual)
 
 
 def maximize_component_sum(system: LinearSystem, index_set) -> OptimizationResult:
@@ -314,5 +321,4 @@ def maximize_component_sum(system: LinearSystem, index_set) -> OptimizationResul
     indices = set(index_set)
     if any(not 0 <= j < system.n_unknowns for j in indices):
         raise ValueError("index out of range")
-    objective = [ONE if j in indices else ZERO for j in range(system.n_unknowns)]
-    return maximize_linear(system, objective)
+    return maximize_linear(system, [int(j in indices) for j in range(system.n_unknowns)])

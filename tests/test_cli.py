@@ -302,29 +302,42 @@ def test_literals_at_the_size_bound_are_read_exactly(capsys):
     assert out == f"lower: 0\nupper: 1/{10**1000}\n"
 
 
-def _oversize_json_number(tmp_path):
-    """pair_problem() with X assessed by a JSON number of 5,001 digits."""
-    path = tmp_path / "problem.json"
-    text = json.dumps(_edit_pair_problem(("assessment", "X"), "N"))
-    path.write_text(text.replace('"N"', "1" + "0" * 5000), encoding="utf-8")
-    return ("check", "--problem", str(path))
+def _json_number(text):
+    """argv for `check` on pair_problem() with X assessed by the JSON number
+    `text`."""
+    def argv(tmp_path):
+        path = tmp_path / "problem.json"
+        data = json.dumps(_edit_pair_problem(("assessment", "X"), "N"))
+        path.write_text(data.replace('"N"', text), encoding="utf-8")
+        return ("check", "--problem", str(path))
+    return argv
 
 
 # past 4,300 digits, CPython's default int-to-str limit: a JSON number read
 # from a problem file, and a sum of five in-bound literals with a
-# 4,955-digit denominator
+# 4,955-digit denominator; and a JSON number past the exponent bound, named
+# by its text
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        _oversize_json_number,
-        lambda _: ("bounds", "disjunction", *(f"1/{10**991 + k}" for k in range(5))),
+        (_json_number("1" + "0" * 5000), "a JSON number of 5001 characters"),
+        (
+            lambda _: ("bounds", "disjunction", *(f"1/{10**991 + k}" for k in range(5))),
+            "a result of 16458 bits",
+        ),
+        (_json_number("1e-5000"), "assessment['X']: 1E-5000 is not a valid rational"),
     ],
-    ids=["check-5001-digit-json-number", "bounds-disjunction-oversize-result"],
+    ids=[
+        "check-5001-digit-json-number",
+        "bounds-disjunction-oversize-result",
+        "check-1e-5000-json-number",
+    ],
 )
-def test_oversize_integers_exit_two_with_one_error_line(capsys, tmp_path, argv):
+def test_oversize_integers_exit_two_with_one_error_line(capsys, tmp_path, argv, error):
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert error in err
 
 
 def test_results_up_to_the_bit_bound_print_exactly(capsys):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,21 @@ def test_constraint_drops_forbidden_assignments():
     assert space.event("H & K").is_empty
     # the kept assignments 0, 1, 2, 4, 5, 6 are numbered in order
     assert space.event("A").members == {3, 4, 5}
+
+
+def test_a_dropped_space_is_freed_without_the_cyclic_collector():
+    # reading `everything` and complementing an event leave no reference
+    # cycle through the space, so dropping it frees it at once
+    gc.disable()
+    try:
+        space = build_world_space(["A", "B", "C"])
+        assert len(space.everything.members) == 8
+        assert len((~space.event("A")).members) == 4
+        ref = weakref.ref(space)
+        del space
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_contradictory_constraint_raises():

@@ -547,11 +547,87 @@ def test_warm_starts_leave_the_phase1_state_unchanged(monkeypatch):
 def test_wrong_optimum_dual_raises(monkeypatch):
     system = example_pair_system()
     assert maximize_component_sum(system, [0]).dual is not None
-    monkeypatch.setattr(
-        lp._Simplex, "dual", lambda self: (F(0),) * self.k
-    )
+    monkeypatch.setattr(lp._Simplex, "multipliers", lambda self: [0] * self.k)
     with pytest.raises(RuntimeError, match="dual"):
         maximize_component_sum(system, [0])
+
+
+def test_corrupted_solver_integers_raise_before_any_result(monkeypatch):
+    """Both solve paths check the simplex's own integers: one solution entry,
+    one multiplier or the refutation margin moved by 1 raises RuntimeError."""
+    point, multipliers, residual = (
+        lp._Simplex.point, lp._Simplex.multipliers, lp._Simplex.residual
+    )
+    kinds = set()
+    for system, objective in differential_systems():
+        # a column some row weighs, and a row with a non-zero rhs
+        j = next((j for j, col in enumerate(system.columns) if any(col)), None)
+        r = next((r for r, row in enumerate(system.rows) if row[-1]), None)
+
+        def bad_point(self):
+            x, D = point(self)
+            return {**x, j: x.get(j, 0) + 1}, D
+
+        def bad_multipliers(self):
+            return [v + (i == r) for i, v in enumerate(multipliers(self))]
+
+        def bad_residual(self):
+            margin, L = residual(self)
+            return margin + 1, L
+
+        cases = []
+        if solve_feasibility(system).feasible:
+            cases.append(("feasibility", "point", bad_point, j))
+            result = maximize_linear(system, objective)
+            if result.bounded:
+                cases.append(("maximize", "point", bad_point, j))
+                cases.append(("maximize", "multipliers", bad_multipliers, r))
+        else:
+            cases.append(("feasibility", "multipliers", bad_multipliers, r))
+            cases.append(("feasibility", "residual", bad_residual, 0))
+        for path, source, bad, hit in cases:
+            if hit is None:
+                continue
+            kinds.add((path, source))
+            with monkeypatch.context() as patch:
+                patch.setattr(lp._Simplex, source, bad)
+                with pytest.raises(RuntimeError):
+                    if path == "feasibility":
+                        solve_feasibility(system)
+                    else:
+                        maximize_linear(system, objective)
+    assert kinds == {
+        ("feasibility", "point"),
+        ("feasibility", "multipliers"),
+        ("feasibility", "residual"),
+        ("maximize", "point"),
+        ("maximize", "multipliers"),
+    }
+
+
+def _optimum_or_infeasible(system, objective):
+    try:
+        return maximize_linear(system, objective)
+    except InfeasibleSystem:
+        return "infeasible"
+
+
+def test_objectives_of_each_accepted_type_give_equal_optima():
+    """An objective of ints, of equal Fractions, of ints and Fractions mixed
+    or of their "p/q" text gives the same result."""
+    optima = 0
+    for system, objective in differential_systems():
+        ints = [math.floor(c) for c in objective]
+        mixed = [c.numerator if c.denominator == 1 else c for c in objective]
+        for reference, forms in (
+            (ints, ([F(c) for c in ints], [str(c) for c in ints])),
+            (objective, (mixed, [str(c) for c in objective])),
+        ):
+            result = _optimum_or_infeasible(system, reference)
+            for form in forms:
+                assert _optimum_or_infeasible(system, form) == result
+            optima += result != "infeasible" and result.bounded
+    assert optima > 100
 
 
 def test_zero_mass_optimum_carries_a_dual():
