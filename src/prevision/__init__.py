@@ -4,7 +4,8 @@ The package decides whether probability/prevision assessments on conditional
 events and their conjunctions or disjunctions are coherent, computes the
 interval of coherent extensions, and provides the Frank t-norm/t-conorm family
 together with the closed-form boundary solutions that make the
-Frechet-Hoeffding envelope sharp.
+Frechet-Hoeffding envelope sharp.  `__all__` is the documented surface;
+internals (systems, the LP, constituent views) come from their modules.
 """
 
 from .errors import (
@@ -25,27 +26,15 @@ from .geometry import (
     Assessment,
     CompoundPrevisionMap,
     ConditionalQuantity,
-    LinearSystem,
-    QuantityConstituent,
-    as_conditional_event,
-    build_sigma,
-    build_sigma_star,
-    conjunction_signatures,
-    constituents_in_all_antecedents,
     demorgan_previsions,
-    enumerate_constituents,
     indicator,
     make_conjunction,
     make_disjunction,
-    quantity_constituents,
-    signature_label,
-    to_fraction,
 )
 from .coherence import (
     CoherenceVerdict,
     DutchBook,
     ExtensionInterval,
-    LevelRecord,
     check_coherence,
     dutch_book_gains,
     extension_interval,
@@ -74,13 +63,6 @@ from .frank import (
     tconorm,
     tnorm,
 )
-from .lp import (
-    FeasibilityCertificate,
-    OptimizationResult,
-    maximize_component_sum,
-    maximize_linear,
-    solve_feasibility,
-)
 
 __all__ = [
     "EmptySpace",
@@ -101,30 +83,13 @@ __all__ = [
     "Assessment",
     "CompoundPrevisionMap",
     "ConditionalQuantity",
-    "LinearSystem",
-    "QuantityConstituent",
-    "as_conditional_event",
-    "build_sigma",
-    "build_sigma_star",
-    "conjunction_signatures",
-    "constituents_in_all_antecedents",
     "demorgan_previsions",
-    "enumerate_constituents",
     "indicator",
     "make_conjunction",
     "make_disjunction",
-    "quantity_constituents",
-    "signature_label",
-    "to_fraction",
-    "FeasibilityCertificate",
-    "OptimizationResult",
-    "maximize_component_sum",
-    "maximize_linear",
-    "solve_feasibility",
     "CoherenceVerdict",
     "DutchBook",
     "ExtensionInterval",
-    "LevelRecord",
     "check_coherence",
     "dutch_book_gains",
     "extension_interval",

@@ -23,18 +23,16 @@ from .geometry import (
     QuantityConstituent,
     as_conditional_event,
     build_sigma,
-    enumerate_constituents,
-    follows_compound_table,
     keyed_partition,
+    make_conjunction,
     quantity_constituents,
 )
 from .lp import maximize_component_sum, maximize_linear, solve_feasibility
 
 # Not called here: kept importable because benchmarks/tracing.py patches them by name.
 from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction  # noqa: F401
-from .geometry import constituents_in_all_antecedents  # noqa: F401
+from .geometry import constituents_in_all_antecedents, enumerate_constituents  # noqa: F401
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -254,62 +252,41 @@ def value_table(quantity: ConditionalQuantity) -> tuple:
 # --- extension intervals ----------------------------------------------------
 
 
-def _indicator_events(quantities):
-    events = []
-    for q in quantities:
-        ce = as_conditional_event(q)
-        if ce is None:
-            return None
-        events.append(ce)
-    return events
-
-
-def _match_pair_conjunction(events, xs, compound):
-    """Does `compound` follow the two-member conjunction table for `events`
-    with partially-void values equal to the assessed previsions?"""
-    exact = {(): ONE, (1,): xs[0], (2,): xs[1]}
-    return follows_compound_table(
-        compound, events, ZERO, lambda s: (exact[s], exact[s]) if s in exact else None
-    )
-
-
 def _family7_dispatch(assessment: Assessment, target: ConditionalQuantity):
     """Closed-form interval for the triple conjunction over three indicators
-    assessed together with their three pairwise conjunctions."""
+    assessed together with their three pairwise conjunctions.
+
+    The shape is recognized by rebuilding it: each assessed compound must be
+    a different pair's conjunction over the assessed singles, and the target
+    the triple's conjunction over the assessed singles and pairs, equal in
+    stored form."""
     if len(assessment) != 6:
         return None
-    events = _indicator_events(assessment.family[:3])
-    if events is None:
+    events = [as_conditional_event(q) for q in assessment.family[:3]]
+    if None in events:
         return None
-    blocks = enumerate_constituents(assessment.family[:3])
+    blocks = len(set(zip(*(q.codes for q in assessment.family[:3]))))
     same_antecedent = all(
         ce.antecedent.members == events[0].antecedent.members for ce in events
     )
-    if not (len(blocks) == 27 or (same_antecedent and len(blocks) == 9)):
+    if not (blocks == 27 or (same_antecedent and blocks == 9)):
         return None
     xs = assessment.values[:3]
+    pairs = ((0, 1), (0, 2), (1, 2))
     pair_of = {}
-    for k, compound in enumerate(assessment.family[3:], start=3):
-        matched = None
-        for pair in ((0, 1), (0, 2), (1, 2)):
-            pair_events = [events[pair[0]], events[pair[1]]]
-            pair_xs = (xs[pair[0]], xs[pair[1]])
-            if _match_pair_conjunction(pair_events, pair_xs, compound):
-                matched = pair
-                break
-        if matched is None or matched in pair_of.values():
-            return None
-        pair_of[k] = matched
-    if set(pair_of.values()) != {(0, 1), (0, 2), (1, 2)}:
+    for i, j in pairs:
+        q = make_conjunction([events[i], events[j]], {(1,): xs[i], (2,): xs[j]})
+        pair_of[q.levels, q.codes] = (i, j)
+    found = [pair_of.get((q.levels, q.codes)) for q in assessment.family[3:]]
+    if set(found) != set(pairs):
         return None
-    by_pair = {pair: assessment.values[k] for k, pair in pair_of.items()}
-    exact = {(): ONE, (1,): xs[0], (2,): xs[1], (3,): xs[2]}
-    exact.update(((i + 1, j + 1), v) for (i, j), v in by_pair.items())
-    if not follows_compound_table(target, events, ZERO, lambda s: (exact[s], exact[s])):
+    by_pair = dict(zip(found, assessment.values[3:]))
+    previsions = {(i + 1, j + 1): by_pair[i, j] for i, j in pairs}
+    previsions.update(((i + 1,), x) for i, x in enumerate(xs))
+    triple = make_conjunction(events, previsions)
+    if (triple.levels, triple.codes) != (target.levels, target.codes):
         return None
-    bounds = family7_bounds(
-        xs[0], xs[1], xs[2], by_pair[(0, 1)], by_pair[(0, 2)], by_pair[(1, 2)]
-    )
+    bounds = family7_bounds(*xs, *(by_pair[pair] for pair in pairs))
     if bounds[0] > bounds[1]:
         raise RuntimeError("closed form contradicts a coherent base")
     return bounds

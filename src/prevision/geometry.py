@@ -194,23 +194,22 @@ def _conjunction_blocks(family):
     return union, false, blocks
 
 
-def follows_compound_table(target, events, at_false, bounds) -> bool:
-    """Is the target conditioned on the events' union of antecedents, equal
-    to `at_false` wherever some event fails, and inside bounds(S) = (lo, hi)
-    wherever exactly the events S (1-based; () for none) are void?  S with
-    bounds(S) None is left free.  Each block is checked by its set of codes."""
+def follows_compound_table(target, events) -> bool:
+    """Is the target conditioned on the events' union of antecedents, 0
+    wherever some event fails, 1 wherever every event holds, and inside
+    [0, 1] wherever some event is void?  Each block is checked by its set of
+    codes."""
     union, false, blocks = _conjunction_blocks(events)
     if target.conditioning.members != union.members:
         return False
     levels, codes = target.levels, target.codes
-    # the false worlds first, held at at_false
-    for void, worlds in [(None, false), *blocks.items()]:
-        lohi = (at_false, at_false) if void is None else bounds(void)
-        if lohi is not None and not all(
-            lohi[0] <= levels[c] <= lohi[1] for c in set(map(codes.__getitem__, worlds))
-        ):
-            return False
-    return True
+    checks = [(ZERO, ZERO, false)]
+    checks += [(ZERO if void else ONE, ONE, ws) for void, ws in blocks.items()]
+    return all(
+        lo <= levels[c] <= hi
+        for lo, hi, worlds in checks
+        for c in set(map(codes.__getitem__, worlds))
+    )
 
 
 def _conjunction_level_sets(family, previsions):
@@ -578,9 +577,7 @@ def _sigma_star_values_from_assessment(assessment: Assessment):
         if ce is None:
             raise NotApplicable(f"{q.label} is not a conditional-event indicator")
         events.append(ce)
-    if not follows_compound_table(
-        compound, events, ZERO, lambda s: (ZERO, ONE) if s else (ONE, ONE)
-    ):
+    if not follows_compound_table(compound, events):
         raise NotApplicable("last member does not look like the family's conjunction")
     if len(constituents_in_all_antecedents(members)) != 1 << len(members):
         raise NotApplicable("events are not logically independent inside the joint antecedent")

@@ -32,7 +32,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InfeasibleSystem
-from .geometry import LinearSystem, scale_to_integers
+from .geometry import LinearSystem, scale_to_integers, to_fraction
 
 ZERO = Fraction(0)
 
@@ -278,29 +278,38 @@ def _solution(system: LinearSystem, x, D) -> tuple:
     return tuple(solution)
 
 
+def _refutation(system: LinearSystem, simplex: _Simplex) -> tuple:
+    """(dual, margin) of the phase-1 end state of an infeasible system,
+    checked on the solver's integers before any Fraction is built."""
+    margin, L = simplex.residual()
+    u = [-v for v in simplex.multipliers()]
+    _check_refutation(system, u, margin, L)
+    return tuple(Fraction(s * v, L) for v, s in zip(u, system.scales)), Fraction(margin, L)
+
+
 def solve_feasibility(system: LinearSystem) -> FeasibilityCertificate:
     """Decide {equalities, non-negativity, normalization} exactly."""
     simplex = _after_phase1(system)
-    margin, L = simplex.residual()
-    if margin == 0:
+    if simplex.residual()[0] == 0:
         x, D = simplex.point()
         if not system.solves(x, D):
             raise RuntimeError("solver produced a non-solution")
         return FeasibilityCertificate(True, solution=_solution(system, x, D))
-    u = [-v for v in simplex.multipliers()]
-    _check_refutation(system, u, margin, L)
-    dual = tuple(Fraction(s * v, L) for v, s in zip(u, system.scales))
-    return FeasibilityCertificate(False, dual=dual, margin=Fraction(margin, L))
+    dual, margin = _refutation(system, simplex)
+    return FeasibilityCertificate(False, dual=dual, margin=margin)
 
 
 def maximize_linear(system: LinearSystem, objective: Sequence) -> OptimizationResult:
-    """Exact max of objective . x over the system; raises when infeasible."""
-    objective = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in objective]
+    """Exact max of objective . x over the system; a checked refutation backs
+    InfeasibleSystem.  Ints and Fractions pass unconverted, other entries go
+    through `to_fraction`, which refuses floats."""
+    objective = [c if isinstance(c, (int, Fraction)) else to_fraction(c) for c in objective]
     costs, cost_scale = scale_to_integers(objective)
     if len(costs) != system.n_unknowns:
         raise ValueError("objective length must match the unknown count")
     simplex = _after_phase1(system)
     if simplex.residual()[0] != 0:
+        _refutation(system, simplex)
         raise InfeasibleSystem("system has no non-negative solution")
     simplex = simplex.copy()
     simplex.drive_out_artificials()

@@ -19,7 +19,6 @@ from prevision import (
     FrankKind,
     FrankParameter,
     SufficiencyVerdict,
-    build_sigma_star,
     build_world_space,
     check_coherence,
     check_family7,
@@ -38,6 +37,7 @@ from prevision import (
     tnorm,
     value_table,
 )
+from prevision.geometry import build_sigma_star
 
 from oracles import propagated_interval
 

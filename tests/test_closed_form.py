@@ -11,7 +11,6 @@ from prevision import (
     LambdaVector,
     OutOfRange,
     SufficiencyVerdict,
-    build_sigma_star,
     check_family7,
     family7_bounds,
     frechet_bounds_conjunction,
@@ -20,6 +19,7 @@ from prevision import (
     lukasiewicz_sufficient,
     special_case_same_consequent,
 )
+from prevision.geometry import build_sigma_star
 
 F = Fraction
 

@@ -15,8 +15,6 @@ from prevision import (
     DutchBook,
     Family7Assessment,
     IncoherentBase,
-    LinearSystem,
-    build_sigma,
     build_world_space,
     check_coherence,
     check_family7,
@@ -29,11 +27,11 @@ from prevision import (
     indicator,
     make_conjunction,
     make_disjunction,
-    quantity_constituents,
     special_case_same_consequent,
     value_table,
 )
 from prevision.coherence import _checked_book, _family7_dispatch
+from prevision.geometry import LinearSystem, build_sigma, quantity_constituents
 
 F = Fraction
 
@@ -599,6 +597,30 @@ class TestExtensionInterval:
         # one shared antecedent: 9 blocks, and the closed form still applies
         assessment, triple = family7_assessment(values, shared_antecedent=True)
         assert _family7_dispatch(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
+        # the pairs are recognized in any order
+        space = build_world_space(["E1", "E2", "E3", "H1", "H2", "H3"])
+        events = [
+            ConditionalEvent(space.event(f"E{i}"), space.event(f"H{i}")) for i in (1, 2, 3)
+        ]
+        assessment, triple = family7_assessment(values, events=events)
+        singles, pairs = assessment.family[:3], assessment.family[3:6]
+        xs, pair_xs = assessment.values[:3], assessment.values[3:6]
+        for order in itertools.permutations(range(3)):
+            base = Assessment(
+                singles + tuple(pairs[k] for k in order), xs + tuple(pair_xs[k] for k in order)
+            )
+            assert _family7_dispatch(base, triple) == (F(1, 4), F(3, 8))
+        # a pair off by 1/8 where one member is void, or one pair listed twice
+        off = make_conjunction(events[:2], {(1,): xs[0] + F(1, 8), (2,): xs[1]})
+        for compounds in ((off,) + pairs[1:], (pairs[0], pairs[0], pairs[2])):
+            base = Assessment(singles + compounds, assessment.values[:6])
+            assert _family7_dispatch(base, triple) is None
+        # a triple whose entry for the pair (1, 2) is not the assessed 3/8
+        base = assessment.restrict(range(6))
+        entries = {(1,): xs[0], (2,): xs[1], (3,): xs[2], (1, 3): pair_xs[1], (2, 3): pair_xs[2]}
+        for x12, expected in ((pair_xs[0], (F(1, 4), F(3, 8))), (pair_xs[0] + F(1, 8), None)):
+            target = make_conjunction(events, {**entries, (1, 2): x12})
+            assert _family7_dispatch(base, target) == expected
         # dependent events, E1|H and E1|(H | K): 15 blocks, where the closed
         # form would claim [1/4, 3/8]
         space = build_world_space(["E1", "E3", "H", "K", "H3"])

@@ -22,22 +22,25 @@ from prevision import (
     MissingPrevision,
     NotApplicable,
     OutOfRange,
-    as_conditional_event,
-    build_sigma,
-    build_sigma_star,
     build_world_space,
-    conjunction_signatures,
-    constituents_in_all_antecedents,
     demorgan_previsions,
-    enumerate_constituents,
     indicator,
     make_conjunction,
     make_disjunction,
+)
+from prevision.geometry import (
+    VOID,
+    as_conditional_event,
+    build_sigma,
+    build_sigma_star,
+    conjunction_signatures,
+    constituents_in_all_antecedents,
+    enumerate_constituents,
+    keyed_partition,
     quantity_constituents,
     signature_label,
     to_fraction,
 )
-from prevision.geometry import VOID, keyed_partition
 
 
 def conditional(space, consequent, antecedent):

@@ -19,7 +19,6 @@ from fractions import Fraction
 from prevision import (
     Assessment,
     ConditionalEvent,
-    build_sigma,
     build_world_space,
     check_coherence,
     dutch_book_gains,
@@ -29,6 +28,7 @@ from prevision import (
     indicator,
     make_conjunction,
 )
+from prevision.geometry import build_sigma
 
 F = Fraction
 

@@ -30,17 +30,13 @@ from prevision import (
     Assessment,
     ConditionalEvent,
     InfeasibleSystem,
-    LinearSystem,
-    build_sigma,
-    build_sigma_star,
     build_world_space,
     frechet_bounds_conjunction,
     indicator,
     make_conjunction,
-    maximize_component_sum,
-    maximize_linear,
-    solve_feasibility,
 )
+from prevision.geometry import LinearSystem, build_sigma, build_sigma_star
+from prevision.lp import maximize_component_sum, maximize_linear, solve_feasibility
 
 
 def conditional(space, consequent, antecedent):
@@ -153,6 +149,26 @@ def test_pinned_reduced_system_optima():
 def test_maximize_on_infeasible_system_raises():
     with pytest.raises(InfeasibleSystem):
         maximize_component_sum(never_true_system(F(1, 2)), [0])
+
+
+def x_plus_y_is_one():
+    return LinearSystem.from_fractions(((F(1), F(1)),), (F(1),), ("x", "y"), normalization=False)
+
+
+def test_maximize_checks_the_refutation_before_calling_a_system_infeasible(monkeypatch):
+    """A non-zero phase-1 residual whose refutation fails its check is an
+    internal fault on both solve paths, not an infeasible system."""
+    monkeypatch.setattr(lp._Simplex, "residual", lambda self: (1, 1))
+    with pytest.raises(RuntimeError):
+        solve_feasibility(x_plus_y_is_one())
+    with pytest.raises(RuntimeError):
+        maximize_linear(x_plus_y_is_one(), [1, 0])
+
+
+def test_objectives_refuse_floats():
+    with pytest.raises(TypeError, match="float"):
+        maximize_linear(x_plus_y_is_one(), [0.1, 0])
+    assert maximize_linear(x_plus_y_is_one(), ["1/10", 0]).value == F(1, 10)
 
 
 def test_unbounded_direction_is_reported():
