@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .closed_form import lambda_solution_TL, lambda_solution_TM
 from .coherence import check_coherence, extension_interval, value_table
@@ -243,6 +243,10 @@ def exact_text(value: Fraction) -> str:
     return str(value)
 
 
+def _arguments(ns: argparse.Namespace) -> List[Fraction]:
+    return [parse_rational(v, f"argument {i}") for i, v in enumerate(ns.values, 1)]
+
+
 def _emit(report: Dict[str, Any], lines: List[str], as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2))
@@ -337,13 +341,12 @@ def cmd_extend(ns: argparse.Namespace) -> int:
 
 
 def cmd_bounds(ns: argparse.Namespace) -> int:
-    values = [parse_rational(v, f"argument {i}") for i, v in enumerate(ns.values, 1)]
     fn = (
         frechet_bounds_conjunction
         if ns.kind == "conjunction"
         else frechet_bounds_disjunction
     )
-    lower, upper = map(exact_text, fn(values))
+    lower, upper = map(exact_text, fn(_arguments(ns)))
     report = {"kind": ns.kind, "lower": lower, "upper": upper}
     _emit(report, [f"lower: {lower}", f"upper: {upper}"], ns.json)
     return 0
@@ -376,15 +379,14 @@ def _value_report(result, precision: int) -> Tuple[Dict[str, Any], str]:
 
 def cmd_tnorm(ns: argparse.Namespace) -> int:
     parameter = parse_parameter(ns.lam)
-    values = [parse_rational(v, f"argument {i}") for i, v in enumerate(ns.values, 1)]
     operator = tnorm if ns.command == "tnorm" else tconorm
-    report, text = _value_report(operator(parameter, values), ns.precision)
+    report, text = _value_report(operator(parameter, _arguments(ns)), ns.precision)
     _emit(report, [f"value: {text}"], ns.json)
     return 0
 
 
 def cmd_solve_lambda(ns: argparse.Namespace) -> int:
-    values = [parse_rational(v, f"argument {i}") for i, v in enumerate(ns.values, 1)]
+    values = _arguments(ns)
     target = parse_rational(ns.target, "--target")
     parameter, unique = solve_lambda(values, target)
     if parameter.kind is FrankKind.GENERIC:
@@ -406,9 +408,8 @@ def cmd_solve_lambda(ns: argparse.Namespace) -> int:
 def cmd_lambda_solution(ns: argparse.Namespace) -> int:
     if len(ns.values) > MAX_SOLUTION_VALUES:
         raise ProblemError(f"{len(ns.values)} values given; at most {MAX_SOLUTION_VALUES}")
-    values = [parse_rational(v, f"argument {i}") for i, v in enumerate(ns.values, 1)]
     builder = lambda_solution_TL if ns.boundary == "lower" else lambda_solution_TM
-    vector = builder(values)
+    vector = builder(_arguments(ns))
     components = {
         label: exact_text(mass) for label, mass in zip(vector.labels(), vector.as_tuple())
     }

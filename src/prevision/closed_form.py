@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional
 
 from .errors import OutOfRange
+from .frank import FrankParameter, tnorm
 from .geometry import conjunction_signatures, signature_label, to_fraction
 
 ZERO = Fraction(0)
@@ -93,8 +93,7 @@ def lambda_solution_TL(xs) -> LambdaVector:
         return LambdaVector(
             1, {full: xs[0], frozenset(): 1 - xs[0]}, case="single"
         )
-    prefix_sums = list(accumulate(xs))
-    running = [max(prefix_sums[h - 1] - (h - 1), ZERO) for h in range(1, m + 1)]
+    running = [tnorm(FrankParameter.lukasiewicz(), xs[:h]) for h in range(1, m + 1)]
     if running[m - 1] > 0:
         entries = {full: running[m - 1]}
         for r in range(1, m + 1):
@@ -164,26 +163,22 @@ class Family7Assessment:
             object.__setattr__(self, name, _unit_fractions([getattr(self, name)])[0])
 
     @classmethod
+    def _all_tnorm(cls, parameter, x_1, x_2, x_3) -> "Family7Assessment":
+        xs = _unit_fractions((x_1, x_2, x_3))
+        pairs = [tnorm(parameter, (xs[i], xs[j])) for i, j in ((0, 1), (0, 2), (1, 2))]
+        return cls(*xs, *pairs, tnorm(parameter, xs))
+
+    @classmethod
     def all_min(cls, x_1, x_2, x_3) -> "Family7Assessment":
-        x_1, x_2, x_3 = _unit_fractions((x_1, x_2, x_3))
-        return cls(
-            x_1, x_2, x_3,
-            min(x_1, x_2), min(x_1, x_3), min(x_2, x_3), min(x_1, x_2, x_3),
-        )
+        return cls._all_tnorm(FrankParameter.min(), x_1, x_2, x_3)
 
     @classmethod
     def all_product(cls, x_1, x_2, x_3) -> "Family7Assessment":
-        x_1, x_2, x_3 = _unit_fractions((x_1, x_2, x_3))
-        return cls(x_1, x_2, x_3, x_1 * x_2, x_1 * x_3, x_2 * x_3, x_1 * x_2 * x_3)
+        return cls._all_tnorm(FrankParameter.product(), x_1, x_2, x_3)
 
     @classmethod
     def all_lukasiewicz(cls, x_1, x_2, x_3) -> "Family7Assessment":
-        x_1, x_2, x_3 = _unit_fractions((x_1, x_2, x_3))
-        low = lambda *vs: max(sum(vs) - (len(vs) - 1), ZERO)
-        return cls(
-            x_1, x_2, x_3,
-            low(x_1, x_2), low(x_1, x_3), low(x_2, x_3), low(x_1, x_2, x_3),
-        )
+        return cls._all_tnorm(FrankParameter.lukasiewicz(), x_1, x_2, x_3)
 
     def values(self) -> tuple:
         return (self.x_1, self.x_2, self.x_3,
@@ -242,10 +237,11 @@ def special_case_same_consequent(
     With freely overlapping antecedents the interval is [xy, min(x,y)];
     antecedents that cannot happen together pin it to the product.
     """
-    x, y = _unit_fractions((x, y))
+    xs = _unit_fractions((x, y))
+    product = tnorm(FrankParameter.product(), xs)
     if disjoint_antecedents:
-        return x * y, x * y
-    return x * y, min(x, y)
+        return product, product
+    return product, tnorm(FrankParameter.min(), xs)
 
 
 class SufficiencyVerdict(Enum):

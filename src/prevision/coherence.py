@@ -95,16 +95,13 @@ def _book_gains(system: LinearSystem, stakes):
 
 
 def dutch_book_gains(
-    assessment: Assessment, book: DutchBook, partition=None
+    assessment: Assessment, book: DutchBook
 ) -> list[tuple[QuantityConstituent, Fraction]]:
     """Gain of the stakes on every constituent inside the booked sub-family's
     union of antecedents.  Void members contribute nothing by construction.
-
-    `partition` is the booked sub-family's quantity_constituents when
-    already computed.
     """
     sub = assessment.restrict([p - 1 for p in book.member_indices])
-    inside = (partition or quantity_constituents(sub.family))[0]
+    inside = quantity_constituents(sub.family)[0]
     gains, L = _book_gains(build_sigma(sub, [c.codes for c in inside]), book.stakes)
     return [(c, Fraction(g, L)) for c, g in zip(inside, gains)]
 

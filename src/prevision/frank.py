@@ -194,16 +194,15 @@ def tconorm(parameter: FrankParameter, xs: Sequence[Real]) -> Real:
 
 
 def frechet_bounds_conjunction(xs: Sequence[Real]) -> tuple[Fraction, Fraction]:
-    """Exact sharp envelope for the conjunction prevision."""
+    """Exact sharp envelope for the conjunction prevision: (T_L, T_M)."""
     xs = [to_fraction(x) for x in _validated(xs)]
-    lower = sum(xs) - (len(xs) - 1)
-    return (lower if lower > 0 else Fraction(0)), min(xs)
+    return tnorm(FrankParameter.lukasiewicz(), xs), tnorm(FrankParameter.min(), xs)
 
 
 def frechet_bounds_disjunction(xs: Sequence[Real]) -> tuple[Fraction, Fraction]:
-    """Exact sharp envelope for the disjunction prevision."""
+    """Exact sharp envelope for the disjunction prevision: (S_M, S_L)."""
     xs = [to_fraction(x) for x in _validated(xs)]
-    return max(xs), min(Fraction(1), sum(xs))
+    return tconorm(FrankParameter.min(), xs), tconorm(FrankParameter.lukasiewicz(), xs)
 
 
 def sum_rule_disjunction(x: Real, y: Real, z: Real) -> Real:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import MissingPrevision, NotApplicable, OutOfRange
 from .events import ConditionalEvent, Event, WorldSpace
@@ -167,14 +167,18 @@ def demorgan_previsions(m: CompoundPrevisionMap) -> CompoundPrevisionMap:
     return CompoundPrevisionMap({tuple(sorted(s)): ONE - v for s, v in m.items()})
 
 
-def _conjunction_blocks(family):
-    """(union, false, blocks): the union of antecedents, its worlds where some
-    member fails, and its other worlds grouped by the tuple of 1-based members
-    void on them; the block of () holds the worlds where every member holds.
+def _conjunction_level_sets(family, previsions):
+    """(union, level sets, x of the full set) of the family's conjunction: 0
+    on the worlds where some member fails, 1 where every member holds, and
+    x_S on the block where exactly the members S are void.
 
     Each member splits every block by its antecedent, so the work is set
     algebra on the events, not a classification of each world.
     """
+    if not family:
+        raise ValueError("family must be non-empty")
+    if not isinstance(previsions, CompoundPrevisionMap):
+        previsions = CompoundPrevisionMap(previsions)
     union = family[0].antecedent
     for ce in family[1:]:
         union = union | ce.antecedent
@@ -191,36 +195,6 @@ def _conjunction_blocks(family):
             if len(active) < len(worlds):
                 split[void + (i,)] = worlds - active
         blocks = split
-    return union, false, blocks
-
-
-def follows_compound_table(target, events) -> bool:
-    """Is the target conditioned on the events' union of antecedents, 0
-    wherever some event fails, 1 wherever every event holds, and inside
-    [0, 1] wherever some event is void?  Each block is checked by its set of
-    codes."""
-    union, false, blocks = _conjunction_blocks(events)
-    if target.conditioning.members != union.members:
-        return False
-    levels, codes = target.levels, target.codes
-    checks = [(ZERO, ZERO, false)]
-    checks += [(ZERO if void else ONE, ONE, ws) for void, ws in blocks.items()]
-    return all(
-        lo <= levels[c] <= hi
-        for lo, hi, worlds in checks
-        for c in set(map(codes.__getitem__, worlds))
-    )
-
-
-def _conjunction_level_sets(family, previsions):
-    """(union, level sets, x of the full set) of the family's conjunction: 0
-    on the false worlds, 1 where every member holds, and x_S on the block
-    where exactly the members S are void."""
-    if not family:
-        raise ValueError("family must be non-empty")
-    if not isinstance(previsions, CompoundPrevisionMap):
-        previsions = CompoundPrevisionMap(previsions)
-    union, false, blocks = _conjunction_blocks(family)
     xs = {void: previsions.get(void) if void else ONE for void in blocks}
     missing = {w: void for void, ws in blocks.items() if xs[void] is None for w in ws}
     if missing:
@@ -516,23 +490,14 @@ def build_sigma(assessment: Assessment, keys=None) -> LinearSystem:
 def conjunction_signatures(n: int) -> list[frozenset]:
     """All member subsets S of {1..n}, in the canonical unknown order.
 
-    The order puts the last member's bar in the most significant position and
-    members 1..n-1 after it, unbarred before barred; it matches the worked
-    solution tuples that the closed-form constructors reproduce.
+    Position p in the order has a set bit for each barred member: member n's
+    bar is the top bit and members 1..n-1 follow it, so unbarred comes before
+    barred; it matches the worked solution tuples that the closed-form
+    constructors reproduce.
     """
-    def position(s):
-        pos = 0 if n in s else 1 << (n - 1)
-        for j in range(1, n):
-            if j not in s:
-                pos += 1 << (n - 1 - j)
-        return pos
-
-    return sorted((frozenset(s) for s in _subsets(n)), key=position)
-
-
-def _subsets(n):
-    for mask in range(1 << n):
-        yield [j for j in range(1, n + 1) if mask >> (j - 1) & 1]
+    # bit n-1 is member n's bar, and bit n-1-j member j's for j < n
+    bit = {j: (n - 1 - j) % n for j in range(1, n + 1)}
+    return [frozenset(j for j in bit if not p >> bit[j] & 1) for p in range(1 << n)]
 
 
 def signature_label(s, n: int) -> str:
@@ -540,20 +505,16 @@ def signature_label(s, n: int) -> str:
     return "".join(f"{j}" if j in s else f"{j}~" for j in range(1, n + 1))
 
 
-def build_sigma_star(assessment: Union[Assessment, Sequence]) -> LinearSystem:
-    """The reduced system over the 2^n blocks where every antecedent holds.
-
-    Accepts either an assessed family (n conditional-event indicators plus
-    their n-ary conjunction, shape checked) or a bare value sequence
-    (x_1, ..., x_n, x_overall).  Unknowns follow conjunction_signatures.
+def build_sigma_star(values: Sequence) -> LinearSystem:
+    """The reduced system over the 2^n blocks where every antecedent holds,
+    for the value sequence (x_1, ..., x_n, x_overall) of n logically
+    independent conditional events and their conjunction.  Unknowns follow
+    conjunction_signatures.
     """
-    if isinstance(assessment, Assessment):
-        xs, x_all = _sigma_star_values_from_assessment(assessment)
-    else:
-        values = [to_fraction(v) for v in assessment]
-        if len(values) < 2:
-            raise NotApplicable("need at least one member prevision plus the overall one")
-        xs, x_all = values[:-1], values[-1]
+    values = [to_fraction(v) for v in values]
+    if len(values) < 2:
+        raise NotApplicable("need at least one member prevision plus the overall one")
+    xs, x_all = values[:-1], values[-1]
     n = len(xs)
     sigs = conjunction_signatures(n)
     full = frozenset(range(1, n + 1))
@@ -564,21 +525,3 @@ def build_sigma_star(assessment: Union[Assessment, Sequence]) -> LinearSystem:
     return LinearSystem.from_fractions(
         equalities, tuple(xs) + (x_all,), [signature_label(s, n) for s in sigs]
     )
-
-
-def _sigma_star_values_from_assessment(assessment: Assessment):
-    family = assessment.family
-    if len(family) < 2:
-        raise NotApplicable("family must contain members plus their conjunction")
-    members, compound = family[:-1], family[-1]
-    events = []
-    for q in members:
-        ce = as_conditional_event(q)
-        if ce is None:
-            raise NotApplicable(f"{q.label} is not a conditional-event indicator")
-        events.append(ce)
-    if not follows_compound_table(compound, events):
-        raise NotApplicable("last member does not look like the family's conjunction")
-    if len(constituents_in_all_antecedents(members)) != 1 << len(members):
-        raise NotApplicable("events are not logically independent inside the joint antecedent")
-    return list(assessment.values[:-1]), assessment.values[-1]

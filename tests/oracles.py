@@ -48,15 +48,25 @@ assignment materialized as a tuple of bools, and each formula's parse tree
 walked once per world after its atoms are checked.  `build_world_space` and
 `WorldSpace.event` must give the same members under the same numbering, and
 raise the same error types.
+
+`sorted_conjunction_signatures` is the canonical unknown order as it was
+built before it was counted in binary: every member subset, sorted by its
+position key.  `HAND_TNORMS` holds min, product and max(sum - (n - 1), 0)
+written out by hand, as the closed forms and the Frechet bounds wrote them
+before they took the named t-norms from `frank.tnorm`; the `hand_*`
+functions and `prefix_sum_lambda_solution_TL` (whose running bound came from
+prefix sums) are those closed forms, and each must return equal Fractions.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
+from itertools import accumulate, combinations, product
+from math import lcm, prod
 
+from prevision.closed_form import Family7Assessment, LambdaVector, _tail_products
 from prevision.coherence import ExtensionInterval, _propagate, check_coherence
 from prevision.errors import EmptySpace, IncoherentBase, UnknownAtom
 from prevision.events import parse_formula
+from prevision.frank import FrankKind
 from prevision.geometry import (
     VOID,
     CompoundPrevisionMap,
@@ -673,3 +683,87 @@ def per_world_event(space, formula):
     atom_index, worlds = space
     node = _checked_node(formula, atom_index)
     return frozenset(i for i, w in enumerate(worlds) if _eval_node(node, w, atom_index))
+
+
+def sorted_conjunction_signatures(n):
+    """Every member subset of {1..n}, sorted so that member n's bar weighs
+    most and members 1..n-1 follow it, unbarred before barred."""
+    def position(s):
+        pos = 0 if n in s else 1 << (n - 1)
+        for j in range(1, n):
+            if j not in s:
+                pos += 1 << (n - 1 - j)
+        return pos
+
+    subsets = (
+        frozenset(j for j in range(1, n + 1) if mask >> (j - 1) & 1)
+        for mask in range(1 << n)
+    )
+    return sorted(subsets, key=position)
+
+
+HAND_TNORMS = {
+    FrankKind.MIN: lambda *xs: min(xs),
+    FrankKind.PRODUCT: lambda *xs: prod(xs, start=ONE),
+    FrankKind.LUKASIEWICZ: lambda *xs: max(sum(xs) - (len(xs) - 1), ZERO),
+}
+
+
+def hand_family7(kind, x_1, x_2, x_3):
+    """The seven values with every pair and the triple valued by one named t-norm."""
+    t = HAND_TNORMS[kind]
+    pairs = t(x_1, x_2), t(x_1, x_3), t(x_2, x_3)
+    return Family7Assessment(x_1, x_2, x_3, *pairs, t(x_1, x_2, x_3))
+
+
+def hand_frechet_conjunction(xs):
+    xs = [Fraction(x) for x in xs]
+    lower = sum(xs) - (len(xs) - 1)
+    return (lower if lower > 0 else ZERO), min(xs)
+
+
+def hand_frechet_disjunction(xs):
+    xs = [Fraction(x) for x in xs]
+    return max(xs), min(ONE, sum(xs))
+
+
+def hand_same_consequent(x, y, disjoint_antecedents=False):
+    x, y = Fraction(x), Fraction(y)
+    return (x * y, x * y) if disjoint_antecedents else (x * y, min(x, y))
+
+
+def prefix_sum_lambda_solution_TL(xs):
+    """lambda_solution_TL with its running lower bound taken from prefix sums."""
+    xs = [Fraction(x) for x in xs]
+    m = len(xs)
+    full = frozenset(range(1, m + 1))
+    if m == 1:
+        return LambdaVector(1, {full: xs[0], frozenset(): 1 - xs[0]}, case="single")
+    prefix_sums = list(accumulate(xs))
+    running = [max(prefix_sums[h - 1] - (h - 1), ZERO) for h in range(1, m + 1)]
+    if running[m - 1] > 0:
+        entries = {full: running[m - 1]}
+        for r in range(1, m + 1):
+            entries[full - {r}] = 1 - xs[r - 1]
+        return LambdaVector(m, entries, case="c")
+    if xs[0] == 0:
+        return LambdaVector(m, dict(_tail_products(range(1, m + 1), xs)), case="d")
+    h_star = max(h for h in range(1, m + 1) if running[h - 1] > 0)
+    prefix = frozenset(range(1, h_star + 1))
+    pivot = h_star + 1
+    blocks = _tail_products(range(h_star + 2, m + 1), xs)
+    entries = {}
+    if running[h_star - 1] == 1:
+        case = "a" if h_star == m - 1 else "f"
+        for s, w in blocks:
+            entries[prefix | s] = w
+    else:
+        case = "b" if h_star == m - 1 else "e"
+        rho = xs[pivot - 1] / (1 - running[h_star - 1])
+        for s, w in blocks:
+            for r in range(1, h_star + 1):
+                gap = 1 - xs[r - 1]
+                entries[(prefix - {r}) | {pivot} | s] = gap * rho * w
+                entries[(prefix - {r}) | s] = gap * (1 - rho) * w
+            entries[prefix | s] = running[h_star - 1] * w
+    return LambdaVector(m, entries, case=case)

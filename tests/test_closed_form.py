@@ -1,25 +1,37 @@
 """Closed-form constructors and the three-event rules."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    hand_family7,
+    hand_frechet_conjunction,
+    hand_frechet_disjunction,
+    hand_same_consequent,
+    prefix_sum_lambda_solution_TL,
+    sorted_conjunction_signatures,
+)
 
 from prevision import (
     Family7Assessment,
+    FrankKind,
     LambdaVector,
     OutOfRange,
     SufficiencyVerdict,
     check_family7,
     family7_bounds,
     frechet_bounds_conjunction,
+    frechet_bounds_disjunction,
     lambda_solution_TL,
     lambda_solution_TM,
     lukasiewicz_sufficient,
     special_case_same_consequent,
 )
-from prevision.geometry import build_sigma_star
+from prevision.geometry import build_sigma_star, conjunction_signatures
 
 F = Fraction
 
@@ -330,3 +342,44 @@ class TestLukasiewiczSufficient:
             assert full.coherent
         elif verdict is SufficiencyVerdict.INCOHERENT:
             assert not full.coherent
+
+
+def test_named_tnorms_match_the_handwritten_formulas():
+    """The closed forms and the Frechet bounds take min, product and
+    Lukasiewicz from frank.tnorm, and the signature order is counted in
+    binary; each equals the formula it replaced, in Fractions."""
+
+    def same(got, expected):
+        assert got == expected
+        assert all(type(v) is Fraction for v in got)
+
+    for n in range(1, 9):
+        assert conjunction_signatures(n) == sorted_conjunction_signatures(n)
+    eighth = [F(k, 8) for k in range(9)]
+    for xs in itertools.product(eighth, repeat=3):
+        for kind, build in (
+            (FrankKind.MIN, Family7Assessment.all_min),
+            (FrankKind.PRODUCT, Family7Assessment.all_product),
+            (FrankKind.LUKASIEWICZ, Family7Assessment.all_lukasiewicz),
+        ):
+            same(build(*xs).values(), hand_family7(kind, *xs).values())
+        same(frechet_bounds_conjunction(xs), hand_frechet_conjunction(xs))
+        same(frechet_bounds_disjunction(xs), hand_frechet_disjunction(xs))
+        for disjoint in (False, True):
+            same(
+                special_case_same_consequent(*xs[:2], disjoint),
+                hand_same_consequent(*xs[:2], disjoint),
+            )
+    rng = random.Random(15)
+    pool = [F(0), F(1)] + [F(k, d) for d in (2, 3, 5, 8) for k in range(1, d)]
+    cases = set()
+    for _ in range(1500):
+        xs = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            ones = rng.randint(1, len(xs))
+            xs[:ones] = [F(1)] * ones
+        vector, expected = lambda_solution_TL(xs), prefix_sum_lambda_solution_TL(xs)
+        assert vector.case == expected.case
+        same(vector.as_tuple(), expected.as_tuple())
+        cases.add(vector.case)
+    assert cases == {"single", "a", "b", "c", "d", "e", "f"}

@@ -323,7 +323,7 @@ def assert_book_check_matches_fraction_gains(assessment, book):
     reference = fraction_book_gains(assessment, book)
     sub = assessment.restrict([p - 1 for p in book.member_indices])
     partition = quantity_constituents(sub.family)
-    assert dutch_book_gains(assessment, book, partition) == reference
+    assert dutch_book_gains(assessment, book) == reference
     system = build_sigma(sub, [c.codes for c in partition[0]])
     least = min(g for _, g in reference)
     at_least = DutchBook(book.member_indices, book.stakes, least)

@@ -20,7 +20,6 @@ from prevision import (
     ConditionalQuantity,
     Event,
     MissingPrevision,
-    NotApplicable,
     OutOfRange,
     build_world_space,
     demorgan_previsions,
@@ -587,51 +586,6 @@ def test_sigma_star_two_events_from_sequence():
     lam = (Z, Y - Z, X - Z, 1 - X - Y + Z)
     assert system.check_solution(lam)
     assert not system.check_solution((Z, X - Z, Y - Z, 1 - X - Y + Z))
-
-
-def test_sigma_star_from_assessment_matches_sequence(space4, pair):
-    conj = make_conjunction(pair, PAIR_PREVISIONS, "C")
-    family = (indicator(pair[0], "A|H"), indicator(pair[1], "B|K"), conj)
-    assessment = Assessment(family, (X, Y, Z))
-    from_assessment = build_sigma_star(assessment)
-    from_sequence = build_sigma_star((X, Y, Z))
-    assert fraction_rows(from_assessment) == fraction_rows(from_sequence)
-
-
-def test_sigma_star_rejects_wrong_conditioning(space4, pair):
-    family = (
-        indicator(pair[0], "A|H"),
-        indicator(pair[1], "B|K"),
-        indicator(pair[1], "B|K again"),
-    )
-    with pytest.raises(NotApplicable):
-        build_sigma_star(Assessment(family, (X, Y, Y)))
-
-
-def test_sigma_star_checks_the_compound_against_the_conjunction_table(space4, pair):
-    members = (indicator(pair[0], "A|H"), indicator(pair[1], "B|K"))
-    conj = make_conjunction(pair, {(1,): F(0), (2,): F(1), (1, 2): Z})
-    assert build_sigma_star(Assessment(members + (conj,), (X, Y, Z))).n_unknowns == 4
-    worlds = {
-        "true": space4.event("A&H&B&K"),
-        "false": space4.event("!A&H"),
-        "void": space4.event("!H&K"),
-    }
-    for kind, value in (("true", F(0)), ("false", F(1)), ("void", F(2))):
-        values = dict(conj.values)
-        values[min(worlds[kind].members)] = value
-        off = ConditionalQuantity.from_values(conj.conditioning, values)
-        with pytest.raises(NotApplicable):
-            build_sigma_star(Assessment(members + (off,), (X, Y, Z)))
-
-
-def test_sigma_star_rejects_logically_dependent_events(space4):
-    ce = conditional(space4, "A", "H")
-    nce = conditional(space4, "!A", "H")
-    conj = make_conjunction([ce, nce], {(1, 2): F(0)})
-    family = (indicator(ce), indicator(nce), conj)
-    with pytest.raises(NotApplicable):
-        build_sigma_star(Assessment(family, (X, 1 - X, F(0))))
 
 
 def test_sigma_star_solution_pads_into_full_sigma(space4, pair):

@@ -1,9 +1,14 @@
-"""The names the benchmark harness reads from the package must resolve.
+"""The names the benchmark harness reads from the package must resolve, and
+every name a source module imports must be read.
 
 `benchmarks/tracing.LAYERS` patches each (module, name) where its caller
 looks it up, and `benchmarks/workloads.py` reads `P.<name>` from the top
 level.  Both files are parsed here, not imported or changed, so removing
-such a name fails this suite as well as the benchmark's own tests.
+such a name fails this suite as well as the benchmark's own tests.  The
+import check parses each module under `src/prevision` with `ast`: an
+imported name must be read in the module or listed in its `__all__`, unless
+its import line carries `# noqa: F401`, which marks the names `LAYERS`
+patches.
 """
 
 import ast
@@ -13,19 +18,25 @@ from pathlib import Path
 import prevision
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+SOURCE = Path(prevision.__file__).resolve().parent
 
 
 def _tree(name):
     return ast.parse((BENCHMARKS / name).read_text(encoding="utf-8"))
 
 
-def test_every_traced_layer_resolves():
-    (layers,) = (
+def _assigned(tree, name):
+    """The literal values a module assigns to `name` at its top level."""
+    return [
         ast.literal_eval(node.value)
-        for node in _tree("tracing.py").body
+        for node in tree.body
         if isinstance(node, ast.Assign)
-        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
-    )
+        and [getattr(t, "id", None) for t in node.targets] == [name]
+    ]
+
+
+def test_every_traced_layer_resolves():
+    (layers,) = _assigned(_tree("tracing.py"), "LAYERS")
     assert layers
     for module, name, _ in layers:
         assert hasattr(importlib.import_module(module), name), (module, name)
@@ -43,3 +54,37 @@ def test_every_workload_name_is_exported():
     assert names <= set(prevision.__all__)
     for name in prevision.__all__:
         assert hasattr(prevision, name), name
+
+
+def _unread_imports(path):
+    """The names a module imports but never reads, leaving out its `__all__`
+    and the import lines marked `# noqa: F401`."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    exported = set().union(*_assigned(tree, "__all__"))
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in read | exported
+    )
+
+
+def test_every_import_is_read():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    unread = {path.name: _unread_imports(path) for path in modules}
+    assert {name: found for name, found in unread.items() if found} == {}
