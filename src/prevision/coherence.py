@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .closed_form import family7_bounds
 from .errors import IncoherentBase
 from .geometry import (
     Assessment,
@@ -21,15 +20,14 @@ from .geometry import (
     VOID,
     LinearSystem,
     QuantityConstituent,
-    as_conditional_event,
     build_sigma,
     keyed_partition,
-    make_conjunction,
     quantity_constituents,
 )
 from .lp import maximize_component_sum, maximize_linear, solve_feasibility
 
 # Not called here: kept importable because benchmarks/tracing.py patches them by name.
+from .closed_form import family7_bounds  # noqa: F401
 from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction  # noqa: F401
 from .geometry import constituents_in_all_antecedents, enumerate_constituents  # noqa: F401
 
@@ -249,44 +247,11 @@ def value_table(quantity: ConditionalQuantity) -> tuple:
 # --- extension intervals ----------------------------------------------------
 
 
-def _family7_dispatch(assessment: Assessment, target: ConditionalQuantity):
-    """Closed-form interval for the triple conjunction over three indicators
-    assessed together with their three pairwise conjunctions.
-
-    The shape is recognized by rebuilding it: each assessed compound must be
-    a different pair's conjunction over the assessed singles, and the target
-    the triple's conjunction over the assessed singles and pairs, equal in
-    stored form."""
-    if len(assessment) != 6:
-        return None
-    events = [as_conditional_event(q) for q in assessment.family[:3]]
-    if None in events:
-        return None
-    blocks = len(set(zip(*(q.codes for q in assessment.family[:3]))))
-    same_antecedent = all(
-        ce.antecedent.members == events[0].antecedent.members for ce in events
-    )
-    if not (blocks == 27 or (same_antecedent and blocks == 9)):
-        return None
-    xs = assessment.values[:3]
-    pairs = ((0, 1), (0, 2), (1, 2))
-    pair_of = {}
-    for i, j in pairs:
-        q = make_conjunction([events[i], events[j]], {(1,): xs[i], (2,): xs[j]})
-        pair_of[q.levels, q.codes] = (i, j)
-    found = [pair_of.get((q.levels, q.codes)) for q in assessment.family[3:]]
-    if set(found) != set(pairs):
-        return None
-    by_pair = dict(zip(found, assessment.values[3:]))
-    previsions = {(i + 1, j + 1): by_pair[i, j] for i, j in pairs}
-    previsions.update(((i + 1,), x) for i, x in enumerate(xs))
-    triple = make_conjunction(events, previsions)
-    if (triple.levels, triple.codes) != (target.levels, target.codes):
-        return None
-    bounds = family7_bounds(*xs, *(by_pair[pair] for pair in pairs))
-    if bounds[0] > bounds[1]:
-        raise RuntimeError("closed form contradicts a coherent base")
-    return bounds
+def _linear_range(system: LinearSystem, objective):
+    """Least and greatest value of `objective` over the solutions of `system`."""
+    hi = maximize_linear(system, objective).value
+    lo = -maximize_linear(system, [-c for c in objective]).value
+    return lo, hi
 
 
 def _charnes_cooper_range(system: LinearSystem, t: int, codes, levels):
@@ -307,10 +272,7 @@ def _charnes_cooper_range(system: LinearSystem, t: int, codes, levels):
         lambda: system.unknown_labels + ("scale",),
         normalization=False,
     )
-    objective = [0 if c == VOID else levels[c] for c in codes] + [0]
-    hi = maximize_linear(cc, objective).value
-    lo = -maximize_linear(cc, [-c for c in objective]).value
-    return lo, hi
+    return _linear_range(cc, [0 if c == VOID else levels[c] for c in codes] + [0])
 
 
 def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
@@ -318,12 +280,14 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
     walking the levels `trace` of the assessment's own verdict.
 
     At each level the members in play and the target share one partition.
-    Where the target's active blocks K must carry mass, the level's
-    linear-fractional range is the answer.  Where K never carries mass, the
-    target joins the next level.  Where K may carry mass or not, values
-    outside that range leave the target void, and the members that then get
-    no mass, with the target, form a strictly smaller problem whose range
-    joins the level's range.
+    Where the target is active on every block, each solution puts its unit
+    mass on the target's active blocks K, so the range of the target's
+    values over the level's own system is the answer.  Where K must carry
+    mass, the level's linear-fractional range is the answer.  Where K never
+    carries mass, the target joins the next level.  Where K may carry mass
+    or not, values outside that range leave the target void, and the members
+    that then get no mass, with the target, form a strictly smaller problem
+    whose range joins the level's range.
     """
     hull = target.hull()
     for record in trace:
@@ -331,6 +295,8 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
         t = len(current)
         system = build_sigma(current, keyed_partition([q.codes for q in (*current.family, target)]))
         columns = list(zip(*system.keys))
+        if VOID not in columns[t]:
+            return _linear_range(system, [target.levels[c] for c in columns[t]])
         k_mass = tuple(0 if c == VOID else 1 for c in columns[t])
         least = maximize_linear(system, [-v for v in k_mass])
         if least.value == 0 and maximize_linear(system, k_mass).value == 0:
@@ -363,9 +329,8 @@ def extension_interval(
     the assessment coherent.
 
     Raises IncoherentBase when the assessment itself fails.  A target already
-    in the family gets its assessed value, and the triple conjunction over a
-    three-event family with its pairwise conjunctions gets `family7_bounds`.
-    Every other target, the Frechet-Hoeffding and same-consequent shapes
+    in the family gets its assessed value.  Every other target, the
+    Frechet-Hoeffding, same-consequent and three-event family shapes
     included, is propagated exactly through the levels of the assessment's
     own verdict, with linear programs only.  Both endpoints are exact:
     `exact` is always True.
@@ -376,7 +341,4 @@ def extension_interval(
     for q, mu in zip(assessment.family, assessment.values):
         if (q.levels, q.codes) == (target.levels, target.codes):
             return ExtensionInterval(mu, mu, True)
-    interval = _family7_dispatch(assessment, target)
-    if interval is None:
-        interval = _propagate(assessment, verdict.trace, target)
-    return ExtensionInterval(interval[0], interval[1], True)
+    return ExtensionInterval(*_propagate(assessment, verdict.trace, target), True)

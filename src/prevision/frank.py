@@ -77,11 +77,6 @@ class FrankParameter:
             return cls.lukasiewicz()
         return cls.generic(value)
 
-    def describe(self) -> str:
-        if self.kind is FrankKind.GENERIC:
-            return repr(self.value)
-        return self.kind.value
-
 
 Real = Union[int, float, Fraction]
 
@@ -108,13 +103,6 @@ def _lukasiewicz(xs) -> Real:
         return rest[0]
     s = sum(rest) - (len(rest) - 1)
     return s if s > 0 else _zero_like(xs)
-
-
-def _product(xs) -> Real:
-    p = xs[0] * 1
-    for x in xs[1:]:
-        p *= x
-    return p
 
 
 def _log1mexp(u: float) -> float:
@@ -168,7 +156,7 @@ def tnorm(parameter: FrankParameter, xs: Sequence[Real]) -> Real:
     if parameter.kind is FrankKind.MIN:
         return min(xs)
     if parameter.kind is FrankKind.PRODUCT:
-        return _product(xs)
+        return math.prod(xs)
     if parameter.kind is FrankKind.LUKASIEWICZ:
         return _lukasiewicz(xs)
     return _tnorm_generic(parameter.value, xs)

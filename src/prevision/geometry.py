@@ -116,15 +116,6 @@ def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
     return ConditionalQuantity.from_level_sets(ce.antecedent, [(ONE, h & e), (ZERO, h - e)], label)
 
 
-def as_conditional_event(q: ConditionalQuantity) -> Optional[ConditionalEvent]:
-    """Recover E|H from an indicator quantity; None if values are not 0/1."""
-    if not q.is_indicator():
-        return None
-    one = q.levels.index(ONE) if ONE in q.levels else None
-    ones = frozenset(w for w, c in enumerate(q.codes) if c == one)
-    return ConditionalEvent(Event(q.space, ones), q.conditioning)
-
-
 class CompoundPrevisionMap:
     """x_S per non-empty member subset S, each value in [0, 1].
 

@@ -38,10 +38,6 @@ that classifies each world member by member as true, false or void; the
 constituent views of `prevision.geometry`, which group the indicators' value
 codes instead, must return the same blocks, labels and order.
 
-`propagated_interval` is `extension_interval` with the one closed form it
-still dispatches, `family7_bounds`, left out, so tests can hold that closed
-form against exact propagation.
-
 `per_world_space` and `per_world_event` are world spaces and events as they
 were before formulas were evaluated by set algebra: every surviving
 assignment materialized as a tuple of bools, and each formula's parse tree
@@ -63,8 +59,7 @@ from itertools import accumulate, combinations, product
 from math import lcm, prod
 
 from prevision.closed_form import Family7Assessment, LambdaVector, _tail_products
-from prevision.coherence import ExtensionInterval, _propagate, check_coherence
-from prevision.errors import EmptySpace, IncoherentBase, UnknownAtom
+from prevision.errors import EmptySpace, UnknownAtom
 from prevision.events import parse_formula
 from prevision.frank import FrankKind
 from prevision.geometry import (
@@ -532,15 +527,6 @@ def fraction_sigma(assessment, partition=None):
     equalities = [tuple(point[i] for point in points) for i in range(len(mus))]
     labels = [QuantityConstituent(c.worlds, c.profile[:len(mus)]).label() for c in inside]
     return equalities, mus, labels
-
-
-def propagated_interval(base, target):
-    """The target propagated through the levels of the base verdict's trace:
-    extension_interval without the family7 closed form."""
-    verdict = check_coherence(base)
-    if not verdict.coherent:
-        raise IncoherentBase("the base assessment is not coherent")
-    return ExtensionInterval(*_propagate(base, verdict.trace, target), True)
 
 
 def _profile_sort_key(profile):

@@ -23,6 +23,7 @@ from prevision import (
     check_coherence,
     check_family7,
     dutch_book_gains,
+    extension_interval,
     family7_bounds,
     find_dutch_book,
     frechet_bounds_conjunction,
@@ -38,8 +39,6 @@ from prevision import (
     value_table,
 )
 from prevision.geometry import build_sigma_star
-
-from oracles import propagated_interval
 
 F = Fraction
 SEED = 20260817
@@ -267,7 +266,7 @@ def test_criterion_06_same_consequent_special_cases():
             (indicator(first, "X"), indicator(second, "Y")), (F(7, 20), F(9, 20))
         )
         target = make_conjunction([first, second], {(1,): F(7, 20), (2,): F(9, 20)})
-        result = propagated_interval(base, target)
+        result = extension_interval(base, target)
         if (result.lower, result.upper, result.exact) != (*expected, True):
             failures.append((constraints, result))
     report(6, "same-consequent special cases match the generic engine exactly", failures)

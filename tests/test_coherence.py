@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_book_gains, fraction_rows, fraction_sigma, propagated_interval
+from oracles import fraction_book_gains, fraction_rows, fraction_sigma
 from prevision import (
     Assessment,
     CompoundPrevisionMap,
@@ -21,6 +21,7 @@ from prevision import (
     demorgan_previsions,
     dutch_book_gains,
     extension_interval,
+    family7_bounds,
     find_dutch_book,
     frechet_bounds_conjunction,
     frechet_bounds_disjunction,
@@ -30,7 +31,7 @@ from prevision import (
     special_case_same_consequent,
     value_table,
 )
-from prevision.coherence import _checked_book, _family7_dispatch
+from prevision.coherence import _checked_book
 from prevision.geometry import LinearSystem, build_sigma, quantity_constituents
 
 F = Fraction
@@ -488,13 +489,8 @@ class TestExtensionInterval:
         family = (indicator(first, "X"), indicator(second, "Y"))
         base = Assessment(family, (F(7, 20), F(9, 20)))
         target = make_conjunction([first, second], {(1,): F(7, 20), (2,): F(9, 20)})
-        closed = extension_interval(base, target)
-        generic = propagated_interval(base, target)
-        assert (closed.lower, closed.upper) == (F(0), F(7, 20))
-        assert closed.exact
-        assert (generic.lower, generic.upper, generic.exact) == (
-            closed.lower, closed.upper, True
-        )
+        result = extension_interval(base, target)
+        assert (result.lower, result.upper, result.exact) == (F(0), F(7, 20), True)
 
     def test_pair_disjunction_envelope(self):
         space, first, second = pair_setup()
@@ -507,11 +503,9 @@ class TestExtensionInterval:
             ),
         )
         lo, hi = frechet_bounds_disjunction((F(7, 20), F(9, 20)))
-        closed = extension_interval(base, target)
-        generic = propagated_interval(base, target)
-        assert (closed.lower, closed.upper) == (lo, hi) == (F(9, 20), F(4, 5))
-        assert closed.exact
-        assert (generic.lower, generic.upper, generic.exact) == (lo, hi, True)
+        result = extension_interval(base, target)
+        assert (lo, hi) == (F(9, 20), F(4, 5))
+        assert (result.lower, result.upper, result.exact) == (lo, hi, True)
 
     def test_same_consequent_overlapping(self):
         space = build_world_space(["A", "H", "K"])
@@ -522,13 +516,8 @@ class TestExtensionInterval:
             (F(7, 20), F(9, 20)),
         )
         target = make_conjunction([first, second], {(1,): F(7, 20), (2,): F(9, 20)})
-        closed = extension_interval(base, target)
-        generic = propagated_interval(base, target)
-        assert (closed.lower, closed.upper) == (F(63, 400), F(7, 20))
-        assert closed.exact
-        assert (generic.lower, generic.upper, generic.exact) == (
-            F(63, 400), F(7, 20), True
-        )
+        result = extension_interval(base, target)
+        assert (result.lower, result.upper, result.exact) == (F(63, 400), F(7, 20), True)
 
     def test_disjoint_antecedents_pin_product(self):
         space = build_world_space(["A", "H", "K"], ["!(H & K)"])
@@ -539,13 +528,8 @@ class TestExtensionInterval:
             (F(7, 20), F(9, 20)),
         )
         target = make_conjunction([first, second], {(1,): F(7, 20), (2,): F(9, 20)})
-        closed = extension_interval(base, target)
-        generic = propagated_interval(base, target)
-        assert (closed.lower, closed.upper) == (F(63, 400), F(63, 400))
-        assert closed.exact
-        assert (generic.lower, generic.upper, generic.exact) == (
-            F(63, 400), F(63, 400), True
-        )
+        result = extension_interval(base, target)
+        assert (result.lower, result.upper, result.exact) == (F(63, 400), F(63, 400), True)
 
     def test_closed_forms_answer_for_their_own_shapes(self):
         # extension_interval propagates the Frechet-Hoeffding and the
@@ -589,15 +573,13 @@ class TestExtensionInterval:
                 assert (result.lower, result.upper) == special_case_same_consequent(
                     x, y, disjoint
                 )
-        # propagation gives the family7 interval too, so only the dispatcher
-        # itself shows that the shape is recognized
+        # the family7 triple, propagated: with 27 blocks, with one shared
+        # antecedent (9 blocks), and with the pairs in any order
         values = ("1/2", "1/2", "1/2", "3/8", "3/8", "3/8", 0)
-        assessment, triple = family7_assessment(values)
-        assert _family7_dispatch(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
-        # one shared antecedent: 9 blocks, and the closed form still applies
-        assessment, triple = family7_assessment(values, shared_antecedent=True)
-        assert _family7_dispatch(assessment.restrict(range(6)), triple) == (F(1, 4), F(3, 8))
-        # the pairs are recognized in any order
+        for shared in (False, True):
+            assessment, triple = family7_assessment(values, shared_antecedent=shared)
+            result = extension_interval(assessment.restrict(range(6)), triple)
+            assert (result.lower, result.upper) == (F(1, 4), F(3, 8))
         space = build_world_space(["E1", "E2", "E3", "H1", "H2", "H3"])
         events = [
             ConditionalEvent(space.event(f"E{i}"), space.event(f"H{i}")) for i in (1, 2, 3)
@@ -609,18 +591,25 @@ class TestExtensionInterval:
             base = Assessment(
                 singles + tuple(pairs[k] for k in order), xs + tuple(pair_xs[k] for k in order)
             )
-            assert _family7_dispatch(base, triple) == (F(1, 4), F(3, 8))
-        # a pair off by 1/8 where one member is void, or one pair listed twice
+            result = extension_interval(base, triple)
+            assert (result.lower, result.upper) == (F(1, 4), F(3, 8))
+        # off the family7 shape: a pair off by 1/8 where one member is void,
+        # one pair listed twice, and a triple whose entry for the pair (1, 2)
+        # is off by 1/8; each interval is sharp
         off = make_conjunction(events[:2], {(1,): xs[0] + F(1, 8), (2,): xs[1]})
-        for compounds in ((off,) + pairs[1:], (pairs[0], pairs[0], pairs[2])):
-            base = Assessment(singles + compounds, assessment.values[:6])
-            assert _family7_dispatch(base, triple) is None
-        # a triple whose entry for the pair (1, 2) is not the assessed 3/8
-        base = assessment.restrict(range(6))
         entries = {(1,): xs[0], (2,): xs[1], (3,): xs[2], (1, 3): pair_xs[1], (2, 3): pair_xs[2]}
-        for x12, expected in ((pair_xs[0], (F(1, 4), F(3, 8))), (pair_xs[0] + F(1, 8), None)):
-            target = make_conjunction(events, {**entries, (1, 2): x12})
-            assert _family7_dispatch(base, target) == expected
+        off_triple = make_conjunction(events, {**entries, (1, 2): pair_xs[0] + F(1, 8)})
+        cases = [
+            (Assessment(singles + compounds, assessment.values[:6]), triple)
+            for compounds in ((off,) + pairs[1:], (pairs[0], pairs[0], pairs[2]))
+        ] + [(assessment.restrict(range(6)), off_triple)]
+        for base, target in cases:
+            result = extension_interval(base, target)
+            assert (result.lower, result.upper) == (F(1, 4), F(3, 8))
+            for mu in (result.lower, result.upper):
+                assert check_coherence(base.extend(target, mu)).coherent
+            for mu in (result.lower - F(1, 64), result.upper + F(1, 64)):
+                assert not check_coherence(base.extend(target, mu)).coherent
         # dependent events, E1|H and E1|(H | K): 15 blocks, where the closed
         # form would claim [1/4, 3/8]
         space = build_world_space(["E1", "E3", "H", "K", "H3"])
@@ -629,9 +618,7 @@ class TestExtensionInterval:
             for e, h in (("E1", "H"), ("E1", "H | K"), ("E3", "H3"))
         ]
         assessment, triple = family7_assessment(values, events=events)
-        base = assessment.restrict(range(6))
-        assert _family7_dispatch(base, triple) is None
-        result = extension_interval(base, triple)
+        result = extension_interval(assessment.restrict(range(6)), triple)
         assert (result.lower, result.upper) == (F(9, 32), F(11, 32))
 
     def test_target_already_in_family(self):
@@ -647,13 +634,69 @@ class TestExtensionInterval:
         values = ("1/2", "1/2", "1/2", "3/8", "3/8", "3/8", 0)
         assessment, triple = family7_assessment(values)
         base = assessment.restrict(range(6))
-        closed = extension_interval(base, triple)
-        generic = propagated_interval(base, triple)
-        assert (closed.lower, closed.upper) == (F(1, 4), F(3, 8))
-        assert closed.exact
-        assert (generic.lower, generic.upper, generic.exact) == (
-            F(1, 4), F(3, 8), True
-        )
+        result = extension_interval(base, triple)
+        assert (result.lower, result.upper, result.exact) == (F(1, 4), F(3, 8), True)
+
+    def test_family7_triple_meets_closed_form_on_quarter_grid(self):
+        quarters = [F(k, 4) for k in range(5)]
+        space = build_world_space(["E1", "E2", "E3", "H1", "H2", "H3"])
+        events = [
+            ConditionalEvent(space.event(f"E{i}"), space.event(f"H{i}")) for i in (1, 2, 3)
+        ]
+        coherent = 0
+        for six in itertools.product(quarters, repeat=6):
+            bounds = family7_bounds(*six)
+            if bounds[0] > bounds[1]:
+                continue
+            coherent += 1
+            assessment, triple = family7_assessment(six + (0,), events=events)
+            result = extension_interval(assessment.restrict(range(6)), triple)
+            assert (result.lower, result.upper) == bounds, six
+        assert coherent == 329
+
+    def test_whole_union_targets_need_no_charnes_cooper_system(self, monkeypatch):
+        """A target active on every block of a level gets its range from that
+        level's own system; only a target void on some block needs the
+        Charnes-Cooper system."""
+        import prevision.coherence as coherence
+
+        real = coherence._charnes_cooper_range
+        calls = []
+
+        def refuse(*args):
+            raise AssertionError("Charnes-Cooper system built")
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(coherence, "_charnes_cooper_range", refuse)
+        for n, xs in ((2, (F(7, 20), F(9, 20))), (3, (F(1, 2), F(2, 5), F(3, 4)))):
+            family = conjunction_family(n, xs)
+            result = extension_interval(Assessment(family[:n], xs), family[n])
+            assert (result.lower, result.upper) == frechet_bounds_conjunction(xs)
+        for constraints, disjoint in (((), False), (["!(H & K)"], True)):
+            ahk = build_world_space(["A", "H", "K"], constraints)
+            first = ConditionalEvent(ahk.event("A"), ahk.event("H"))
+            second = ConditionalEvent(ahk.event("A"), ahk.event("K"))
+            base = Assessment((indicator(first, "X"), indicator(second, "Y")), (F(7, 20), F(9, 20)))
+            target = make_conjunction([first, second], {(1,): F(7, 20), (2,): F(9, 20)})
+            result = extension_interval(base, target)
+            assert (result.lower, result.upper) == special_case_same_consequent(
+                F(7, 20), F(9, 20), disjoint
+            )
+        assessment, triple = family7_assessment(("1/2", "1/2", "1/2", "3/8", "3/8", "3/8", 0))
+        result = extension_interval(assessment.restrict(range(6)), triple)
+        assert (result.lower, result.upper) == family7_bounds(*assessment.values[:6])
+        # T is void on the !A blocks of X's antecedent
+        monkeypatch.setattr(coherence, "_charnes_cooper_range", counted)
+        space = build_world_space(["A", "B", "C"])
+        x = indicator(ConditionalEvent(space.event("B"), space.event("!A")), "X")
+        y = indicator(ConditionalEvent(space.event("!B"), space.event("A & !C")), "Y")
+        target = indicator(ConditionalEvent(space.event("B"), space.event("A & !C")), "T")
+        result = extension_interval(Assessment((x, y), (F(3, 5), F(3, 5))), target)
+        assert (result.lower, result.upper) == (F(2, 5), F(2, 5))
+        assert calls
 
     def test_adversarial_internal_previsions_skip_closed_form(self):
         space = build_world_space(["E1", "E2", "E3", "H1", "H2", "H3"])
@@ -704,10 +747,8 @@ class TestExactPropagation:
             ConditionalEvent(space.event("B"), space.event("A & !C")), "T"
         )
         base = Assessment((x, y), (F(3, 5), F(3, 5)))
-        for result in (extension_interval(base, target), propagated_interval(base, target)):
-            assert (result.lower, result.upper, result.exact) == (
-                F(2, 5), F(2, 5), True
-            )
+        result = extension_interval(base, target)
+        assert (result.lower, result.upper, result.exact) == (F(2, 5), F(2, 5), True)
 
     def test_fifth_valued_sweep_is_sharp(self):
         space = build_world_space(["A", "B", "C"])
@@ -732,7 +773,7 @@ class TestExactPropagation:
             if not check_coherence(base).coherent:
                 continue
             coherent_bases += 1
-            result = propagated_interval(base, target)
+            result = extension_interval(base, target)
             assert result.exact and result.lower <= result.upper
             middle = (result.lower + result.upper) / 2
             for mu in (result.lower, middle, result.upper):

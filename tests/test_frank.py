@@ -51,7 +51,6 @@ def test_parameter_validation():
     assert FrankParameter.from_value(2.5).kind is FrankKind.GENERIC
     with pytest.raises(OutOfRange):
         FrankParameter.from_value(-1)
-    assert PRODUCT.describe() == "product"
 
 
 def test_named_kinds_exact_on_rationals():

@@ -29,7 +29,6 @@ from prevision import (
 )
 from prevision.geometry import (
     VOID,
-    as_conditional_event,
     build_sigma,
     build_sigma_star,
     conjunction_signatures,
@@ -81,9 +80,6 @@ def test_indicator_round_trip(space4):
     q = indicator(ce, "A|H")
     assert q.is_indicator()
     assert q.hull() == (F(0), F(1))
-    back = as_conditional_event(q)
-    assert back.consequent.members == (space4.event("A") & space4.event("H")).members
-    assert back.antecedent.members == space4.event("H").members
 
 
 def test_conjunction_two_events_value_table(space4, pair):

@@ -8,7 +8,8 @@ such a name fails this suite as well as the benchmark's own tests.  The
 import check parses each module under `src/prevision` with `ast`: an
 imported name must be read in the module or listed in its `__all__`, unless
 its import line carries `# noqa: F401`, which marks the names `LAYERS`
-patches.
+patches; every name on such a line must be one of `LAYERS`' (module, name)
+pairs, so the mark cannot keep a dead import.
 """
 
 import ast
@@ -56,22 +57,30 @@ def test_every_workload_name_is_exported():
         assert hasattr(prevision, name), name
 
 
-def _unread_imports(path):
-    """The names a module imports but never reads, leaving out its `__all__`
-    and the import lines marked `# noqa: F401`."""
+def _imports(path):
+    """(tree, [(name, line, marked)]) of a source module: each name it
+    imports, leaving out `__future__`, marked when its import line carries
+    `# noqa: F401`."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     tree = ast.parse(text)
-    imported = {}
+    found = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
             isinstance(node, ast.ImportFrom) and node.module == "__future__"
         ):
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
-            continue
+        marked = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
         for alias in node.names:
-            imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+            found.append(((alias.asname or alias.name).partition(".")[0], node.lineno, marked))
+    return tree, found
+
+
+def _unread_imports(path):
+    """The names a module imports but never reads, leaving out its `__all__`
+    and the import lines marked `# noqa: F401`."""
+    tree, found = _imports(path)
+    imported = {name: line for name, line, marked in found if not marked}
     read = {
         node.id
         for node in ast.walk(tree)
@@ -88,3 +97,14 @@ def test_every_import_is_read():
     assert modules
     unread = {path.name: _unread_imports(path) for path in modules}
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+def test_every_marked_import_is_a_traced_layer():
+    (layers,) = _assigned(_tree("tracing.py"), "LAYERS")
+    traced = {(module, name) for module, name, _ in layers}
+    marked = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        module = "prevision" if path.stem == "__init__" else f"prevision.{path.stem}"
+        marked |= {(module, name) for name, _, mark in _imports(path)[1] if mark}
+    assert marked
+    assert marked - traced == set()
