@@ -1,7 +1,8 @@
 """Command-line surface: JSON problem files in, verdicts and intervals out.
 
-Exit codes: 0 success (coherent for `check`), 1 incoherent, 2 input error,
-3 internal error (a self-check of the engine failed).
+Each `cmd_*` handler returns (exit code, `--json` report, text lines); `main`
+alone prints them and owns the exit codes: 0 success (coherent for `check`),
+1 incoherent, 2 input error, 3 internal error (an engine self-check failed).
 All exact rationals print as `p/q` strings so JSON output round-trips
 without float corruption; decimal input such as "0.35" is converted to an
 exact rational (7/20) before any computation.
@@ -15,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .closed_form import lambda_solution_TL, lambda_solution_TM
 from .coherence import check_coherence, extension_interval, value_table
@@ -96,11 +97,6 @@ class Problem:
         family = tuple(self.quantities[name] for name in self.order)
         return Assessment(family, self.values)
 
-    def named(self, name: str, where: str) -> ConditionalQuantity:
-        if name not in self.quantities:
-            raise ProblemError(f"{where}: {name!r} is not a declared quantity")
-        return self.quantities[name]
-
 
 def _require_list_of_str(data: Any, key: str, required: bool) -> List[str]:
     raw = data.get(key, None)
@@ -111,6 +107,18 @@ def _require_list_of_str(data: Any, key: str, required: bool) -> List[str]:
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise ProblemError(f"{key}: expected a list of strings")
     return raw
+
+
+def _entries(data: Dict[str, Any], key: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """(where, entry) for each object of the optional list `key`."""
+    raw = data.get(key)
+    if raw is not None and not isinstance(raw, list):
+        raise ProblemError(f"{key}: expected a list of objects")
+    for i, entry in enumerate(raw or []):
+        where = f"{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise ProblemError(f"{where}: expected an object")
+        yield where, entry
 
 
 def _parse_subset(key: str, size: int, where: str) -> Tuple[int, ...]:
@@ -145,10 +153,7 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
             raise ProblemError(f"{where}: duplicate name {name!r}")
         return name
 
-    for i, entry in enumerate(data.get("conditionals", []) or []):
-        where = f"conditionals[{i}]"
-        if not isinstance(entry, dict):
-            raise ProblemError(f"{where}: expected an object")
+    for where, entry in _entries(data, "conditionals"):
         name = declare(entry.get("name"), where)
         for key in ("consequent", "antecedent"):
             if not isinstance(entry.get(key), str):
@@ -162,10 +167,7 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
         events[name] = ce
         quantities[name] = indicator(ce, name)
 
-    for i, entry in enumerate(data.get("compounds", []) or []):
-        where = f"compounds[{i}]"
-        if not isinstance(entry, dict):
-            raise ProblemError(f"{where}: expected an object")
+    for where, entry in _entries(data, "compounds"):
         name = declare(entry.get("name"), where)
         kind = entry.get("kind")
         if kind not in ("conjunction", "disjunction"):
@@ -231,6 +233,8 @@ def load_problem(path: str) -> Problem:
         raise ProblemError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProblemError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ProblemError(f"{path}: {exc}") from None
     return build_problem(data, origin=path)
 
 
@@ -247,57 +251,39 @@ def _arguments(ns: argparse.Namespace) -> List[Fraction]:
     return [parse_rational(v, f"argument {i}") for i, v in enumerate(ns.values, 1)]
 
 
-def _emit(report: Dict[str, Any], lines: List[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _trace_json(trace) -> List[Dict[str, Any]]:
-    out = []
-    for level in trace:
-        out.append(
+def _trace(trace) -> Tuple[List[Dict[str, Any]], List[str]]:
+    """The JSON entries and the text lines of a verdict's levels."""
+    entries, lines = [], []
+    for depth, level in enumerate(trace, 1):
+        zero = None if level.i0 is None else sorted(level.i0)
+        entries.append(
             {
                 "members": list(level.member_indices),
                 "labels": list(level.labels),
                 "feasible": level.feasible,
-                "zeroMass": sorted(level.i0) if level.i0 is not None else None,
+                "zeroMass": zero,
                 "mValues": (
-                    [exact_text(m) if m is not None else None for m in level.m_values]
-                    if level.m_values is not None
-                    else None
+                    None if level.m_values is None else [exact_text(m) for m in level.m_values]
                 ),
             }
         )
-    return out
-
-
-def _trace_lines(trace) -> List[str]:
-    lines = []
-    for depth, level in enumerate(trace, 1):
         members = ",".join(str(i) for i in level.member_indices)
         status = "solvable" if level.feasible else "unsolvable"
-        if level.i0 is None:
-            zero = ""
-        elif level.i0:
-            zero = "; zero-mass members: " + ",".join(str(i) for i in sorted(level.i0))
-        else:
-            zero = "; zero-mass members: none"
-        lines.append(f"level {depth}: members {members}; {status}{zero}")
-    return lines
+        if zero is not None:
+            status += "; zero-mass members: " + (",".join(str(i) for i in zero) or "none")
+        lines.append(f"level {depth}: members {members}; {status}")
+    return entries, lines
 
 
-def cmd_check(ns: argparse.Namespace) -> int:
-    problem = load_problem(ns.problem)
-    verdict = check_coherence(problem.assessment())
+def cmd_check(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
+    verdict = check_coherence(load_problem(ns.problem).assessment())
+    trace, levels = _trace(verdict.trace)
     report: Dict[str, Any] = {
         "verdict": "coherent" if verdict.coherent else "incoherent",
-        "trace": _trace_json(verdict.trace),
+        "trace": trace,
         "dutchBook": None,
     }
-    lines = [f"verdict: {report['verdict']}"] + _trace_lines(verdict.trace)
+    lines = [f"verdict: {report['verdict']}"] + levels
     book = verdict.dutch_book
     if book is not None:
         stakes = [exact_text(s) for s in book.stakes]
@@ -311,36 +297,32 @@ def cmd_check(ns: argparse.Namespace) -> int:
         lines.append(f"dutch book on members {members}")
         lines.append(f"  stakes: {', '.join(stakes)}")
         lines.append(f"  margin: {margin}")
-    _emit(report, lines, ns.json)
-    return 0 if verdict.coherent else 1
+    return (0 if verdict.coherent else 1), report, lines
 
 
 def _query_target(problem: Problem, command: str) -> ConditionalQuantity:
     name = problem.query.get("target")
     if not isinstance(name, str):
         raise ProblemError(f"query.target: {command} needs a target quantity name")
-    return problem.named(name, "query.target")
+    if name not in problem.quantities:
+        raise ProblemError(f"query.target: {name!r} is not a declared quantity")
+    return problem.quantities[name]
 
 
-def cmd_extend(ns: argparse.Namespace) -> int:
+def cmd_extend(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
     problem = load_problem(ns.problem)
     target = _query_target(problem, "extend")
-    try:
-        result = extension_interval(problem.assessment(), target)
-    except IncoherentBase as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = extension_interval(problem.assessment(), target)
     lower, upper = exact_text(result.lower), exact_text(result.upper)
     report = {"lower": lower, "upper": upper, "exact": result.exact}
     lines = [
         f"interval: [{lower}, {upper}]",
         f"exact: {'yes' if result.exact else 'no'}",
     ]
-    _emit(report, lines, ns.json)
-    return 0
+    return 0, report, lines
 
 
-def cmd_bounds(ns: argparse.Namespace) -> int:
+def cmd_bounds(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
     fn = (
         frechet_bounds_conjunction
         if ns.kind == "conjunction"
@@ -348,8 +330,7 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
     )
     lower, upper = map(exact_text, fn(_arguments(ns)))
     report = {"kind": ns.kind, "lower": lower, "upper": upper}
-    _emit(report, [f"lower: {lower}", f"upper: {upper}"], ns.json)
-    return 0
+    return 0, report, [f"lower: {lower}", f"upper: {upper}"]
 
 
 def parse_parameter(raw: str) -> FrankParameter:
@@ -369,23 +350,15 @@ def parse_parameter(raw: str) -> FrankParameter:
     return FrankParameter.from_value(value)
 
 
-def _value_report(result, precision: int) -> Tuple[Dict[str, Any], str]:
-    if isinstance(result, Fraction):
-        text = exact_text(result)
-        return {"value": text, "exact": True}, text
-    text = format(float(result), f".{precision}g")
-    return {"value": text, "exact": False}, text
-
-
-def cmd_tnorm(ns: argparse.Namespace) -> int:
-    parameter = parse_parameter(ns.lam)
+def cmd_tnorm(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
     operator = tnorm if ns.command == "tnorm" else tconorm
-    report, text = _value_report(operator(parameter, _arguments(ns)), ns.precision)
-    _emit(report, [f"value: {text}"], ns.json)
-    return 0
+    result = operator(parse_parameter(ns.lam), _arguments(ns))
+    exact = isinstance(result, Fraction)
+    text = exact_text(result) if exact else format(float(result), f".{ns.precision}g")
+    return 0, {"value": text, "exact": exact}, [f"value: {text}"]
 
 
-def cmd_solve_lambda(ns: argparse.Namespace) -> int:
+def cmd_solve_lambda(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
     values = _arguments(ns)
     target = parse_rational(ns.target, "--target")
     parameter, unique = solve_lambda(values, target)
@@ -401,11 +374,10 @@ def cmd_solve_lambda(ns: argparse.Namespace) -> int:
         f"lambda: {lam_text}",
         f"unique: {'yes' if unique else 'no'}",
     ]
-    _emit(report, lines, ns.json)
-    return 0
+    return 0, report, lines
 
 
-def cmd_lambda_solution(ns: argparse.Namespace) -> int:
+def cmd_lambda_solution(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
     if len(ns.values) > MAX_SOLUTION_VALUES:
         raise ProblemError(f"{len(ns.values)} values given; at most {MAX_SOLUTION_VALUES}")
     builder = lambda_solution_TL if ns.boundary == "lower" else lambda_solution_TM
@@ -423,11 +395,10 @@ def cmd_lambda_solution(ns: argparse.Namespace) -> int:
     lines = [f"case: {vector.case}"] + [
         f"{label}: {mass}" for label, mass in components.items()
     ]
-    _emit(report, lines, ns.json)
-    return 0
+    return 0, report, lines
 
 
-def cmd_table(ns: argparse.Namespace) -> int:
+def cmd_table(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
     problem = load_problem(ns.problem)
     target = _query_target(problem, "table")
     rows = [
@@ -436,8 +407,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
     ]
     report = {"rows": [{"constituent": label, "value": value} for label, value in rows]}
     lines = [f"{label}: {value if value is not None else 'free'}" for label, value in rows]
-    _emit(report, lines, ns.json)
-    return 0
+    return 0, report, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,26 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
     def add_problem(p: argparse.ArgumentParser) -> None:
         p.add_argument("--problem", required=True, help="path to a JSON problem file")
 
     p = sub.add_parser("check", help="decide coherence of the assessed family")
     add_problem(p)
-    add_json(p)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("extend", help="coherent interval for the query target")
     add_problem(p)
-    add_json(p)
     p.set_defaults(handler=cmd_extend)
 
     p = sub.add_parser("bounds", help="attainable envelope for a compound")
     p.add_argument("kind", choices=("conjunction", "disjunction"))
     p.add_argument("values", nargs="+", help="member previsions, rationals")
-    add_json(p)
     p.set_defaults(handler=cmd_bounds)
 
     for name, help_text in (
@@ -486,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("values", nargs="+", help="arguments in [0,1], rationals")
         p.add_argument("--precision", type=int, default=12,
                        help="significant digits for non-exact values")
-        add_json(p)
         p.set_defaults(handler=cmd_tnorm)
 
     p = sub.add_parser("solve-lambda", help="invert the family for a target value")
@@ -494,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target operator value, rational")
     p.add_argument("--precision", type=int, default=12,
                    help="significant digits for the parameter")
-    add_json(p)
     p.set_defaults(handler=cmd_solve_lambda)
 
     p = sub.add_parser(
@@ -502,14 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--boundary", choices=("lower", "upper"), default="lower")
     p.add_argument("values", nargs="+", help="member previsions, rationals")
-    add_json(p)
     p.set_defaults(handler=cmd_lambda_solution)
 
     p = sub.add_parser("table", help="full case table of the query target")
     add_problem(p)
-    add_json(p)
     p.set_defaults(handler=cmd_table)
 
+    # added last, so --json stays the last option in every subcommand's usage
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -518,23 +481,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (None, 0):
-            return 0
-        return 2
+        return 0 if exc.code in (None, 0) else 2
     try:
         precision = getattr(ns, "precision", 0)
         if precision < 0:
             raise ProblemError(f"--precision: {precision} is negative")
         if precision > MAX_PRECISION:
             raise ProblemError(f"--precision: {precision} exceeds {MAX_PRECISION}")
-        return ns.handler(ns)
+        code, report, lines = ns.handler(ns)
     except PrevisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, IncoherentBase) else 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    if ns.json:
+        print(json.dumps(report, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

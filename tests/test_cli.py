@@ -12,13 +12,18 @@ import pytest
 import prevision
 from prevision import (
     Assessment,
+    CompoundPrevisionMap,
     ConditionalEvent,
     FrankParameter,
     build_world_space,
+    check_coherence,
+    demorgan_previsions,
+    extension_interval,
     find_dutch_book,
     indicator,
     lambda_solution_TL,
     make_conjunction,
+    make_disjunction,
     tnorm,
     value_table,
 )
@@ -188,6 +193,42 @@ class TestCheck:
         assert code == 2
         assert "'Z'" in err
 
+    # Z = H|(H or not H) = 0 forces zero mass on H, so X = E|H = 1/2 is
+    # checked again on a second level
+    MULTI_LEVEL = {
+        "atoms": ["E", "H"],
+        "conditionals": [
+            {"name": "Z", "consequent": "H", "antecedent": "H | !H"},
+            {"name": "X", "consequent": "E", "antecedent": "H"},
+        ],
+        "assessment": {"Z": "0", "X": "1/2"},
+    }
+
+    def test_multi_level_trace_lines(self, capsys, tmp_path):
+        path = write_problem(tmp_path, self.MULTI_LEVEL)
+        code, out, _ = run(capsys, "check", "--problem", path)
+        assert (code, out) == (
+            0,
+            "verdict: coherent\n"
+            "level 1: members 1,2; solvable; zero-mass members: 2\n"
+            "level 2: members 2; solvable; zero-mass members: none\n",
+        )
+
+    def test_multi_level_json_trace_matches_library(self, capsys, tmp_path):
+        path = write_problem(tmp_path, self.MULTI_LEVEL)
+        code, out, _ = run(capsys, "check", "--problem", path, "--json")
+        space = build_world_space(["E", "H"])
+        events = [
+            ConditionalEvent(space.event("H"), space.event("H | !H")),
+            ConditionalEvent(space.event("E"), space.event("H")),
+        ]
+        family = tuple(indicator(e, name) for e, name in zip(events, "ZX"))
+        verdict = check_coherence(Assessment(family, (F(0), F(1, 2))))
+        assert code == 0 and len(verdict.trace) == 2
+        assert [(level["zeroMass"], level["mValues"]) for level in json.loads(out)["trace"]] == [
+            (sorted(level.i0), [str(m) for m in level.m_values]) for level in verdict.trace
+        ]
+
     def test_too_many_atoms_exits_two(self, capsys, tmp_path):
         data = pair_problem()
         data["atoms"] += [f"P{i}" for i in range(60)]
@@ -243,6 +284,34 @@ def _edit_pair_problem(path, value):
                 (("constraints",), lambda f: [f]),
             )
         ),
+        *(
+            (edit, ("check",))
+            for edit in (
+                (("atoms",), None),
+                (("atoms",), "AB"),
+                (("constraints",), [1]),
+                (("conditionals",), 5),
+                (("compounds",), 7),
+                (("conditionals",), True),
+                (("compounds",), "C"),
+                (("conditionals",), {"name": "X"}),
+                (("conditionals", 0), "X"),
+                (("conditionals", 0, "name"), ""),
+                (("conditionals", 1, "name"), "X"),
+                (("compounds", 0, "name"), "Y"),
+                (("conditionals", 0, "consequent"), 1),
+                (("compounds", 0, "kind"), "xor"),
+                (("compounds", 0, "members"), ["X"]),
+                (("compounds", 0, "previsions"), ["7/20", "9/20"]),
+                (("compounds", 0, "previsions"), {"one": "7/20"}),
+                (("compounds", 0, "previsions"), {"2,1": "7/20"}),
+                (("compounds", 0, "previsions"), {"3": "7/20"}),
+                (("compounds", 0, "previsions"), {}),
+                (("assessment",), ["X"]),
+                (("assessment",), {}),
+                (("query",), ["C"]),
+            )
+        ),
     ],
     ids=[
         "empty-antecedent", "duplicate-atoms", "non-string-member",
@@ -262,6 +331,14 @@ def _edit_pair_problem(path, value):
             for shape in ("3000-nots", "3000-parentheses", "3000-term-chain")
             for where in ("consequent", "constraint")
         ),
+        "missing-atoms", "atoms-not-a-list", "constraint-not-a-string",
+        "conditionals-int", "compounds-int", "conditionals-true", "compounds-string",
+        "conditionals-object", "conditional-not-an-object", "empty-name",
+        "duplicate-conditional-name", "compound-named-like-a-conditional",
+        "consequent-not-a-string", "unknown-compound-kind", "one-member-compound",
+        "previsions-not-an-object", "subset-not-numbers", "subset-not-ascending",
+        "subset-outside-members", "missing-member-prevision", "assessment-not-an-object",
+        "no-assessed-values", "query-not-an-object",
     ],
 )
 def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv):
@@ -270,6 +347,26 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# bytes that are not UTF-8, nesting past the JSON decoder's recursion limit on
+# every supported Python, and a top level that is not an object
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"atoms": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth"),
+        (b"[1]", "top level must be a JSON object"),
+    ],
+    ids=["not-utf-8", "nested-100000-deep", "top-level-array"],
+)
+def test_malformed_problem_files_exit_two_with_one_error_line(capsys, tmp_path, text, error):
+    path = tmp_path / "problem.json"
+    path.write_bytes(text)
+    code, out, err = run(capsys, "check", "--problem", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert error in err
 
 
 # JSON numbers with a fraction or exponent are read as their exact decimal text,
@@ -607,6 +704,68 @@ class TestTable:
         code, _, err = run(capsys, "table", "--problem", path)
         assert code == 2
         assert "'NOPE'" in err
+
+
+class TestDisjunction:
+    """A disjunction compound in a problem file: the library's answers."""
+
+    @staticmethod
+    def problem(value=None):
+        data = pair_problem("D")
+        data["compounds"][0].update(name="D", kind="disjunction")
+        if value is not None:
+            data["assessment"]["D"] = value
+        return data
+
+    @staticmethod
+    def library():
+        space = build_world_space(["A", "B", "H", "K"])
+        x = ConditionalEvent(space.event("A"), space.event("H"))
+        y = ConditionalEvent(space.event("B"), space.event("K"))
+        previsions = CompoundPrevisionMap({(1,): F(7, 20), (2,): F(9, 20)})
+        base = Assessment((indicator(x, "X"), indicator(y, "Y")), (F(7, 20), F(9, 20)))
+        return base, make_disjunction([x, y], demorgan_previsions(previsions), "D")
+
+    @pytest.mark.parametrize("value, code", [("3/5", 0), ("9/10", 1)])
+    def test_check(self, capsys, tmp_path, value, code):
+        path = write_problem(tmp_path, self.problem(value))
+        got, out, _ = run(capsys, "check", "--problem", path, "--json")
+        base, target = self.library()
+        verdict = check_coherence(
+            Assessment(base.family + (target,), base.values + (F(value),))
+        )
+        report = json.loads(out)
+        assert (got, report["verdict"]) == (code, ("incoherent", "coherent")[verdict.coherent])
+        assert [level["feasible"] for level in report["trace"]] == [
+            level.feasible for level in verdict.trace
+        ]
+        book = report["dutchBook"]
+        expected = verdict.dutch_book
+        assert (book is None) == (expected is None)
+        if book is not None:
+            assert [F(s) for s in book["stakes"]] == list(expected.stakes)
+            assert F(book["margin"]) == expected.margin
+
+    def test_extend(self, capsys, tmp_path):
+        path = write_problem(tmp_path, self.problem())
+        code, out, _ = run(capsys, "extend", "--problem", path, "--json")
+        interval = extension_interval(*self.library())
+        assert (code, json.loads(out)) == (
+            0,
+            {"lower": str(interval.lower), "upper": str(interval.upper), "exact": True},
+        )
+
+    def test_table(self, capsys, tmp_path):
+        path = write_problem(tmp_path, self.problem())
+        code, out, _ = run(capsys, "table", "--problem", path, "--json")
+        expected = value_table(self.library()[1])
+        assert (code, json.loads(out)["rows"]) == (
+            0,
+            [
+                {"constituent": c.label(), "value": None if v is None else str(v)}
+                for c, v in expected
+            ],
+        )
 
 
 class TestHarness:
