@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .closed_form import lambda_solution_TL, lambda_solution_TM
 from .coherence import check_coherence, extension_interval, value_table
-from .errors import IncoherentBase, PrevisionError
+from .errors import IncoherentBase, PrevisionError, abridged
 from .events import ConditionalEvent, WorldSpace, build_world_space
 from .frank import (
     FrankKind,
@@ -76,7 +76,7 @@ def parse_rational(raw: Any, where: str) -> Fraction:
             raise ValueError(f"longer than {MAX_LITERAL_DIGITS} characters or exponent beyond it")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        shown = raw if isinstance(raw, Decimal) else repr(raw)
+        shown = raw if isinstance(raw, Decimal) else abridged(raw)
         raise ProblemError(f"{where}: {shown} is not a valid rational ({exc})") from None
 
 
@@ -122,14 +122,15 @@ def _entries(data: Dict[str, Any], key: str) -> Iterator[Tuple[str, Dict[str, An
 
 
 def _parse_subset(key: str, size: int, where: str) -> Tuple[int, ...]:
+    shown = abridged(key)
     try:
         indices = tuple(int(part.strip()) for part in key.split(","))
     except ValueError:
-        raise ProblemError(f"{where}: bad member subset {key!r}") from None
+        raise ProblemError(f"{where}: bad member subset {shown}") from None
     if not indices or list(indices) != sorted(set(indices)):
-        raise ProblemError(f"{where}: member subset {key!r} must be ascending and unique")
+        raise ProblemError(f"{where}: member subset {shown} must be ascending and unique")
     if indices[0] < 1 or indices[-1] > size:
-        raise ProblemError(f"{where}: member subset {key!r} outside 1..{size}")
+        raise ProblemError(f"{where}: member subset {shown} outside 1..{size}")
     return indices
 
 
@@ -150,7 +151,7 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
         if not isinstance(name, str) or not name:
             raise ProblemError(f"{where}: missing or empty name")
         if name in quantities:
-            raise ProblemError(f"{where}: duplicate name {name!r}")
+            raise ProblemError(f"{where}: duplicate name {abridged(name)}")
         return name
 
     for where, entry in _entries(data, "conditionals"):
@@ -178,14 +179,14 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
         family = []
         for m in members:
             if not isinstance(m, str) or m not in events:
-                raise ProblemError(f"{where}: member {m!r} is not a declared conditional")
+                raise ProblemError(f"{where}: member {abridged(m)} is not a declared conditional")
             family.append(events[m])
         raw_prevs = entry.get("previsions", {}) or {}
         if not isinstance(raw_prevs, dict):
             raise ProblemError(f"{where}: previsions must be an object")
         prevs = {
             _parse_subset(k, len(members), f"{where}.previsions"):
-                parse_rational(v, f"{where}.previsions[{k!r}]")
+                parse_rational(v, f"{where}.previsions[{abridged(k)}]")
             for k, v in raw_prevs.items()
         }
         try:
@@ -205,9 +206,9 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
     values = []
     for name, raw in raw_assessment.items():
         if name not in quantities:
-            raise ProblemError(f"assessment: {name!r} is not a declared quantity")
+            raise ProblemError(f"assessment: {abridged(name)} is not a declared quantity")
         order.append(name)
-        values.append(parse_rational(raw, f"assessment[{name!r}]"))
+        values.append(parse_rational(raw, f"assessment[{abridged(name)}]"))
 
     query = data.get("query", {}) or {}
     if not isinstance(query, dict):
@@ -305,7 +306,7 @@ def _query_target(problem: Problem, command: str) -> ConditionalQuantity:
     if not isinstance(name, str):
         raise ProblemError(f"query.target: {command} needs a target quantity name")
     if name not in problem.quantities:
-        raise ProblemError(f"query.target: {name!r} is not a declared quantity")
+        raise ProblemError(f"query.target: {abridged(name)} is not a declared quantity")
     return problem.quantities[name]
 
 
@@ -345,7 +346,7 @@ def parse_parameter(raw: str) -> FrankParameter:
         value = float(parse_rational(s, "--lambda"))
     except (ProblemError, OverflowError):
         raise ProblemError(
-            f"--lambda: {raw!r} is neither min|product|lukasiewicz nor a positive real"
+            f"--lambda: {abridged(raw)} is neither min|product|lukasiewicz nor a positive real"
         ) from None
     return FrankParameter.from_value(value)
 

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+import reprlib
+
+# Values echoed into error messages: strings up to 80 characters and
+# containers up to 3 levels deep print whole, longer or deeper ones abridged.
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = 80
+_ECHO.maxlevel = 3
+abridged = _ECHO.repr
+
 
 class PrevisionError(Exception):
     """Base class for all library errors."""
@@ -17,7 +26,7 @@ class UnknownAtom(PrevisionError):
     """A formula references an atom that was never declared."""
 
     def __init__(self, name):
-        super().__init__(f"unknown atom: {name!r}")
+        super().__init__(f"unknown atom: {abridged(name)}")
         self.name = name
 
 

@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, count, repeat
-from operator import and_
+from operator import and_, eq
 
-from .errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom
+from .errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom, abridged
 
 # A world space numbers up to 2**MAX_ATOMS assignments; each event and each
 # conditional quantity holds up to one entry per world.  At 20 atoms (Python
@@ -36,7 +36,7 @@ def _tokenize(text):
     tokens = []
     for m in _TOKEN.finditer(text):
         if m.group(3):
-            raise FormulaError(f"unexpected character {m.group(3)!r} in {text!r}")
+            raise FormulaError(f"unexpected character {m.group(3)!r} in {abridged(text)}")
         tokens.append(m.group(1) or m.group(2))
     if len(tokens) > MAX_FORMULA_TOKENS:
         raise FormulaError(f"a formula of {len(tokens)} tokens; at most {MAX_FORMULA_TOKENS}")
@@ -64,12 +64,12 @@ class _Parser:
 
     def expect(self, tok):
         if self.take() != tok:
-            raise FormulaError(f"expected {tok!r} in {self.text!r}")
+            raise FormulaError(f"expected {tok!r} in {abridged(self.text)}")
 
     def parse(self):
         node = self.equiv()
         if self.peek() is not None:
-            raise FormulaError(f"trailing tokens in {self.text!r}")
+            raise FormulaError(f"trailing tokens in {abridged(self.text)}")
         return node
 
     def equiv(self):
@@ -106,12 +106,19 @@ class _Parser:
             self.nesting -= 1
             return node
         if tok is None or tok in "&|()=!":
-            raise FormulaError(f"malformed formula {self.text!r}")
+            raise FormulaError(f"malformed formula {abridged(self.text)}")
         return ("atom", self.take())
 
 
 def parse_formula(text):
     return _Parser(_tokenize(text), text).parse()
+
+
+def _atom_names(node) -> list:
+    """The atoms a parsed formula names, once per mention, in evaluation order."""
+    if node[0] == "atom":
+        return [node[1]]
+    return [name for child in node[1:] for name in _atom_names(child)]
 
 
 def _evaluate(node, atom_worlds, everything):
@@ -150,9 +157,22 @@ class WorldSpace:
         return frozenset(compress(count(), map(and_, self.assignments, repeat(bit))))
 
     def event(self, formula: str) -> "Event":
-        """Event denoted by a Boolean formula over the declared atoms."""
+        """Event denoted by a Boolean formula over the declared atoms.  An atom
+        named again right after itself reuses its worlds: a set is kept only
+        while the next atom named is the same, so beyond the sets that the
+        evaluation holds at most one is alive, and only until that mention."""
         node = parse_formula(formula)
-        return Event(self, _evaluate(node, self._atom_worlds, self._worlds))
+        names = _atom_names(node)
+        again = map(eq, names, names[1:] + [None])  # is the next atom named the same?
+        kept = None
+
+        def atom_worlds(name):
+            nonlocal kept
+            worlds = self._atom_worlds(name) if kept is None else kept
+            kept = worlds if next(again) else None
+            return worlds
+
+        return Event(self, _evaluate(node, atom_worlds, self._worlds))
 
     @cached_property
     def _worlds(self) -> frozenset:
@@ -183,7 +203,7 @@ def build_world_space(atoms, constraints=()) -> WorldSpace:
         return space
     kept = reduce(and_, (space.event(text).members for text in constraints))
     if not kept:
-        raise EmptySpace(f"constraints {list(constraints)!r} admit no world")
+        raise EmptySpace(f"constraints {abridged(list(constraints))} admit no world")
     return WorldSpace(atoms, tuple(sorted(kept)))
 
 

@@ -87,7 +87,7 @@ def _validated(xs: Sequence[Real]) -> list:
         raise OutOfRange("need at least one argument")
     for x in xs:
         if not 0 <= x <= 1:
-            raise OutOfRange(f"argument {x!r} outside [0,1]")
+            raise OutOfRange(f"argument {x} outside [0,1]")
     return xs
 
 
@@ -211,7 +211,7 @@ def solve_lambda(xs: Sequence[Real], target: Real) -> tuple[FrankParameter, bool
     lower, upper = frechet_bounds_conjunction(exact)
     if not lower <= target <= upper:
         raise TargetOutOfBounds(
-            f"target {target!r} outside the attainable range [{lower}, {upper}]"
+            f"target {target} outside the attainable range [{lower}, {upper}]"
         )
     if lower == upper:
         return FrankParameter.product(), False

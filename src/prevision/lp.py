@@ -11,6 +11,18 @@ the previous pivot, so each pivot divides exactly and no gcd is ever taken.
 Phase 1 runs once per system and its end state is kept on the system; every
 later optimum on that system starts from a copy of it.
 
+Pricing follows Bland's rule: the first unknown with a negative reduced cost
+enters.  A system of fewer than PACKED_WIDTH unknowns, as every system of a
+seven-member check or of an extension is, prices one column after another,
+a dot product each.  A wider one, such as the 3^n - 1 unknowns of an
+n-member conjunction family, packs each integer row into one Python int with
+a field per unknown, once per field width, and prices prefixes of the
+columns, each twice as long as the last, with a few big-integer multiply-adds
+each (`_Simplex._entering_packed`); the packed rows live on the phase-1 state
+and its copies.  Both take the same pivots.  The packing only picks the
+column: its reduced cost is recomputed by a dot product, and no answer rests
+on it, since every certificate below is checked column by column.
+
 An infeasible system yields a separating certificate: multipliers u, one per
 row (normalization row last when present), with u . column <= 0 for every
 unknown's column while u . rhs equals a strictly positive margin.  An optimum
@@ -35,6 +47,11 @@ from .errors import InfeasibleSystem
 from .geometry import LinearSystem, scale_to_integers, to_fraction
 
 ZERO = Fraction(0)
+# Systems with at least PACKED_WIDTH unknowns price their columns in packed
+# integers, narrower ones column by column.  On conjunction-family systems
+# (Python 3.11, two-core Xeon VM) packing priced 80 unknowns 0-11% slower and
+# 242 unknowns 12-20% faster; seven-member and extension systems have at most 26.
+PACKED_WIDTH = 128
 
 
 @dataclass(frozen=True)
@@ -92,6 +109,13 @@ class _Simplex:
             self.beta.append(f * row[-1])
         self.D = 1
         self.basis = [self.m + r for r in range(k)]
+        if self.m >= PACKED_WIDTH:
+            self.rows = system.rows
+            self.row_bounds = [max(map(abs, row[:-1])) for row in system.rows]
+            self.packed = {}
+            self.prefixes = [self.m]
+            while self.prefixes[0] // 2 >= PACKED_WIDTH:
+                self.prefixes.insert(0, self.prefixes[0] // 2)
 
     def copy(self) -> "_Simplex":
         """An independent state to pivot further; `self` stays as it is."""
@@ -115,6 +139,8 @@ class _Simplex:
     def _entering(self):
         """Bland's rule: the first unknown with a negative reduced cost, and
         that cost, or (None, None) at optimum."""
+        if self.m >= PACKED_WIDTH:
+            return self._entering_packed()
         w, D = self.w, self.D
         for j, (col, c) in enumerate(zip(self.columns, self.costs)):
             z = sum(map(mul, w, col))
@@ -123,6 +149,43 @@ class _Simplex:
             if z < 0:
                 return j, z
         return None, None
+
+    def _entering_packed(self):
+        """Bland's rule over many columns at once.  Packed with entry j in
+        field j of B = 64 words bits, each integer row P_r and the costs C
+        give sum_r w_r P_r - D C, whose field j is D times unknown j's
+        reduced cost.  Every field, and every entry packed, is below 2^(B-1)
+        in absolute value: B exceeds the bit length of the bound
+        sum_r |w_r| max|row_r| + D max|c| and of each entry.  So adding
+        2^(B-1) to every field carries across none, and a field's top bit is
+        clear exactly when its reduced cost is negative; the lowest such
+        field is Bland's column.  The columns are priced in prefixes that
+        double in length, from at least PACKED_WIDTH up to all m, until one
+        prices in, and the column found is priced again exactly, by one dot
+        product."""
+        w, D = self.w, self.D
+        bound = sum(map(mul, map(abs, w), self.row_bounds)) + D * self.cost_bound
+        words = (max(bound, *self.row_bounds).bit_length() + 64) // 64
+        if words not in self.packed:
+            rows = (_pack(row[:-1], words) for row in self.rows)
+            packed = (_tops(self.m, words), *rows)
+            self.packed[words] = list(zip(*(self._prefixes(v, words) for v in packed)))
+        if words not in self.packed_costs:
+            costs = _pack(self.costs[: self.m], words)
+            self.packed_costs[words] = self._prefixes(costs, words)
+        for (half, *rows), costs in zip(self.packed[words], self.packed_costs[words]):
+            negative = half & ~(sum(map(mul, w, rows)) + half - D * costs)
+            if negative:
+                j = (negative & -negative).bit_length() // (64 * words) - 1
+                z = self._reduced_cost(j)
+                if z >= 0:
+                    raise RuntimeError("packed pricing chose a column that does not price in")
+                return j, z
+        return None, None
+
+    def _prefixes(self, packed, words) -> list:
+        """A packed row cut to each prefix of the columns in turn."""
+        return [packed & (1 << 64 * words * c) - 1 for c in self.prefixes]
 
     def _pivot(self, r, c, alpha, z):
         """Pivot on row r and column c, whose tableau column is alpha and
@@ -157,6 +220,9 @@ class _Simplex:
         costs are costs / cost_scale."""
         self.costs, self.cost_scale = costs, cost_scale
         self.w, self.z0 = [0] * self.k, 0
+        if self.m >= PACKED_WIDTH:
+            self.cost_bound = max(map(abs, costs[: self.m]))
+            self.packed_costs = {}
         for row, b, i in zip(self.E, self.beta, self.basis):
             if costs[i]:
                 self.w = [v + costs[i] * u for v, u in zip(self.w, row)]
@@ -220,6 +286,20 @@ class _Simplex:
         return -self.z0, self.cost_scale * self.D
 
 
+def _tops(m, words) -> int:
+    """2^(B-1) in each of m fields of B = 64 words bits: every field's top bit."""
+    return int.from_bytes((bytes(8 * words - 1) + b"\x80") * m, "little")
+
+
+def _pack(values, words) -> int:
+    """sum_j values[j] 2^(B j), B = 64 words, for values below 2^(B-1) in
+    absolute value: each value goes into its field in two's complement, and
+    the fields whose sign bit is set then borrow from the next."""
+    fields = b"".join(v.to_bytes(8 * words, "little", signed=True) for v in values)
+    fields = int.from_bytes(fields, "little")
+    return fields - ((fields & _tops(len(values), words)) << 1)
+
+
 def _after_phase1(system: LinearSystem) -> _Simplex:
     """The simplex on `system` at the end of phase 1.  Phase 1 does not
     depend on any objective, so it runs once per system; the state is kept
@@ -252,23 +332,6 @@ def _check_optimum(system: LinearSystem, w, value, L, costs, cost_scale):
         raise RuntimeError("optimum dual prices a column below its cost")
     if sums[-1] != value:
         raise RuntimeError("optimum dual bound mismatch")
-
-
-def _verify_certificate(system: LinearSystem, cert: FeasibilityCertificate):
-    if cert.feasible:
-        if not system.check_solution(cert.solution):
-            raise RuntimeError("solver produced a non-solution")
-    else:  # multipliers y_r / s_r on the integer rows; no margin checks as 0
-        rational = [*map(Fraction, cert.dual, system.scales), cert.margin or 0]
-        (*u, margin), L = scale_to_integers(rational)
-        _check_refutation(system, u, margin, L)
-
-
-def _verify_optimum(system: LinearSystem, objective, result: OptimizationResult):
-    if not system.check_solution(result.solution):
-        raise RuntimeError("optimizer produced a non-solution")
-    (*w, value), L = scale_to_integers([*map(Fraction, result.dual, system.scales), result.value])
-    _check_optimum(system, w, value, L, *scale_to_integers(objective))
 
 
 def _solution(system: LinearSystem, x, D) -> tuple:

@@ -70,7 +70,12 @@ from prevision.geometry import (
     scale_to_integers,
     to_fraction,
 )
-from prevision.lp import FeasibilityCertificate, OptimizationResult
+from prevision.lp import (
+    FeasibilityCertificate,
+    OptimizationResult,
+    _check_optimum,
+    _check_refutation,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -496,6 +501,27 @@ def fraction_verify_optimum(system, objective, result) -> None:
             raise RuntimeError("optimum dual prices a column below its cost")
     if sum(u * b for u, b in zip(result.dual, rhs)) != result.value:
         raise RuntimeError("optimum dual bound mismatch")
+
+
+def integer_verify_certificate(system, cert) -> None:
+    """Raise RuntimeError unless the certificate holds, by the solver's own
+    integer checks on the system's integer rows."""
+    if cert.feasible:
+        if not system.check_solution(cert.solution):
+            raise RuntimeError("solver produced a non-solution")
+    else:  # multipliers y_r / s_r on the integer rows; no margin checks as 0
+        rational = [*map(Fraction, cert.dual, system.scales), cert.margin or 0]
+        (*u, margin), L = scale_to_integers(rational)
+        _check_refutation(system, u, margin, L)
+
+
+def integer_verify_optimum(system, objective, result) -> None:
+    """Raise RuntimeError unless the maximizer is feasible and the dual
+    proves its value, by the solver's own integer checks."""
+    if not system.check_solution(result.solution):
+        raise RuntimeError("optimizer produced a non-solution")
+    (*w, value), L = scale_to_integers([*map(Fraction, result.dual, system.scales), result.value])
+    _check_optimum(system, w, value, L, *scale_to_integers(objective))
 
 
 def fraction_book_gains(assessment, book):

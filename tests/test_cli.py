@@ -239,6 +239,10 @@ class TestCheck:
         assert err == "error: 64 atoms declared; at most 20 are supported\n"
 
 
+# a list nested 900 deep, inside the JSON decoder's recursion limit
+NESTED_900 = json.loads("[" * 900 + "]" * 900)
+
+
 def _edit_pair_problem(path, value):
     """pair_problem() with the entry at `path` (keys and indices) set."""
     data = pair_problem()
@@ -312,6 +316,15 @@ def _edit_pair_problem(path, value):
                 (("query",), ["C"]),
             )
         ),
+        ((("assessment", "X"), NESTED_900), ("check",)),
+        ((("compounds", 0, "members"), [NESTED_900, "X"]), ("check",)),
+        ((("assessment",), {"Z" * 3000: "1/2"}), ("check",)),
+        ((("compounds", 0, "previsions"), {"1," + "9" * 3000: "7/20"}), ("check",)),
+        *(
+            ((("conditionals", 0, "consequent"), formula), ("check",))
+            for formula in ("A" * 3000 + " $", "(" + "A" * 3000, "Q" * 3000)
+        ),
+        ((("constraints",), ["A & !A", "A | " * 249 + "A"]), ("check",)),
     ],
     ids=[
         "empty-antecedent", "duplicate-atoms", "non-string-member",
@@ -339,6 +352,10 @@ def _edit_pair_problem(path, value):
         "previsions-not-an-object", "subset-not-numbers", "subset-not-ascending",
         "subset-outside-members", "missing-member-prevision", "assessment-not-an-object",
         "no-assessed-values", "query-not-an-object",
+        "assessment-nested-900-deep", "member-nested-900-deep",
+        "undeclared-3000-character-name", "subset-3000-character-key",
+        "bad-character-after-3000", "unclosed-3000", "unknown-3000-character-atom",
+        "empty-space-1000-character-constraint",
     ],
 )
 def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv):
@@ -347,6 +364,15 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200  # a bad value is echoed abridged
+
+
+def test_a_formula_of_realistic_length_is_echoed_whole(capsys, tmp_path):
+    formula = "(A & H) | (!A & !H) | (A & !H) | (H & !!"
+    assert len(formula) == 40
+    edited = _edit_pair_problem(("conditionals", 0, "consequent"), formula)
+    code, out, err = run(capsys, "check", "--problem", write_problem(tmp_path, edited))
+    assert (code, out, err) == (2, "", f"error: malformed formula {formula!r}\n")
 
 
 # bytes that are not UTF-8, nesting past the JSON decoder's recursion limit on
@@ -540,12 +566,16 @@ class TestBounds:
         }
 
     def test_out_of_range_exits_two(self, capsys):
-        code, _, err = run(capsys, "bounds", "conjunction", "3/2")
-        assert code == 2
-        assert "error:" in err
+        code, out, err = run(capsys, "bounds", "conjunction", "3/2")
+        assert (code, out, err) == (2, "", "error: argument 3/2 outside [0,1]\n")
 
 
 class TestFrankCommands:
+    def test_target_out_of_range_exits_two(self, capsys):
+        code, out, err = run(capsys, "solve-lambda", "1/2", "3/5", "--target", "1/20")
+        assert (code, out) == (2, "")
+        assert err == "error: target 1/20 outside the attainable range [1/10, 1/2]\n"
+
     def test_tnorm_named_kinds(self, capsys):
         for lam, expected in (
             ("min", "1/2"), ("product", "3/10"), ("lukasiewicz", "1/10"),

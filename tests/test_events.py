@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import per_world_event, per_world_space
+from prevision import events
 from prevision.errors import (
     EmptySpace,
     FormulaError,
@@ -20,6 +21,7 @@ from prevision.events import (
     MAX_FORMULA_NESTING,
     MAX_FORMULA_TOKENS,
     ConditionalEvent,
+    WorldSpace,
     build_world_space,
 )
 from prevision.geometry import (
@@ -187,6 +189,39 @@ def test_set_algebra_matches_the_per_world_evaluator():
             outcomes.add(members if isinstance(members, type) else frozenset)
     # every outcome the comparison is about occurred
     assert outcomes == {frozenset, UnknownAtom, FormulaError, EmptySpace}
+
+
+def test_an_atom_is_built_once_per_run_of_mentions_and_freed_after_it(monkeypatch):
+    space = build_world_space(["A", "B", "C"])
+    atom_worlds, evaluate = WorldSpace._atom_worlds, events._evaluate
+    builds, alive, seen = [], [], []
+
+    class Worlds(frozenset):
+        """A world set that a weak reference can follow."""
+
+    def counted(self, name):
+        builds.append(name)
+        worlds = Worlds(atom_worlds(self, name))
+        alive.append((name, weakref.ref(worlds)))
+        return worlds
+
+    def watched(node, *args):
+        if node[0] == "atom":  # the atoms whose sets are alive at each mention
+            seen.append([name for name, ref in alive if ref() is not None])
+        return evaluate(node, *args)
+
+    monkeypatch.setattr(WorldSpace, "_atom_worlds", counted)
+    monkeypatch.setattr(events, "_evaluate", watched)
+    formula = "!(A & A & A) & B | B & C"
+    members = space.event(formula).members
+    assert builds == ["A", "B", "C"]
+    # A is freed after its run of three, before the complement; B is kept
+    # for its second mention, then held only as the evaluation's own operand
+    assert seen == [[], ["A"], ["A"], [], ["B"], ["B"]]
+    assert members == per_world_event(per_world_space(["A", "B", "C"]), formula)
+    builds.clear()
+    space.event("A & B & A")
+    assert builds == ["A", "B", "A"]  # a run ends when another atom is named
 
 
 def test_operator_precedence_not_over_and_over_or():

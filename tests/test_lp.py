@@ -1,8 +1,10 @@
 """Tests for the exact feasibility and optimization solver."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction as F
@@ -22,6 +24,8 @@ from oracles import (
     fraction_solve_feasibility,
     fraction_verify_certificate,
     fraction_verify_optimum,
+    integer_verify_certificate,
+    integer_verify_optimum,
     oracle_feasible,
     oracle_maximum,
 )
@@ -560,6 +564,125 @@ def test_warm_starts_leave_the_phase1_state_unchanged(monkeypatch):
             assert len(phase1_runs) == 1
 
 
+# --- packed pricing on wide systems ----------------------------------------
+
+
+def wide_systems(seed=5, count=12):
+    """Systems of lp.PACKED_WIDTH to 63 more unknowns, which price all columns
+    at once in packed integers.  Entries are negative, zero or positive; in
+    every third system they pass 2^63, and in the systems after those they
+    reach 2^20, so the multipliers outgrow a field in mid-solve.  Every fourth
+    system has an all-zero row, two in five have no normalization, and every
+    other one has a planted non-negative point."""
+    rng = random.Random(seed)
+    for i in range(count):
+        m = lp.PACKED_WIDTH + rng.randrange(64)
+        span = (1, 2 ** 20, 2 ** 70)[i % 3]
+        rows = [
+            [F(rng.randint(-span, span), rng.choice(DENOMINATORS)) if rng.random() < 0.5
+             else F(0) for _ in range(m)]
+            for _ in range(rng.randint(2, 4))
+        ]
+        if i % 4 == 1:
+            rows[0] = [F(0)] * m
+        rhs = [_rational(rng) for _ in rows]
+        if i % 2:
+            x = [F(0)] * m
+            for j in rng.sample(range(m), 3):
+                x[j] = F(1, 3)
+            rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        yield LinearSystem.from_fractions(
+            tuple(map(tuple, rows)), tuple(rhs), tuple(f"x{j}" for j in range(m)),
+            normalization=i % 5 < 3,
+        ), [_rational(rng) for _ in range(m)]
+
+
+def test_packed_pricing_takes_the_dense_tableau_pivots_on_wide_systems(monkeypatch):
+    """Each entering column of a wide system, in phase 1 and in phase 2, is
+    the Bland column of the dense integer tableau run in lockstep, and every
+    answer equals the tableau's."""
+    kinds = set()
+
+    class Lockstep(CheckedSimplex):
+        def _entering(self):
+            j, z = super()._entering()
+            cost_row = self.oracle.T[self.k][: self.m]
+            assert j == next((c for c, v in enumerate(cost_row) if v < 0), None)
+            if len(self.packed) > 1:
+                kinds.add("field outgrown")
+            return j, z
+
+    monkeypatch.setattr(lp, "_Simplex", Lockstep)
+    for system, objective in wide_systems():
+        if max(abs(v) for row in system.rows for v in row) >= 2 ** 63:
+            kinds.add("past 63 bits")
+        if not any(system.rows[0]):
+            kinds.add("zero row")
+        cert = solve_feasibility(system)
+        assert cert == dense_solve_feasibility(system)
+        if not cert.feasible:
+            kinds.add("infeasible")
+            continue
+        for costs in (objective, [-c for c in objective]):
+            result = maximize_linear(system, costs)
+            assert result == dense_maximize_linear(system, costs)
+            kinds.add("optimum" if result.bounded else "unbounded")
+    assert kinds == {
+        "past 63 bits", "zero row", "field outgrown", "infeasible", "optimum", "unbounded"
+    }
+
+
+def test_reduced_costs_at_the_field_bound_price_exactly():
+    """Reduced costs as large as the bound on the fields, 2^63 and past it,
+    from the multipliers or from the costs, carry into no neighbouring field."""
+    m = lp.PACKED_WIDTH
+    system = LinearSystem(((1, -1) * (m // 2) + (0,),), (1,), (), normalization=False)
+    simplex = lp._Simplex(system)
+    for big in (2 ** 63 - 1, 2 ** 63, 2 ** 64, 2 ** 127 + 5):
+        simplex._set_costs([0] * (m + 1), 1)
+        for w, expected in (([big], (1, -big)), ([-big], (0, -big))):
+            simplex.w = w
+            assert simplex._entering() == expected
+        simplex._set_costs([-big, big] + [0] * (m - 1), 1)
+        assert simplex._entering() == (1, -big)
+
+
+def test_prefixes_halve_from_every_column_down_to_the_packed_width():
+    for m in (lp.PACKED_WIDTH, 2 * lp.PACKED_WIDTH - 1, 2 * lp.PACKED_WIDTH, 2186):
+        system = LinearSystem(((1,) * (m + 1),), (1,), (), normalization=False)
+        prefixes = lp._Simplex(system).prefixes
+        assert prefixes[-1] == m and prefixes[0] // 2 < lp.PACKED_WIDTH <= prefixes[0]
+        assert all(a == b // 2 for a, b in zip(prefixes, prefixes[1:]))
+
+
+def test_packing_puts_each_value_in_its_field():
+    """A packed row is sum_j v_j 2^(64 words j), for entries up to 63 bits
+    at any field width and past 63 bits in fields wide enough for them."""
+    small = [0, 1, -1, 2 ** 62, -(2 ** 63) + 1, 2 ** 63 - 1, -5, 0]
+    large = small + [2 ** 100, -(2 ** 100) + 3]
+    for values, widths in ((small, (1, 2, 3)), (large, (2, 3))):
+        for words in widths:
+            expected = sum(v << 64 * words * j for j, v in enumerate(values))
+            assert lp._pack(values, words) == expected
+
+
+def test_a_dropped_wide_system_is_freed_without_the_cycle_collector():
+    """The packed rows live on the phase-1 state, which holds nothing that
+    leads back to its system, so dropping the last reference frees it."""
+    system = next(
+        s for s, c in wide_systems()
+        if solve_feasibility(s).feasible and maximize_linear(s, c).bounded
+    )
+    assert vars(system)["_phase1"].packed
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_wrong_optimum_dual_raises(monkeypatch):
     system = example_pair_system()
     assert maximize_component_sum(system, [0]).dual is not None
@@ -666,8 +789,8 @@ def test_zero_mass_optimum_carries_a_dual():
 # --- integer certificate checks against the Fraction reference --------------
 
 SEVENTH = F(1, 7)
-CERTIFICATE_CHECKS = (lp._verify_certificate, fraction_verify_certificate)
-OPTIMUM_CHECKS = (lp._verify_optimum, fraction_verify_optimum)
+CERTIFICATE_CHECKS = (integer_verify_certificate, fraction_verify_certificate)
+OPTIMUM_CHECKS = (integer_verify_optimum, fraction_verify_optimum)
 
 
 def _mixed(values):
