@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .closed_form import lambda_solution_TL, lambda_solution_TM
 from .coherence import check_coherence, extension_interval, value_table
-from .errors import IncoherentBase, PrevisionError, abridged
+from .errors import FormulaError, IncoherentBase, PrevisionError, UnknownAtom, abridged
 from .events import ConditionalEvent, WorldSpace, build_world_space
 from .frank import (
     FrankKind,
@@ -141,6 +141,8 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
     constraints = _require_list_of_str(data, "constraints", required=False)
     try:
         space = build_world_space(atoms, constraints)
+    except (FormulaError, UnknownAtom) as exc:
+        raise ProblemError(f"constraints: {exc}") from None
     except ValueError as exc:
         raise ProblemError(f"atoms: {exc}") from None
 
@@ -163,7 +165,7 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
             ce = ConditionalEvent(
                 space.event(entry["consequent"]), space.event(entry["antecedent"])
             )
-        except ValueError as exc:
+        except (ValueError, FormulaError, UnknownAtom) as exc:
             raise ProblemError(f"{where}: {exc}") from None
         events[name] = ce
         quantities[name] = indicator(ce, name)

@@ -1,11 +1,14 @@
 """Formulas, finite world spaces, events, and conditional events.
 
 A world space numbers the truth assignments over a list of atoms that survive
-the declared constraints, without materializing any.  Events are sets of world
-numbers; a formula's event is set algebra over the worlds of the atoms it names,
-each found by a bit test when named.  The constituents of a family of conditional
-events, its blocks of worlds with one true/false/void pattern, are the partition
-of the family's indicators in `geometry`.
+the declared constraints, without materializing any.  An event is a bit mask,
+one Python int with bit w set for each world w in it; a formula's event is
+integer algebra (&, |, ^) over the masks of the atoms it names.  An atom's
+mask is built once per space: by shifting and doubling a bit pattern when no
+constraint is declared, else in one bulk pass over the surviving assignments.
+The constituents of a family of conditional events, its blocks of worlds with
+one true/false/void pattern, are the partition of the family's indicators in
+`geometry`.
 """
 
 from __future__ import annotations
@@ -13,21 +16,27 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count, repeat
-from operator import and_, eq
+from itertools import compress, repeat
+from operator import and_
 
 from .errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom, abridged
 
-# A world space numbers up to 2**MAX_ATOMS assignments; each event and each
-# conditional quantity holds up to one entry per world.  At 20 atoms (Python
-# 3.11, two-core Xeon VM) a build plus one event per atom peaks at 743 MB RSS,
-# and a CLI check of two conditionals and their conjunction at 347 MB in 1.2 s.
+# A world space numbers up to 2**MAX_ATOMS assignments; each event holds one
+# bit and each conditional quantity one code per world.  At 20 atoms (Python
+# 3.11, two-core Xeon VM) a build plus one event per atom peaks at 15 MB RSS
+# in 0.1 s, or at 47 MB in 1.2 s under one constraint, and a CLI check of two
+# conditionals and their conjunction under that constraint at 72 MB in 0.5 s.
 MAX_ATOMS = 20
 # A formula has at most MAX_FORMULA_TOKENS tokens and nests "!" and "(" at most
 # MAX_FORMULA_NESTING deep, so parsing and evaluating it, which recurse once per
 # nesting level and per chained operator, stay inside Python's recursion limit.
 MAX_FORMULA_TOKENS = 500
 MAX_FORMULA_NESTING = 100
+
+# bytes.translate tables from the characters of a binary numeral, its "0b"
+# included, to flag bytes, and from flag bytes to binary digits
+_FLAGS = bytes.maketrans(b"01b", b"\x00\x01\x00")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()=])|(\S))")
 
@@ -114,28 +123,42 @@ def parse_formula(text):
     return _Parser(_tokenize(text), text).parse()
 
 
-def _atom_names(node) -> list:
-    """The atoms a parsed formula names, once per mention, in evaluation order."""
-    if node[0] == "atom":
-        return [node[1]]
-    return [name for child in node[1:] for name in _atom_names(child)]
+def spread_bits(mask: int, width: int = 1) -> int:
+    """The int whose lane w, `width` bytes wide, holds bit w of `mask`: at
+    width 1, byte w of its n little-endian bytes is 1 where bit w is set."""
+    flags = bin(mask).encode().translate(_FLAGS)  # "0b" gives two lanes of 0 on top
+    if width > 1:
+        flags, bits = bytearray(len(flags) * width), flags
+        flags[width - 1::width] = bits
+    return int.from_bytes(flags, "big")
 
 
-def _evaluate(node, atom_worlds, everything):
-    """The worlds where a parsed formula holds, by set algebra over the
-    worlds of its atoms, which `atom_worlds` maps each name to."""
+def _pattern(shift: int, n_worlds: int) -> int:
+    """The mask of the numbers below n_worlds, a power of two, with bit
+    `shift` set: runs of 2**shift clear then set bits, doubled to length."""
+    run = 1 << shift
+    mask, period = ((1 << run) - 1) << run, 2 * run
+    while period < n_worlds:
+        mask |= mask << period
+        period *= 2
+    return mask
+
+
+def _evaluate(node, atom_mask, full):
+    """The mask of the worlds where a parsed formula holds, by integer
+    algebra over the masks of its atoms, which `atom_mask` maps each name to."""
     kind = node[0]
     if kind == "atom":
-        return atom_worlds(node[1])
+        return atom_mask(node[1])
     if kind == "not":
-        return everything - _evaluate(node[1], atom_worlds, everything)
-    a = _evaluate(node[1], atom_worlds, everything)
-    b = _evaluate(node[2], atom_worlds, everything)
+        return full ^ _evaluate(node[1], atom_mask, full)
+    a = _evaluate(node[1], atom_mask, full)
+    b = _evaluate(node[2], atom_mask, full)
     if kind == "and":
         return a & b
     if kind == "or":
         return a | b
-    return everything - (a ^ b)  # eq
+    return full ^ a ^ b  # eq
 
 
 @dataclass(frozen=True)
@@ -150,38 +173,39 @@ class WorldSpace:
     def __len__(self):
         return len(self.assignments)
 
-    def _atom_worlds(self, name):
-        if name not in self.atoms:
-            raise UnknownAtom(name)
-        bit = 1 << (len(self.atoms) - 1 - self.atoms.index(name))
-        return frozenset(compress(count(), map(and_, self.assignments, repeat(bit))))
-
-    def event(self, formula: str) -> "Event":
-        """Event denoted by a Boolean formula over the declared atoms.  An atom
-        named again right after itself reuses its worlds: a set is kept only
-        while the next atom named is the same, so beyond the sets that the
-        evaluation holds at most one is alive, and only until that mention."""
-        node = parse_formula(formula)
-        names = _atom_names(node)
-        again = map(eq, names, names[1:] + [None])  # is the next atom named the same?
-        kept = None
-
-        def atom_worlds(name):
-            nonlocal kept
-            worlds = self._atom_worlds(name) if kept is None else kept
-            kept = worlds if next(again) else None
-            return worlds
-
-        return Event(self, _evaluate(node, atom_worlds, self._worlds))
+    @cached_property
+    def _full(self) -> int:
+        return (1 << len(self)) - 1
 
     @cached_property
-    def _worlds(self) -> frozenset:
-        # not a cached Event: that would point back here, a reference cycle
-        return frozenset(range(len(self)))
+    def _atom_masks(self) -> dict:
+        # {name: mask}, filled as atoms are named; it holds ints only, so
+        # keeping it here makes no reference cycle
+        return {}
+
+    def _atom_mask(self, name) -> int:
+        masks = self._atom_masks
+        if name not in masks:
+            masks[name] = self._build_atom_mask(name)
+        return masks[name]
+
+    def _build_atom_mask(self, name) -> int:
+        if name not in self.atoms:
+            raise UnknownAtom(name)
+        shift = len(self.atoms) - 1 - self.atoms.index(name)
+        if isinstance(self.assignments, range):
+            return _pattern(shift, len(self))
+        # byte w is 1 when the atom is true in world w
+        flags = bytes(map(bool, map(and_, self.assignments, repeat(1 << shift))))
+        return int(flags[::-1].translate(_DIGITS), 2)
+
+    def event(self, formula: str) -> "Event":
+        """Event denoted by a Boolean formula over the declared atoms."""
+        return Event(self, _evaluate(parse_formula(formula), self._atom_mask, self._full))
 
     @property
     def everything(self) -> "Event":
-        return Event(self, self._worlds)
+        return Event(self, self._full)
 
 
 def build_world_space(atoms, constraints=()) -> WorldSpace:
@@ -204,15 +228,17 @@ def build_world_space(atoms, constraints=()) -> WorldSpace:
     kept = reduce(and_, (space.event(text).members for text in constraints))
     if not kept:
         raise EmptySpace(f"constraints {abridged(list(constraints))} admit no world")
-    return WorldSpace(atoms, tuple(sorted(kept)))
+    flags = spread_bits(kept).to_bytes(len(space), "little")
+    return WorldSpace(atoms, tuple(compress(space.assignments, flags)))
 
 
 @dataclass(frozen=True)
 class Event:
-    """A set of worlds of one space."""
+    """A set of worlds of one space, as a mask: bit w of `members` is set
+    when world w is in the event."""
 
     space: WorldSpace
-    members: frozenset[int]
+    members: int
 
     def _check(self, other):
         if self.space is not other.space:
@@ -227,10 +253,10 @@ class Event:
         return Event(self.space, self.members | other.members)
 
     def __invert__(self) -> "Event":
-        return Event(self.space, self.space._worlds - self.members)
+        return Event(self.space, self.space._full ^ self.members)
 
     def __contains__(self, world_index: int) -> bool:
-        return world_index in self.members
+        return self.members >> world_index & 1 == 1
 
     @property
     def is_empty(self) -> bool:
@@ -238,7 +264,7 @@ class Event:
 
     @property
     def is_sure(self) -> bool:
-        return len(self.members) == len(self.space)
+        return self.members == self.space._full
 
 
 @dataclass(frozen=True)

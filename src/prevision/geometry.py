@@ -2,15 +2,18 @@
 
 A conditional quantity X|K takes one exact rational value on each world of
 K; outside K it is void and, once assessed, stands in for its own prevision.
-It is stored in one form, built from level sets {value: worlds}: its
-distinct values (levels) in descending order and, per world, the index of
-the world's value among them or VOID.  Indicators and the conjunctions and
-disjunctions of conditional events (over the union of the antecedents, with
-assessed previsions filling the partially-void cases) get their level sets
-by set algebra on the events.  An assessed family's constituents are the
-joint code tuples (keys) of its worlds: `keyed_partition` finds them in one
-pass and projects them onto sub-families, and `quantity_constituents` adds
-each block's worlds, values and +/-/0 label for callers that show them.
+It is stored in one form: its distinct values (levels) in descending order
+and, per world, the index of the world's value among them or VOID.  It is
+built from level sets, (value, mask) pairs over the bit masks of `events`,
+and its codes come from the masks by a few bulk integer operations per bit
+plane of the codes, never by a pass over the worlds per level.  Indicators
+and the conjunctions and disjunctions of conditional events (over the union
+of the antecedents, with assessed previsions filling the partially-void
+cases) get their level sets by integer algebra (&, ^, |) on the masks.  An
+assessed family's constituents are the joint code tuples (keys) of its
+worlds: `keyed_partition` finds them in one pass and projects them onto
+sub-families, and `quantity_constituents` adds each block's worlds, values
+and +/-/0 label for callers that show them.
 From the keys `build_sigma` builds the feasibility systems whose
 solvability coherence checking rests on, one column Q_h per constituent, in
 one form: integer rows each scaled by the lcm of its denominators;
@@ -20,21 +23,26 @@ one form: integer rows each scaled by the lcm of its denominators;
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
 from math import lcm
+from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import MissingPrevision, NotApplicable, OutOfRange
-from .events import ConditionalEvent, Event, WorldSpace
+from .events import ConditionalEvent, Event, WorldSpace, spread_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 # The value code of a world outside a quantity's conditioning event; it
 # exceeds every level index, so ascending codes put void after every value.
 VOID = sys.maxsize
+# array typecodes of unsigned integers 1, 2 and 4 bytes wide
+_TYPECODES = {1: "B", 2: "H", 4: "I"}
 
 
 def to_fraction(value) -> Fraction:
@@ -52,7 +60,7 @@ class ConditionalQuantity:
 
     Stored as `levels`, the distinct values in descending order, and `codes`,
     for each world of the space the index of its value in `levels`, or VOID.
-    Build one with `from_level_sets` ((value, worlds) pairs) or `from_values`
+    Build one with `from_level_sets` ((value, mask) pairs) or `from_values`
     ({world: value}).
 
     `void_value` is the quantity's own prevision when one is built in (the
@@ -72,27 +80,41 @@ class ConditionalQuantity:
 
     @classmethod
     def from_level_sets(cls, conditioning, level_sets, label="X|K", void_value=None):
-        """The quantity worth v on the worlds of each (v, worlds) pair; the
-        pairs cover the conditioning worlds.  Equal values merge, and empty
-        sets are dropped."""
-        merged = {}
-        for v, worlds in level_sets:
-            if worlds:
-                merged.setdefault(to_fraction(v), []).extend(worlds)
-        levels = sorted(merged, reverse=True)
-        codes = [VOID] * len(conditioning.space)
-        for i, v in enumerate(levels):
-            for w in merged[v]:
-                codes[w] = i
-        return cls(conditioning, tuple(levels), tuple(codes), label, void_value)
+        """The quantity worth v on the worlds of each (v, mask) pair; the
+        masks cover the conditioning worlds.  Equal values merge, and empty
+        masks are dropped.  Values are compared as integers over their
+        common denominator, not as Fractions."""
+        pairs = [(to_fraction(v), worlds) for v, worlds in level_sets if worlds]
+        values, masks = {}, {}
+        for key, (v, worlds) in zip(scale_to_integers([v for v, _ in pairs])[0], pairs):
+            values.setdefault(key, v)
+            masks[key] = masks.get(key, 0) | worlds
+        keys = sorted(values, reverse=True)
+        levels, masks = tuple(map(values.get, keys)), list(map(masks.get, keys))
+        return cls._from_levels(conditioning, levels, masks, label, void_value)
+
+    @classmethod
+    def _from_levels(cls, conditioning, levels, masks, label, void_value=None):
+        """The quantity worth levels[i] on the worlds of masks[i]: the levels
+        are Fractions in descending order, and the masks are non-empty and
+        partition the conditioning worlds."""
+        codes = _codes(masks, len(conditioning.space))
+        return cls(conditioning, levels, codes, label, void_value)
 
     @classmethod
     def from_values(cls, conditioning, values, label="X|K", void_value=None):
         """The quantity worth values[w] on each world w of the conditioning."""
-        if values.keys() != conditioning.members:
+        n = len(conditioning.space)
+        flags = spread_bits(conditioning.members).to_bytes(n, "little")
+        if values.keys() != set(compress(range(n), flags)):
             raise ValueError("values must cover exactly the conditioning worlds")
-        level_sets = ((v, (w,)) for w, v in values.items())
-        return cls.from_level_sets(conditioning, level_sets, label, void_value)
+        values = {w: to_fraction(v) for w, v in values.items()}
+        levels = sorted(set(values.values()), reverse=True)
+        index = {v: i for i, v in enumerate(levels)}
+        codes = [VOID] * n
+        for w, v in values.items():
+            codes[w] = index[v]
+        return cls(conditioning, tuple(levels), tuple(codes), label, void_value)
 
     @property
     def space(self) -> WorldSpace:
@@ -110,10 +132,42 @@ class ConditionalQuantity:
         return set(self.levels) <= {ZERO, ONE}
 
 
+def _codes(masks, n_worlds) -> tuple:
+    """The code of each world: i on the worlds of masks[i], which are
+    disjoint, and VOID on the worlds of none.
+
+    A world's lane holds i + 1, or 0 for void.  While more than three lane
+    values remain, plane j, the union of the masks whose lane has bit j
+    set, is spread into bit j of the lanes, and the masks are merged in
+    pairs by lane >> 1; the last three are spread and weighted by their
+    lane.  The work is a few operations on whole masks per plane, never a
+    pass over the worlds per level.
+    """
+    width = 1 if len(masks) < 1 << 8 else 2 if len(masks) < 1 << 16 else 4
+    by_lane = [0, *masks]  # the masks by lane >> j
+    total = j = 0
+    while len(by_lane) > 3:
+        total += spread_bits(reduce(or_, by_lane[1::2]), width) << j
+        by_lane = list(map(or_, by_lane[::2], by_lane[1::2] + [0]))
+        j += 1
+    for lane, mask in enumerate(by_lane[1:], 1):
+        total += lane * spread_bits(mask, width) << j
+    lanes = total.to_bytes(n_worlds * width, "little")
+    if width > 1:
+        lanes = array(_TYPECODES[width], lanes)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+    # one lane more than worlds, so that itemgetter returns a tuple
+    return itemgetter(*lanes, 0)([VOID, *range(len(masks))])[:-1]
+
+
 def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
     """The 0/1 quantity of a conditional event on its antecedent."""
     h, e = ce.antecedent.members, ce.consequent.members
-    return ConditionalQuantity.from_level_sets(ce.antecedent, [(ONE, h & e), (ZERO, h - e)], label)
+    true, false = h & e, h & ~e
+    if true and false:
+        return ConditionalQuantity._from_levels(ce.antecedent, (ONE, ZERO), [true, false], label)
+    return ConditionalQuantity._from_levels(ce.antecedent, (ONE,) if true else (ZERO,), [h], label)
 
 
 class CompoundPrevisionMap:
@@ -163,8 +217,8 @@ def _conjunction_level_sets(family, previsions):
     on the worlds where some member fails, 1 where every member holds, and
     x_S on the block where exactly the members S are void.
 
-    Each member splits every block by its antecedent, so the work is set
-    algebra on the events, not a classification of each world.
+    Each member splits every block by its antecedent, so the work is integer
+    algebra on the event masks, not a classification of each world.
     """
     if not family:
         raise ValueError("family must be non-empty")
@@ -173,24 +227,24 @@ def _conjunction_level_sets(family, previsions):
     union = family[0].antecedent
     for ce in family[1:]:
         union = union | ce.antecedent
-    false = frozenset().union(
-        *(ce.antecedent.members - ce.consequent.members for ce in family)
-    )
-    blocks = {(): union.members - false}
+    false = 0
+    for ce in family:
+        false |= ce.antecedent.members & ~ce.consequent.members
+    blocks = {(): union.members & ~false}
     for i, ce in enumerate(family, start=1):
         split = {}
         for void, worlds in blocks.items():
             active = worlds & ce.antecedent.members
             if active:
                 split[void] = active
-            if len(active) < len(worlds):
-                split[void + (i,)] = worlds - active
+            if active != worlds:
+                split[void + (i,)] = worlds ^ active
         blocks = split
     xs = {void: previsions.get(void) if void else ONE for void in blocks}
-    missing = {w: void for void, ws in blocks.items() if xs[void] is None for w in ws}
+    missing = [(void, ws) for void, ws in blocks.items() if xs[void] is None]
     if missing:
-        # name the subset of the first world, in the union's order, lacking one
-        previsions.require(missing[next(w for w in union.members if w in missing)])
+        # name the subset of the lowest world lacking one
+        previsions.require(min(missing, key=lambda block: block[1] & -block[1])[0])
     level_sets = [(ZERO, false)] + [(xs[void], ws) for void, ws in blocks.items()]
     return union, level_sets, previsions.get(range(1, len(family) + 1))
 

@@ -41,9 +41,13 @@ codes instead, must return the same blocks, labels and order.
 `per_world_space` and `per_world_event` are world spaces and events as they
 were before formulas were evaluated by set algebra: every surviving
 assignment materialized as a tuple of bools, and each formula's parse tree
-walked once per world after its atoms are checked.  `build_world_space` and
-`WorldSpace.event` must give the same members under the same numbering, and
-raise the same error types.
+walked once per world after its atoms are checked.  `set_algebra_event` is
+the evaluator that the bit masks of `prevision.events` replaced: each atom's
+worlds a frozenset found by a bit test on every assignment number, and the
+formula set algebra over them.  `build_world_space` and `WorldSpace.event`
+must give the same worlds under the same numbering, and raise the same error
+types; `worlds_of` reads an event's mask back as a frozenset of world
+numbers, one bit test per world, and `mask_of` is its inverse.
 
 `sorted_conjunction_signatures` is the canonical unknown order as it was
 built before it was counted in binary: every member subset, sorted by its
@@ -55,8 +59,9 @@ prefix sums) are those closed forms, and each must return equal Fractions.
 """
 
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, compress, count, product, repeat
 from math import lcm, prod
+from operator import and_
 
 from prevision.closed_form import Family7Assessment, LambdaVector, _tail_products
 from prevision.errors import EmptySpace, UnknownAtom
@@ -618,7 +623,7 @@ def per_world_conjunction(family, previsions):
     for ce in family[1:]:
         union = union | ce.antecedent
     values = {}
-    for w in union.members:
+    for w in sorted(worlds_of(union)):
         void, false = _compound_statuses(family, w)
         if false:
             values[w] = ZERO
@@ -695,6 +700,44 @@ def per_world_event(space, formula):
     atom_index, worlds = space
     node = _checked_node(formula, atom_index)
     return frozenset(i for i, w in enumerate(worlds) if _eval_node(node, w, atom_index))
+
+
+def worlds_of(event):
+    """The numbers of the worlds in an event, one bit test of its mask per world."""
+    return frozenset(w for w in range(len(event.space)) if event.members >> w & 1)
+
+
+def mask_of(worlds):
+    """The mask with bit w set for each world number w."""
+    return sum(1 << w for w in set(worlds))
+
+
+def set_algebra_event(space, formula):
+    """The worlds of `space` where `formula` holds, as a frozenset: set
+    algebra over the worlds of the atoms it names, each atom's found by a
+    bit test on every assignment number when it is named."""
+    everything = frozenset(range(len(space)))
+
+    def atom_worlds(name):
+        if name not in space.atoms:
+            raise UnknownAtom(name)
+        bit = 1 << (len(space.atoms) - 1 - space.atoms.index(name))
+        return frozenset(compress(count(), map(and_, space.assignments, repeat(bit))))
+
+    def evaluate(node):
+        kind = node[0]
+        if kind == "atom":
+            return atom_worlds(node[1])
+        if kind == "not":
+            return everything - evaluate(node[1])
+        a, b = evaluate(node[1]), evaluate(node[2])
+        if kind == "and":
+            return a & b
+        if kind == "or":
+            return a | b
+        return everything - (a ^ b)  # eq
+
+    return evaluate(parse_formula(formula))
 
 
 def sorted_conjunction_signatures(n):

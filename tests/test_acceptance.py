@@ -385,8 +385,8 @@ def test_criterion_08_mixtures_of_coherent_assessments():
 def test_criterion_09_min_and_product_closure_on_fifth_grid():
     failures = []
     grid = [F(k, 5) for k in range(6)]
-    e_and_h = [(e.consequent & e.antecedent).members for e in EVENTS6]
-    not_e_and_h = [((~e.consequent) & e.antecedent).members for e in EVENTS6]
+    e_and_h = [e.consequent & e.antecedent for e in EVENTS6]
+    not_e_and_h = [(~e.consequent) & e.antecedent for e in EVENTS6]
 
     def pointwise(world, xs, combine):
         subs = []

@@ -254,6 +254,18 @@ def _edit_pair_problem(path, value):
     return data
 
 
+# a formula error in a problem file, and the one error line it gives, which
+# names where the formula is
+FORMULA_ERRORS = [
+    (("conditionals", 0, "consequent"), "A $",
+     "error: conditionals[0]: unexpected character '$' in 'A $'"),
+    (("conditionals", 1, "antecedent"), "K & Q", "error: conditionals[1]: unknown atom: 'Q'"),
+    (("conditionals", 1, "antecedent"), "(K", "error: conditionals[1]: expected ')' in '(K'"),
+    (("constraints",), ["A | B", "A $"], "error: constraints: unexpected character '$' in 'A $'"),
+    (("constraints",), ["Q"], "error: constraints: unknown atom: 'Q'"),
+]
+
+
 @pytest.mark.parametrize(
     "edit, argv",
     [
@@ -325,6 +337,7 @@ def _edit_pair_problem(path, value):
             for formula in ("A" * 3000 + " $", "(" + "A" * 3000, "Q" * 3000)
         ),
         ((("constraints",), ["A & !A", "A | " * 249 + "A"]), ("check",)),
+        *(((path, value), ("check",)) for path, value, _ in FORMULA_ERRORS),
     ],
     ids=[
         "empty-antecedent", "duplicate-atoms", "non-string-member",
@@ -356,6 +369,7 @@ def _edit_pair_problem(path, value):
         "undeclared-3000-character-name", "subset-3000-character-key",
         "bad-character-after-3000", "unclosed-3000", "unknown-3000-character-atom",
         "empty-space-1000-character-constraint",
+        *(f"formula-error-{i}" for i in range(len(FORMULA_ERRORS))),
     ],
 )
 def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv):
@@ -367,12 +381,19 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv)
     assert len(err) < 200  # a bad value is echoed abridged
 
 
+@pytest.mark.parametrize("path, value, line", FORMULA_ERRORS)
+def test_formula_errors_name_their_location(capsys, tmp_path, path, value, line):
+    edited = _edit_pair_problem(path, value)
+    code, out, err = run(capsys, "check", "--problem", write_problem(tmp_path, edited))
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 def test_a_formula_of_realistic_length_is_echoed_whole(capsys, tmp_path):
     formula = "(A & H) | (!A & !H) | (A & !H) | (H & !!"
     assert len(formula) == 40
     edited = _edit_pair_problem(("conditionals", 0, "consequent"), formula)
     code, out, err = run(capsys, "check", "--problem", write_problem(tmp_path, edited))
-    assert (code, out, err) == (2, "", f"error: malformed formula {formula!r}\n")
+    assert (code, out, err) == (2, "", f"error: conditionals[0]: malformed formula {formula!r}\n")
 
 
 # bytes that are not UTF-8, nesting past the JSON decoder's recursion limit on

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_world_event, per_world_space
-from prevision import events
+from oracles import per_world_event, per_world_space, set_algebra_event, worlds_of
 from prevision.errors import (
     EmptySpace,
     FormulaError,
@@ -21,6 +20,7 @@ from prevision.events import (
     MAX_FORMULA_NESTING,
     MAX_FORMULA_TOKENS,
     ConditionalEvent,
+    Event,
     WorldSpace,
     build_world_space,
 )
@@ -48,7 +48,7 @@ def test_space_without_constraints_has_all_assignments():
         space.event(f"{a}A & {h}H & {k}K")
         for a, h, k in itertools.product(("!", ""), repeat=3)
     ]
-    assert [sorted(c.members) for c in cells] == [[w] for w in range(8)]
+    assert [c.members for c in cells] == [1 << w for w in range(8)]
 
 
 def test_constraint_drops_forbidden_assignments():
@@ -57,17 +57,18 @@ def test_constraint_drops_forbidden_assignments():
     assert len(space) == 6
     assert space.event("H & K").is_empty
     # the kept assignments 0, 1, 2, 4, 5, 6 are numbered in order
-    assert space.event("A").members == {3, 4, 5}
+    assert worlds_of(space.event("A")) == {3, 4, 5}
 
 
 def test_a_dropped_space_is_freed_without_the_cyclic_collector():
-    # reading `everything` and complementing an event leave no reference
-    # cycle through the space, so dropping it frees it at once
+    # reading `everything`, complementing an event and the atom masks kept
+    # on the space leave no reference cycle through it, so dropping it frees
+    # it at once
     gc.disable()
     try:
         space = build_world_space(["A", "B", "C"])
-        assert len(space.everything.members) == 8
-        assert len((~space.event("A")).members) == 4
+        assert space.everything.members == 0b11111111
+        assert (~space.event("A")).members == 0b00001111
         ref = weakref.ref(space)
         del space
         assert ref() is None
@@ -166,6 +167,8 @@ def _outcome(compute):
 
 
 def test_set_algebra_matches_the_per_world_evaluator():
+    # masks, the frozenset evaluator they replaced and the per-world walk
+    # agree on every world, over constrained and unconstrained spaces
     rng = random.Random(20201)
     outcomes = set()
     for _ in range(400):
@@ -184,44 +187,67 @@ def test_set_algebra_matches_the_per_world_evaluator():
             continue
         assert len(space) == len(oracle[1])
         for formula in formulas:
-            members = _outcome(lambda: space.event(formula).members)
-            assert members == _outcome(lambda: per_world_event(oracle, formula))
-            outcomes.add(members if isinstance(members, type) else frozenset)
+            event = _outcome(lambda: space.event(formula))
+            expected = _outcome(lambda: per_world_event(oracle, formula))
+            assert _outcome(lambda: set_algebra_event(space, formula)) == expected
+            if isinstance(event, type):
+                assert event == expected
+                outcomes.add(event)
+                continue
+            assert 0 <= event.members < 1 << len(space)
+            assert worlds_of(event) == expected
+            outcomes.add((frozenset, bool(constraints)))
     # every outcome the comparison is about occurred
-    assert outcomes == {frozenset, UnknownAtom, FormulaError, EmptySpace}
+    assert outcomes == {
+        (frozenset, False), (frozenset, True), UnknownAtom, FormulaError, EmptySpace
+    }
 
 
-def test_an_atom_is_built_once_per_run_of_mentions_and_freed_after_it(monkeypatch):
-    space = build_world_space(["A", "B", "C"])
-    atom_worlds, evaluate = WorldSpace._atom_worlds, events._evaluate
-    builds, alive, seen = [], [], []
+def _atom_bit(space, name, w):
+    """Is atom `name` true in world w: a bit test on its assignment number."""
+    return space.assignments[w] >> len(space.atoms) - 1 - space.atoms.index(name) & 1
 
-    class Worlds(frozenset):
-        """A world set that a weak reference can follow."""
+
+@pytest.mark.parametrize("n", range(1, MAX_ATOMS + 1))
+def test_atom_masks_match_the_bit_test_on_each_world(n):
+    atoms = [f"A{i}" for i in range(n)]
+    rng = random.Random(n)
+    spaces = [build_world_space(atoms)]
+    if n >= 2:
+        spaces.append(build_world_space(atoms, [f"!({atoms[-1]} & {atoms[n // 2]})"]))
+    for space in spaces:
+        # every world up to 4,096, else 4,096 drawn ones and both ends
+        worlds = range(len(space))
+        if len(space) > 4096:
+            worlds = sorted({*rng.sample(worlds, 4096), 0, len(space) - 1})
+        for name in atoms:
+            mask = space.event(name).members
+            assert mask < 1 << len(space)
+            bits = format(mask, f"0{len(space)}b")[::-1]  # character w is bit w
+            assert [int(bits[w]) for w in worlds] == [_atom_bit(space, name, w) for w in worlds]
+            if isinstance(space.assignments, range):
+                assert mask.bit_count() == len(space) // 2
+
+
+def test_each_atom_mask_is_built_once_per_space(monkeypatch):
+    builds = []
+    build = WorldSpace._build_atom_mask
 
     def counted(self, name):
         builds.append(name)
-        worlds = Worlds(atom_worlds(self, name))
-        alive.append((name, weakref.ref(worlds)))
-        return worlds
+        return build(self, name)
 
-    def watched(node, *args):
-        if node[0] == "atom":  # the atoms whose sets are alive at each mention
-            seen.append([name for name, ref in alive if ref() is not None])
-        return evaluate(node, *args)
-
-    monkeypatch.setattr(WorldSpace, "_atom_worlds", counted)
-    monkeypatch.setattr(events, "_evaluate", watched)
-    formula = "!(A & A & A) & B | B & C"
-    members = space.event(formula).members
+    monkeypatch.setattr(WorldSpace, "_build_atom_mask", counted)
+    space = build_world_space(["A", "B", "C"])
+    for formula in ["!(A & A & A) & B | B & C", "A & B & A", "C = A", "B"]:
+        assert worlds_of(space.event(formula)) == set_algebra_event(space, formula)
     assert builds == ["A", "B", "C"]
-    # A is freed after its run of three, before the complement; B is kept
-    # for its second mention, then held only as the evaluation's own operand
-    assert seen == [[], ["A"], ["A"], [], ["B"], ["B"]]
-    assert members == per_world_event(per_world_space(["A", "B", "C"]), formula)
-    builds.clear()
-    space.event("A & B & A")
-    assert builds == ["A", "B", "A"]  # a run ends when another atom is named
+    # a constraint's atoms are built on the unconstrained space, and the
+    # constrained space builds its own from its assignments
+    constrained = build_world_space(["A", "B", "C"], ["!(A & B)"])
+    assert builds == ["A", "B", "C", "A", "B"]
+    assert worlds_of(constrained.event("A | A & C")) == set_algebra_event(constrained, "A | A & C")
+    assert builds == ["A", "B", "C", "A", "B", "A", "C"]
 
 
 def test_operator_precedence_not_over_and_over_or():
@@ -273,7 +299,7 @@ def test_same_consequent_pair_gives_six_plus_void():
     assert labels == {"++", "--", "0-", "-0", "0+", "+0"}
     c0 = cs[-1]
     assert c0.all_void
-    assert c0.worlds == space.event("!H & !K").members
+    assert c0.worlds == worlds_of(space.event("!H & !K"))
 
 
 def test_constituents_partition_the_space():
@@ -334,18 +360,12 @@ def test_aliased_antecedents_match_single_conditioning_event():
 def test_random_families_partition(e1mask, h1mask, e2mask, h2mask):
     space = build_world_space(["P", "Q", "R"])
     n = len(space)
-
-    def from_mask(mask):
-        from prevision.events import Event
-
-        return Event(space, frozenset(i for i in range(n) if mask >> i & 1))
-
-    h1, h2 = from_mask(h1mask), from_mask(h2mask)
+    h1, h2 = Event(space, h1mask), Event(space, h2mask)
     if h1.is_empty or h2.is_empty:
         return
     family = [
-        indicator(ConditionalEvent(from_mask(e1mask), h1)),
-        indicator(ConditionalEvent(from_mask(e2mask), h2)),
+        indicator(ConditionalEvent(Event(space, e1mask), h1)),
+        indicator(ConditionalEvent(Event(space, e2mask), h2)),
     ]
     cs = enumerate_constituents(family)
     worlds = list(itertools.chain.from_iterable(c.worlds for c in cs))

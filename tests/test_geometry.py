@@ -8,9 +8,11 @@ import pytest
 from oracles import (
     fraction_quantity_constituents,
     fraction_rows,
+    mask_of,
     per_world_codes,
     per_world_conjunction,
     per_world_constituents,
+    worlds_of,
 )
 
 from prevision import (
@@ -69,8 +71,8 @@ def test_to_fraction_exactness():
 
 def test_quantity_requires_full_value_cover(space4):
     h = space4.event("H")
-    values = {w: F(1) for w in h.members}
-    values.pop(next(iter(h.members)))
+    values = {w: F(1) for w in worlds_of(h)}
+    values.pop(min(values))
     with pytest.raises(ValueError):
         ConditionalQuantity.from_values(h, values)
 
@@ -85,6 +87,7 @@ def test_indicator_round_trip(space4):
 def test_conjunction_two_events_value_table(space4, pair):
     conj = make_conjunction(pair, PAIR_PREVISIONS)
     assert conj.conditioning.members == space4.event("H|K").members
+    assert conj.conditioning.members.bit_count() == 12
     cases = {
         "A&H&B&K": F(1),
         "!A&H": F(0),
@@ -93,11 +96,11 @@ def test_conjunction_two_events_value_table(space4, pair):
         "A&H&!K": Y,
     }
     for formula, expected in cases.items():
-        for w in space4.event(formula).members:
+        for w in worlds_of(space4.event(formula)):
             assert conj.values[w] == expected, formula
     # the both-void worlds sit outside the conditioning; the full-set entry
     # becomes the built-in prevision instead
-    assert not space4.event("!H&!K").members & set(conj.values)
+    assert not worlds_of(space4.event("!H&!K")) & set(conj.values)
     assert conj.void_value == Z
 
 
@@ -105,6 +108,51 @@ def test_conjunction_missing_prevision(space4, pair):
     with pytest.raises(MissingPrevision) as exc:
         make_conjunction(pair, {(1,): X, (1, 2): Z})
     assert exc.value.subset == frozenset({2})
+
+
+def test_missing_prevision_names_the_subset_of_the_lowest_world():
+    # over A, H, B, K, A|H is void and B|K holds on worlds {3, 11}, and the
+    # reverse on {12, 14}; over K, B, H, A the second block is {3, 7}.  The
+    # subset named is the lowest world's, whatever the member order.
+    for atoms in (["A", "H", "B", "K"], ["K", "B", "H", "A"]):
+        space = build_world_space(atoms)
+        a_h, b_k = conditional(space, "A", "H"), conditional(space, "B", "K")
+        void_at_3 = a_h if atoms[0] == "A" else b_k
+        for family in ([a_h, b_k], [b_k, a_h]):
+            subset = {family.index(void_at_3) + 1}
+            with pytest.raises(MissingPrevision) as exc:
+                make_conjunction(family, {(1, 2): Z})
+            assert exc.value.subset == subset
+            with pytest.raises(MissingPrevision) as oracle:
+                per_world_conjunction(family, {(1, 2): Z})
+            assert oracle.value.subset == subset
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 255, 256, 257])
+def test_level_set_codes_match_the_per_world_codes(n_levels):
+    # one world per level, then a third of the rest void and the others on
+    # random levels; each level's worlds come in up to two pairs, the second
+    # an equal value as a fresh object or an int, and empty pairs are mixed in
+    rng = random.Random(n_levels)
+    space = build_world_space([f"A{i}" for i in range(max(3, (3 * n_levels).bit_length()))])
+    worlds = list(range(len(space)))
+    rng.shuffle(worlds)
+    levels = [F(k, 7) for k in rng.sample(range(-7000, 7000), n_levels)]
+    given = dict(zip(worlds, levels))
+    for w in worlds[n_levels:]:
+        if rng.random() < 2 / 3:
+            given[w] = rng.choice(levels)
+    level_sets = []
+    for v in levels:
+        mine = [w for w, value in given.items() if value is v]
+        cut = rng.randint(0, len(mine))
+        other = int(v) if v.denominator == 1 else F(2 * v.numerator, 2 * v.denominator)
+        level_sets += [(v, mask_of(mine[:cut])), (other, mask_of(mine[cut:]))]
+    rng.shuffle(level_sets)
+    q = ConditionalQuantity.from_level_sets(Event(space, mask_of(given)), level_sets)
+    assert len(q.levels) == n_levels
+    assert (q.levels, q.codes) == per_world_codes(len(space), given)
+    assert q.values == given
 
 
 def test_conjunction_full_set_prevision_is_optional(space4, pair):
@@ -151,7 +199,7 @@ def test_conjunction_three_events_uses_subset_previsions():
         "!H1 & E2&H2 & !H3": F(1, 6),
     }
     for formula, expected in cases.items():
-        for w in space.event(formula).members:
+        for w in worlds_of(space.event(formula)):
             assert conj.values[w] == expected, formula
     assert conj.void_value == F(1, 8)
 
@@ -174,7 +222,7 @@ def test_disjunction_two_events_value_table(space4, pair):
         "!A&H & !K": Y,
     }
     for formula, expected in cases.items():
-        for w in space4.event(formula).members:
+        for w in worlds_of(space4.event(formula)):
             assert disj.values[w] == expected, formula
     assert disj.void_value == w_val
 
@@ -195,7 +243,7 @@ def test_conjunction_plus_disjunction_is_pointwise_sum(space4, pair):
         {(1,): X, (2,): Y, (1, 2): w_val})))
     a_h, b_k = space4.event("A&H"), space4.event("B&K")
     h, k = space4.event("H"), space4.event("K")
-    for w in conj.conditioning.members:
+    for w in worlds_of(conj.conditioning):
         left = F(1) if w in a_h else F(0) if w in h else X
         right = F(1) if w in b_k else F(0) if w in k else Y
         assert conj.values[w] + disj.values[w] == left + right
@@ -232,7 +280,7 @@ def test_constituent_labels_mark_values_exactly():
     # the profile, world 1 is where the void member is active
     space = build_world_space(["A"])
     family = [
-        ConditionalQuantity.from_values(Event(space, frozenset({1 if v is None else 0})),
+        ConditionalQuantity.from_values(Event(space, 0b10 if v is None else 0b01),
                                         {1 if v is None else 0: F(0) if v is None else v})
         for v in profile
     ]
@@ -267,7 +315,7 @@ def test_value_codes_match_the_fraction_partition():
             for _ in range(rng.randint(1, 5))
         ]
         family = [
-            ConditionalQuantity.from_values(Event(space, frozenset(values)), values)
+            ConditionalQuantity.from_values(Event(space, mask_of(values)), values)
             for values in inputs
         ]
         inside, c0 = quantity_constituents(family)
@@ -298,7 +346,7 @@ def _random_event(rng, space, pool):
     # consequents that imply or exclude each other
     if pool and rng.random() < 0.5:
         return rng.choice(pool)
-    event = Event(space, frozenset(w for w in range(len(space)) if rng.random() < 0.5))
+    event = Event(space, mask_of(w for w in range(len(space)) if rng.random() < 0.5))
     pool.append(event)
     return event
 
@@ -338,7 +386,7 @@ def test_set_algebra_conjunction_matches_the_per_world_one():
             continue
         conj = make_conjunction(family, previsions, "C")
         assert conj.conditioning.members == union.members
-        assert {w: conj.levels[conj.codes[w]] for w in union.members} == expected
+        assert {w: conj.levels[conj.codes[w]] for w in worlds_of(union)} == expected
         assert all(conj.codes[w] == VOID for w in range(len(space)) if w not in union)
         assert (conj.label, conj.void_value) == ("C", void_value)
         outcomes["built"] += 1
@@ -366,9 +414,9 @@ def test_constructors_match_the_per_world_codes():
             members = [ConditionalEvent(variant, h)] + family[1:]
             for ce in members:
                 q = indicator(ce)
-                given = {w: F(1) if w in ce.consequent else F(0) for w in ce.antecedent.members}
+                given = {w: F(1) if w in ce.consequent else F(0) for w in worlds_of(ce.antecedent)}
                 assert (q.levels, q.codes) == per_world_codes(len(space), given)
-                seen["E contains H"] += ce.antecedent.members <= ce.consequent.members
+                seen["E contains H"] += ce.antecedent.members & ~ce.consequent.members == 0
                 seen["E misses H"] += not ce.antecedent.members & ce.consequent.members
             try:
                 union, values, _ = per_world_conjunction(members, previsions)
@@ -440,7 +488,7 @@ def _classifier_families(seen):
             else:
                 consequent = _random_formula(rng, atoms)
             ce = conditional(space, consequent, antecedent)
-            seen["constant"] += ce.antecedent.members <= ce.consequent.members
+            seen["constant"] += ce.antecedent.members & ~ce.consequent.members == 0
             family.append(ce)
         yield family
 
