@@ -17,7 +17,6 @@ from .errors import IncoherentBase
 from .geometry import (
     Assessment,
     ConditionalQuantity,
-    VOID,
     LinearSystem,
     QuantityConstituent,
     build_sigma,
@@ -133,8 +132,8 @@ def _hull_screen(assessment: Assessment):
     return None
 
 
-def _active_sets(columns):
-    return [{h for h, c in enumerate(column) if c != VOID} for column in columns]
+def _active_sets(columns, voids):
+    return [{h for h, c in enumerate(column) if c != void} for column, void in zip(columns, voids)]
 
 
 def _support(solution):
@@ -180,8 +179,8 @@ def _run_level(current: Assessment, index_map: tuple, keys):
         book = _checked_book(DutchBook(index_map, stakes, cert.margin), system)
         record = LevelRecord(index_map, labels, False, None, None, frozenset(), None)
         return record, book, None, None
-    columns = list(zip(*system.keys))
-    m_values, witnessed, zero = _m_values(system, _active_sets(columns), [cert.solution])
+    columns, voids = list(zip(*system.keys)), [len(q.levels) for q in current.family]
+    m_values, witnessed, zero = _m_values(system, _active_sets(columns, voids), [cert.solution])
     record = LevelRecord(
         index_map,
         labels,
@@ -191,7 +190,7 @@ def _run_level(current: Assessment, index_map: tuple, keys):
         frozenset(index_map[i] for i in witnessed),
         frozenset(index_map[i] for i in zero),
     )
-    return record, None, zero, keyed_partition([columns[i] for i in zero])
+    return record, None, zero, keyed_partition([columns[i] for i in zero], [voids[i] for i in zero])
 
 
 def check_coherence(assessment: Assessment) -> CoherenceVerdict:
@@ -254,17 +253,16 @@ def _linear_range(system: LinearSystem, objective):
     return lo, hi
 
 
-def _charnes_cooper_range(system: LinearSystem, t: int, codes, levels):
-    """Least and greatest target value over the solutions of `system` that
-    give the target's active blocks positive mass; the target's levels and
-    code on each unknown are `levels` and `codes`, after `t` member rows.
+def _charnes_cooper_range(system: LinearSystem, t: int, values, k_mass):
+    """Least and greatest target value over the solutions of `system`, after
+    `t` member rows, that give positive mass to the target's active blocks,
+    where `k_mass` is 1; `values` is its value per unknown, 0 where void.
 
     Scale-invariant form: a mass vector zeta with unit mass on the target's
     active blocks and total mass `scale`; the target value is then the
     active sum of zeta times the target's values.  Member row i becomes
     (row_i | -mu_i | 0) with the same scale s_i.
     """
-    k_mass = tuple(0 if c == VOID else 1 for c in codes)
     cc = LinearSystem(
         tuple(row[:-1] + (-row[-1], 0) for row in system.rows[:t])
         + ((1,) * len(k_mass) + (-1, 0), k_mass + (0, 1)),
@@ -272,7 +270,7 @@ def _charnes_cooper_range(system: LinearSystem, t: int, codes, levels):
         lambda: system.unknown_labels + ("scale",),
         normalization=False,
     )
-    return _linear_range(cc, [0 if c == VOID else levels[c] for c in codes] + [0])
+    return _linear_range(cc, [*values, 0])
 
 
 def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
@@ -292,16 +290,18 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
     hull = target.hull()
     for record in trace:
         current = assessment.restrict(p - 1 for p in record.member_indices)
-        t = len(current)
-        system = build_sigma(current, keyed_partition([q.codes for q in (*current.family, target)]))
+        members = (*current.family, target)
+        t, voids, void = len(current), [len(q.levels) for q in members], len(target.levels)
+        system = build_sigma(current, keyed_partition([q.codes for q in members], voids))
         columns = list(zip(*system.keys))
-        if VOID not in columns[t]:
-            return _linear_range(system, [target.levels[c] for c in columns[t]])
-        k_mass = tuple(0 if c == VOID else 1 for c in columns[t])
+        values = [*map((*target.levels, 0).__getitem__, columns[t])]  # 0 where void
+        if void not in columns[t]:
+            return _linear_range(system, values)
+        k_mass = tuple(int(c != void) for c in columns[t])
         least = maximize_linear(system, [-v for v in k_mass])
         if least.value == 0 and maximize_linear(system, k_mass).value == 0:
             continue
-        lo, hi = _charnes_cooper_range(system, t, columns[t], target.levels)
+        lo, hi = _charnes_cooper_range(system, t, values, k_mass)
         if least.value < 0 or (lo, hi) == hull:
             return lo, hi
         # the member rows, K's mass set to zero, then the normalization row
@@ -310,7 +310,7 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
             system.scales[:t] + (1,) + system.scales[t:],
             system.labels,
         )
-        _, _, zero = _m_values(void_target, _active_sets(columns[:t]), [least.solution])
+        _, _, zero = _m_values(void_target, _active_sets(columns[:t], voids), [least.solution])
         if not zero:
             return hull
         sub = current.restrict(zero)

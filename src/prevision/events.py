@@ -1,11 +1,11 @@
 """Formulas, finite world spaces, events, and conditional events.
 
 A world space numbers the truth assignments over a list of atoms that survive
-the declared constraints, without materializing any.  An event is a bit mask,
+the declared constraints, keeping only their mask.  An event is a bit mask,
 one Python int with bit w set for each world w in it; a formula's event is
 integer algebra (&, |, ^) over the masks of the atoms it names.  An atom's
-mask is built once per space: by shifting and doubling a bit pattern when no
-constraint is declared, else in one bulk pass over the surviving assignments.
+mask is built once per space by shifting and doubling a bit pattern, whose
+bits at the assignments a constraint drops are squeezed out in one bytes pass.
 The constituents of a family of conditional events, its blocks of worlds with
 one true/false/void pattern, are the partition of the family's indicators in
 `geometry`.
@@ -14,18 +14,17 @@ one true/false/void pattern, are the partition of the family's indicators in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, repeat
 from operator import and_
 
 from .errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom, abridged
 
 # A world space numbers up to 2**MAX_ATOMS assignments; each event holds one
-# bit and each conditional quantity one code per world.  At 20 atoms (Python
-# 3.11, two-core Xeon VM) a build plus one event per atom peaks at 15 MB RSS
-# in 0.1 s, or at 47 MB in 1.2 s under one constraint, and a CLI check of two
-# conditionals and their conjunction under that constraint at 72 MB in 0.5 s.
+# bit and each conditional quantity one code byte per world.  At 20 atoms
+# (Python 3.11, two-core Xeon VM) a build plus one event per atom peaks at
+# 16 MB RSS in 0.05 s, or at 20 MB in 0.4 s under one constraint, and a CLI
+# check of two conditionals and their conjunction under it at 21 MB in 0.2 s.
 MAX_ATOMS = 20
 # A formula has at most MAX_FORMULA_TOKENS tokens and nests "!" and "(" at most
 # MAX_FORMULA_NESTING deep, so parsing and evaluating it, which recurse once per
@@ -34,9 +33,9 @@ MAX_FORMULA_TOKENS = 500
 MAX_FORMULA_NESTING = 100
 
 # bytes.translate tables from the characters of a binary numeral, its "0b"
-# included, to flag bytes, and from flag bytes to binary digits
+# included, to flag bytes, and from kept lanes, 2 and 3, to binary digits
 _FLAGS = bytes.maketrans(b"01b", b"\x00\x01\x00")
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_KEPT_DIGITS = bytes.maketrans(b"\x02\x03", b"01")
 
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()=])|(\S))")
 
@@ -163,15 +162,15 @@ def _evaluate(node, atom_mask, full):
 
 @dataclass(frozen=True)
 class WorldSpace:
-    """The truth assignments over `atoms` surviving the constraints: world w is
-    assignment number `assignments[w]`, in increasing (`itertools.product`)
+    """The truth assignments over `atoms` surviving the constraints, bit a of
+    `kept` set for each: world w is the w-th, in increasing (`itertools.product`)
     order, and atom i of n is true in assignment a when bit n - 1 - i is set."""
 
     atoms: tuple[str, ...]
-    assignments: range | tuple[int, ...]
+    kept: int = field(repr=False)  # 2**len(atoms) bits, past the int-to-str limit
 
     def __len__(self):
-        return len(self.assignments)
+        return self.kept.bit_count()
 
     @cached_property
     def _full(self) -> int:
@@ -192,12 +191,13 @@ class WorldSpace:
     def _build_atom_mask(self, name) -> int:
         if name not in self.atoms:
             raise UnknownAtom(name)
-        shift = len(self.atoms) - 1 - self.atoms.index(name)
-        if isinstance(self.assignments, range):
-            return _pattern(shift, len(self))
-        # byte w is 1 when the atom is true in world w
-        flags = bytes(map(bool, map(and_, self.assignments, repeat(1 << shift))))
-        return int(flags[::-1].translate(_DIGITS), 2)
+        n_assignments = 1 << len(self.atoms)
+        pattern = _pattern(len(self.atoms) - 1 - self.atoms.index(name), n_assignments)
+        if len(self) == n_assignments:
+            return pattern
+        # lane a, top first, is 2 + true where kept and 0 or 1 where dropped
+        lanes = (spread_bits(pattern) + 2 * spread_bits(self.kept)).to_bytes(n_assignments, "big")
+        return int(lanes.replace(b"\x00", b"").replace(b"\x01", b"").translate(_KEPT_DIGITS), 2)
 
     def event(self, formula: str) -> "Event":
         """Event denoted by a Boolean formula over the declared atoms."""
@@ -222,14 +222,13 @@ def build_world_space(atoms, constraints=()) -> WorldSpace:
         )
     if len(set(atoms)) != len(atoms):
         raise ValueError("atom names must be distinct")
-    space = WorldSpace(atoms, range(2 ** len(atoms)))
+    space = WorldSpace(atoms, (1 << 2 ** len(atoms)) - 1)
     if not constraints:
         return space
     kept = reduce(and_, (space.event(text).members for text in constraints))
     if not kept:
         raise EmptySpace(f"constraints {abridged(list(constraints))} admit no world")
-    flags = spread_bits(kept).to_bytes(len(space), "little")
-    return WorldSpace(atoms, tuple(compress(space.assignments, flags)))
+    return WorldSpace(atoms, kept)
 
 
 @dataclass(frozen=True)

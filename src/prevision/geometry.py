@@ -3,10 +3,10 @@
 A conditional quantity X|K takes one exact rational value on each world of
 K; outside K it is void and, once assessed, stands in for its own prevision.
 It is stored in one form: its distinct values (levels) in descending order
-and, per world, the index of the world's value among them or VOID.  It is
-built from level sets, (value, mask) pairs over the bit masks of `events`,
-and its codes come from the masks by a few bulk integer operations per bit
-plane of the codes, never by a pass over the worlds per level.  Indicators
+and per world a code byte, the index of its value or, where void, the level
+count.  It is built from level sets, (value, mask) pairs over the bit masks of
+`events`, and its codes come from the masks by a few bulk integer operations
+per bit plane, never by a Python int per world or a pass per level.  Indicators
 and the conjunctions and disjunctions of conditional events (over the union
 of the antecedents, with assessed previsions filling the partially-void
 cases) get their level sets by integer algebra (&, ^, |) on the masks.  An
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress
 from math import lcm
-from operator import itemgetter, or_
+from operator import or_
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -38,9 +38,6 @@ from .events import ConditionalEvent, Event, WorldSpace, spread_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# The value code of a world outside a quantity's conditioning event; it
-# exceeds every level index, so ascending codes put void after every value.
-VOID = sys.maxsize
 # array typecodes of unsigned integers 1, 2 and 4 bytes wide
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
 
@@ -59,9 +56,9 @@ class ConditionalQuantity:
     """X|K: an exact value on every world of K, void elsewhere.
 
     Stored as `levels`, the distinct values in descending order, and `codes`,
-    for each world of the space the index of its value in `levels`, or VOID.
-    Build one with `from_level_sets` ((value, mask) pairs) or `from_values`
-    ({world: value}).
+    per world the index of its value in `levels` or, where void, len(levels):
+    bytes, or a tuple past 255 levels.  Build one with `from_level_sets`
+    ((value, mask) pairs) or `from_values` ({world: value}).
 
     `void_value` is the quantity's own prevision when one is built in (the
     compound constructions put the top-level prevision there); None means the
@@ -98,23 +95,23 @@ class ConditionalQuantity:
         """The quantity worth levels[i] on the worlds of masks[i]: the levels
         are Fractions in descending order, and the masks are non-empty and
         partition the conditioning worlds."""
-        codes = _codes(masks, len(conditioning.space))
+        codes = _codes([*masks, (~conditioning).members], len(conditioning.space))
         return cls(conditioning, levels, codes, label, void_value)
 
     @classmethod
     def from_values(cls, conditioning, values, label="X|K", void_value=None):
-        """The quantity worth values[w] on each world w of the conditioning."""
+        """The quantity worth values[w] on each world w of the conditioning, coded
+        world by world: level sets would hold a mask per distinct value."""
         n = len(conditioning.space)
-        flags = spread_bits(conditioning.members).to_bytes(n, "little")
-        if values.keys() != set(compress(range(n), flags)):
+        inside = spread_bits(conditioning.members).to_bytes(n, "little")
+        if values.keys() != set(compress(range(n), inside)):
             raise ValueError("values must cover exactly the conditioning worlds")
         values = {w: to_fraction(v) for w, v in values.items()}
         levels = sorted(set(values.values()), reverse=True)
         index = {v: i for i, v in enumerate(levels)}
-        codes = [VOID] * n
-        for w, v in values.items():
-            codes[w] = index[v]
-        return cls(conditioning, tuple(levels), tuple(codes), label, void_value)
+        codes = [index.get(values.get(w), len(levels)) for w in range(n)]  # void last
+        codes = bytes(codes) if len(levels) < 256 else tuple(codes)
+        return cls(conditioning, tuple(levels), codes, label, void_value)
 
     @property
     def space(self) -> WorldSpace:
@@ -123,7 +120,8 @@ class ConditionalQuantity:
     @cached_property
     def values(self):
         """A read-only {world: value} view over the conditioning worlds."""
-        return MappingProxyType({w: self.levels[c] for w, c in enumerate(self.codes) if c != VOID})
+        void = len(self.levels)
+        return MappingProxyType({w: self.levels[c] for w, c in enumerate(self.codes) if c != void})
 
     def hull(self) -> tuple[Fraction, Fraction]:
         return self.levels[-1], self.levels[0]
@@ -132,19 +130,19 @@ class ConditionalQuantity:
         return set(self.levels) <= {ZERO, ONE}
 
 
-def _codes(masks, n_worlds) -> tuple:
-    """The code of each world: i on the worlds of masks[i], which are
-    disjoint, and VOID on the worlds of none.
+def _codes(masks, n_worlds):
+    """The code of each world, i on the worlds of masks[i], which partition
+    the worlds: bytes, or past 256 masks a tuple read from wider lanes.
 
-    A world's lane holds i + 1, or 0 for void.  While more than three lane
-    values remain, plane j, the union of the masks whose lane has bit j
-    set, is spread into bit j of the lanes, and the masks are merged in
-    pairs by lane >> 1; the last three are spread and weighted by their
-    lane.  The work is a few operations on whole masks per plane, never a
-    pass over the worlds per level.
+    A world's lane holds its code.  While more than three lane values
+    remain, plane j, the union of the masks whose lane has bit j set, is
+    spread into bit j of the lanes, and the masks are merged in pairs by
+    lane >> 1; the last three are spread and weighted by their lane.  The
+    work is a few operations on whole masks per plane, never a pass over the
+    worlds per level.
     """
-    width = 1 if len(masks) < 1 << 8 else 2 if len(masks) < 1 << 16 else 4
-    by_lane = [0, *masks]  # the masks by lane >> j
+    width = 1 if len(masks) <= 1 << 8 else 2 if len(masks) <= 1 << 16 else 4
+    by_lane = list(masks)  # the masks by lane >> j
     total = j = 0
     while len(by_lane) > 3:
         total += spread_bits(reduce(or_, by_lane[1::2]), width) << j
@@ -153,12 +151,12 @@ def _codes(masks, n_worlds) -> tuple:
     for lane, mask in enumerate(by_lane[1:], 1):
         total += lane * spread_bits(mask, width) << j
     lanes = total.to_bytes(n_worlds * width, "little")
-    if width > 1:
-        lanes = array(_TYPECODES[width], lanes)
-        if sys.byteorder == "big":
-            lanes.byteswap()
-    # one lane more than worlds, so that itemgetter returns a tuple
-    return itemgetter(*lanes, 0)([VOID, *range(len(masks))])[:-1]
+    if width == 1:
+        return lanes
+    lanes = array(_TYPECODES[width], lanes)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return tuple(lanes)  # hashable, as the frozen quantity is
 
 
 def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
@@ -348,7 +346,7 @@ class QuantityConstituent:
 
     worlds: frozenset[int]
     profile: tuple  # per member: a Fraction, or None when void
-    # per member, the code of its value (VOID when void), from the partition
+    # per member, the code of its value (void: its level count), from the partition
     codes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
@@ -359,13 +357,13 @@ class QuantityConstituent:
         return "".join(_mark(v) for v in self.profile)
 
 
-def keyed_partition(codes) -> list:
+def keyed_partition(codes, voids) -> list:
     """The constituents inside the union of conditioning events as sorted
-    joint code tuples, one code per column of `codes`: one pass over the
-    worlds given the members' codes, a projection given columns of a
-    family's keys (a sub-family's keys project the family's)."""
+    joint code tuples, one code per column of `codes`, all but `voids`, the
+    columns' void codes: one pass over the worlds given the members' codes,
+    a projection given columns of a family's keys."""
     keys = set(zip(*codes))
-    keys.discard((VOID,) * len(codes))
+    keys.discard(tuple(voids))
     return sorted(keys)
 
 
@@ -382,13 +380,13 @@ def quantity_constituents(family):
     blocks: dict[tuple, set[int]] = {}
     for w, key in enumerate(zip(*(q.codes for q in family))):
         blocks.setdefault(key, set()).add(w)
-    values = [{**dict(enumerate(q.levels)), VOID: None} for q in family]
+    values = [(*q.levels, None) for q in family]  # by code
 
     def block(key):
-        profile = tuple(map(dict.__getitem__, values, key))
+        profile = tuple(map(tuple.__getitem__, values, key))
         return QuantityConstituent(frozenset(blocks[key]), profile, key)
 
-    void_key = (VOID,) * len(values)
+    void_key = tuple(len(q.levels) for q in family)
     inside = [block(key) for key in sorted(blocks) if key != void_key]
     c0 = block(void_key) if void_key in blocks else None
     return inside, c0
@@ -402,7 +400,7 @@ def enumerate_constituents(family) -> list:
 
 def constituents_in_all_antecedents(family) -> list:
     """The blocks where every member is active."""
-    return [c for c in quantity_constituents(family)[0] if VOID not in c.codes]
+    return [c for c in quantity_constituents(family)[0] if None not in c.profile]
 
 
 def scale_to_integers(values) -> tuple:
@@ -505,7 +503,7 @@ def build_sigma(assessment: Assessment, keys=None) -> LinearSystem:
     Row i holds, per block, the value of quantity i where active and its
     prevision mu_i where void, with mu_i as rhs.  It is built in integers
     from the block's code: s_i is the lcm of the denominators of the
-    quantity's levels and mu_i, and each entry is a level or mu_i times s_i.
+    quantity's levels and mu_i, and code c's entry is item c of (levels, mu_i) times s_i.
 
     `keys` is the family's keyed_partition when already known, else it is
     computed here.  Its tuples may carry the codes of further trailing
@@ -514,20 +512,19 @@ def build_sigma(assessment: Assessment, keys=None) -> LinearSystem:
     """
     family = assessment.family
     if keys is None:
-        keys = keyed_partition([q.codes for q in family])
+        keys = keyed_partition([q.codes for q in family], [len(q.levels) for q in family])
     columns = list(zip(*keys)) or [()] * len(family)
     rows, scales = [], []
     for q, mu, column in zip(family, assessment.values, columns):
         ints, s = scale_to_integers((*q.levels, mu))
-        entry = {**dict(enumerate(ints[:-1])), VOID: ints[-1]}
-        rows.append((*map(entry.__getitem__, column), ints[-1]))
+        rows.append((*map(ints.__getitem__, column), ints[-1]))
         scales.append(s)
     rows.append((1,) * (len(keys) + 1))
     scales.append(1)
 
     def labels():
-        marks = [{**dict(enumerate(map(_mark, q.levels))), VOID: "0"} for q in family]
-        return ("".join(map(dict.__getitem__, marks, key)) for key in keys)
+        marks = [(*map(_mark, q.levels), "0") for q in family]
+        return ("".join(map(tuple.__getitem__, marks, key)) for key in keys)
 
     return LinearSystem(tuple(rows), tuple(scales), labels, True, keys)
 

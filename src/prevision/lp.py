@@ -16,10 +16,11 @@ enters.  A system of fewer than PACKED_WIDTH unknowns, as every system of a
 seven-member check or of an extension is, prices one column after another,
 a dot product each.  A wider one, such as the 3^n - 1 unknowns of an
 n-member conjunction family, packs each integer row into one Python int with
-a field per unknown, once per field width, and prices prefixes of the
-columns, each twice as long as the last, with a few big-integer multiply-adds
-each (`_Simplex._entering_packed`); the packed rows live on the phase-1 state
-and its copies.  Both take the same pivots.  The packing only picks the
+a field per unknown, once per field width and one `to_bytes` per distinct
+entry, and prices prefixes of the columns, each twice as long as the last,
+with a few big-integer multiply-adds each (`_Simplex._entering_packed`); the
+packed rows live on the phase-1 state and its copies.  Both take the same
+pivots.  The packing only picks the
 column: its reduced cost is recomputed by a dot product, and no answer rests
 on it, since every certificate below is checked column by column.
 
@@ -48,9 +49,10 @@ from .geometry import LinearSystem, scale_to_integers, to_fraction
 
 ZERO = Fraction(0)
 # Systems with at least PACKED_WIDTH unknowns price their columns in packed
-# integers, narrower ones column by column.  On conjunction-family systems
-# (Python 3.11, two-core Xeon VM) packing priced 80 unknowns 0-11% slower and
-# 242 unknowns 12-20% faster; seven-member and extension systems have at most 26.
+# integers, narrower ones column by column.  On conj-scale checks (Python 3.11,
+# two-core Xeon VM, one `to_bytes` per distinct entry) packing took 0.64-0.70 ms
+# against 0.58-0.65 ms at 80 unknowns and 1.41-1.53 against 1.55-1.61 ms at 242;
+# seven-member and extension systems have at most 26.
 PACKED_WIDTH = 128
 
 
@@ -167,11 +169,12 @@ class _Simplex:
         bound = sum(map(mul, map(abs, w), self.row_bounds)) + D * self.cost_bound
         words = (max(bound, *self.row_bounds).bit_length() + 64) // 64
         if words not in self.packed:
-            rows = (_pack(row[:-1], words) for row in self.rows)
-            packed = (_tops(self.m, words), *rows)
+            tops = _tops(self.m, words)
+            packed = (tops, *(_pack(row[:-1], words, tops) for row in self.rows))
             self.packed[words] = list(zip(*(self._prefixes(v, words) for v in packed)))
         if words not in self.packed_costs:
-            costs = _pack(self.costs[: self.m], words)
+            tops = self.packed[words][-1][0]  # the last prefix is all m columns
+            costs = _pack(self.costs[: self.m], words, tops)
             self.packed_costs[words] = self._prefixes(costs, words)
         for (half, *rows), costs in zip(self.packed[words], self.packed_costs[words]):
             negative = half & ~(sum(map(mul, w, rows)) + half - D * costs)
@@ -291,13 +294,13 @@ def _tops(m, words) -> int:
     return int.from_bytes((bytes(8 * words - 1) + b"\x80") * m, "little")
 
 
-def _pack(values, words) -> int:
-    """sum_j values[j] 2^(B j), B = 64 words, for values below 2^(B-1) in
-    absolute value: each value goes into its field in two's complement, and
-    the fields whose sign bit is set then borrow from the next."""
-    fields = b"".join(v.to_bytes(8 * words, "little", signed=True) for v in values)
-    fields = int.from_bytes(fields, "little")
-    return fields - ((fields & _tops(len(values), words)) << 1)
+def _pack(values, words, tops) -> int:
+    """sum_j values[j] 2^(B j), B = 64 words, for |values| < 2^(B-1) and tops =
+    _tops(len(values), words): each distinct value is put in two's complement
+    once, and the fields whose sign bit is set then borrow from the next."""
+    table = {v: v.to_bytes(8 * words, "little", signed=True) for v in set(values)}
+    fields = int.from_bytes(b"".join(map(table.__getitem__, values)), "little")
+    return fields - ((fields & tops) << 1)
 
 
 def _after_phase1(system: LinearSystem) -> _Simplex:

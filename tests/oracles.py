@@ -16,6 +16,9 @@ and reruns phase 1 for each LP.  Its artificial columns, rhs column and cost
 row are, up to the row flips, what the revised solver keeps, so the two must
 agree after every pivot and take the same pivots.  `dense_solve_feasibility` and
 `dense_maximize_linear` run it the way `prevision.lp` used to.
+`per_field_pack` packs a row for priced columns one `int.to_bytes` per
+field, as `lp._pack` did before it converted each distinct value once; the
+two must give equal ints.
 
 The `fraction_*` checks are the certificate, optimum and betting-book checks
 in Fraction arithmetic on the unscaled rows that the integer checks in
@@ -25,8 +28,9 @@ in Fraction arithmetic on the unscaled rows that the integer checks in
 partition and the conjunction built world by world from Fraction values that
 the integer value codes and the set algebra of `prevision.geometry` replaced;
 they must return identical blocks and values.  `per_world_codes` derives a
-quantity's levels and codes from its {world: value} dict, as quantities did
-before they were built from level sets; every constructor must agree with it.  `fraction_sigma` is the
+quantity's levels and codes from its {world: value} dict, one Python int per
+world, as quantities did before they were built from level sets; every
+constructor's codes must read back equal to it.  `fraction_sigma` is the
 solvability system as Fraction rows, which `build_sigma` now emits as integer
 rows straight from the value codes; through `LinearSystem.from_fractions` the
 two must give identical rows and scales.  `fraction_rows` reads a system's
@@ -44,7 +48,9 @@ assignment materialized as a tuple of bools, and each formula's parse tree
 walked once per world after its atoms are checked.  `set_algebra_event` is
 the evaluator that the bit masks of `prevision.events` replaced: each atom's
 worlds a frozenset found by a bit test on every assignment number, and the
-formula set algebra over them.  `build_world_space` and `WorldSpace.event`
+formula set algebra over them.  `assignment_numbers` lists those numbers
+from a space's constraint mask, as constrained spaces kept them before they
+kept only the mask.  `build_world_space` and `WorldSpace.event`
 must give the same worlds under the same numbering, and raise the same error
 types; `worlds_of` reads an event's mask back as a frozenset of world
 numbers, one bit test per world, and `mask_of` is its inverse.
@@ -68,7 +74,6 @@ from prevision.errors import EmptySpace, UnknownAtom
 from prevision.events import parse_formula
 from prevision.frank import FrankKind
 from prevision.geometry import (
-    VOID,
     CompoundPrevisionMap,
     QuantityConstituent,
     quantity_constituents,
@@ -464,6 +469,17 @@ def dense_maximize_linear(system, objective):
     )
 
 
+def per_field_pack(values, words):
+    """sum_j values[j] 2^(B j), B = 64 words, packed as `lp._pack` did
+    before it converted each distinct value once: one `int.to_bytes` per
+    field, two's complement, then the fields whose sign bit is set borrow
+    from the next."""
+    fields = b"".join(v.to_bytes(8 * words, "little", signed=True) for v in values)
+    fields = int.from_bytes(fields, "little")
+    tops = int.from_bytes((bytes(8 * words - 1) + b"\x80") * len(values), "little")
+    return fields - ((fields & tops) << 1)
+
+
 def fraction_check_solution(system, vec) -> bool:
     """LinearSystem.check_solution on Fraction rows."""
     vec = [Fraction(v) for v in vec]
@@ -561,7 +577,7 @@ def fraction_sigma(assessment, partition=None):
 
 
 def _profile_sort_key(profile):
-    # active values descending, void last; mirrors TRUE < FALSE < VOID
+    # active values descending, void last, as the value codes sort
     return tuple((1, ZERO) if v is None else (0, -v) for v in profile)
 
 
@@ -637,15 +653,16 @@ def per_world_conjunction(family, previsions):
 def per_world_codes(n_worlds, values):
     """(levels, codes) of a {world: value} dict over a space of n_worlds
     worlds: the distinct values descending, and per world the index of its
-    value, or VOID.  Values are grouped by object identity, then the few
-    distinct objects compared as integers over their common denominator."""
+    value, or the level count where void, as a tuple of ints.  Values are
+    grouped by object identity, then the few distinct objects compared as
+    integers over their common denominator."""
     objects = {id(v): to_fraction(v) for v in values.values()}
     scaled = dict(zip(objects, scale_to_integers(list(objects.values()))[0]))
     by_value = {scaled[key]: v for key, v in objects.items()}
     order = sorted(by_value, reverse=True)
     rank = {s: i for i, s in enumerate(order)}
     code_of = {key: rank[s] for key, s in scaled.items()}
-    codes = [VOID] * n_worlds
+    codes = [len(order)] * n_worlds
     for w, v in values.items():
         codes[w] = code_of[id(v)]
     return tuple(by_value[s] for s in order), tuple(codes)
@@ -712,17 +729,26 @@ def mask_of(worlds):
     return sum(1 << w for w in set(worlds))
 
 
+def assignment_numbers(space):
+    """The surviving assignment numbers of a world space, world w's at
+    position w: the set bits of its constraint mask, read one binary digit
+    per assignment."""
+    bits = format(space.kept, "b")[::-1]  # character a is bit a
+    return [a for a, bit in enumerate(bits) if bit == "1"]
+
+
 def set_algebra_event(space, formula):
     """The worlds of `space` where `formula` holds, as a frozenset: set
     algebra over the worlds of the atoms it names, each atom's found by a
     bit test on every assignment number when it is named."""
     everything = frozenset(range(len(space)))
+    assignments = assignment_numbers(space)
 
     def atom_worlds(name):
         if name not in space.atoms:
             raise UnknownAtom(name)
         bit = 1 << (len(space.atoms) - 1 - space.atoms.index(name))
-        return frozenset(compress(count(), map(and_, space.assignments, repeat(bit))))
+        return frozenset(compress(count(), map(and_, assignments, repeat(bit))))
 
     def evaluate(node):
         kind = node[0]

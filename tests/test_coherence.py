@@ -177,9 +177,10 @@ class TestCheckCoherence:
         passes = []
 
         def recorded(kind):
-            def partition(codes):
+            def partition(codes, voids):
+                assert len(voids) == len(codes)
                 passes.append((kind, len(codes), len(codes[0]) if codes else 0))
-                return real(codes)
+                return real(codes, voids)
             return partition
 
         def built(*args):

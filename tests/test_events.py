@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_world_event, per_world_space, set_algebra_event, worlds_of
+from oracles import (
+    assignment_numbers,
+    per_world_event,
+    per_world_space,
+    set_algebra_event,
+    worlds_of,
+)
 from prevision.errors import (
     EmptySpace,
     FormulaError,
@@ -58,6 +64,15 @@ def test_constraint_drops_forbidden_assignments():
     assert space.event("H & K").is_empty
     # the kept assignments 0, 1, 2, 4, 5, 6 are numbered in order
     assert worlds_of(space.event("A")) == {3, 4, 5}
+    assert space.kept == 0b01110111
+    assert assignment_numbers(space) == [0, 1, 2, 4, 5, 6]
+
+
+def test_a_space_prints_without_its_constraint_mask():
+    # at 14 atoms the mask has 16,384 bits, past the 4,300-digit limit on
+    # printing an int in decimal
+    space = build_world_space([f"A{i}" for i in range(14)], ["A0 | A1"])
+    assert repr(space) == f"WorldSpace(atoms={space.atoms!r})"
 
 
 def test_a_dropped_space_is_freed_without_the_cyclic_collector():
@@ -203,9 +218,9 @@ def test_set_algebra_matches_the_per_world_evaluator():
     }
 
 
-def _atom_bit(space, name, w):
+def _atom_bit(space, assignments, name, w):
     """Is atom `name` true in world w: a bit test on its assignment number."""
-    return space.assignments[w] >> len(space.atoms) - 1 - space.atoms.index(name) & 1
+    return assignments[w] >> len(space.atoms) - 1 - space.atoms.index(name) & 1
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ATOMS + 1))
@@ -216,6 +231,7 @@ def test_atom_masks_match_the_bit_test_on_each_world(n):
     if n >= 2:
         spaces.append(build_world_space(atoms, [f"!({atoms[-1]} & {atoms[n // 2]})"]))
     for space in spaces:
+        assignments = assignment_numbers(space)
         # every world up to 4,096, else 4,096 drawn ones and both ends
         worlds = range(len(space))
         if len(space) > 4096:
@@ -224,8 +240,10 @@ def test_atom_masks_match_the_bit_test_on_each_world(n):
             mask = space.event(name).members
             assert mask < 1 << len(space)
             bits = format(mask, f"0{len(space)}b")[::-1]  # character w is bit w
-            assert [int(bits[w]) for w in worlds] == [_atom_bit(space, name, w) for w in worlds]
-            if isinstance(space.assignments, range):
+            assert [int(bits[w]) for w in worlds] == [
+                _atom_bit(space, assignments, name, w) for w in worlds
+            ]
+            if len(space) == 1 << n:
                 assert mask.bit_count() == len(space) // 2
 
 
@@ -243,7 +261,7 @@ def test_each_atom_mask_is_built_once_per_space(monkeypatch):
         assert worlds_of(space.event(formula)) == set_algebra_event(space, formula)
     assert builds == ["A", "B", "C"]
     # a constraint's atoms are built on the unconstrained space, and the
-    # constrained space builds its own from its assignments
+    # constrained space builds its own from its constraint mask
     constrained = build_world_space(["A", "B", "C"], ["!(A & B)"])
     assert builds == ["A", "B", "C", "A", "B"]
     assert worlds_of(constrained.event("A | A & C")) == set_algebra_event(constrained, "A | A & C")

@@ -30,7 +30,6 @@ from prevision import (
     make_disjunction,
 )
 from prevision.geometry import (
-    VOID,
     build_sigma,
     build_sigma_star,
     conjunction_signatures,
@@ -58,6 +57,12 @@ def pair(space4):
 
 
 X, Y, Z = F(7, 20), F(9, 20), F(1, 5)
+
+
+def read_codes(q):
+    """(levels, codes) of a quantity, its codes read out as a tuple of ints,
+    the form `per_world_codes` returns."""
+    return q.levels, tuple(q.codes)
 PAIR_PREVISIONS = {(1,): X, (2,): Y, (1, 2): Z}
 
 
@@ -128,7 +133,7 @@ def test_missing_prevision_names_the_subset_of_the_lowest_world():
             assert oracle.value.subset == subset
 
 
-@pytest.mark.parametrize("n_levels", [1, 2, 255, 256, 257])
+@pytest.mark.parametrize("n_levels", [1, 2, 254, 255, 256, 257])
 def test_level_set_codes_match_the_per_world_codes(n_levels):
     # one world per level, then a third of the rest void and the others on
     # random levels; each level's worlds come in up to two pairs, the second
@@ -151,8 +156,44 @@ def test_level_set_codes_match_the_per_world_codes(n_levels):
     rng.shuffle(level_sets)
     q = ConditionalQuantity.from_level_sets(Event(space, mask_of(given)), level_sets)
     assert len(q.levels) == n_levels
-    assert (q.levels, q.codes) == per_world_codes(len(space), given)
+    assert read_codes(q) == per_world_codes(len(space), given)
+    # one byte per world while the void code, n_levels, fits in one
+    assert isinstance(q.codes, bytes) == (n_levels <= 255)
     assert q.values == given
+
+
+@pytest.mark.parametrize("n_levels", [254, 255, 256])
+def test_void_takes_the_code_after_the_last_level(n_levels):
+    # levels 0..n-1 on the first n worlds, void on the rest: at 255 levels
+    # the void code 255 still fits a byte, at 256 the lanes are wider
+    space = build_world_space([f"A{i}" for i in range(9)])
+    given = {w: F(n_levels - w, 3) for w in range(n_levels)}
+    q = ConditionalQuantity.from_values(Event(space, mask_of(given)), given)
+    assert list(q.codes) == [*range(n_levels), *[n_levels] * (len(space) - n_levels)]
+    assert type(q.codes) is (bytes if n_levels <= 255 else tuple)
+    keys = keyed_partition([q.codes], [n_levels])
+    assert keys == [(c,) for c in range(n_levels)]
+    assert build_sigma(Assessment((q,), (q.levels[-1],)), keys).rows[0][:-1] == tuple(
+        n_levels - c for c in range(n_levels)
+    )
+
+
+@pytest.mark.parametrize("n_levels", [1, 3, 255, 256])
+def test_from_values_and_from_level_sets_are_one_quantity(n_levels):
+    # the same quantity built both ways is equal, and hashes equal: the
+    # frozen dataclass hashes its codes, wide ones included
+    rng = random.Random(n_levels)
+    space = build_world_space([f"A{i}" for i in range(10)])
+    levels = [F(k, 9) for k in rng.sample(range(-5000, 5000), n_levels)]
+    given = {w: rng.choice(levels) for w in rng.sample(range(len(space)), 700)}
+    given.update(zip(rng.sample(sorted(given), n_levels), levels))
+    conditioning = Event(space, mask_of(given))
+    by_values = ConditionalQuantity.from_values(conditioning, given)
+    level_sets = [(v, mask_of(w for w, u in given.items() if u == v)) for v in levels]
+    by_level_sets = ConditionalQuantity.from_level_sets(conditioning, level_sets)
+    assert by_values == by_level_sets
+    assert hash(by_values) == hash(by_level_sets)
+    assert read_codes(by_values) == per_world_codes(len(space), given)
 
 
 def test_conjunction_full_set_prevision_is_optional(space4, pair):
@@ -336,7 +377,7 @@ def test_value_codes_match_the_fraction_partition():
                 if w in given:
                     assert q.levels[q.codes[w]] == given[w]
                 else:
-                    assert q.codes[w] == VOID
+                    assert q.codes[w] == len(q.levels)
             assert q.values == given
     assert seen_c0 == {True, False}
 
@@ -387,7 +428,7 @@ def test_set_algebra_conjunction_matches_the_per_world_one():
         conj = make_conjunction(family, previsions, "C")
         assert conj.conditioning.members == union.members
         assert {w: conj.levels[conj.codes[w]] for w in worlds_of(union)} == expected
-        assert all(conj.codes[w] == VOID for w in range(len(space)) if w not in union)
+        assert all(conj.codes[w] == len(conj.levels) for w in range(len(space)) if w not in union)
         assert (conj.label, conj.void_value) == ("C", void_value)
         outcomes["built"] += 1
     assert min(outcomes.values()) > 50
@@ -415,7 +456,7 @@ def test_constructors_match_the_per_world_codes():
             for ce in members:
                 q = indicator(ce)
                 given = {w: F(1) if w in ce.consequent else F(0) for w in worlds_of(ce.antecedent)}
-                assert (q.levels, q.codes) == per_world_codes(len(space), given)
+                assert read_codes(q) == per_world_codes(len(space), given)
                 seen["E contains H"] += ce.antecedent.members & ~ce.consequent.members == 0
                 seen["E misses H"] += not ce.antecedent.members & ce.consequent.members
             try:
@@ -424,14 +465,14 @@ def test_constructors_match_the_per_world_codes():
                 continue
             expected = per_world_codes(len(space), values)
             conj = make_conjunction(members, previsions)
-            assert (conj.levels, conj.codes) == expected
+            assert read_codes(conj) == expected
             seen["x_S = 0"] += _void_level_in(members, values, {F(0)})
             seen["x_S = 1"] += _void_level_in(members, values, {F(1)})
             # fresh objects, some ints: equal values merge into one level
             fresh = {w: int(v) if v.denominator == 1 else F(2 * v.numerator, 2 * v.denominator)
                      for w, v in values.items()}
             q = ConditionalQuantity.from_values(union, fresh)
-            assert (q.levels, q.codes) == expected
+            assert read_codes(q) == expected
             negated = [ConditionalEvent(~ce.consequent, ce.antecedent) for ce in members]
             try:
                 _, inner, _ = per_world_conjunction(negated, previsions)
@@ -439,7 +480,7 @@ def test_constructors_match_the_per_world_codes():
                 continue
             disj = make_disjunction(members, previsions)
             complement = {w: 1 - v for w, v in inner.items()}
-            assert (disj.levels, disj.codes) == per_world_codes(len(space), complement)
+            assert read_codes(disj) == per_world_codes(len(space), complement)
             seen["or"] += 1
     assert min(seen.values()) > 50, seen
 
@@ -513,14 +554,15 @@ def test_keyed_partition_matches_the_constituents_and_projects():
     projections = 0
     for family in _classifier_families(seen):
         quantities = [indicator(ce) for ce in family]
-        keys = keyed_partition([q.codes for q in quantities])
+        voids = [len(q.levels) for q in quantities]
+        keys = keyed_partition([q.codes for q in quantities], voids)
         assert keys == [c.codes for c in quantity_constituents(quantities)[0]]
         # each key's worlds and marks are the classifier's block
         worlds = {}
         for w, key in enumerate(zip(*(q.codes for q in quantities))):
             worlds.setdefault(key, set()).add(w)
         marks = [
-            "".join("0" if c == VOID else "+" if q.levels[c] == 1 else "-" for q, c in zip(quantities, key))
+            "".join("0" if c == len(q.levels) else "+" if q.levels[c] == 1 else "-" for q, c in zip(quantities, key))
             for key in keys
         ]
         assert [(frozenset(worlds[key]), label) for key, label in zip(keys, marks)] == [
@@ -530,8 +572,10 @@ def test_keyed_partition_matches_the_constituents_and_projects():
         columns = list(zip(*keys))
         for r in range(1, len(quantities) + 1):
             for members in itertools.combinations(range(len(quantities)), r):
-                projected = keyed_partition([columns[i] for i in members])
-                assert projected == keyed_partition([quantities[i].codes for i in members])
+                projected = keyed_partition([columns[i] for i in members], [voids[i] for i in members])
+                assert projected == keyed_partition(
+                    [quantities[i].codes for i in members], [voids[i] for i in members]
+                )
                 projections += 1
     assert min(seen.values()) > 100 and projections > 3000
 

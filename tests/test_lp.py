@@ -28,6 +28,7 @@ from oracles import (
     integer_verify_optimum,
     oracle_feasible,
     oracle_maximum,
+    per_field_pack,
 )
 from prevision import lp
 from prevision import (
@@ -39,7 +40,7 @@ from prevision import (
     indicator,
     make_conjunction,
 )
-from prevision.geometry import LinearSystem, build_sigma, build_sigma_star
+from prevision.geometry import LinearSystem, build_sigma, build_sigma_star, scale_to_integers
 from prevision.lp import maximize_component_sum, maximize_linear, solve_feasibility
 
 
@@ -663,7 +664,29 @@ def test_packing_puts_each_value_in_its_field():
     for values, widths in ((small, (1, 2, 3)), (large, (2, 3))):
         for words in widths:
             expected = sum(v << 64 * words * j for j, v in enumerate(values))
-            assert lp._pack(values, words) == expected
+            assert lp._pack(values, words, lp._tops(len(values), words)) == expected
+
+
+def test_packing_by_distinct_value_matches_packing_per_field():
+    """One `to_bytes` per distinct value gives the int that one per field
+    gave: on the wide systems' rows and costs, on dense rows past 2^63, and
+    on rows that hold a single value."""
+    def check(values):
+        bits = max(abs(v) for v in values).bit_length()
+        for words in range((bits + 64) // 64, (bits + 64) // 64 + 2):
+            assert lp._pack(values, words, lp._tops(len(values), words)) == per_field_pack(values, words)
+
+    rng = random.Random(11)
+    for system, objective in wide_systems():
+        for row in system.rows:
+            check(list(row[:-1]))
+        check(scale_to_integers(objective)[0])
+    for _ in range(20):
+        m = lp.PACKED_WIDTH + rng.randrange(200)
+        check([rng.randint(-(2 ** 90), 2 ** 90) for _ in range(m)])
+        check([rng.choice((-1, 1)) * (2 ** 63 + rng.randrange(5)) for _ in range(m)])
+    for v in (0, 1, -1, 2 ** 63 - 1, -(2 ** 63) + 1, 2 ** 63, -(2 ** 100)):
+        check([v] * lp.PACKED_WIDTH)
 
 
 def test_a_dropped_wide_system_is_freed_without_the_cycle_collector():
