@@ -239,6 +239,10 @@ class Event:
     space: WorldSpace
     members: int
 
+    def __repr__(self):
+        # the mask has a bit per world, past the int-to-str limit at 14 atoms
+        return f"Event({self.members.bit_count()} of {len(self.space)} worlds)"
+
     def _check(self, other):
         if self.space is not other.space:
             raise ValueError("events live in different world spaces")

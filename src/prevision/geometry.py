@@ -12,8 +12,9 @@ of the antecedents, with assessed previsions filling the partially-void
 cases) get their level sets by integer algebra (&, ^, |) on the masks.  An
 assessed family's constituents are the joint code tuples (keys) of its
 worlds: `keyed_partition` finds them in one pass and projects them onto
-sub-families, and `quantity_constituents` adds each block's worlds, values
-and +/-/0 label for callers that show them.
+sub-families, and `quantity_constituents` gives each key its values and
++/-/0 label for callers that show them; a block's worlds are read off the
+code lanes only when asked.
 From the keys `build_sigma` builds the feasibility systems whose
 solvability coherence checking rests on, one column Q_h per constituent, in
 one form: integer rows each scaled by the lcm of its denominators;
@@ -27,7 +28,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, count
 from math import lcm
 from operator import or_
 from types import MappingProxyType
@@ -67,7 +68,7 @@ class ConditionalQuantity:
 
     conditioning: Event
     levels: tuple
-    codes: tuple
+    codes: tuple = field(repr=False)  # a byte per world, as WorldSpace.kept a bit
     label: str = "X|K"
     void_value: Optional[Fraction] = None
 
@@ -222,9 +223,7 @@ def _conjunction_level_sets(family, previsions):
         raise ValueError("family must be non-empty")
     if not isinstance(previsions, CompoundPrevisionMap):
         previsions = CompoundPrevisionMap(previsions)
-    union = family[0].antecedent
-    for ce in family[1:]:
-        union = union | ce.antecedent
+    union = reduce(or_, (ce.antecedent for ce in family))
     false = 0
     for ce in family:
         false |= ce.antecedent.members & ~ce.consequent.members
@@ -341,13 +340,18 @@ class QuantityConstituent:
     """A block of worlds with one common value-or-void profile.
 
     For indicators the profile is 1 (true, "+"), 0 (false, "-") or None
-    (void, "0") per member.
+    (void, "0") per member.  `codes` is the block's key, per member the code
+    of its value (void: its level count); `lanes` holds the members' codes
+    per world, from which `worlds` is read only when asked.
     """
 
-    worlds: frozenset[int]
     profile: tuple  # per member: a Fraction, or None when void
-    # per member, the code of its value (void: its level count), from the partition
-    codes: Optional[tuple] = field(default=None, repr=False, compare=False)
+    codes: tuple
+    lanes: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def worlds(self) -> frozenset:
+        return frozenset(compress(count(), map(self.codes.__eq__, zip(*self.lanes))))
 
     @property
     def all_void(self) -> bool:
@@ -368,28 +372,16 @@ def keyed_partition(codes, voids) -> list:
 
 
 def quantity_constituents(family):
-    """Partition the space by joint profile.
-
-    Worlds are grouped by their tuple of value codes, one per member, and the
-    blocks ordered by those tuples: per member, values descending, void last.
-    Returns (inside, c0): the blocks meeting some conditioning event, in that
-    order, and the all-void block or None.
-    """
-    # sets grown world by world, as the order a frozenset iterates in (and
-    # so each block's repr) depends on how its source was built
-    blocks: dict[tuple, set[int]] = {}
-    for w, key in enumerate(zip(*(q.codes for q in family))):
-        blocks.setdefault(key, set()).add(w)
+    """(inside, c0): the blocks of `keyed_partition` in key order (per member,
+    values descending, void last), each with its profile read off the levels
+    by code, and the all-void block, or None where the conditioning events
+    cover the space."""
+    lanes = tuple(q.codes for q in family)
     values = [(*q.levels, None) for q in family]  # by code
-
-    def block(key):
-        profile = tuple(map(tuple.__getitem__, values, key))
-        return QuantityConstituent(frozenset(blocks[key]), profile, key)
-
-    void_key = tuple(len(q.levels) for q in family)
-    inside = [block(key) for key in sorted(blocks) if key != void_key]
-    c0 = block(void_key) if void_key in blocks else None
-    return inside, c0
+    voids = tuple(len(q.levels) for q in family)
+    block = lambda key: QuantityConstituent(tuple(map(tuple.__getitem__, values, key)), key, lanes)
+    covered = reduce(or_, (q.conditioning for q in family)).is_sure
+    return [*map(block, keyed_partition(lanes, voids))], None if covered else block(voids)
 
 
 def enumerate_constituents(family) -> list:

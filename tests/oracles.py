@@ -27,15 +27,18 @@ in Fraction arithmetic on the unscaled rows that the integer checks in
 `fraction_quantity_constituents` and `per_world_conjunction` are the
 partition and the conjunction built world by world from Fraction values that
 the integer value codes and the set algebra of `prevision.geometry` replaced;
-they must return identical blocks and values.  `per_world_codes` derives a
-quantity's levels and codes from its {world: value} dict, one Python int per
-world, as quantities did before they were built from level sets; every
-constructor's codes must read back equal to it.  `fraction_sigma` is the
-solvability system as Fraction rows, which `build_sigma` now emits as integer
-rows straight from the value codes; through `LinearSystem.from_fractions` the
-two must give identical rows and scales.  `fraction_rows` reads a system's
-integer rows back as Fraction equalities and right-hand sides, the view
-`LinearSystem` used to carry for the tests alone.
+they must return identical blocks and values.  The oracle's blocks are
+`ProfileBlock`s that hold their worlds, where a constituent of
+`prevision.geometry` reads them off its code lanes only when asked.
+`per_world_codes` derives a quantity's levels and codes from its
+{world: value} dict, one Python int per world, as quantities did before they
+were built from level sets; every constructor's codes must read back equal
+to it.  `fraction_sigma` is the solvability system as Fraction rows, which
+`build_sigma` now emits as integer rows straight from the value codes;
+through `LinearSystem.from_fractions` the two must give identical rows and
+scales.  `fraction_rows` reads a system's integer rows back as Fraction
+equalities and right-hand sides, the view `LinearSystem` used to carry for
+the tests alone.
 
 `per_world_constituents` is the partition of a family of conditional events
 that classifies each world member by member as true, false or void; the
@@ -68,6 +71,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, compress, count, product, repeat
 from math import lcm, prod
 from operator import and_
+from typing import NamedTuple
 
 from prevision.closed_form import Family7Assessment, LambdaVector, _tail_products
 from prevision.errors import EmptySpace, UnknownAtom
@@ -75,7 +79,7 @@ from prevision.events import parse_formula
 from prevision.frank import FrankKind
 from prevision.geometry import (
     CompoundPrevisionMap,
-    QuantityConstituent,
+    _mark,
     quantity_constituents,
     scale_to_integers,
     to_fraction,
@@ -572,8 +576,22 @@ def fraction_sigma(assessment, partition=None):
     mus = assessment.values
     points = [[mu if v is None else v for v, mu in zip(c.profile, mus)] for c in inside]
     equalities = [tuple(point[i] for point in points) for i in range(len(mus))]
-    labels = [QuantityConstituent(c.worlds, c.profile[:len(mus)]).label() for c in inside]
+    labels = [profile_label(c.profile[:len(mus)]) for c in inside]
     return equalities, mus, labels
+
+
+def profile_label(profile):
+    return "".join(map(_mark, profile))
+
+
+class ProfileBlock(NamedTuple):
+    """A block of worlds found world by world, with its joint profile."""
+
+    worlds: frozenset
+    profile: tuple
+
+    def label(self):
+        return profile_label(self.profile)
 
 
 def _profile_sort_key(profile):
@@ -583,7 +601,8 @@ def _profile_sort_key(profile):
 
 def fraction_quantity_constituents(family):
     """Partition the space by the joint profile of Fraction values, world by
-    world; returns (inside, c0) like `quantity_constituents`."""
+    world; returns (inside, c0) like `quantity_constituents`, as blocks
+    that hold their worlds."""
     family = list(family)
     space = family[0].space
     blocks = {}
@@ -592,14 +611,14 @@ def fraction_quantity_constituents(family):
         blocks.setdefault(profile, set()).add(w)
     ordered = sorted(blocks, key=_profile_sort_key)
     inside = [
-        QuantityConstituent(frozenset(blocks[p]), p)
+        ProfileBlock(frozenset(blocks[p]), p)
         for p in ordered
         if not all(v is None for v in p)
     ]
     c0_profile = (None,) * len(family)
     c0 = None
     if c0_profile in blocks:
-        c0 = QuantityConstituent(frozenset(blocks[c0_profile]), c0_profile)
+        c0 = ProfileBlock(frozenset(blocks[c0_profile]), c0_profile)
     return inside, c0
 
 

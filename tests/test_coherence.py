@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,9 @@ class TestCheckCoherence:
             assert kinds == ["worlds"] + ["projection"] * (kinds.count("projection"))
             assert passes[0][2] == len(case.space)
             assert kinds.count("projection") == sum(r.feasible for r in verdict.trace)
+        # the views, which build constituents, meet the guard
+        with pytest.raises(AssertionError, match="constituent object"):
+            quantity_constituents(case.family)
 
     def test_family7_counterexample_incoherent_with_book(self):
         assessment, _ = family7_assessment(
@@ -482,6 +486,36 @@ class TestValueTable:
         space, first, _ = pair_setup()
         rows = value_table(indicator(first))
         assert rows[-1][0].all_void and rows[-1][1] is None
+
+
+def test_book_gains_and_value_table_at_the_atom_bound_stay_small():
+    """On the CLI's 20-atom problem the book's gains and the conjunction's
+    table come from the keyed partition, with no set of worlds per block:
+    each peaks under 10 MB in tracemalloc, where such sets took over 80 MB."""
+    space = build_world_space([f"A{i}" for i in range(20)], ["!(A3 & A4)"])
+    x, y = (ConditionalEvent(space.event("A0"), space.event(h)) for h in ("A1", "A2"))
+    conj = make_conjunction([x, y], {1: F(7, 20), 2: F(9, 20)}, "C")
+    assessment = Assessment(
+        (indicator(x, "X"), indicator(y, "Y"), conj), (F(7, 20), F(9, 20), F(9, 10))
+    )
+    book = check_coherence(assessment).dutch_book
+    tracemalloc.start()
+    try:
+        gains = dutch_book_gains(assessment, book)
+        gains_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rows = value_table(conj)
+        table_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(c.label(), g) for c, g in gains] == [
+        ("+++", F(11, 20)), ("+0(9/20)", F(11, 10)), ("---", F(11, 20)),
+        ("-0-", F(11, 20)), ("0+(7/20)", F(11, 20)), ("0--", F(9, 10)),
+    ]
+    assert [(c.label(), v) for c, v in rows] == [
+        ("+", 1), ("(9/20)", F(9, 20)), ("(7/20)", F(7, 20)), ("-", 0), ("0", None),
+    ]
+    assert gains_peak < 10 * 2**20 and table_peak < 10 * 2**20
 
 
 class TestExtensionInterval:

@@ -178,6 +178,37 @@ def test_void_takes_the_code_after_the_last_level(n_levels):
     )
 
 
+def test_wide_lane_constituents_match_the_fraction_partition():
+    # past 255 levels the codes are a tuple; a 0/1 member splits the blocks
+    rng = random.Random(21)
+    space = build_world_space([f"A{i}" for i in range(9)])
+    given = {w: F(rng.randrange(1000), 7) for w in rng.sample(range(len(space)), 450)}
+    wide = ConditionalQuantity.from_values(Event(space, mask_of(given)), given)
+    assert type(wide.codes) is tuple and len(wide.levels) > 255
+    family = [wide, indicator(conditional(space, "A0", "A1 | A2"))]
+    for members in (family[:1], family):
+        inside, c0 = quantity_constituents(members)
+        ref_inside, ref_c0 = fraction_quantity_constituents(members)
+        assert [(c.worlds, c.profile, c.label()) for c in inside] == [
+            (c.worlds, c.profile, c.label()) for c in ref_inside
+        ]
+        assert (c0.worlds, c0.profile) == (ref_c0.worlds, ref_c0.profile)
+
+
+@pytest.mark.parametrize("n_atoms", [14, 20])
+def test_reprs_stay_short_past_the_int_to_str_limit(n_atoms):
+    # an event's mask has a bit and a quantity's codes a byte per world; at
+    # 14 atoms the mask is past the 4,300-digit limit on printing an int
+    space = build_world_space([f"A{i}" for i in range(n_atoms)], ["!(A3 & A4)"])
+    event = space.event("A0")
+    ce = ConditionalEvent(event, space.event("A1"))
+    q = indicator(ce, "A0|A1")
+    inside, c0 = quantity_constituents([q])
+    for obj in (event, ce, q, *inside, c0):
+        assert len(repr(obj)) < 1000
+    assert repr(event) == f"Event({3 << n_atoms - 3} of {3 << n_atoms - 2} worlds)"
+
+
 @pytest.mark.parametrize("n_levels", [1, 3, 255, 256])
 def test_from_values_and_from_level_sets_are_one_quantity(n_levels):
     # the same quantity built both ways is equal, and hashes equal: the
@@ -316,7 +347,7 @@ def test_constituent_labels_mark_values_exactly():
     from prevision.geometry import QuantityConstituent
 
     profile = (F(1), None, F(3, 5), F(0), F(2), F(-1), F(4, 4), F(0, 7))
-    assert QuantityConstituent(frozenset(), profile).label() == "+0(3/5)-(2)(-1)+-"
+    assert QuantityConstituent(profile, (0,) * len(profile), ()).label() == "+0(3/5)-(2)(-1)+-"
     # the partition joins the same label from per-level marks: world 0 has
     # the profile, world 1 is where the void member is active
     space = build_world_space(["A"])
@@ -365,7 +396,7 @@ def test_value_codes_match_the_fraction_partition():
             (c.worlds, c.profile) for c in ref_inside
         ]
         assert [c.label() for c in inside] == [c.label() for c in ref_inside]
-        assert repr((inside, c0)) == repr((ref_inside, ref_c0))
+        assert (c0 and (c0.worlds, c0.profile)) == (ref_c0 and (ref_c0.worlds, ref_c0.profile))
         seen_c0.add(c0 is not None)
         # each quantity against the dict it was built from
         for q, given in zip(family, inputs):
