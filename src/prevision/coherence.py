@@ -124,24 +124,22 @@ def _hull_screen(assessment: Assessment):
             continue
         stake = ONE if mu < lo else -ONE
         margin = lo - mu if mu < lo else mu - hi
+        keys = [(c,) for c in range(len(q.levels))]  # each level holds on some world
         book = _checked_book(
-            DutchBook((pos,), (stake,), margin), build_sigma(assessment.restrict([pos - 1]))
+            DutchBook((pos,), (stake,), margin), build_sigma(assessment.restrict([pos - 1]), keys)
         )
         record = LevelRecord((pos,), (q.label,), False, None, None, frozenset(), None)
         return CoherenceVerdict(False, (record,), book)
     return None
 
 
-def _active_sets(columns, voids):
-    return [{h for h, c in enumerate(column) if c != void} for column, void in zip(columns, voids)]
-
-
 def _support(solution):
     return [(h, v) for h, v in enumerate(solution) if v]
 
 
-def _m_values(system: LinearSystem, actives, witnesses):
-    """Maximal mass each active set can carry over `system`.
+def _m_values(system: LinearSystem, columns, voids, witnesses):
+    """Maximal mass each member's active set, the unknowns whose code in
+    `columns` is not its void code in `voids`, can carry over `system`.
 
     A set that some witness solution already gives positive mass needs no
     solve; every other set gets its verified maximum, and each maximizer
@@ -150,16 +148,16 @@ def _m_values(system: LinearSystem, actives, witnesses):
     positions settled by a witness, and the positions stuck at zero.
     """
     supports = [_support(w) for w in witnesses]
-    m_values = [None] * len(actives)
+    m_values = [None] * len(columns)
     witnessed = set()
     zero = []
-    for i, active in enumerate(actives):
-        mass = max(sum(v for h, v in s if h in active) for s in supports)
+    for i, (column, void) in enumerate(zip(columns, voids)):
+        mass = max(sum(v for h, v in s if column[h] != void) for s in supports)
         if mass > 0:
             m_values[i] = mass
             witnessed.add(i)
             continue
-        best = maximize_component_sum(system, active)
+        best = maximize_component_sum(system, (h for h, c in enumerate(column) if c != void))
         m_values[i] = best.value
         supports.append(_support(best.solution))
         if best.value == 0:
@@ -180,7 +178,7 @@ def _run_level(current: Assessment, index_map: tuple, keys):
         record = LevelRecord(index_map, labels, False, None, None, frozenset(), None)
         return record, book, None, None
     columns, voids = list(zip(*system.keys)), [len(q.levels) for q in current.family]
-    m_values, witnessed, zero = _m_values(system, _active_sets(columns, voids), [cert.solution])
+    m_values, witnessed, zero = _m_values(system, columns, voids, [cert.solution])
     record = LevelRecord(
         index_map,
         labels,
@@ -310,7 +308,7 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
             system.scales[:t] + (1,) + system.scales[t:],
             system.labels,
         )
-        _, _, zero = _m_values(void_target, _active_sets(columns[:t], voids), [least.solution])
+        _, _, zero = _m_values(void_target, columns[:t], voids, [least.solution])
         if not zero:
             return hull
         sub = current.restrict(zero)

@@ -412,11 +412,11 @@ class LinearSystem:
     `scales[r]`, the lcm of that row's denominators, as integers; with
     normalization the last row is (1, ..., 1 | 1) with scale 1.  The simplex,
     every certificate check of `lp` and the book check of `coherence` read
-    these rows, and `columns` is their transpose; the tests' Fraction view of
-    them is `oracles.fraction_rows`.  `labels` names the unknowns, or returns
-    their names when `unknown_labels` is first read; `keys` holds a
-    `build_sigma` system's block codes.  `lp` also keeps the simplex state
-    after phase 1 on the system, so that every LP on it runs phase 1 once.
+    these rows; the tests' Fraction view of them is `oracles.fraction_rows`.
+    `labels` names the unknowns, or returns their names when `unknown_labels`
+    is first read; `keys` holds a `build_sigma` system's block codes.  `lp`
+    also keeps the simplex state after phase 1 on the system, so that every
+    LP on it runs phase 1 once.
     """
 
     rows: tuple
@@ -452,14 +452,6 @@ class LinearSystem:
     @property
     def n_unknowns(self) -> int:
         return len(self.rows[0]) - 1 if self.rows else len(self.unknown_labels)
-
-    @cached_property
-    def columns(self) -> tuple:
-        """The integer rows transposed, rhs left out: one tuple per unknown,
-        the columns that the simplex prices and enters."""
-        if not self.rows:
-            return ((),) * self.n_unknowns
-        return tuple(zip(*self.rows))[:-1]
 
     def combine(self, weights) -> tuple:
         """(sums, L): sum_r w_r * row_r over the rational rows, normalization

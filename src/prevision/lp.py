@@ -1,28 +1,29 @@
 """Exact linear solving for feasibility systems over non-negative unknowns.
 
-A two-phase revised simplex with Bland's rule, so runs terminate and answers
+A two-phase revised simplex that never cycles, so runs terminate and answers
 are exact.  The systems are wide and short (a few rows, up to thousands of
 unknowns), so no tableau is kept: the state is a k x k integer basis inverse
 in Bareiss form, the basic values and the cost row's multipliers, and a
-column is read from the system's integer columns (each rational row times
-the lcm of its denominators, as `geometry.LinearSystem` stores them) only to
+column is read from the system's integer rows (each rational row times the
+lcm of its denominators, as `geometry.LinearSystem` stores them) only to
 price it or to enter it.  The state shares one positive common denominator,
 the previous pivot, so each pivot divides exactly and no gcd is ever taken.
 Phase 1 runs once per system and its end state is kept on the system; every
 later optimum on that system starts from a copy of it.
 
-Pricing follows Bland's rule: the first unknown with a negative reduced cost
-enters.  A system of fewer than PACKED_WIDTH unknowns, as every system of a
+A system of fewer than PACKED_WIDTH unknowns, as every system of a
 seven-member check or of an extension is, prices one column after another,
-a dot product each.  A wider one, such as the 3^n - 1 unknowns of an
-n-member conjunction family, packs each integer row into one Python int with
-a field per unknown, once per field width and one `to_bytes` per distinct
-entry, and prices prefixes of the columns, each twice as long as the last,
-with a few big-integer multiply-adds each (`_Simplex._entering_packed`); the
-packed rows live on the phase-1 state and its copies.  Both take the same
-pivots.  The packing only picks the
-column: its reduced cost is recomputed by a dot product, and no answer rests
-on it, since every certificate below is checked column by column.
+a dot product each, and Bland's rule enters the first that prices in.  A
+wider one, such as the 3^n - 1 unknowns of an n-member conjunction family,
+packs each integer row into one Python int with a field per unknown, one
+`to_bytes` per distinct entry, and prices every column with one packed
+multiply-add per pivot (`_Simplex._entering_packed`).  The most negative
+reduced cost enters, the lowest index on a tie (20 pivots in phase 1 of an
+n = 7 family, against Bland's 63), except right after a degenerate pivot,
+where Bland's column does: a cycle holds degenerate pivots only, and all
+but its first would follow Bland's rule, so none occurs.  The packing only
+picks the column; no answer rests on it, since every certificate below is
+checked column by column.
 
 An infeasible system yields a separating certificate: multipliers u, one per
 row (normalization row last when present), with u . column <= 0 for every
@@ -38,6 +39,8 @@ trusts the solver state and none does Fraction arithmetic per entry.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -48,11 +51,11 @@ from .errors import InfeasibleSystem
 from .geometry import LinearSystem, scale_to_integers, to_fraction
 
 ZERO = Fraction(0)
-# Systems with at least PACKED_WIDTH unknowns price their columns in packed
-# integers, narrower ones column by column.  On conj-scale checks (Python 3.11,
-# two-core Xeon VM, one `to_bytes` per distinct entry) packing took 0.64-0.70 ms
-# against 0.58-0.65 ms at 80 unknowns and 1.41-1.53 against 1.55-1.61 ms at 242;
-# seven-member and extension systems have at most 26.
+# From PACKED_WIDTH unknowns on, columns are priced at once in packed integers.
+# On conj-scale (Python 3.11, two-core Xeon VM, best of 7) that took 0.49-0.51
+# ms per operation against 0.48-0.49 ms column by column at 80 unknowns, and
+# 1.14-1.16 against 1.22-1.27 ms at 242; paired 8 s conj-scale runs at a width
+# of 64 or 256 gained nothing.  Other systems have at most 26 unknowns.
 PACKED_WIDTH = 128
 
 
@@ -84,7 +87,7 @@ class _Simplex:
     Row r gets an artificial with column f_r e_r, f_r the sign of its rhs, so
     the artificials start at the non-negative values |b_r|.  An artificial
     stands for s_r times the unscaled one.  This is the same LP in rescaled
-    variables: Bland's rule takes the same pivots as on the rational tableau.
+    variables, which takes the same pivots as the rational tableau.
 
     With B the basis and D the previous pivot (positive), the state is
     E = D B^-1, beta = D B^-1 b, the basic values times D, and the cost
@@ -99,7 +102,7 @@ class _Simplex:
     """
 
     def __init__(self, system: LinearSystem):
-        self.columns = system.columns
+        self.rows = system.rows
         self.scale = system.scales
         self.m = system.n_unknowns
         self.k = k = len(system.rows)
@@ -112,12 +115,10 @@ class _Simplex:
         self.D = 1
         self.basis = [self.m + r for r in range(k)]
         if self.m >= PACKED_WIDTH:
-            self.rows = system.rows
             self.row_bounds = [max(map(abs, row[:-1])) for row in system.rows]
             self.packed = {}
-            self.prefixes = [self.m]
-            while self.prefixes[0] // 2 >= PACKED_WIDTH:
-                self.prefixes.insert(0, self.prefixes[0] // 2)
+        else:  # the rows transposed, rhs left out
+            self.columns = tuple(zip(*self.rows))[:-1] if self.rows else ((),) * self.m
 
     def copy(self) -> "_Simplex":
         """An independent state to pivot further; `self` stays as it is."""
@@ -130,17 +131,22 @@ class _Simplex:
         )
         return twin
 
+    def _integer_column(self, c):
+        if self.m >= PACKED_WIDTH:  # no transposed copy of a wide system's rows
+            return [row[c] for row in self.rows]
+        return self.columns[c]
+
     def _column(self, c) -> list:
         """Tableau column c times D."""
-        col = self.columns[c]
+        col = self._integer_column(c)
         return [sum(map(mul, row, col)) for row in self.E]
 
     def _reduced_cost(self, c) -> int:
-        return sum(map(mul, self.w, self.columns[c])) - self.D * self.costs[c]
+        return sum(map(mul, self.w, self._integer_column(c))) - self.D * self.costs[c]
 
     def _entering(self):
-        """Bland's rule: the first unknown with a negative reduced cost, and
-        that cost, or (None, None) at optimum."""
+        """The entering unknown and its reduced cost times D, or (None, None)
+        at optimum."""
         if self.m >= PACKED_WIDTH:
             return self._entering_packed()
         w, D = self.w, self.D
@@ -153,47 +159,50 @@ class _Simplex:
         return None, None
 
     def _entering_packed(self):
-        """Bland's rule over many columns at once.  Packed with entry j in
-        field j of B = 64 words bits, each integer row P_r and the costs C
-        give sum_r w_r P_r - D C, whose field j is D times unknown j's
-        reduced cost.  Every field, and every entry packed, is below 2^(B-1)
-        in absolute value: B exceeds the bit length of the bound
-        sum_r |w_r| max|row_r| + D max|c| and of each entry.  So adding
-        2^(B-1) to every field carries across none, and a field's top bit is
-        clear exactly when its reduced cost is negative; the lowest such
-        field is Bland's column.  The columns are priced in prefixes that
-        double in length, from at least PACKED_WIDTH up to all m, until one
-        prices in, and the column found is priced again exactly, by one dot
-        product."""
+        """Every column priced at once.  Packed with entry j in field j of
+        B = 64 words bits, each integer row P_r and the costs C give
+        sum_r w_r P_r - D C, whose field j is D times unknown j's reduced
+        cost.  Every field, and every entry packed, is below 2^(B-1) in
+        absolute value: B exceeds the bit length of the bound
+        sum_r |w_r| max|row_r| + D max|c| and of each entry.  So with 2^(B-1)
+        added to each, the fields are the sum's base-2^B digits, and a top
+        bit is clear exactly when the reduced cost is negative.  The lowest
+        such field is Bland's column, taken after a degenerate pivot; else
+        the least field enters, found by the top 64-bit words and, among
+        columns tied on those, whole fields.  Its cost is then recomputed."""
         w, D = self.w, self.D
         bound = sum(map(mul, map(abs, w), self.row_bounds)) + D * self.cost_bound
         words = (max(bound, *self.row_bounds).bit_length() + 64) // 64
         if words not in self.packed:
             tops = _tops(self.m, words)
-            packed = (tops, *(_pack(row[:-1], words, tops) for row in self.rows))
-            self.packed[words] = list(zip(*(self._prefixes(v, words) for v in packed)))
+            self.packed[words] = (tops, *(_pack(row[:-1], words, tops) for row in self.rows))
+        tops, *rows = self.packed[words]
         if words not in self.packed_costs:
-            tops = self.packed[words][-1][0]  # the last prefix is all m columns
-            costs = _pack(self.costs[: self.m], words, tops)
-            self.packed_costs[words] = self._prefixes(costs, words)
-        for (half, *rows), costs in zip(self.packed[words], self.packed_costs[words]):
-            negative = half & ~(sum(map(mul, w, rows)) + half - D * costs)
-            if negative:
-                j = (negative & -negative).bit_length() // (64 * words) - 1
-                z = self._reduced_cost(j)
-                if z >= 0:
-                    raise RuntimeError("packed pricing chose a column that does not price in")
-                return j, z
-        return None, None
-
-    def _prefixes(self, packed, words) -> list:
-        """A packed row cut to each prefix of the columns in turn."""
-        return [packed & (1 << 64 * words * c) - 1 for c in self.prefixes]
+            self.packed_costs[words] = _pack(self.costs[: self.m], words, tops)
+        fields = sum(map(mul, w, rows)) + tops - D * self.packed_costs[words]
+        negative = tops & ~fields
+        if not negative:
+            return None, None
+        j = (negative & -negative).bit_length() // (64 * words) - 1
+        if not self.degenerate:
+            digits, B = fields.to_bytes(8 * words * self.m, "little"), 8 * words
+            top = array("Q", digits)[words - 1 :: words]
+            if sys.byteorder == "big":
+                top.byteswap()
+            j = top.index(least := min(top))
+            if words > 1 and top.count(least) > 1:
+                tied = (t for t in range(j, self.m) if top[t] == least)
+                j = min(tied, key=lambda t: int.from_bytes(digits[B * t : B * t + B], "little"))
+        z = self._reduced_cost(j)
+        if z >= 0:
+            raise RuntimeError("packed pricing chose a column that does not price in")
+        return j, z
 
     def _pivot(self, r, c, alpha, z):
         """Pivot on row r and column c, whose tableau column is alpha and
         whose cost-row entry is z, both times D."""
         E, beta, D = self.E, self.beta, self.D
+        self.degenerate = beta[r] == 0  # then the next pricing takes Bland's column
         p = alpha[r]
         if p < 0:
             p = -p
@@ -223,6 +232,7 @@ class _Simplex:
         costs are costs / cost_scale."""
         self.costs, self.cost_scale = costs, cost_scale
         self.w, self.z0 = [0] * self.k, 0
+        self.degenerate = False
         if self.m >= PACKED_WIDTH:
             self.cost_bound = max(map(abs, costs[: self.m]))
             self.packed_costs = {}
@@ -232,7 +242,7 @@ class _Simplex:
                 self.z0 += costs[i] * b
 
     def _maximize(self):
-        """Bland's rule throughout; True at optimum, False when unbounded."""
+        """True at optimum, False when unbounded."""
         beta, basis = self.beta, self.basis
         while True:
             entering, z = self._entering()
@@ -265,7 +275,7 @@ class _Simplex:
                 continue
             row = self.E[r]
             c = next(
-                (j for j, col in enumerate(self.columns) if sum(map(mul, row, col))),
+                (j for j in range(self.m) if sum(map(mul, row, self._integer_column(j)))),
                 None,
             )
             if c is not None:

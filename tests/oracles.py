@@ -7,14 +7,19 @@ functional over the bounded ones we test attains its maximum at one, so
 exhaustive enumeration is a complete oracle for small sizes.
 
 `FractionSimplex` is the two-phase simplex on a Fraction tableau that the
-integer solver in `prevision.lp` replaced.  It takes the same pivots, so the
-fast solver must return identical certificates and optima.
+integer solver in `prevision.lp` replaced.  It follows Bland's rule
+throughout, so on systems narrower than `PACKED_WIDTH` it takes the same
+pivots and the fast solver must return identical certificates and optima;
+on wider ones only the optimum values must agree.
 
 `DenseSimplex` is the dense fraction-free integer tableau that the revised
 simplex of `prevision.lp` replaced: it rewrites every column on every pivot
 and reruns phase 1 for each LP.  Its artificial columns, rhs column and cost
 row are, up to the row flips, what the revised solver keeps, so the two must
-agree after every pivot and take the same pivots.  `dense_solve_feasibility` and
+agree after every pivot and take the same pivots: Bland's column below
+`PACKED_WIDTH` unknowns, from there the most negative cost-row entry (lowest
+index on a tie) except right after a degenerate pivot, where Bland's column
+enters, all read off the cost row in plain integers.  `dense_solve_feasibility` and
 `dense_maximize_linear` run it the way `prevision.lp` used to.
 `per_field_pack` packs a row for priced columns one `int.to_bytes` per
 field, as `lp._pack` did before it converted each distinct value once; the
@@ -85,6 +90,7 @@ from prevision.geometry import (
     to_fraction,
 )
 from prevision.lp import (
+    PACKED_WIDTH,
     FeasibilityCertificate,
     OptimizationResult,
     _check_optimum,
@@ -324,14 +330,15 @@ class DenseSimplex:
     Input row r, already multiplied by s_r, the lcm of its denominators, is
     flipped to a non-negative rhs.  Its artificial keeps a unit column, so it
     stands for s_r times the unscaled artificial.  This is the same LP in rescaled
-    variables: Bland's rule takes the same pivots as on the rational tableau.
+    variables, which takes the same pivots as the rational tableau.
 
     The true tableau is T / D.  Pivoting on p = T[r][c] maps every other row
     to (p * T[i] - T[i][c] * T[r]) / D, an exact division by Sylvester's
     identity, and D becomes p.  A negative pivot negates its row first, so
     D stays positive and ratio and sign tests compare integers directly.
     The cost row holds D * (c_B B^-1 A - c); a negative entry prices its
-    column in.
+    column in.  `degenerate` holds whether the last pivot was on a row whose
+    rhs was 0.
     """
 
     def __init__(self, rows, scales):
@@ -354,6 +361,7 @@ class DenseSimplex:
 
     def _pivot(self, r, c):
         T, D = self.T, self.D
+        self.degenerate = T[r][-1] == 0
         if T[r][c] < 0:
             T[r] = [-v for v in T[r]]
         row_r = T[r]
@@ -373,18 +381,26 @@ class DenseSimplex:
         """Install integer costs for every non-rhs column; the true costs are
         costs / cost_scale."""
         self.costs, self.cost_scale = costs, cost_scale
+        self.degenerate = False
         z = [-self.D * c for c in costs] + [0]
         for i, b in enumerate(self.basis):
             if costs[b]:
                 z = [v + costs[b] * t for v, t in zip(z, self.T[i])]
         self.T[self.k] = z
 
+    def _entering(self):
+        """The entering column, or None at optimum."""
+        z = self.T[self.k][: self.m]
+        if self.m < PACKED_WIDTH or self.degenerate:
+            return next((j for j, v in enumerate(z) if v < 0), None)
+        least = min(z)
+        return z.index(least) if least < 0 else None
+
     def _maximize(self):
-        """Bland's rule throughout; True at optimum, False when unbounded."""
+        """True at optimum, False when unbounded."""
         T, k, basis = self.T, self.k, self.basis
         while True:
-            z = T[k]
-            entering = next((j for j in range(self.m) if z[j] < 0), None)
+            entering = self._entering()
             if entering is None:
                 return True
             leaving = None

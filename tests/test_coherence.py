@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_book_gains, fraction_rows, fraction_sigma
+from oracles import fraction_book_gains, fraction_rows, fraction_sigma, worlds_of
 from prevision import (
     Assessment,
     CompoundPrevisionMap,
@@ -33,7 +33,13 @@ from prevision import (
     value_table,
 )
 from prevision.coherence import _checked_book
-from prevision.geometry import LinearSystem, build_sigma, quantity_constituents
+from prevision.geometry import (
+    ConditionalQuantity,
+    LinearSystem,
+    build_sigma,
+    keyed_partition,
+    quantity_constituents,
+)
 
 F = Fraction
 
@@ -152,6 +158,41 @@ class TestCheckCoherence:
         assert not verdict.coherent
         assert verdict.dutch_book.stakes == (F(-1),)
         assert verdict.dutch_book.margin == F(1)
+
+    def test_hull_screen_keys_a_member_by_its_own_levels(self, monkeypatch):
+        """Every built quantity has a world at every level, so its level
+        codes are its keyed partition, and a prevision outside its hull is
+        booked without a pass over the worlds."""
+        import prevision.geometry as geometry
+
+        space, first, second = pair_setup()
+        _, forced, _ = pair_setup(constraints=["!(H & !A)"])
+        h = space.event("H")
+        pair = {(1,): F(1, 3), (2,): F(1, 2)}
+        quantities = [
+            indicator(first),
+            indicator(forced),  # true wherever its antecedent holds: one level
+            make_conjunction([first, second], pair),
+            make_conjunction([first, second], {(1,): F(1, 2), (2,): F(1, 2)}),  # levels merge
+            make_disjunction([first, second], demorgan_previsions(CompoundPrevisionMap(pair))),
+            ConditionalQuantity.from_values(h, {w: F(w % 3, 4) for w in worlds_of(h)}),
+        ]
+        for q in quantities:
+            keys = [(c,) for c in range(len(q.levels))]
+            assert keys == keyed_partition([q.codes], [len(q.levels)])
+        assert [len(q.levels) for q in quantities] == [2, 1, 4, 3, 4, 3]
+
+        def no_world_pass(*args):
+            raise AssertionError("the hull screen walked the worlds")
+
+        monkeypatch.setattr(geometry, "keyed_partition", no_world_pass)
+        for q in quantities:
+            lo, hi = q.hull()
+            for mu, stake in ((lo - 1, F(1)), (hi + F(1, 2), F(-1))):
+                verdict = check_coherence(Assessment((q,), (mu,)))
+                assert not verdict.coherent
+                assert verdict.dutch_book.stakes == (stake,)
+                assert verdict.dutch_book.margin == (lo - mu if mu < lo else mu - hi)
 
     def test_zero_probability_antecedent_recursion(self):
         space = build_world_space(["E", "H"])

@@ -1,13 +1,16 @@
-"""Identity gate: one digest over the engine's observable answers.
+"""Identity gate: digests over the engine's observable answers.
 
 Verdicts with their traces, Dutch books and gains, the constituents' sorted
 world tuples and labels, the solvability systems' unknown labels, and
 extension intervals are written in a canonical form (Fractions as "p/q",
-sets as sorted tuples) and hashed.  The inputs are the 2,603 quarter-grid
-seven-member assessments, the n-member conjunction families for n = 3..6 at
-and just outside their Frechet bounds, and a seeded pool of extension cases.
-A change that should leave every answer as it was keeps the pinned digest;
-a change that alters an answer on purpose says so and pins the new one.
+sets as sorted tuples) and hashed, one digest per kind of input: the 2,603
+quarter-grid seven-member assessments, the n-member conjunction families for
+n = 3..6 at and just outside their Frechet bounds, and a seeded pool of
+extension cases.  A further digest covers the verdicts alone, over all three
+kinds.  A change that should leave every answer as it was keeps the pinned
+digests; a change that alters an answer on purpose says so and pins the new
+ones.  A change of pivoting rule may move a solution or an m-value to
+another optimum, never a verdict.
 """
 
 import hashlib
@@ -32,7 +35,18 @@ from prevision.geometry import build_sigma
 
 F = Fraction
 
-DIGEST = "45907211ca4f499977d84018848576f2d149936243b111cb94c00b91bfc11e98"
+# Pinned per kind.  Grid and extension systems are narrower than
+# lp.PACKED_WIDTH, so their pivots, and with them every solution and m-value,
+# follow Bland's rule alone; the conjunction families of n >= 5 enter the
+# most negative reduced cost, so their basic solutions are those of that rule.
+DIGESTS = {
+    "grid": "1d460d20141d7a89bc6cf722fb2a86e516fe8e595d2ed1a51e9134dfe1ae848f",
+    "conjunction": "78c9283c95a0b8684f0b4a1601109a9efa14b7dc191beace5321e8d0d219d114",
+    "extension": "01d9e1fe427129e20786bc62d524db0412de3495755385852db5af6e3cf3ce1f",
+}
+# The verdicts alone (`canonical_outcome`) over all three kinds: no pivot rule
+# may change them.
+VERDICT_DIGEST = "163b4112a849fe2a15bd62ddd7402cb2ff3072c75be70fa1ca078ff57ad296b0"
 
 
 def _fractions(values):
@@ -177,26 +191,45 @@ def extension_cases(rng, generic=200, closed_form=20):
         yield Assessment(pair, (x, y)), make_conjunction([first, second], {(1,): x, (2,): y}, "C")
 
 
-def identity_digest():
-    digest = hashlib.sha256()
-    counts = {"grid": 0, "conjunction": 0, "extension": 0}
+def canonical_outcome(verdict):
+    """The verdict alone: coherent or not, each level's members, whether its
+    system is feasible and its zero set, and the booked members.  Solutions,
+    m-values and books are left out, as they follow the pivots taken."""
+    book = verdict.dutch_book
+    return (
+        verdict.coherent,
+        tuple((r.member_indices, r.feasible, _indices(r.i0)) for r in verdict.trace),
+        None if book is None else book.member_indices,
+    )
+
+
+def identity_digests():
+    """({kind: digest}, verdict digest, {kind: case count})."""
+    digests = {kind: hashlib.sha256() for kind in ("grid", "conjunction", "extension")}
+    outcomes = hashlib.sha256()
+    counts = dict.fromkeys(digests, 0)
+
+    def add(kind, verdict, entry):
+        digests[kind].update(repr((kind, entry)).encode())
+        outcomes.update(repr((kind, canonical_outcome(verdict))).encode())
+        counts[kind] += 1
+
     for kind, cases in (("grid", grid_cases()), ("conjunction", conjunction_cases())):
         for assessment in cases:
             verdict = check_coherence(assessment)
-            digest.update(repr((kind, canonical_verdict(assessment, verdict))).encode())
-            counts[kind] += 1
+            add(kind, verdict, canonical_verdict(assessment, verdict))
     for base, target in extension_cases(random.Random(5)):
         verdict = check_coherence(base)
         entry = canonical_verdict(base, verdict)
         if verdict.coherent:
             interval = extension_interval(base, target)
             entry += (str(interval.lower), str(interval.upper), interval.exact)
-        digest.update(repr(("extension", entry)).encode())
-        counts["extension"] += 1
-    return digest.hexdigest(), counts
+        add("extension", verdict, entry)
+    return {k: d.hexdigest() for k, d in digests.items()}, outcomes.hexdigest(), counts
 
 
 def test_answers_match_the_pinned_digest():
-    digest, counts = identity_digest()
+    digests, outcomes, counts = identity_digests()
     assert counts == {"grid": 2603, "conjunction": 60, "extension": 257}
-    assert digest == DIGEST
+    assert outcomes == VERDICT_DIGEST
+    assert digests == DIGESTS

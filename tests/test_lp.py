@@ -600,15 +600,17 @@ def wide_systems(seed=5, count=12):
 
 def test_packed_pricing_takes_the_dense_tableau_pivots_on_wide_systems(monkeypatch):
     """Each entering column of a wide system, in phase 1 and in phase 2, is
-    the Bland column of the dense integer tableau run in lockstep, and every
-    answer equals the tableau's."""
+    the column the dense integer tableau run in lockstep takes from its cost
+    row (the most negative entry, or Bland's after a degenerate pivot), and
+    every answer equals the tableau's."""
     kinds = set()
 
     class Lockstep(CheckedSimplex):
         def _entering(self):
             j, z = super()._entering()
-            cost_row = self.oracle.T[self.k][: self.m]
-            assert j == next((c for c, v in enumerate(cost_row) if v < 0), None)
+            assert j == self.oracle._entering()
+            if j is not None:
+                kinds.add("after a degenerate pivot" if self.degenerate else "most negative")
             if len(self.packed) > 1:
                 kinds.add("field outgrown")
             return j, z
@@ -629,8 +631,109 @@ def test_packed_pricing_takes_the_dense_tableau_pivots_on_wide_systems(monkeypat
             assert result == dense_maximize_linear(system, costs)
             kinds.add("optimum" if result.bounded else "unbounded")
     assert kinds == {
-        "past 63 bits", "zero row", "field outgrown", "infeasible", "optimum", "unbounded"
+        "past 63 bits", "zero row", "field outgrown", "infeasible", "optimum", "unbounded",
+        "most negative", "after a degenerate pivot",
     }
+
+
+def degenerate_wide_systems(seed=7, count=10):
+    """Wide systems built to stall.  First Chvatal's example ("Linear
+    Programming", 1983, ch. 3), max 10 x1 - 57 x2 - 9 x3 - 24 x4 with slacks
+    s1..s3 as unknowns, padded to lp.PACKED_WIDTH unknowns by zero columns
+    of cost -1: entering the most negative reduced cost alone cycles on it,
+    through six degenerate pivots.  Then random ones: a few distinct
+    integer columns, each repeated across lp.PACKED_WIDTH or more unknowns,
+    and right-hand sides that are zero but for one row, so that most pivots
+    leave a zero basic value.  Every other one has a planted point on two
+    columns instead, and one in three has no normalization.  Costs are small
+    integers, with many ties."""
+    pad = lp.PACKED_WIDTH - 7
+    rows = (
+        (F(1, 2), F(-11, 2), F(-5, 2), F(9), F(1), F(0), F(0)) + (F(0),) * pad,
+        (F(1, 2), F(-3, 2), F(-1, 2), F(1), F(0), F(1), F(0)) + (F(0),) * pad,
+        (F(1), F(0), F(0), F(0), F(0), F(0), F(1)) + (F(0),) * pad,
+    )
+    yield LinearSystem.from_fractions(
+        rows, (F(0), F(0), F(1)), tuple(f"x{j}" for j in range(lp.PACKED_WIDTH)),
+        normalization=False,
+    ), [F(v) for v in (10, -57, -9, -24, 0, 0, 0)] + [F(-1)] * pad
+    rng = random.Random(seed)
+    for i in range(count):
+        k = rng.randint(3, 5)
+        entries = (-2, -1, 0, 0, 1, 1, 2)
+        base = [[rng.choice(entries) for _ in range(k)] for _ in range(rng.randint(3, 8))]
+        m = lp.PACKED_WIDTH + rng.randrange(64)
+        columns = [rng.choice(base) for _ in range(m)]
+        rows = [[F(col[r]) for col in columns] for r in range(k)]
+        rhs = [F(0)] * k
+        rhs[rng.randrange(k)] = _rational(rng)
+        if i % 2:
+            x = [F(0)] * m
+            for j in rng.sample(range(m), 2):
+                x[j] = F(1, 2)
+            rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        yield LinearSystem.from_fractions(
+            tuple(map(tuple, rows)), tuple(rhs), tuple(f"x{j}" for j in range(m)),
+            normalization=i % 3 != 0,
+        ), [F(rng.randint(-2, 2)) for _ in range(m)]
+
+
+def test_degenerate_wide_systems_terminate_at_the_fraction_optimum(monkeypatch):
+    """On wide systems where most pivots are degenerate, every run ends, well
+    inside a cap that a cycle would pass, with the Fraction tableau's
+    feasibility and optimum values; the maximizers may differ, as the
+    duplicated columns make optima non-unique."""
+    pivots = []
+
+    class Counting(lp._Simplex):
+        def _pivot(self, r, c, alpha, z):
+            super()._pivot(r, c, alpha, z)
+            pivots.append(self.degenerate)
+            assert len(pivots) < 2000, "the pivots cycle"
+
+    monkeypatch.setattr(lp, "_Simplex", Counting)
+    kinds = set()
+    for i, (system, objective) in enumerate(degenerate_wide_systems()):
+        cert = solve_feasibility(system)
+        assert cert.feasible == fraction_solve_feasibility(system).feasible
+        if not cert.feasible:
+            kinds.add("infeasible")
+            continue
+        for costs in (objective, [-c for c in objective]):
+            result = maximize_linear(system, costs)
+            reference = fraction_maximize_linear(system, costs)
+            assert (result.value, result.bounded) == (reference.value, reference.bounded)
+            kinds.add("optimum" if result.bounded else "unbounded")
+        if i == 0:
+            assert maximize_linear(system, objective).value == 1  # Chvatal's optimum
+    assert kinds == {"infeasible", "optimum", "unbounded"}
+    assert sum(pivots) > len(pivots) / 2
+
+
+def test_phase1_of_the_seven_member_conjunction_family_is_short(monkeypatch):
+    """Phase 1 of the n = 7 conjunction family, at and just outside its
+    Frechet bounds, enters the most negative reduced cost and so takes at
+    most 25 pivots; Bland's rule alone took 63 inside the bounds."""
+    phase1_pivots = []
+
+    class Counting(lp._Simplex):
+        def phase1(self):
+            self.pivots = 0
+            super().phase1()
+            phase1_pivots.append(self.pivots)
+
+        def _pivot(self, *args):
+            super()._pivot(*args)
+            self.pivots += 1
+
+    monkeypatch.setattr(lp, "_Simplex", Counting)
+    xs = tuple(F(k, 5) for k in (1, 2, 3, 4, 1, 2, 3))
+    family = conjunction_family(7, xs)
+    lo, hi = frechet_bounds_conjunction(xs)
+    for z in (lo, hi, lo - F(1, 1000), hi + F(1, 1000)):
+        solve_feasibility(build_sigma(Assessment(family, xs + (z,))))
+    assert len(phase1_pivots) == 4
+    assert max(phase1_pivots) <= 25
 
 
 def test_reduced_costs_at_the_field_bound_price_exactly():
@@ -646,14 +749,6 @@ def test_reduced_costs_at_the_field_bound_price_exactly():
             assert simplex._entering() == expected
         simplex._set_costs([-big, big] + [0] * (m - 1), 1)
         assert simplex._entering() == (1, -big)
-
-
-def test_prefixes_halve_from_every_column_down_to_the_packed_width():
-    for m in (lp.PACKED_WIDTH, 2 * lp.PACKED_WIDTH - 1, 2 * lp.PACKED_WIDTH, 2186):
-        system = LinearSystem(((1,) * (m + 1),), (1,), (), normalization=False)
-        prefixes = lp._Simplex(system).prefixes
-        assert prefixes[-1] == m and prefixes[0] // 2 < lp.PACKED_WIDTH <= prefixes[0]
-        assert all(a == b // 2 for a, b in zip(prefixes, prefixes[1:]))
 
 
 def test_packing_puts_each_value_in_its_field():
@@ -723,7 +818,7 @@ def test_corrupted_solver_integers_raise_before_any_result(monkeypatch):
     kinds = set()
     for system, objective in differential_systems():
         # a column some row weighs, and a row with a non-zero rhs
-        j = next((j for j, col in enumerate(system.columns) if any(col)), None)
+        j = next((j for j in range(system.n_unknowns) if any(row[j] for row in system.rows)), None)
         r = next((r for r, row in enumerate(system.rows) if row[-1]), None)
 
         def bad_point(self):
