@@ -99,7 +99,7 @@ def dutch_book_gains(
     """
     sub = assessment.restrict([p - 1 for p in book.member_indices])
     inside = quantity_constituents(sub.family)[0]
-    gains, L = _book_gains(build_sigma(sub, [c.codes for c in inside]), book.stakes)
+    gains, L = _book_gains(build_sigma(sub), book.stakes)  # over the same blocks, in order
     return [(c, Fraction(g, L)) for c, g in zip(inside, gains)]
 
 
@@ -124,17 +124,13 @@ def _hull_screen(assessment: Assessment):
             continue
         stake = ONE if mu < lo else -ONE
         margin = lo - mu if mu < lo else mu - hi
-        keys = [(c,) for c in range(len(q.levels))]  # each level holds on some world
+        codes = (range(len(q.levels)),)  # each level holds on some world
         book = _checked_book(
-            DutchBook((pos,), (stake,), margin), build_sigma(assessment.restrict([pos - 1]), keys)
+            DutchBook((pos,), (stake,), margin), build_sigma(assessment.restrict([pos - 1]), codes)
         )
         record = LevelRecord((pos,), (q.label,), False, None, None, frozenset(), None)
         return CoherenceVerdict(False, (record,), book)
     return None
-
-
-def _support(solution):
-    return [(h, v) for h, v in enumerate(solution) if v]
 
 
 def _m_values(system: LinearSystem, columns, voids, witnesses):
@@ -144,10 +140,10 @@ def _m_values(system: LinearSystem, columns, voids, witnesses):
     A set that some witness solution already gives positive mass needs no
     solve; every other set gets its verified maximum, and each maximizer
     joins the witnesses.  A witness is a basic solution, so its mass on a set
-    is summed over its few non-zero entries only.  Returns the m-values, the
-    positions settled by a witness, and the positions stuck at zero.
+    is summed over its `support`, its few non-zero entries.  Returns the
+    m-values, the positions settled by a witness, and the positions stuck at zero.
     """
-    supports = [_support(w) for w in witnesses]
+    supports = [w.support for w in witnesses]
     m_values = [None] * len(columns)
     witnessed = set()
     zero = []
@@ -159,17 +155,17 @@ def _m_values(system: LinearSystem, columns, voids, witnesses):
             continue
         best = maximize_component_sum(system, (h for h, c in enumerate(column) if c != void))
         m_values[i] = best.value
-        supports.append(_support(best.solution))
+        supports.append(best.support)
         if best.value == 0:
             zero.append(i)
     return m_values, witnessed, zero
 
 
-def _run_level(current: Assessment, index_map: tuple, keys):
+def _run_level(current: Assessment, index_map: tuple, codes):
     """One recursion level on `current`, the members `index_map` (1-based) of
-    the assessment: one system for the simplex and the book check, over `keys`
-    (None: one pass over the worlds), whose projection keys the next level."""
-    system = build_sigma(current, keys)
+    the assessment: one system for the simplex and the book check, over the
+    block columns `codes` (None: one pass over the worlds), projected for the next level."""
+    system = build_sigma(current, codes)
     labels = tuple(q.label for q in current.family)
     cert = solve_feasibility(system)
     if not cert.feasible:
@@ -177,8 +173,8 @@ def _run_level(current: Assessment, index_map: tuple, keys):
         book = _checked_book(DutchBook(index_map, stakes, cert.margin), system)
         record = LevelRecord(index_map, labels, False, None, None, frozenset(), None)
         return record, book, None, None
-    columns, voids = list(zip(*system.keys)), [len(q.levels) for q in current.family]
-    m_values, witnessed, zero = _m_values(system, columns, voids, [cert.solution])
+    columns, voids = system.codes, [len(q.levels) for q in current.family]
+    m_values, witnessed, zero = _m_values(system, columns, voids, [cert])
     record = LevelRecord(
         index_map,
         labels,
@@ -188,7 +184,8 @@ def _run_level(current: Assessment, index_map: tuple, keys):
         frozenset(index_map[i] for i in witnessed),
         frozenset(index_map[i] for i in zero),
     )
-    return record, None, zero, keyed_partition([columns[i] for i in zero], [voids[i] for i in zero])
+    projected = zero and keyed_partition([columns[i] for i in zero], [voids[i] for i in zero])
+    return record, None, zero, projected
 
 
 def check_coherence(assessment: Assessment) -> CoherenceVerdict:
@@ -205,9 +202,9 @@ def check_coherence(assessment: Assessment) -> CoherenceVerdict:
     trace = []
     current = assessment
     index_map = tuple(range(1, len(assessment) + 1))
-    keys = None
+    codes = None
     for _ in range(len(assessment)):
-        record, book, zero, keys = _run_level(current, index_map, keys)
+        record, book, zero, codes = _run_level(current, index_map, codes)
         trace.append(record)
         if book is not None:
             return CoherenceVerdict(False, tuple(trace), book)
@@ -291,7 +288,7 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
         members = (*current.family, target)
         t, voids, void = len(current), [len(q.levels) for q in members], len(target.levels)
         system = build_sigma(current, keyed_partition([q.codes for q in members], voids))
-        columns = list(zip(*system.keys))
+        columns = system.codes
         values = [*map((*target.levels, 0).__getitem__, columns[t])]  # 0 where void
         if void not in columns[t]:
             return _linear_range(system, values)
@@ -308,7 +305,7 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
             system.scales[:t] + (1,) + system.scales[t:],
             system.labels,
         )
-        _, _, zero = _m_values(void_target, columns[:t], voids, [least.solution])
+        _, _, zero = _m_values(void_target, columns[:t], voids, [least])
         if not zero:
             return hull
         sub = current.restrict(zero)

@@ -10,27 +10,28 @@ per bit plane, never by a Python int per world or a pass per level.  Indicators
 and the conjunctions and disjunctions of conditional events (over the union
 of the antecedents, with assessed previsions filling the partially-void
 cases) get their level sets by integer algebra (&, ^, |) on the masks.  An
-assessed family's constituents are the joint code tuples (keys) of its
-worlds: `keyed_partition` finds them in one pass and projects them onto
-sub-families, and `quantity_constituents` gives each key its values and
-+/-/0 label for callers that show them; a block's worlds are read off the
-code lanes only when asked.
-From the keys `build_sigma` builds the feasibility systems whose
-solvability coherence checking rests on, one column Q_h per constituent, in
-one form: integer rows each scaled by the lcm of its denominators;
+assessed family's constituents are the joint codes (keys) of its worlds:
+`keyed_partition` finds them in one pass, as a code column per member, and
+projects the columns onto sub-families; `quantity_constituents` gives each
+key its values and +/-/0 label, and reads a block's worlds off the code lanes
+only when asked.  From the columns `build_sigma` builds the feasibility
+systems whose solvability coherence checking rests on, one column Q_h per
+constituent, in one form: integer rows each scaled by the lcm of its
+denominators, each a value table read at a code per unknown;
 `scale_to_integers` is the one place a Fraction row becomes such a row.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import compress, count
+from functools import cached_property, lru_cache, reduce
+from itertools import compress, count, repeat
 from math import lcm
-from operator import or_
+from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -39,8 +40,11 @@ from .events import ConditionalEvent, Event, WorldSpace, spread_bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# array typecodes of unsigned integers 1, 2 and 4 bytes wide
+# array typecodes, and struct formats, of unsigned integers 1, 2 and 4 bytes wide
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
+# Worlds per record buffer of keyed_partition.  One buffer for all 16,384
+# worlds of an n = 7 family (128 KB) raised conj-scale's peak RSS by 0.1 MB.
+_CHUNK = 4096
 
 
 def to_fraction(value) -> Fraction:
@@ -361,14 +365,49 @@ class QuantityConstituent:
         return "".join(_mark(v) for v in self.profile)
 
 
+@lru_cache(maxsize=256)
+def _records(voids) -> tuple:
+    """Per lane its byte width; the record size, unpacker and all-void record."""
+    widths = [1 if v < 256 else 2 if v < 65536 else 4 for v in voids]
+    void = b"".join(map(int.to_bytes, voids, widths, repeat("big")))
+    return widths, len(void), struct.Struct(f"{len(void)}s").iter_unpack, void
+
+
 def keyed_partition(codes, voids) -> list:
-    """The constituents inside the union of conditioning events as sorted
-    joint code tuples, one code per column of `codes`, all but `voids`, the
-    columns' void codes: one pass over the worlds given the members' codes,
-    a projection given columns of a family's keys."""
-    keys = set(zip(*codes))
-    keys.discard(tuple(voids))
-    return sorted(keys)
+    """The constituents inside the union of conditioning events as one code
+    column per lane of `codes` (world codes, or a projected family's columns),
+    void code voids[i]: bytes, or a tuple past 255 levels, in key order.  Each
+    lane goes big-endian, as wide as its void code (its largest), into one
+    record per world, _CHUNK worlds at a time; the distinct records but the
+    all-void one, sorted, are the keys, and the columns are sliced back out
+    of their join."""
+    widths, size, unpack, void = _records(tuple(voids))
+    keys, n = set(), len(codes[0])
+    for start in range(0, n, _CHUNK):
+        chunk = codes if n <= _CHUNK else [lane[start : start + _CHUNK] for lane in codes]
+        records, at = bytearray(size * len(chunk[0])), 0
+        for lane, width in zip(chunk, widths):
+            if width == 1:
+                records[at::size] = lane
+            else:
+                data = struct.pack(f">{len(lane)}{_TYPECODES[width]}", *lane)
+                for b in range(width):
+                    records[at + b :: size] = data[b::width]
+            at += width
+        keys.update(map(itemgetter(0), unpack(records)))
+    keys.discard(void)
+    keys, columns, at = b"".join(sorted(keys)), [], 0
+    for width in widths:
+        columns.append(keys[at::size] if width == 1 else _field(keys, at, width, size))
+        at += width
+    return columns
+
+
+def _field(keys, at, width, size) -> tuple:
+    """Bytes at..at + width of each record of `keys`, as big-endian codes."""
+    fields = struct.iter_unpack(f"{at}x{width}s{size - at - width}x", keys)
+    fields = b"".join(map(itemgetter(0), fields))
+    return struct.unpack(f">{len(fields) // width}{_TYPECODES[width]}", fields)
 
 
 def quantity_constituents(family):
@@ -381,7 +420,7 @@ def quantity_constituents(family):
     voids = tuple(len(q.levels) for q in family)
     block = lambda key: QuantityConstituent(tuple(map(tuple.__getitem__, values, key)), key, lanes)
     covered = reduce(or_, (q.conditioning for q in family)).is_sure
-    return [*map(block, keyed_partition(lanes, voids))], None if covered else block(voids)
+    return [*map(block, zip(*keyed_partition(lanes, voids)))], None if covered else block(voids)
 
 
 def enumerate_constituents(family) -> list:
@@ -403,6 +442,13 @@ def scale_to_integers(values) -> tuple:
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
+def tabulate(values) -> tuple:
+    """(table, codes): the distinct values, and each value's index in them."""
+    index = dict(zip(dict.fromkeys(values), count()))
+    codes = [*map(index.__getitem__, values)]
+    return [*index], bytes(codes) if len(index) <= 256 else tuple(codes)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Equalities over non-negative unknowns that sum to one, unless
@@ -413,8 +459,10 @@ class LinearSystem:
     normalization the last row is (1, ..., 1 | 1) with scale 1.  The simplex,
     every certificate check of `lp` and the book check of `coherence` read
     these rows; the tests' Fraction view of them is `oracles.fraction_rows`.
+    `value_tables` gives row r as (table, codes), entry j table[codes[j]]:
+    `tables` where given, as by `build_sigma`, else derived from the rows.
     `labels` names the unknowns, or returns their names when `unknown_labels`
-    is first read; `keys` holds a `build_sigma` system's block codes.  `lp`
+    is first read; `codes` holds a `build_sigma` system's block columns.  `lp`
     also keeps the simplex state after phase 1 on the system, so that every
     LP on it runs phase 1 once.
     """
@@ -423,7 +471,8 @@ class LinearSystem:
     scales: tuple
     labels: object
     normalization: bool = True
-    keys: Optional[list] = field(default=None, repr=False)
+    codes: Optional[list] = field(default=None, repr=False)
+    tables: Optional[tuple] = field(default=None, repr=False)
 
     def __eq__(self, other):
         form = lambda s: (s.rows, s.scales, s.unknown_labels, s.normalization)
@@ -435,6 +484,10 @@ class LinearSystem:
     @cached_property
     def unknown_labels(self) -> tuple:
         return tuple(self.labels() if callable(self.labels) else self.labels)
+
+    @cached_property
+    def value_tables(self) -> tuple:
+        return self.tables or tuple(tabulate(row[:-1]) for row in self.rows)
 
     @classmethod
     def from_fractions(cls, equalities, rhs, unknown_labels, normalization=True):
@@ -480,37 +533,39 @@ class LinearSystem:
         )
 
 
-def build_sigma(assessment: Assessment, keys=None) -> LinearSystem:
+def build_sigma(assessment: Assessment, codes=None) -> LinearSystem:
     """The solvability system of the assessment: one row per quantity,
     unknowns indexed by the constituents inside the union of antecedents.
 
     Row i holds, per block, the value of quantity i where active and its
     prevision mu_i where void, with mu_i as rhs.  It is built in integers
     from the block's code: s_i is the lcm of the denominators of the
-    quantity's levels and mu_i, and code c's entry is item c of (levels, mu_i) times s_i.
+    quantity's levels and mu_i, and row i's table, read at the block's code,
+    is (levels, mu_i) times s_i; the normalization row's is (1,) at code 0.
 
-    `keys` is the family's keyed_partition when already known, else it is
-    computed here.  Its tuples may carry the codes of further trailing
-    quantities; these only refine the blocks.  The labels mark the family's
-    own codes and are joined only when read.
+    `codes` is the family's keyed_partition when already known, else it is
+    computed here.  Columns of further trailing quantities only refine the
+    blocks.  The labels mark the family's own codes and are joined only when
+    read.
     """
     family = assessment.family
-    if keys is None:
-        keys = keyed_partition([q.codes for q in family], [len(q.levels) for q in family])
-    columns = list(zip(*keys)) or [()] * len(family)
-    rows, scales = [], []
-    for q, mu, column in zip(family, assessment.values, columns):
+    if codes is None:
+        codes = keyed_partition([q.codes for q in family], [len(q.levels) for q in family])
+    m, rows, scales, tables = len(codes[0]), [], [], []
+    for q, mu, column in zip(family, assessment.values, codes):
         ints, s = scale_to_integers((*q.levels, mu))
         rows.append((*map(ints.__getitem__, column), ints[-1]))
         scales.append(s)
-    rows.append((1,) * (len(keys) + 1))
+        tables.append((ints, column))
+    rows.append((1,) * (m + 1))
     scales.append(1)
+    tables.append(((1,), bytes(m)))
 
     def labels():
         marks = [(*map(_mark, q.levels), "0") for q in family]
-        return ("".join(map(tuple.__getitem__, marks, key)) for key in keys)
+        return ("".join(map(tuple.__getitem__, marks, key)) for key in zip(*codes))
 
-    return LinearSystem(tuple(rows), tuple(scales), labels, True, keys)
+    return LinearSystem(tuple(rows), tuple(scales), labels, True, codes, tuple(tables))
 
 
 def conjunction_signatures(n: int) -> list[frozenset]:

@@ -15,9 +15,10 @@ A system of fewer than PACKED_WIDTH unknowns, as every system of a
 seven-member check or of an extension is, prices one column after another,
 a dot product each, and Bland's rule enters the first that prices in.  A
 wider one, such as the 3^n - 1 unknowns of an n-member conjunction family,
-packs each integer row into one Python int with a field per unknown, one
-`to_bytes` per distinct entry, and prices every column with one packed
-multiply-add per pivot (`_Simplex._entering_packed`).  The most negative
+packs each integer row into one Python int with a field per unknown, from
+the row's value table (`LinearSystem.value_tables`): one `to_bytes` per table
+entry and one join over the row's codes.  It prices every column with one
+packed multiply-add per pivot (`_Simplex._entering_packed`).  The most negative
 reduced cost enters, the lowest index on a tie (20 pivots in phase 1 of an
 n = 7 family, against Bland's 63), except right after a degenerate pivot,
 where Bland's column does: a cycle holds degenerate pivots only, and all
@@ -41,14 +42,14 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InfeasibleSystem
-from .geometry import LinearSystem, scale_to_integers, to_fraction
+from .geometry import LinearSystem, scale_to_integers, tabulate, to_fraction
 
 ZERO = Fraction(0)
 # From PACKED_WIDTH unknowns on, columns are priced at once in packed integers.
@@ -67,6 +68,7 @@ class FeasibilityCertificate:
     solution: Optional[tuple] = None
     dual: Optional[tuple] = None
     margin: Optional[Fraction] = None
+    support: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,7 @@ class OptimizationResult:
     solution: Optional[tuple]
     bounded: bool = True
     dual: Optional[tuple] = None
+    support: tuple = field(default=(), repr=False, compare=False)
 
 
 class _Simplex:
@@ -114,8 +117,9 @@ class _Simplex:
             self.beta.append(f * row[-1])
         self.D = 1
         self.basis = [self.m + r for r in range(k)]
-        if self.m >= PACKED_WIDTH:
-            self.row_bounds = [max(map(abs, row[:-1])) for row in system.rows]
+        if self.m >= PACKED_WIDTH:  # each row's bound and packing from its table
+            self.tables = system.value_tables
+            self.row_bounds = [max(map(abs, table)) for table, _ in self.tables]
             self.packed = {}
         else:  # the rows transposed, rhs left out
             self.columns = tuple(zip(*self.rows))[:-1] if self.rows else ((),) * self.m
@@ -175,10 +179,10 @@ class _Simplex:
         words = (max(bound, *self.row_bounds).bit_length() + 64) // 64
         if words not in self.packed:
             tops = _tops(self.m, words)
-            self.packed[words] = (tops, *(_pack(row[:-1], words, tops) for row in self.rows))
+            self.packed[words] = (tops, *(_pack(*table, words, tops) for table in self.tables))
         tops, *rows = self.packed[words]
         if words not in self.packed_costs:
-            self.packed_costs[words] = _pack(self.costs[: self.m], words, tops)
+            self.packed_costs[words] = _pack(*self.cost_table, words, tops)
         fields = sum(map(mul, w, rows)) + tops - D * self.packed_costs[words]
         negative = tops & ~fields
         if not negative:
@@ -234,7 +238,8 @@ class _Simplex:
         self.w, self.z0 = [0] * self.k, 0
         self.degenerate = False
         if self.m >= PACKED_WIDTH:
-            self.cost_bound = max(map(abs, costs[: self.m]))
+            self.cost_table = tabulate(costs[: self.m])
+            self.cost_bound = max(map(abs, self.cost_table[0]))
             self.packed_costs = {}
         for row, b, i in zip(self.E, self.beta, self.basis):
             if costs[i]:
@@ -304,12 +309,13 @@ def _tops(m, words) -> int:
     return int.from_bytes((bytes(8 * words - 1) + b"\x80") * m, "little")
 
 
-def _pack(values, words, tops) -> int:
-    """sum_j values[j] 2^(B j), B = 64 words, for |values| < 2^(B-1) and tops =
-    _tops(len(values), words): each distinct value is put in two's complement
-    once, and the fields whose sign bit is set then borrow from the next."""
-    table = {v: v.to_bytes(8 * words, "little", signed=True) for v in set(values)}
-    fields = int.from_bytes(b"".join(map(table.__getitem__, values)), "little")
+def _pack(table, codes, words, tops) -> int:
+    """sum_j table[codes[j]] 2^(B j), B = 64 words, for table entries below
+    2^(B-1) in absolute value and tops = _tops(len(codes), words): each entry
+    is put in two's complement once, the fields are joined by code, and the
+    fields whose sign bit is set then borrow from the next."""
+    table = [v.to_bytes(8 * words, "little", signed=True) for v in table]
+    fields = int.from_bytes(b"".join(map(table.__getitem__, codes)), "little")
     return fields - ((fields & tops) << 1)
 
 
@@ -348,10 +354,12 @@ def _check_optimum(system: LinearSystem, w, value, L, costs, cost_scale):
 
 
 def _solution(system: LinearSystem, x, D) -> tuple:
+    """(solution, support): the point x / D and its non-zero entries (j, v)."""
+    support = tuple([(j, Fraction(v, D)) for j, v in x.items() if v])
     solution = [ZERO] * system.n_unknowns
-    for j, v in x.items():
-        solution[j] = Fraction(v, D)
-    return tuple(solution)
+    for j, v in support:
+        solution[j] = v
+    return tuple(solution), support
 
 
 def _refutation(system: LinearSystem, simplex: _Simplex) -> tuple:
@@ -370,7 +378,8 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityCertificate:
         x, D = simplex.point()
         if not system.solves(x, D):
             raise RuntimeError("solver produced a non-solution")
-        return FeasibilityCertificate(True, solution=_solution(system, x, D))
+        solution, support = _solution(system, x, D)
+        return FeasibilityCertificate(True, solution, support=support)
     dual, margin = _refutation(system, simplex)
     return FeasibilityCertificate(False, dual=dual, margin=margin)
 
@@ -398,7 +407,8 @@ def maximize_linear(system: LinearSystem, objective: Sequence) -> OptimizationRe
         raise RuntimeError("optimizer produced a non-solution")
     _check_optimum(system, w, value, L, costs, cost_scale)
     dual = tuple(Fraction(s * v, L) for v, s in zip(w, system.scales))
-    return OptimizationResult(Fraction(value, L), _solution(system, x, D), dual=dual)
+    solution, support = _solution(system, x, D)
+    return OptimizationResult(Fraction(value, L), solution, dual=dual, support=support)
 
 
 def maximize_component_sum(system: LinearSystem, index_set) -> OptimizationResult:

@@ -43,7 +43,14 @@ to it.  `fraction_sigma` is the solvability system as Fraction rows, which
 through `LinearSystem.from_fractions` the two must give identical rows and
 scales.  `fraction_rows` reads a system's integer rows back as Fraction
 equalities and right-hand sides, the view `LinearSystem` used to carry for
-the tests alone.
+the tests alone.  `table_rows` reads them back from the system's value
+tables, entry j of row r as table[codes[j]], which must give every row's
+entries.
+
+`tuple_partition` is the keyed partition as sorted joint code tuples, one
+`zip` over the lanes and a set of tuples, as `keyed_partition` returned it
+before it returned code columns from byte records; the columns must be its
+tuples transposed, one column per lane.
 
 `per_world_constituents` is the partition of a family of conditional events
 that classifies each world member by member as true, false or void; the
@@ -594,6 +601,19 @@ def fraction_sigma(assessment, partition=None):
     equalities = [tuple(point[i] for point in points) for i in range(len(mus))]
     labels = [profile_label(c.profile[:len(mus)]) for c in inside]
     return equalities, mus, labels
+
+
+def tuple_partition(codes, voids):
+    """The joint code tuples of the lanes `codes`, all but the all-void
+    one, sorted: the blocks of `keyed_partition`, a tuple per block."""
+    keys = set(zip(*codes))
+    keys.discard(tuple(voids))
+    return sorted(keys)
+
+
+def table_rows(system):
+    """Each row's entries, rhs left out, read from its value table by code."""
+    return [tuple(table[c] for c in codes) for table, codes in system.value_tables]
 
 
 def profile_label(profile):

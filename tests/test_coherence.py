@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_book_gains, fraction_rows, fraction_sigma, worlds_of
+from oracles import fraction_book_gains, fraction_rows, fraction_sigma, table_rows, worlds_of
 from prevision import (
     Assessment,
     CompoundPrevisionMap,
@@ -178,8 +178,8 @@ class TestCheckCoherence:
             ConditionalQuantity.from_values(h, {w: F(w % 3, 4) for w in worlds_of(h)}),
         ]
         for q in quantities:
-            keys = [(c,) for c in range(len(q.levels))]
-            assert keys == keyed_partition([q.codes], [len(q.levels)])
+            columns = keyed_partition([q.codes], [len(q.levels)])
+            assert [*map(tuple, columns)] == [tuple(range(len(q.levels)))]
         assert [len(q.levels) for q in quantities] == [2, 1, 4, 3, 4, 3]
 
         def no_world_pass(*args):
@@ -246,7 +246,7 @@ class TestCheckCoherence:
         assert not verdict.coherent
         assert [r.member_indices for r in verdict.trace] == [(1, 2, 3), (2, 3)]
         assert verdict.dutch_book.member_indices == (2, 3)
-        level_one = len(build_sigma(assessment).keys)
+        level_one = len(build_sigma(assessment).codes[0])
         assert passes[:2] == [("worlds", 3, len(space)), ("projection", 2, level_one)]
 
         # the grid7 and conj-scale shapes: one world pass per check
@@ -261,7 +261,8 @@ class TestCheckCoherence:
             kinds = [kind for kind, _, _ in passes]
             assert kinds == ["worlds"] + ["projection"] * (kinds.count("projection"))
             assert passes[0][2] == len(case.space)
-            assert kinds.count("projection") == sum(r.feasible for r in verdict.trace)
+            # a level that leaves members at zero projects the columns for the next
+            assert kinds.count("projection") == sum(bool(r.i0) for r in verdict.trace)
         # the views, which build constituents, meet the guard
         with pytest.raises(AssertionError, match="constituent object"):
             quantity_constituents(case.family)
@@ -369,9 +370,8 @@ def assert_book_check_matches_fraction_gains(assessment, book):
     just above it."""
     reference = fraction_book_gains(assessment, book)
     sub = assessment.restrict([p - 1 for p in book.member_indices])
-    partition = quantity_constituents(sub.family)
     assert dutch_book_gains(assessment, book) == reference
-    system = build_sigma(sub, [c.codes for c in partition[0]])
+    system = build_sigma(sub)
     least = min(g for _, g in reference)
     at_least = DutchBook(book.member_indices, book.stakes, least)
     if least > 0:
@@ -426,7 +426,7 @@ class TestIntegerBookCheck:
 def assert_rows_match_fraction_sigma(assessment, partition=None):
     """build_sigma's integer rows and scales equal the oracle's Fraction rows
     through LinearSystem.from_fractions, and its views give them back."""
-    system = build_sigma(assessment, partition and [c.codes for c in partition[0]])
+    system = build_sigma(assessment, partition and [*zip(*(c.codes for c in partition[0]))])
     equalities, rhs, labels = fraction_sigma(assessment, partition)
     assert system == LinearSystem.from_fractions(equalities, rhs, labels)
     assert fraction_rows(system) == (tuple(equalities), rhs)
@@ -488,6 +488,46 @@ class TestIntegerRows:
             base = Assessment(members, tuple(F(rng.randint(0, 5), 5) for _ in range(size)))
             partition = quantity_constituents(members + (draw("T"),))
             assert_rows_match_fraction_sigma(base, partition)
+
+    def test_propagation_systems_tables_reproduce_their_rows(self, monkeypatch):
+        """The Charnes-Cooper and void-target systems of extension intervals
+        derive their value tables from their rows, and table[code] gives
+        back every entry, as it does on the level systems of build_sigma."""
+        import prevision.coherence as coherence
+
+        kinds = {"build_sigma": 0, "charnes-cooper": 0, "void-target": 0}
+
+        def checked(real):
+            def solve(system, *args):
+                assert table_rows(system) == [row[:-1] for row in system.rows]
+                if system.tables is not None:
+                    kinds["build_sigma"] += 1
+                else:
+                    kinds["void-target" if system.normalization else "charnes-cooper"] += 1
+                return real(system, *args)
+            return solve
+
+        monkeypatch.setattr(coherence, "_linear_range", checked(coherence._linear_range))
+        monkeypatch.setattr(coherence, "_m_values", checked(coherence._m_values))
+        space = build_world_space(["A", "B", "C"])
+        pool = TestExactPropagation.EVENT_POOL
+        rng = random.Random(64)
+
+        def draw(label):
+            return indicator(
+                ConditionalEvent(space.event(rng.choice(pool)), space.event(rng.choice(pool))),
+                label,
+            )
+
+        for _ in range(3000):
+            if min(kinds.values()) >= 5:
+                break
+            size = rng.randint(1, 3)
+            members = tuple(draw(f"X{i}") for i in range(1, size + 1))
+            base = Assessment(members, tuple(F(rng.randint(0, 5), 5) for _ in range(size)))
+            if check_coherence(base).coherent:
+                extension_interval(base, draw("T"))
+        assert min(kinds.values()) >= 5
 
 
 class TestValueTable:

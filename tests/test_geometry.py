@@ -12,6 +12,8 @@ from oracles import (
     per_world_codes,
     per_world_conjunction,
     per_world_constituents,
+    table_rows,
+    tuple_partition,
     worlds_of,
 )
 
@@ -30,6 +32,7 @@ from prevision import (
     make_disjunction,
 )
 from prevision.geometry import (
+    _CHUNK,
     build_sigma,
     build_sigma_star,
     conjunction_signatures,
@@ -171,9 +174,9 @@ def test_void_takes_the_code_after_the_last_level(n_levels):
     q = ConditionalQuantity.from_values(Event(space, mask_of(given)), given)
     assert list(q.codes) == [*range(n_levels), *[n_levels] * (len(space) - n_levels)]
     assert type(q.codes) is (bytes if n_levels <= 255 else tuple)
-    keys = keyed_partition([q.codes], [n_levels])
-    assert keys == [(c,) for c in range(n_levels)]
-    assert build_sigma(Assessment((q,), (q.levels[-1],)), keys).rows[0][:-1] == tuple(
+    columns = keyed_partition([q.codes], [n_levels])
+    assert columns == [(bytes if n_levels <= 255 else tuple)(range(n_levels))]
+    assert build_sigma(Assessment((q,), (q.levels[-1],)), columns).rows[0][:-1] == tuple(
         n_levels - c for c in range(n_levels)
     )
 
@@ -586,7 +589,8 @@ def test_keyed_partition_matches_the_constituents_and_projects():
     for family in _classifier_families(seen):
         quantities = [indicator(ce) for ce in family]
         voids = [len(q.levels) for q in quantities]
-        keys = keyed_partition([q.codes for q in quantities], voids)
+        columns = keyed_partition([q.codes for q in quantities], voids)
+        keys = [*zip(*columns)]
         assert keys == [c.codes for c in quantity_constituents(quantities)[0]]
         # each key's worlds and marks are the classifier's block
         worlds = {}
@@ -599,8 +603,7 @@ def test_keyed_partition_matches_the_constituents_and_projects():
         assert [(frozenset(worlds[key]), label) for key, label in zip(keys, marks)] == [
             block for block in per_world_constituents(family) if set(block[1]) != {"0"}
         ]
-        # the projection of the keys onto members is the members' partition
-        columns = list(zip(*keys))
+        # the projection of the columns onto members is the members' partition
         for r in range(1, len(quantities) + 1):
             for members in itertools.combinations(range(len(quantities)), r):
                 projected = keyed_partition([columns[i] for i in members], [voids[i] for i in members])
@@ -609,6 +612,74 @@ def test_keyed_partition_matches_the_constituents_and_projects():
                 )
                 projections += 1
     assert min(seen.values()) > 100 and projections > 3000
+
+
+def _random_lanes(rng, members, n_worlds, voids, void_share):
+    """Per member, codes 0..void on n_worlds worlds, void on about
+    `void_share` of them: bytes while the void code fits a byte, else a tuple."""
+    lanes = []
+    for void in voids:
+        codes = [
+            void if rng.random() < void_share else rng.randrange(void) for _ in range(n_worlds)
+        ]
+        lanes.append(bytes(codes) if void < 256 else tuple(codes))
+    return lanes
+
+
+def assert_columns_match_the_tuple_partition(lanes, voids):
+    columns = keyed_partition(lanes, voids)
+    keys = tuple_partition(lanes, voids)
+    assert len(columns) == len(lanes)
+    for column, void in zip(columns, voids):
+        assert type(column) is (bytes if void < 256 else tuple)
+        assert len(column) == len(keys)
+    assert [*zip(*columns)] == keys
+    return columns
+
+
+def test_partition_columns_are_the_tuple_partition_transposed():
+    """The columns from byte records hold the tuple partition's keys: lanes
+    1, 2 and 4 bytes wide, 1 to 11 members, one world, families with no
+    block, and every projection of the columns onto a sub-family."""
+    rng = random.Random(23)
+    widths = {1: 0, 2: 0, 4: 0}
+    projections = 0
+    for members in range(1, 12):
+        for n_worlds in (1, 2, 64, 300):
+            for void_share in (0.0, 0.3, 1.0):
+                voids = [rng.choice((1, 2, 3, 255, 256, 300, 70000)) for _ in range(members)]
+                lanes = _random_lanes(rng, members, n_worlds, voids, void_share)
+                columns = assert_columns_match_the_tuple_partition(lanes, voids)
+                for void in voids:
+                    widths[1 if void < 256 else 2 if void < 65536 else 4] += 1
+                if void_share == 1.0:
+                    assert columns == [b"" if void < 256 else () for void in voids]
+                for r in range(1, min(members, 4) + 1):
+                    for sub in itertools.combinations(range(members), r):
+                        projected = assert_columns_match_the_tuple_partition(
+                            [columns[i] for i in sub], [voids[i] for i in sub]
+                        )
+                        full = keyed_partition([lanes[i] for i in sub], [voids[i] for i in sub])
+                        assert projected == full
+                        projections += 1
+    assert min(widths.values()) > 20 and projections > 1000
+    # past one record buffer: blocks found in different buffers merge
+    for members in (1, 3, 11):
+        voids = [rng.choice((2, 3, 300, 70000)) for _ in range(members)]
+        lanes = _random_lanes(rng, members, 2 * _CHUNK + 5, voids, 0.3)
+        assert_columns_match_the_tuple_partition(lanes, voids)
+    # quantities: a from_values lane past 255 levels beside indicators
+    space = build_world_space([f"A{i}" for i in range(9)])
+    given = {w: F(rng.randrange(1000), 7) for w in rng.sample(range(len(space)), 450)}
+    wide = ConditionalQuantity.from_values(Event(space, mask_of(given)), given)
+    assert isinstance(wide.codes, tuple)
+    family = [wide, indicator(ConditionalEvent(space.event("A0"), space.event("A1 | A2")))]
+    lanes, voids = [q.codes for q in family], [len(q.levels) for q in family]
+    assert_columns_match_the_tuple_partition(lanes, voids)
+    # one world
+    one = build_world_space(["A"], ["A"])
+    q = indicator(ConditionalEvent(one.event("A"), one.everything))
+    assert keyed_partition([q.codes], [len(q.levels)]) == [b"\x00"]
 
 
 def test_build_sigma_substitutes_previsions():

@@ -29,6 +29,7 @@ from oracles import (
     oracle_feasible,
     oracle_maximum,
     per_field_pack,
+    table_rows,
 )
 from prevision import lp
 from prevision import (
@@ -40,7 +41,13 @@ from prevision import (
     indicator,
     make_conjunction,
 )
-from prevision.geometry import LinearSystem, build_sigma, build_sigma_star, scale_to_integers
+from prevision.geometry import (
+    LinearSystem,
+    build_sigma,
+    build_sigma_star,
+    scale_to_integers,
+    tabulate,
+)
 from prevision.lp import maximize_component_sum, maximize_linear, solve_feasibility
 
 
@@ -759,29 +766,91 @@ def test_packing_puts_each_value_in_its_field():
     for values, widths in ((small, (1, 2, 3)), (large, (2, 3))):
         for words in widths:
             expected = sum(v << 64 * words * j for j, v in enumerate(values))
-            assert lp._pack(values, words, lp._tops(len(values), words)) == expected
+            assert lp._pack(*tabulate(values), words, lp._tops(len(values), words)) == expected
 
 
 def test_packing_by_distinct_value_matches_packing_per_field():
-    """One `to_bytes` per distinct value gives the int that one per field
-    gave: on the wide systems' rows and costs, on dense rows past 2^63, and
-    on rows that hold a single value."""
-    def check(values):
-        bits = max(abs(v) for v in values).bit_length()
+    """One `to_bytes` per table entry and a join by code give the int that
+    one `to_bytes` per field gave: on the value tables of wide build_sigma
+    systems and of wide systems built from Fractions, on their costs, on
+    dense rows past 2^63 (tuple codes past 256 values), and on rows that
+    hold a single value."""
+    def check(table, codes):
+        values = [table[c] for c in codes]
+        bits = max(map(abs, table)).bit_length()
         for words in range((bits + 64) // 64, (bits + 64) // 64 + 2):
-            assert lp._pack(values, words, lp._tops(len(values), words)) == per_field_pack(values, words)
+            packed = lp._pack(table, codes, words, lp._tops(len(codes), words))
+            assert packed == per_field_pack(values, words)
 
     rng = random.Random(11)
-    for system, objective in wide_systems():
-        for row in system.rows:
-            check(list(row[:-1]))
-        check(scale_to_integers(objective)[0])
+    conjunctions = [(s, o[0]) for s, o in conjunction_systems() if s.n_unknowns >= lp.PACKED_WIDTH]
+    wide = [*wide_systems(), *conjunctions]
+    assert any(s.tables for s, _ in wide) and any(s.tables is None for s, _ in wide)
+    for system, objective in wide:
+        for table in system.value_tables:
+            check(*table)
+        check(*tabulate(scale_to_integers(objective)[0]))
     for _ in range(20):
         m = lp.PACKED_WIDTH + rng.randrange(200)
-        check([rng.randint(-(2 ** 90), 2 ** 90) for _ in range(m)])
-        check([rng.choice((-1, 1)) * (2 ** 63 + rng.randrange(5)) for _ in range(m)])
+        check(*tabulate([rng.randint(-(2 ** 90), 2 ** 90) for _ in range(m)]))
+        check(*tabulate([rng.choice((-1, 1)) * (2 ** 63 + rng.randrange(5)) for _ in range(m)]))
     for v in (0, 1, -1, 2 ** 63 - 1, -(2 ** 63) + 1, 2 ** 63, -(2 ** 100)):
-        check([v] * lp.PACKED_WIDTH)
+        check(*tabulate([v] * lp.PACKED_WIDTH))
+
+
+def test_value_tables_reproduce_the_rows():
+    """table[code] is every row's entry: on build_sigma systems, whose tables
+    are the scaled (levels, mu) per member and (1,) at code 0 for the
+    normalization row, and on systems built from Fractions, whose tables are
+    derived from their rows; the packed pricing reads these tables."""
+    given = derived = 0
+    systems = [s for s, _ in conjunction_systems()]
+    systems += [s for s, _ in wide_systems()] + [s for s, _ in differential_systems(count=60)]
+    for system in systems:
+        assert table_rows(system) == [row[:-1] for row in system.rows]
+        if system.tables is None:
+            derived += system.n_unknowns >= lp.PACKED_WIDTH
+            continue
+        given += system.n_unknowns >= lp.PACKED_WIDTH
+        *members, normalization = system.value_tables
+        assert normalization == ((1,), bytes(system.n_unknowns))
+        assert [codes for _, codes in members] == list(system.codes)
+        assert [table[-1] for table, _ in members] == [row[-1] for row in system.rows[:-1]]
+    assert given >= 4 and derived >= 12
+
+
+def test_wide_systems_from_fractions_reach_the_fraction_optimum():
+    """Wide systems built from Fractions, priced from their derived tables,
+    decide feasibility and reach the optimum of the Fraction tableau."""
+    optima = 0
+    for system, objective in wide_systems(count=8):
+        assert system.n_unknowns >= lp.PACKED_WIDTH and system.tables is None
+        reference = fraction_maximize_linear(system, objective)
+        assert solve_feasibility(system).feasible == (reference is not None)
+        if reference is None:
+            continue
+        result = maximize_linear(system, objective)
+        assert (result.bounded, result.value) == (reference.bounded, reference.value)
+        optima += result.bounded
+    assert optima >= 2
+
+
+def test_support_is_the_nonzero_entries_of_the_solution():
+    """`support` pairs each non-zero entry of a feasible point or maximizer
+    with its index, so a witness's mass needs no pass over its zeros."""
+    supports = 0
+    systems = [*conjunction_systems(), *differential_systems(count=80)]
+    for system, objectives in systems:
+        if isinstance(objectives, list):  # one objective, not a tuple of them
+            objectives = (objectives,)
+        cert = solve_feasibility(system)
+        results = [cert, *(maximize_linear(system, o) for o in objectives)] if cert.feasible else []
+        for result in results:
+            if result.solution is None:
+                continue
+            assert sorted(result.support) == [(j, v) for j, v in enumerate(result.solution) if v]
+            supports += 1
+    assert supports > 60
 
 
 def test_a_dropped_wide_system_is_freed_without_the_cycle_collector():
