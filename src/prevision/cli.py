@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .closed_form import lambda_solution_TL, lambda_solution_TM
 from .coherence import check_coherence, extension_interval, value_table
@@ -40,6 +39,7 @@ from .geometry import (
     make_conjunction,
     make_disjunction,
 )
+from .record import Record
 
 # No double formats differently past about 770 significant digits.
 MAX_PRECISION = 1000
@@ -58,7 +58,7 @@ class ProblemError(PrevisionError):
     """A problem file or argument failed validation; the message names the spot."""
 
 
-def parse_rational(raw: Any, where: str) -> Fraction:
+def parse_rational(raw: object, where: str) -> Fraction:
     """Exact rational from "p/q", a decimal string, an int, a Decimal or a float.
 
     A Decimal (a JSON number with a fraction or exponent) goes through its exact
@@ -80,16 +80,17 @@ def parse_rational(raw: Any, where: str) -> Fraction:
         raise ProblemError(f"{where}: {shown} is not a valid rational ({exc})") from None
 
 
-@dataclass
-class Problem:
+class Problem(Record):
     """A parsed problem file: the world space, every named quantity, the
-    assessed sub-family in file order, and the query parameters."""
+    assessed sub-family in file order, and the query parameters.  Unlike
+    the other records it may be changed, so it has no hash."""
 
-    space: WorldSpace
-    quantities: Dict[str, ConditionalQuantity]
-    order: Tuple[str, ...]
-    values: Tuple[Fraction, ...]
-    query: Dict[str, Any] = field(default_factory=dict)
+    _compared = _shown = ("space", "quantities", "order", "values", "query")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, space: WorldSpace, quantities: dict, order, values, query=None):
+        self.space, self.quantities, self.order, self.values = space, quantities, order, values
+        self.query = {} if query is None else query
 
     def assessment(self) -> Assessment:
         if not self.order:
@@ -98,7 +99,7 @@ class Problem:
         return Assessment(family, self.values)
 
 
-def _require_list_of_str(data: Any, key: str, required: bool) -> List[str]:
+def _require_list_of_str(data: object, key: str, required: bool) -> list[str]:
     raw = data.get(key, None)
     if raw is None:
         if required:
@@ -109,7 +110,7 @@ def _require_list_of_str(data: Any, key: str, required: bool) -> List[str]:
     return raw
 
 
-def _entries(data: Dict[str, Any], key: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
+def _entries(data: dict, key: str) -> Iterator[tuple[str, dict]]:
     """(where, entry) for each object of the optional list `key`."""
     raw = data.get(key)
     if raw is not None and not isinstance(raw, list):
@@ -121,7 +122,7 @@ def _entries(data: Dict[str, Any], key: str) -> Iterator[Tuple[str, Dict[str, An
         yield where, entry
 
 
-def _parse_subset(key: str, size: int, where: str) -> Tuple[int, ...]:
+def _parse_subset(key: str, size: int, where: str) -> tuple[int, ...]:
     shown = abridged(key)
     try:
         indices = tuple(int(part.strip()) for part in key.split(","))
@@ -134,7 +135,7 @@ def _parse_subset(key: str, size: int, where: str) -> Tuple[int, ...]:
     return indices
 
 
-def build_problem(data: Any, origin: str = "problem") -> Problem:
+def build_problem(data: object, origin: str = "problem") -> Problem:
     if not isinstance(data, dict):
         raise ProblemError(f"{origin}: top level must be a JSON object")
     atoms = _require_list_of_str(data, "atoms", required=True)
@@ -146,10 +147,10 @@ def build_problem(data: Any, origin: str = "problem") -> Problem:
     except ValueError as exc:
         raise ProblemError(f"atoms: {exc}") from None
 
-    events: Dict[str, ConditionalEvent] = {}
-    quantities: Dict[str, ConditionalQuantity] = {}
+    events: dict[str, ConditionalEvent] = {}
+    quantities: dict[str, ConditionalQuantity] = {}
 
-    def declare(name: Any, where: str) -> str:
+    def declare(name: object, where: str) -> str:
         if not isinstance(name, str) or not name:
             raise ProblemError(f"{where}: missing or empty name")
         if name in quantities:
@@ -250,11 +251,11 @@ def exact_text(value: Fraction) -> str:
     return str(value)
 
 
-def _arguments(ns: argparse.Namespace) -> List[Fraction]:
+def _arguments(ns: argparse.Namespace) -> list[Fraction]:
     return [parse_rational(v, f"argument {i}") for i, v in enumerate(ns.values, 1)]
 
 
-def _trace(trace) -> Tuple[List[Dict[str, Any]], List[str]]:
+def _trace(trace) -> tuple[list[dict], list[str]]:
     """The JSON entries and the text lines of a verdict's levels."""
     entries, lines = [], []
     for depth, level in enumerate(trace, 1):
@@ -278,10 +279,10 @@ def _trace(trace) -> Tuple[List[Dict[str, Any]], List[str]]:
     return entries, lines
 
 
-def cmd_check(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
+def cmd_check(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
     verdict = check_coherence(load_problem(ns.problem).assessment())
     trace, levels = _trace(verdict.trace)
-    report: Dict[str, Any] = {
+    report: dict = {
         "verdict": "coherent" if verdict.coherent else "incoherent",
         "trace": trace,
         "dutchBook": None,
@@ -312,7 +313,7 @@ def _query_target(problem: Problem, command: str) -> ConditionalQuantity:
     return problem.quantities[name]
 
 
-def cmd_extend(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
+def cmd_extend(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
     problem = load_problem(ns.problem)
     target = _query_target(problem, "extend")
     result = extension_interval(problem.assessment(), target)
@@ -325,7 +326,7 @@ def cmd_extend(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
     return 0, report, lines
 
 
-def cmd_bounds(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
+def cmd_bounds(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
     fn = (
         frechet_bounds_conjunction
         if ns.kind == "conjunction"
@@ -353,7 +354,7 @@ def parse_parameter(raw: str) -> FrankParameter:
     return FrankParameter.from_value(value)
 
 
-def cmd_tnorm(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
+def cmd_tnorm(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
     operator = tnorm if ns.command == "tnorm" else tconorm
     result = operator(parse_parameter(ns.lam), _arguments(ns))
     exact = isinstance(result, Fraction)
@@ -361,7 +362,7 @@ def cmd_tnorm(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
     return 0, {"value": text, "exact": exact}, [f"value: {text}"]
 
 
-def cmd_solve_lambda(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
+def cmd_solve_lambda(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
     values = _arguments(ns)
     target = parse_rational(ns.target, "--target")
     parameter, unique = solve_lambda(values, target)
@@ -380,7 +381,7 @@ def cmd_solve_lambda(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[
     return 0, report, lines
 
 
-def cmd_lambda_solution(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
+def cmd_lambda_solution(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
     if len(ns.values) > MAX_SOLUTION_VALUES:
         raise ProblemError(f"{len(ns.values)} values given; at most {MAX_SOLUTION_VALUES}")
     builder = lambda_solution_TL if ns.boundary == "lower" else lambda_solution_TM
@@ -388,7 +389,7 @@ def cmd_lambda_solution(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], Li
     components = {
         label: exact_text(mass) for label, mass in zip(vector.labels(), vector.as_tuple())
     }
-    report: Dict[str, Any] = {
+    report: dict = {
         "boundary": ns.boundary,
         "case": vector.case,
         "components": components,
@@ -401,7 +402,7 @@ def cmd_lambda_solution(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], Li
     return 0, report, lines
 
 
-def cmd_table(ns: argparse.Namespace) -> Tuple[int, Dict[str, Any], List[str]]:
+def cmd_table(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
     problem = load_problem(ns.problem)
     target = _query_target(problem, "table")
     rows = [
@@ -479,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

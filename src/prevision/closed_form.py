@@ -12,14 +12,14 @@ assessment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from types import MappingProxyType
 
 from .errors import OutOfRange
 from .frank import FrankParameter, tnorm
 from .geometry import conjunction_signatures, signature_label, to_fraction
+from .record import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -35,25 +35,26 @@ def _unit_fractions(values) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class LambdaVector:
-    """Mass per member subset S (S = the unbarred members), summing to one."""
+class LambdaVector(Record):
+    """Mass per member subset S (S = the unbarred members), summing to one;
+    `components` is a read-only view, in `conjunction_signatures` order."""
 
-    n: int
-    components: dict
-    case: Optional[str] = None
-    permutation: Optional[tuple] = None
+    _compared = _shown = ("n", "components", "case", "permutation")
 
-    def __post_init__(self):
-        sigs = conjunction_signatures(self.n)
-        components = {s: self.components.get(s, ZERO) for s in sigs}
-        if set(self.components) - set(sigs):
+    def __init__(self, n: int, components: dict, case: str | None = None, permutation=None):
+        sigs = conjunction_signatures(n)
+        if set(components) - set(sigs):
             raise ValueError("component key is not a member subset")
+        components = {s: components.get(s, ZERO) for s in sigs}
         if any(v < 0 for v in components.values()):
             raise ValueError("negative mass")
         if sum(components.values()) != 1:
             raise ValueError("mass does not sum to one")
-        object.__setattr__(self, "components", components)
+        components = MappingProxyType(components)
+        vars(self).update(n=n, components=components, case=case, permutation=permutation)
+
+    def _key(self) -> tuple:
+        return self.n, tuple(self.components.items()), self.case, self.permutation
 
     def __getitem__(self, subset) -> Fraction:
         return self.components[frozenset(subset)]
@@ -146,21 +147,14 @@ def lambda_solution_TM(xs) -> LambdaVector:
     return LambdaVector(n, entries, case="sorted-steps", permutation=permutation)
 
 
-@dataclass(frozen=True)
-class Family7Assessment:
+class Family7Assessment(Record):
     """Previsions on three conditionals, their three pairings, and the triple."""
 
-    x_1: Fraction
-    x_2: Fraction
-    x_3: Fraction
-    x_12: Fraction
-    x_13: Fraction
-    x_23: Fraction
-    x_123: Fraction
+    _compared = _shown = ("x_1", "x_2", "x_3", "x_12", "x_13", "x_23", "x_123")
 
-    def __post_init__(self):
-        for name in ("x_1", "x_2", "x_3", "x_12", "x_13", "x_23", "x_123"):
-            object.__setattr__(self, name, _unit_fractions([getattr(self, name)])[0])
+    def __init__(self, x_1, x_2, x_3, x_12, x_13, x_23, x_123):
+        xs = _unit_fractions((x_1, x_2, x_3, x_12, x_13, x_23, x_123))
+        vars(self).update(zip(self._compared, xs))
 
     @classmethod
     def _all_tnorm(cls, parameter, x_1, x_2, x_3) -> "Family7Assessment":
@@ -199,12 +193,11 @@ def family7_bounds(x_1, x_2, x_3, x_12, x_13, x_23) -> tuple[Fraction, Fraction]
     return lower, upper
 
 
-@dataclass(frozen=True)
-class Family7Verdict:
-    coherent: bool
-    lower: Fraction
-    upper: Fraction
-    failure: Optional[str] = None
+class Family7Verdict(Record):
+    _compared = _shown = ("coherent", "lower", "upper", "failure")
+
+    def __init__(self, coherent: bool, lower: Fraction, upper: Fraction, failure=None):
+        vars(self).update(coherent=coherent, lower=lower, upper=upper, failure=failure)
 
 
 def check_family7(assessment: Family7Assessment) -> Family7Verdict:

@@ -9,9 +9,7 @@ union of antecedents of the failing sub-family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import IncoherentBase
 from .geometry import (
@@ -24,6 +22,7 @@ from .geometry import (
     quantity_constituents,
 )
 from .lp import maximize_component_sum, maximize_linear, solve_feasibility
+from .record import Record
 
 # Not called here: kept importable because benchmarks/tracing.py patches them by name.
 from .closed_form import family7_bounds  # noqa: F401
@@ -33,8 +32,7 @@ from .geometry import constituents_in_all_antecedents, enumerate_constituents  #
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class DutchBook:
+class DutchBook(Record):
     """Stakes against a sub-family with a uniformly positive gain.
 
     `member_indices` are 1-based positions in the assessed family; `stakes`
@@ -42,42 +40,45 @@ class DutchBook:
     constituent inside the sub-family's union of antecedents.
     """
 
-    member_indices: tuple
-    stakes: tuple
-    margin: Fraction
+    _compared = _shown = ("member_indices", "stakes", "margin")
+
+    def __init__(self, member_indices: tuple, stakes: tuple, margin: Fraction):
+        vars(self).update(member_indices=member_indices, stakes=stakes, margin=margin)
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(Record):
     """One level of the recursion: which members were in play and what the
-    solvability analysis found."""
+    solvability analysis found; `solution`, `m_values` and the zero-mass
+    set `i0` are None on an unsolvable level."""
 
-    member_indices: tuple
-    labels: tuple
-    feasible: bool
-    solution: Optional[tuple]
-    m_values: Optional[tuple]
-    m_witnessed: frozenset
-    i0: Optional[frozenset]
+    _compared = _shown = (
+        "member_indices", "labels", "feasible", "solution", "m_values", "m_witnessed", "i0"
+    )
 
-
-@dataclass(frozen=True)
-class CoherenceVerdict:
-    coherent: bool
-    trace: tuple
-    dutch_book: Optional[DutchBook] = None
+    def __init__(self, member_indices, labels, feasible, solution, m_values, m_witnessed, i0):
+        vars(self).update(
+            member_indices=member_indices, labels=labels, feasible=feasible, solution=solution,
+            m_values=m_values, m_witnessed=m_witnessed, i0=i0,
+        )
 
 
-@dataclass(frozen=True)
-class ExtensionInterval:
+class CoherenceVerdict(Record):
+    _compared = _shown = ("coherent", "trace", "dutch_book")
+
+    def __init__(self, coherent: bool, trace: tuple, dutch_book: DutchBook | None = None):
+        vars(self).update(coherent=coherent, trace=trace, dutch_book=dutch_book)
+
+
+class ExtensionInterval(Record):
     """The closed interval of coherent values for one further quantity.
 
     Every path computes both endpoints exactly, so `exact` is always True.
     """
 
-    lower: Fraction
-    upper: Fraction
-    exact: bool
+    _compared = _shown = ("lower", "upper", "exact")
+
+    def __init__(self, lower: Fraction, upper: Fraction, exact: bool):
+        vars(self).update(lower=lower, upper=upper, exact=exact)
 
 
 def _book_gains(system: LinearSystem, stakes):
@@ -215,7 +216,7 @@ def check_coherence(assessment: Assessment) -> CoherenceVerdict:
     raise RuntimeError("recursion failed to terminate")
 
 
-def find_dutch_book(assessment: Assessment) -> Optional[DutchBook]:
+def find_dutch_book(assessment: Assessment) -> DutchBook | None:
     """The betting certificate of an incoherent assessment, None otherwise."""
     return check_coherence(assessment).dutch_book
 

@@ -14,11 +14,11 @@ one true/false/void pattern, are the partition of the family's indicators in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
 
 from .errors import EmptySpace, FormulaError, SpaceTooLarge, UnknownAtom, abridged
+from .record import Record
 
 # A world space numbers up to 2**MAX_ATOMS assignments; each event holds one
 # bit and each conditional quantity one code byte per world.  At 20 atoms
@@ -160,14 +160,16 @@ def _evaluate(node, atom_mask, full):
     return full ^ a ^ b  # eq
 
 
-@dataclass(frozen=True)
-class WorldSpace:
+class WorldSpace(Record):
     """The truth assignments over `atoms` surviving the constraints, bit a of
     `kept` set for each: world w is the w-th, in increasing (`itertools.product`)
     order, and atom i of n is true in assignment a when bit n - 1 - i is set."""
 
-    atoms: tuple[str, ...]
-    kept: int = field(repr=False)  # 2**len(atoms) bits, past the int-to-str limit
+    # kept has 2**len(atoms) bits, past the int-to-str limit: not shown
+    _compared, _shown = ("atoms", "kept"), ("atoms",)
+
+    def __init__(self, atoms: tuple[str, ...], kept: int):
+        vars(self).update(atoms=atoms, kept=kept)
 
     def __len__(self):
         return self.kept.bit_count()
@@ -231,13 +233,14 @@ def build_world_space(atoms, constraints=()) -> WorldSpace:
     return WorldSpace(atoms, kept)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """A set of worlds of one space, as a mask: bit w of `members` is set
     when world w is in the event."""
 
-    space: WorldSpace
-    members: int
+    _compared = ("space", "members")
+
+    def __init__(self, space: WorldSpace, members: int):
+        vars(self).update(space=space, members=members)
 
     def __repr__(self):
         # the mask has a bit per world, past the int-to-str limit at 14 atoms
@@ -270,17 +273,16 @@ class Event:
         return self.members == self.space._full
 
 
-@dataclass(frozen=True)
-class ConditionalEvent:
+class ConditionalEvent(Record):
     """E|H: consequent E regarded conditionally on a non-empty antecedent H."""
 
-    consequent: Event
-    antecedent: Event
+    _compared = _shown = ("consequent", "antecedent")
 
-    def __post_init__(self):
-        self.consequent._check(self.antecedent)
-        if self.antecedent.is_empty:
+    def __init__(self, consequent: Event, antecedent: Event):
+        consequent._check(antecedent)
+        if antecedent.is_empty:
             raise ValueError("antecedent must be non-empty")
+        vars(self).update(consequent=consequent, antecedent=antecedent)
 
     @property
     def space(self) -> WorldSpace:

@@ -11,13 +11,13 @@ always exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 from .errors import OutOfRange, TargetOutOfBounds
 from .geometry import to_fraction
+from .record import Record
 
 # expansion window around the product point, and the log-parameter horizon
 # beyond which the float closed form degenerates
@@ -32,20 +32,18 @@ class FrankKind(Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class FrankParameter:
+class FrankParameter(Record):
     """One member of the family; named kinds are never encoded as Generic."""
 
-    kind: FrankKind
-    value: Optional[float] = None
+    _compared = _shown = ("kind", "value")
 
-    def __post_init__(self):
-        if self.kind is FrankKind.GENERIC:
-            v = self.value
-            if v is None or not math.isfinite(v) or v <= 0 or v == 1:
+    def __init__(self, kind: FrankKind, value: float | None = None):
+        if kind is FrankKind.GENERIC:
+            if value is None or not math.isfinite(value) or value <= 0 or value == 1:
                 raise OutOfRange("generic parameter must be finite, positive, and not 1")
-        elif self.value is not None:
+        elif value is not None:
             raise ValueError("named kinds carry no numeric value")
+        vars(self).update(kind=kind, value=value)
 
     @classmethod
     def min(cls) -> "FrankParameter":
@@ -78,7 +76,7 @@ class FrankParameter:
         return cls.generic(value)
 
 
-Real = Union[int, float, Fraction]
+Real = int | float | Fraction
 
 
 def _validated(xs: Sequence[Real]) -> list:

@@ -26,17 +26,17 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, count, repeat
 from math import lcm
 from operator import itemgetter, or_
 from types import MappingProxyType
-from typing import Optional, Sequence
 
 from .errors import MissingPrevision, NotApplicable, OutOfRange
 from .events import ConditionalEvent, Event, WorldSpace, spread_bits
+from .record import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,8 +56,7 @@ def to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class ConditionalQuantity:
+class ConditionalQuantity(Record):
     """X|K: an exact value on every world of K, void elsewhere.
 
     Stored as `levels`, the distinct values in descending order, and `codes`,
@@ -70,15 +69,17 @@ class ConditionalQuantity:
     void value is supplied later through an assessment.
     """
 
-    conditioning: Event
-    levels: tuple
-    codes: tuple = field(repr=False)  # a byte per world, as WorldSpace.kept a bit
-    label: str = "X|K"
-    void_value: Optional[Fraction] = None
+    _compared = ("conditioning", "levels", "codes", "label", "void_value")
+    # codes holds a byte per world, as WorldSpace.kept a bit: not shown
+    _shown = ("conditioning", "levels", "label", "void_value")
 
-    def __post_init__(self):
-        if self.void_value is not None:
-            object.__setattr__(self, "void_value", to_fraction(self.void_value))
+    def __init__(self, conditioning: Event, levels: tuple, codes, label="X|K", void_value=None):
+        if void_value is not None:
+            void_value = to_fraction(void_value)
+        vars(self).update(
+            conditioning=conditioning, levels=levels, codes=codes, label=label,
+            void_value=void_value,
+        )
 
     @classmethod
     def from_level_sets(cls, conditioning, level_sets, label="X|K", void_value=None):
@@ -161,7 +162,7 @@ def _codes(masks, n_worlds):
     lanes = array(_TYPECODES[width], lanes)
     if sys.byteorder == "big":
         lanes.byteswap()
-    return tuple(lanes)  # hashable, as the frozen quantity is
+    return tuple(lanes)  # hashable, as the immutable quantity is
 
 
 def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
@@ -193,7 +194,7 @@ class CompoundPrevisionMap:
             store[subset] = v
         self._entries = store
 
-    def get(self, subset) -> Optional[Fraction]:
+    def get(self, subset) -> Fraction | None:
         return self._entries.get(frozenset(subset))
 
     def require(self, subset) -> Fraction:
@@ -253,7 +254,7 @@ def _conjunction_level_sets(family, previsions):
 def make_conjunction(
     family: Sequence[ConditionalEvent],
     previsions,
-    label: Optional[str] = None,
+    label: str | None = None,
 ) -> ConditionalQuantity:
     """The conjunction of the family as a quantity on the union of antecedents.
 
@@ -271,7 +272,7 @@ def make_conjunction(
 def make_disjunction(
     family: Sequence[ConditionalEvent],
     negation_previsions,
-    label: Optional[str] = None,
+    label: str | None = None,
 ) -> ConditionalQuantity:
     """The disjunction, as one minus the conjunction of the negated family.
 
@@ -288,16 +289,14 @@ def make_disjunction(
     )
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(Record):
     """A family of conditional quantities with assigned previsions."""
 
-    family: tuple[ConditionalQuantity, ...]
-    values: tuple[Fraction, ...]
+    _compared = _shown = ("family", "values")
 
-    def __post_init__(self):
-        family = tuple(self.family)
-        values = tuple(to_fraction(v) for v in self.values)
+    def __init__(self, family: tuple[ConditionalQuantity, ...], values: tuple[Fraction, ...]):
+        family = tuple(family)
+        values = tuple(to_fraction(v) for v in values)
         if not family:
             raise ValueError("assessment family must be non-empty")
         if len(family) != len(values):
@@ -306,8 +305,7 @@ class Assessment:
         for q in family:
             if q.space is not space:
                 raise ValueError("family members live in different world spaces")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "values", values)
+        vars(self).update(family=family, values=values)
 
     @property
     def space(self) -> WorldSpace:
@@ -339,8 +337,7 @@ def _mark(v) -> str:
     return f"({v})"
 
 
-@dataclass(frozen=True)
-class QuantityConstituent:
+class QuantityConstituent(Record):
     """A block of worlds with one common value-or-void profile.
 
     For indicators the profile is 1 (true, "+"), 0 (false, "-") or None
@@ -349,9 +346,11 @@ class QuantityConstituent:
     per world, from which `worlds` is read only when asked.
     """
 
-    profile: tuple  # per member: a Fraction, or None when void
-    codes: tuple
-    lanes: tuple = field(repr=False, compare=False)
+    _compared = _shown = ("profile", "codes")
+
+    def __init__(self, profile: tuple, codes: tuple, lanes: tuple):
+        # profile: per member a Fraction, or None when void
+        vars(self).update(profile=profile, codes=codes, lanes=lanes)
 
     @cached_property
     def worlds(self) -> frozenset:
@@ -449,8 +448,7 @@ def tabulate(values) -> tuple:
     return [*index], bytes(codes) if len(index) <= 256 else tuple(codes)
 
 
-@dataclass(frozen=True, eq=False)
-class LinearSystem:
+class LinearSystem(Record):
     """Equalities over non-negative unknowns that sum to one, unless
     `normalization` is False, in one integer form.
 
@@ -467,12 +465,13 @@ class LinearSystem:
     LP on it runs phase 1 once.
     """
 
-    rows: tuple
-    scales: tuple
-    labels: object
-    normalization: bool = True
-    codes: Optional[list] = field(default=None, repr=False)
-    tables: Optional[tuple] = field(default=None, repr=False)
+    _shown = ("rows", "scales", "labels", "normalization")
+
+    def __init__(self, rows, scales, labels, normalization=True, codes=None, tables=None):
+        vars(self).update(
+            rows=rows, scales=scales, labels=labels, normalization=normalization,
+            codes=codes, tables=tables,
+        )
 
     def __eq__(self, other):
         form = lambda s: (s.rows, s.scales, s.unknown_labels, s.normalization)

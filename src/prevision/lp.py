@@ -42,14 +42,14 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
 
 from .errors import InfeasibleSystem
 from .geometry import LinearSystem, scale_to_integers, tabulate, to_fraction
+from .record import Record
 
 ZERO = Fraction(0)
 # From PACKED_WIDTH unknowns on, columns are priced at once in packed integers.
@@ -60,27 +60,28 @@ ZERO = Fraction(0)
 PACKED_WIDTH = 128
 
 
-@dataclass(frozen=True)
-class FeasibilityCertificate:
-    """Either a non-negative normalized solution or a priced refutation."""
+class FeasibilityCertificate(Record):
+    """Either a non-negative normalized solution or a priced refutation;
+    `support`, a solution's non-zero entries, is neither compared nor shown."""
 
-    feasible: bool
-    solution: Optional[tuple] = None
-    dual: Optional[tuple] = None
-    margin: Optional[Fraction] = None
-    support: tuple = field(default=(), repr=False, compare=False)
+    _compared = _shown = ("feasible", "solution", "dual", "margin")
+
+    def __init__(self, feasible: bool, solution=None, dual=None, margin=None, support=()):
+        vars(self).update(
+            feasible=feasible, solution=solution, dual=dual, margin=margin, support=support
+        )
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(Record):
     """The optimum, a maximizer, and the dual multipliers (one per row,
-    normalization row last) that prove the optimum."""
+    normalization row last) that prove the optimum; `support` as above."""
 
-    value: Optional[Fraction]
-    solution: Optional[tuple]
-    bounded: bool = True
-    dual: Optional[tuple] = None
-    support: tuple = field(default=(), repr=False, compare=False)
+    _compared = _shown = ("value", "solution", "bounded", "dual")
+
+    def __init__(self, value, solution, bounded=True, dual=None, support=()):
+        vars(self).update(
+            value=value, solution=solution, bounded=bounded, dual=dual, support=support
+        )
 
 
 class _Simplex:

@@ -857,6 +857,26 @@ class TestHarness:
         )
         assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
+    def test_commands_load_no_dataclasses_inspect_or_typing(self, tmp_path):
+        # the records are plain classes and the annotations builtin types, so
+        # start-up pays for none of these, nor for the modules they pull in
+        data = {**pair_problem("C"), "atoms": ["A", "H", "K"]}
+        data["conditionals"][1]["consequent"] = "A"  # the README problem: X = A|H, Y = A|K
+        src = os.path.dirname(os.path.dirname(prevision.__file__))
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import prevision.cli as c; "
+            "codes = [c.main(['bounds', 'conjunction', '1/2', '3/5']), "
+            "c.main(['check', '--problem', sys.argv[2]])]; "
+            "print(codes, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", probe, src, write_problem(tmp_path, data)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "verdict: coherent" in result.stdout
+        assert result.stdout.splitlines()[-1] == "[0, 0] []"
+
     def test_console_script_installed(self):
         result = subprocess.run(
             [sys.executable, "-m", "prevision.cli",

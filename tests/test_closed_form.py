@@ -167,6 +167,17 @@ class TestLambdaSolutionTM:
         vec = lambda_solution_TM((F(0), F(0), F(0)))
         assert vec[()] == F(1)
 
+    def test_vector_is_hashable_and_its_mass_read_only(self):
+        # the frozen vector used to raise "unhashable type: 'dict'" on hash(),
+        # and its dict let a write push the validated mass to 11/2
+        vec = lambda_solution_TM([F(1, 2), F(1, 3)])
+        twin = LambdaVector(2, dict(reversed(vec.components.items())), "sorted-steps", (2, 1))
+        assert (twin, hash(twin)) == (vec, hash(vec))
+        assert vec != lambda_solution_TL([F(1, 2), F(1, 3)])
+        with pytest.raises(TypeError):
+            vec.components[frozenset()] = 5
+        assert sum(vec.as_tuple()) == 1 and vec[()] == F(1, 2)
+
     @given(st.lists(rational_unit, min_size=1, max_size=5))
     @settings(max_examples=150, deadline=None)
     def test_solves_upper_boundary_system_exactly(self, xs):

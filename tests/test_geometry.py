@@ -215,7 +215,7 @@ def test_reprs_stay_short_past_the_int_to_str_limit(n_atoms):
 @pytest.mark.parametrize("n_levels", [1, 3, 255, 256])
 def test_from_values_and_from_level_sets_are_one_quantity(n_levels):
     # the same quantity built both ways is equal, and hashes equal: the
-    # frozen dataclass hashes its codes, wide ones included
+    # immutable record hashes its codes, wide ones included
     rng = random.Random(n_levels)
     space = build_world_space([f"A{i}" for i in range(10)])
     levels = [F(k, 9) for k in rng.sample(range(-5000, 5000), n_levels)]

@@ -6,7 +6,6 @@ import math
 import random
 import weakref
 from copy import deepcopy
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -984,6 +983,12 @@ def _mixed(values):
     return len({F(v).denominator for v in values}) > 1
 
 
+def _rebuilt(record, **changes):
+    """A certificate or optimum rebuilt by its constructor from its fields,
+    with `changes` in place of some of them."""
+    return type(record)(**{**vars(record), **changes})
+
+
 def _bump(values, i, delta=SEVENTH):
     values = list(values)
     values[i] += delta
@@ -1007,16 +1012,16 @@ def corrupted(system, cert_or_result):
         ]
         hit = min(entries, key=lambda rj: not mixed_row[rj[0]], default=None)
         if hit is not None:
-            bad = replace(cert_or_result, solution=_bump(solution, hit[1]))
+            bad = _rebuilt(cert_or_result, solution=_bump(solution, hit[1]))
             out.append(("solution", mixed_row[hit[0]], bad))
     dual = cert_or_result.dual
     if dual is not None:
         nonzero = [r for r, b in enumerate(rhs) if b != 0]
         r = min(nonzero, key=lambda r: not mixed_row[r], default=None)
         if r is not None:
-            out.append(("dual", mixed_row[r], replace(cert_or_result, dual=_bump(dual, r))))
+            out.append(("dual", mixed_row[r], _rebuilt(cert_or_result, dual=_bump(dual, r))))
         if getattr(cert_or_result, "margin", None) is not None:
-            raised = replace(cert_or_result, margin=cert_or_result.margin + SEVENTH)
+            raised = _rebuilt(cert_or_result, margin=cert_or_result.margin + SEVENTH)
             out.append(("margin", False, raised))
     return out
 
@@ -1073,11 +1078,11 @@ def test_each_refutation_check_raises():
     # prices every column up by t
     t = 1 + max(abs(sum(u * a for u, a in zip(cert.dual, col))) for col in cols)
     cases = {
-        "lacks a positive margin": replace(cert, margin=F(0)),
-        "prices a column positively": replace(
+        "lacks a positive margin": _rebuilt(cert, margin=F(0)),
+        "prices a column positively": _rebuilt(
             cert, dual=_bump(cert.dual, -1, t), margin=cert.margin + t
         ),
-        "margin mismatch": replace(cert, margin=cert.margin + SEVENTH),
+        "margin mismatch": _rebuilt(cert, margin=cert.margin + SEVENTH),
     }
     for message, bad in cases.items():
         for verify in CERTIFICATE_CHECKS:
@@ -1097,15 +1102,15 @@ def test_each_solution_and_optimum_check_raises():
     assert sum(a * v for a, v in zip(fraction_rows(system)[0][0], negative)) == F(1, 2)
     cases = {
         "non-solution": [
-            replace(result, solution=negative),
-            replace(result, solution=_bump(result.solution, 1)),
+            _rebuilt(result, solution=negative),
+            _rebuilt(result, solution=_bump(result.solution, 1)),
         ],
         # the normalization multiplier moved by -1 prices every column down
         # by 1 and the bound with it
         "below its cost": [
-            replace(result, dual=_bump(result.dual, -1, F(-1)), value=result.value - 1)
+            _rebuilt(result, dual=_bump(result.dual, -1, F(-1)), value=result.value - 1)
         ],
-        "bound mismatch": [replace(result, value=result.value + SEVENTH)],
+        "bound mismatch": [_rebuilt(result, value=result.value + SEVENTH)],
     }
     for message, corruptions in cases.items():
         for bad in corruptions:
@@ -1115,4 +1120,4 @@ def test_each_solution_and_optimum_check_raises():
     feasible = solve_feasibility(system)
     for verify in CERTIFICATE_CHECKS:
         with pytest.raises(RuntimeError, match="non-solution"):
-            verify(system, replace(feasible, solution=negative))
+            verify(system, _rebuilt(feasible, solution=negative))
