@@ -11,34 +11,13 @@ exact rational (7/20) before any computation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
-from .closed_form import lambda_solution_TL, lambda_solution_TM
-from .coherence import check_coherence, extension_interval, value_table
 from .errors import FormulaError, IncoherentBase, PrevisionError, UnknownAtom, abridged
-from .events import ConditionalEvent, WorldSpace, build_world_space
-from .frank import (
-    FrankKind,
-    FrankParameter,
-    frechet_bounds_conjunction,
-    frechet_bounds_disjunction,
-    solve_lambda,
-    tconorm,
-    tnorm,
-)
-from .geometry import (
-    Assessment,
-    CompoundPrevisionMap,
-    ConditionalQuantity,
-    demorgan_previsions,
-    indicator,
-    make_conjunction,
-    make_disjunction,
-)
 from .record import Record
 
 # No double formats differently past about 770 significant digits.
@@ -52,6 +31,33 @@ MAX_LITERAL_DIGITS = 1000
 # Results print exactly up to this many bits in a numerator or denominator:
 # at most 4,215 digits, inside CPython's default 4,300-digit int-to-str limit.
 MAX_RESULT_BITS = 14_000
+
+
+@cache
+def _engine(group: str) -> None:
+    """Bind one group of engine names into this module, so that a command loads
+    only the modules it runs; once, so that a name patched here stays patched."""
+    if group == "problem":
+        from .coherence import check_coherence, extension_interval, value_table
+        from .events import ConditionalEvent, WorldSpace, build_world_space
+        from .geometry import Assessment, CompoundPrevisionMap, ConditionalQuantity, indicator
+        from .geometry import demorgan_previsions, make_conjunction, make_disjunction
+    elif group == "frank":
+        from .frank import FrankKind, FrankParameter, solve_lambda, tconorm, tnorm
+        from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction
+    else:
+        from .closed_form import lambda_solution_TL, lambda_solution_TM
+    globals().update((name, value) for name, value in locals().items() if name != "group")
+
+
+def __getattr__(name: str):
+    """An engine name read from outside, as by a patch, binds the groups in turn
+    until one holds it: the problem group first and whole, before any patch."""
+    for group in ("problem", "frank", "closed_form"):
+        _engine(group)
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ProblemError(PrevisionError):
@@ -136,6 +142,7 @@ def _parse_subset(key: str, size: int, where: str) -> tuple[int, ...]:
 
 
 def build_problem(data: object, origin: str = "problem") -> Problem:
+    _engine("problem")
     if not isinstance(data, dict):
         raise ProblemError(f"{origin}: top level must be a JSON object")
     atoms = _require_list_of_str(data, "atoms", required=True)
@@ -221,6 +228,7 @@ def build_problem(data: object, origin: str = "problem") -> Problem:
 
 
 def load_problem(path: str) -> Problem:
+    import json
     def number(convert):
         def parse(text):
             if len(text) > MAX_LITERAL_DIGITS:
@@ -280,7 +288,8 @@ def _trace(trace) -> tuple[list[dict], list[str]]:
 
 
 def cmd_check(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
-    verdict = check_coherence(load_problem(ns.problem).assessment())
+    assessment = load_problem(ns.problem).assessment()
+    verdict = check_coherence(assessment)
     trace, levels = _trace(verdict.trace)
     report: dict = {
         "verdict": "coherent" if verdict.coherent else "incoherent",
@@ -327,6 +336,7 @@ def cmd_extend(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 
 def cmd_bounds(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
+    _engine("frank")
     fn = (
         frechet_bounds_conjunction
         if ns.kind == "conjunction"
@@ -355,6 +365,7 @@ def parse_parameter(raw: str) -> FrankParameter:
 
 
 def cmd_tnorm(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
+    _engine("frank")
     operator = tnorm if ns.command == "tnorm" else tconorm
     result = operator(parse_parameter(ns.lam), _arguments(ns))
     exact = isinstance(result, Fraction)
@@ -363,6 +374,7 @@ def cmd_tnorm(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 
 def cmd_solve_lambda(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
+    _engine("frank")
     values = _arguments(ns)
     target = parse_rational(ns.target, "--target")
     parameter, unique = solve_lambda(values, target)
@@ -384,6 +396,7 @@ def cmd_solve_lambda(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
 def cmd_lambda_solution(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
     if len(ns.values) > MAX_SOLUTION_VALUES:
         raise ProblemError(f"{len(ns.values)} values given; at most {MAX_SOLUTION_VALUES}")
+    _engine("closed_form")
     builder = lambda_solution_TL if ns.boundary == "lower" else lambda_solution_TM
     vector = builder(_arguments(ns))
     components = {
@@ -500,6 +513,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     if ns.json:
+        import json
         print(json.dumps(report, indent=2))
     else:
         for line in lines:

@@ -18,8 +18,8 @@ from types import MappingProxyType
 
 from .errors import OutOfRange
 from .frank import FrankParameter, tnorm
-from .geometry import conjunction_signatures, signature_label, to_fraction
-from .record import Record
+from .geometry import conjunction_signatures, signature_label
+from .record import Record, to_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -24,12 +24,19 @@ from .geometry import (
 from .lp import maximize_component_sum, maximize_linear, solve_feasibility
 from .record import Record
 
-# Not called here: kept importable because benchmarks/tracing.py patches them by name.
-from .closed_form import family7_bounds  # noqa: F401
-from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction  # noqa: F401
+# Not called here: kept importable because benchmarks/tracing.py patches them by name;
+# `__getattr__` imports the closed-form and Frank ones on first read (PEP 562).
 from .geometry import constituents_in_all_antecedents, enumerate_constituents  # noqa: F401
 
 ONE = Fraction(1)
+
+
+def __getattr__(name: str):
+    if name not in ("family7_bounds", "frechet_bounds_conjunction", "frechet_bounds_disjunction"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .closed_form import family7_bounds  # noqa: F401
+    from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction  # noqa: F401
+    return locals()[name]
 
 
 class DutchBook(Record):

@@ -16,8 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import OutOfRange, TargetOutOfBounds
-from .geometry import to_fraction
-from .record import Record
+from .record import Record, to_fraction
 
 # expansion window around the product point, and the log-parameter horizon
 # beyond which the float closed form degenerates

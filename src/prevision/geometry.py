@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 from .errors import MissingPrevision, NotApplicable, OutOfRange
 from .events import ConditionalEvent, Event, WorldSpace, spread_bits
-from .record import Record
+from .record import Record, to_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,15 +45,6 @@ _TYPECODES = {1: "B", 2: "H", 4: "I"}
 # Worlds per record buffer of keyed_partition.  One buffer for all 16,384
 # worlds of an n = 7 family (128 KB) raised conj-scale's peak RSS by 0.1 MB.
 _CHUNK = 4096
-
-
-def to_fraction(value) -> Fraction:
-    """Exact conversion; floats are rejected so no binary rounding sneaks in."""
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}; pass a Fraction, int, or string")
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
 
 
 class ConditionalQuantity(Record):

@@ -48,8 +48,8 @@ from math import lcm
 from operator import mul
 
 from .errors import InfeasibleSystem
-from .geometry import LinearSystem, scale_to_integers, tabulate, to_fraction
-from .record import Record
+from .geometry import LinearSystem, scale_to_integers, tabulate
+from .record import Record, to_fraction
 
 ZERO = Fraction(0)
 # From PACKED_WIDTH unknowns on, columns are priced at once in packed integers.

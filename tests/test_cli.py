@@ -70,6 +70,17 @@ def family7_problem():
     }
 
 
+def fresh_interpreter(code, *args):
+    """Run `code` in a new interpreter with only src on its path: -I -S leave
+    out site-packages and PYTHONPATH, and -B keeps src free of bytecode, so
+    tests never change how a checkout starts up."""
+    src = os.path.dirname(os.path.dirname(prevision.__file__))
+    code = "import sys; sys.path.insert(0, sys.argv[1]); " + code
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, src, *args], capture_output=True, text=True
+    )
+
+
 def pair_problem(query_target=None):
     data = {
         "atoms": ["A", "B", "H", "K"],
@@ -845,15 +856,10 @@ class TestHarness:
         capsys.readouterr()
 
     def test_runtime_loads_only_the_standard_library(self):
-        # -I -S: no site-packages, no PYTHONPATH; only src joins sys.path
-        src = os.path.dirname(os.path.dirname(prevision.__file__))
-        probe = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import prevision, prevision.cli; "
+        result = fresh_interpreter(
+            "import prevision, prevision.cli; "
             "names = {m.partition('.')[0] for m in sys.modules}; "
             "print(sorted(names - set(sys.stdlib_module_names) - {'__main__', 'prevision'}))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True
         )
         assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
@@ -862,20 +868,37 @@ class TestHarness:
         # start-up pays for none of these, nor for the modules they pull in
         data = {**pair_problem("C"), "atoms": ["A", "H", "K"]}
         data["conditionals"][1]["consequent"] = "A"  # the README problem: X = A|H, Y = A|K
-        src = os.path.dirname(os.path.dirname(prevision.__file__))
-        probe = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import prevision.cli as c; "
+        result = fresh_interpreter(
+            "import prevision.cli as c; "
             "codes = [c.main(['bounds', 'conjunction', '1/2', '3/5']), "
             "c.main(['check', '--problem', sys.argv[2]])]; "
-            "print(codes, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-I", "-S", "-c", probe, src, write_problem(tmp_path, data)],
-            capture_output=True, text=True,
+            "print(codes, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))",
+            write_problem(tmp_path, data),
         )
         assert result.returncode == 0, result.stderr
         assert "verdict: coherent" in result.stdout
         assert result.stdout.splitlines()[-1] == "[0, 0] []"
+
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
+        # bounds runs no partition, LP or closed form and prints no JSON;
+        # check needs neither the closed forms nor the Frank family; the
+        # first name read from the package loads the whole surface
+        problem = write_problem(tmp_path, pair_problem())
+        report = "; print(*sorted(m for m in sys.modules if m.startswith('prevision.') or m == 'json'))"
+        loaded = {}
+        for case, code in (
+            ("bounds", "import prevision.cli as c; c.main(['bounds', 'conjunction', '1/2', '3/5'])"),
+            ("check", "import prevision.cli as c; c.main(['check', '--problem', sys.argv[2]])"),
+            ("package", "import prevision; prevision.tnorm"),
+        ):
+            result = fresh_interpreter(code + report, problem)
+            assert result.returncode == 0, result.stderr
+            loaded[case] = set(result.stdout.splitlines()[-1].split())
+        engine = {f"prevision.{m}" for m in ("events", "geometry", "lp", "coherence", "closed_form")}
+        assert loaded["bounds"] & (engine | {"json"}) == set()
+        assert loaded["check"] & {"prevision.closed_form", "prevision.frank"} == set()
+        surface = engine | {"prevision.errors", "prevision.frank", "prevision.record"}
+        assert surface <= loaded["package"]
 
     def test_console_script_installed(self):
         result = subprocess.run(

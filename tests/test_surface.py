@@ -9,12 +9,19 @@ import check parses each module under `src/prevision` with `ast`: an
 imported name must be read in the module or listed in its `__all__`, unless
 its import line carries `# noqa: F401`, which marks the names `LAYERS`
 patches; every name on such a line must be one of `LAYERS`' (module, name)
-pairs, so the mark cannot keep a dead import.
+pairs, so the mark cannot keep a dead import.  Since the package and the CLI
+load their modules lazily, `LAYERS` is also replayed in a fresh interpreter,
+to show that each traced call is still counted, and counted once.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import prevision
 
@@ -41,6 +48,60 @@ def test_every_traced_layer_resolves():
     assert layers
     for module, name, _ in layers:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+# LAYERS replayed as the tracer installs it: in order, through getattr and
+# setattr, and only in modules already loaded; then one `check` through the CLI.
+REPLAY = """
+counts = {}
+def counted(layer, fn):
+    def call(*args, **kwargs):
+        counts[layer] = counts.get(layer, 0) + 1
+        return fn(*args, **kwargs)
+    return call
+for module, name, layer in ast.literal_eval(sys.argv[2]):
+    if module in sys.modules:
+        module = sys.modules[module]
+        setattr(module, name, counted(layer, getattr(module, name)))
+import prevision.cli
+code = prevision.cli.main(["check", "--problem", sys.argv[3]])
+print(code, sorted(counts.items()))
+"""
+
+
+@pytest.mark.parametrize(
+    "setup",
+    # as the cli workload's traced child, and as the in-process workloads,
+    # whose setup reads one package name
+    ["import prevision.cli", "import prevision; prevision.build_world_space"],
+)
+def test_traced_layers_count_each_call_once(tmp_path, setup):
+    # A package that loaded one submodule per name read would leave
+    # `prevision.coherence` unloaded, so unpatched, when its entries come up;
+    # a cli that bound `check_coherence` after `coherence` was patched would
+    # be wrapped twice and count each check twice.
+    (layers,) = _assigned(_tree("tracing.py"), "LAYERS")
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "atoms": ["A", "H", "K"],
+        "conditionals": [
+            {"name": "X", "consequent": "A", "antecedent": "H"},
+            {"name": "Y", "consequent": "A", "antecedent": "K"},
+        ],
+        "assessment": {"X": "7/20", "Y": "9/20"},
+    }), encoding="utf-8")
+    script = f"import ast, sys; sys.path.insert(0, sys.argv[1]); {setup}\n{REPLAY}"
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script, str(SOURCE.parent), repr(layers), str(problem)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    code, counts = result.stdout.splitlines()[-1].split(" ", 1)
+    counts = dict(ast.literal_eval(counts))
+    assert code == "0"
+    assert counts.get("coherence.check") == 1
+    assert counts.get("geometry.build_sigma", 0) >= 1
+    assert counts.get("lp.feasibility", 0) >= 1
 
 
 def test_every_workload_name_is_exported():
