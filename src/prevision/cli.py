@@ -33,29 +33,35 @@ MAX_LITERAL_DIGITS = 1000
 MAX_RESULT_BITS = 14_000
 
 
+# The engine names each group binds into this module, by module in import order.
+_GROUPS = {
+    "problem": (
+        ("coherence", ("check_coherence", "extension_interval", "value_table")),
+        ("events", ("ConditionalEvent", "WorldSpace", "build_world_space")),
+        ("geometry", ("Assessment", "CompoundPrevisionMap", "ConditionalQuantity", "indicator",
+                      "demorgan_previsions", "make_conjunction", "make_disjunction")),
+    ),
+    "frank": (("frank", ("FrankKind", "FrankParameter", "solve_lambda", "tconorm", "tnorm",
+                         "frechet_bounds_conjunction", "frechet_bounds_disjunction")),),
+}
+
+
 @cache
 def _engine(group: str) -> None:
     """Bind one group of engine names into this module, so that a command loads
     only the modules it runs; once, so that a name patched here stays patched."""
-    if group == "problem":
-        from .coherence import check_coherence, extension_interval, value_table
-        from .events import ConditionalEvent, WorldSpace, build_world_space
-        from .geometry import Assessment, CompoundPrevisionMap, ConditionalQuantity, indicator
-        from .geometry import demorgan_previsions, make_conjunction, make_disjunction
-    elif group == "frank":
-        from .frank import FrankKind, FrankParameter, solve_lambda, tconorm, tnorm
-        from .frank import frechet_bounds_conjunction, frechet_bounds_disjunction
-    else:
-        from .closed_form import lambda_solution_TL, lambda_solution_TM
-    globals().update((name, value) for name, value in locals().items() if name != "group")
+    for module, names in _GROUPS[group]:
+        loaded = __import__(module, globals(), None, names, 1)
+        globals().update((name, getattr(loaded, name)) for name in names)
 
 
 def __getattr__(name: str):
-    """An engine name read from outside, as by a patch, binds the groups in turn
-    until one holds it: the problem group first and whole, before any patch."""
-    for group in ("problem", "frank", "closed_form"):
-        _engine(group)
-        if name in globals():
+    """An engine name read from outside, as by a patch, binds its group after
+    the problem group, so that group is bound whole before any patch."""
+    for group, modules in _GROUPS.items():
+        if any(name in names for _, names in modules):
+            _engine("problem")
+            _engine(group)
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -99,6 +105,7 @@ class Problem(Record):
         self.query = {} if query is None else query
 
     def assessment(self) -> Assessment:
+        _engine("problem")
         if not self.order:
             raise ProblemError("assessment: no values given")
         family = tuple(self.quantities[name] for name in self.order)
@@ -348,6 +355,7 @@ def cmd_bounds(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 
 def parse_parameter(raw: str) -> FrankParameter:
+    _engine("frank")
     s = raw.strip().lower()
     if s == "min":
         return FrankParameter.min()
@@ -396,7 +404,7 @@ def cmd_solve_lambda(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
 def cmd_lambda_solution(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
     if len(ns.values) > MAX_SOLUTION_VALUES:
         raise ProblemError(f"{len(ns.values)} values given; at most {MAX_SOLUTION_VALUES}")
-    _engine("closed_form")
+    from .closed_form import lambda_solution_TL, lambda_solution_TM
     builder = lambda_solution_TL if ns.boundary == "lower" else lambda_solution_TM
     vector = builder(_arguments(ns))
     components = {

@@ -856,8 +856,9 @@ class TestHarness:
         capsys.readouterr()
 
     def test_runtime_loads_only_the_standard_library(self):
+        # one documented name read loads the whole package surface first
         result = fresh_interpreter(
-            "import prevision, prevision.cli; "
+            "import prevision, prevision.cli; prevision.tnorm; "
             "names = {m.partition('.')[0] for m in sys.modules}; "
             "print(sorted(names - set(sys.stdlib_module_names) - {'__main__', 'prevision'}))"
         )
@@ -881,14 +882,22 @@ class TestHarness:
 
     def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
         # bounds runs no partition, LP or closed form and prints no JSON;
-        # check needs neither the closed forms nor the Frank family; the
-        # first name read from the package loads the whole surface
+        # check needs neither the closed forms nor the Frank family; a helper
+        # called directly binds the names it reads; a probe for a name outside
+        # the engine loads nothing; the first name read from the package loads
+        # the whole surface
         problem = write_problem(tmp_path, pair_problem())
         report = "; print(*sorted(m for m in sys.modules if m.startswith('prevision.') or m == 'json'))"
         loaded = {}
         for case, code in (
             ("bounds", "import prevision.cli as c; c.main(['bounds', 'conjunction', '1/2', '3/5'])"),
             ("check", "import prevision.cli as c; c.main(['check', '--problem', sys.argv[2]])"),
+            ("parameter", "import prevision.cli as c; print(c.parse_parameter('min'))"),
+            ("assessment", "import prevision.cli as c; from prevision.events import *; "
+             "from prevision.geometry import indicator; s = build_world_space(['A', 'H'], []); "
+             "x = indicator(ConditionalEvent(s.event('A'), s.event('H')), 'X'); "
+             "print(c.Problem(s, {'X': x}, ('X',), (c.Fraction(1, 2),)).assessment())"),
+            ("probe", "import prevision.cli as c; from prevision.cli import *; print(hasattr(c, 'x'))"),
             ("package", "import prevision; prevision.tnorm"),
         ):
             result = fresh_interpreter(code + report, problem)
@@ -897,6 +906,9 @@ class TestHarness:
         engine = {f"prevision.{m}" for m in ("events", "geometry", "lp", "coherence", "closed_form")}
         assert loaded["bounds"] & (engine | {"json"}) == set()
         assert loaded["check"] & {"prevision.closed_form", "prevision.frank"} == set()
+        assert "prevision.frank" in loaded["parameter"]
+        assert loaded["parameter"] & engine == set()
+        assert loaded["probe"] & (engine | {"prevision.frank"}) == set()
         surface = engine | {"prevision.errors", "prevision.frank", "prevision.record"}
         assert surface <= loaded["package"]
 
