@@ -148,20 +148,35 @@ def _m_values(system: LinearSystem, columns, voids, witnesses):
     A set that some witness solution already gives positive mass needs no
     solve; every other set gets its verified maximum, and each maximizer
     joins the witnesses.  A witness is a basic solution, so its mass on a set
-    is summed over its `support`, its few non-zero entries.  Returns the
+    is summed over its `support`, its few non-zero entries.  When two or more
+    sets get no witness mass, one LP first maximizes their union's mass; a
+    maximum of 0 stands for each set's own, whose 0/1 objective lies below
+    the union's, so the union's verified dual proves each zero, and its
+    maximizer is the phase-1 point, as each set's own would be.  Returns the
     m-values, the positions settled by a witness, and the positions stuck at zero.
     """
     supports = [w.support for w in witnesses]
     m_values = [None] * len(columns)
     witnessed = set()
     zero = []
+    union = None
+
+    def active(i):
+        return (h for h, c in enumerate(columns[i]) if c != voids[i])
+
     for i, (column, void) in enumerate(zip(columns, voids)):
         mass = max(sum(v for h, v in s if column[h] != void) for s in supports)
         if mass > 0:
             m_values[i] = mass
             witnessed.add(i)
             continue
-        best = maximize_component_sum(system, (h for h, c in enumerate(column) if c != void))
+        if union is None:  # the first set without witness mass, before any LP
+            rest = [j for j in range(i, len(columns))
+                    if all(columns[j][h] == voids[j] for s in supports for h, _ in s)]
+            union = len(rest) > 1 and maximize_component_sum(
+                system, (h for j in rest for h in active(j))
+            )
+        best = union if union and union.value == 0 else maximize_component_sum(system, active(i))
         m_values[i] = best.value
         supports.append(best.support)
         if best.value == 0:

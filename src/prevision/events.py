@@ -33,8 +33,9 @@ MAX_FORMULA_TOKENS = 500
 MAX_FORMULA_NESTING = 100
 
 # bytes.translate tables from the characters of a binary numeral, its "0b"
-# included, to flag bytes, and from kept lanes, 2 and 3, to binary digits
-_FLAGS = bytes.maketrans(b"01b", b"\x00\x01\x00")
+# included, to flag bytes 0 or 2^k, k = 0..7, and from kept lanes, 2 and 3,
+# to binary digits
+_FLAGS = [bytes.maketrans(b"01b", bytes((0, 1 << k, 0))) for k in range(8)]
 _KEPT_DIGITS = bytes.maketrans(b"\x02\x03", b"01")
 
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()=])|(\S))")
@@ -122,13 +123,14 @@ def parse_formula(text):
     return _Parser(_tokenize(text), text).parse()
 
 
-def spread_bits(mask: int, width: int = 1) -> int:
-    """The int whose lane w, `width` bytes wide, holds bit w of `mask`: at
-    width 1, byte w of its n little-endian bytes is 1 where bit w is set."""
-    flags = bin(mask).encode().translate(_FLAGS)  # "0b" gives two lanes of 0 on top
+def spread_bits(mask: int, width: int = 1, bit: int = 0) -> int:
+    """The int whose lane w, `width` bytes wide, holds bit w of `mask` at bit
+    `bit` of the lane (below 8 * width): at width 1 and bit 0, byte w of its
+    n little-endian bytes is 1 where bit w is set."""
+    flags = bin(mask).encode().translate(_FLAGS[bit % 8])  # "0b" gives two lanes of 0 on top
     if width > 1:
         flags, bits = bytearray(len(flags) * width), flags
-        flags[width - 1::width] = bits
+        flags[width - 1 - bit // 8::width] = bits
     return int.from_bytes(flags, "big")
 
 

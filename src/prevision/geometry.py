@@ -7,9 +7,10 @@ and per world a code byte, the index of its value or, where void, the level
 count.  It is built from level sets, (value, mask) pairs over the bit masks of
 `events`, and its codes come from the masks by a few bulk integer operations
 per bit plane, never by a Python int per world or a pass per level.  Indicators
-and the conjunctions and disjunctions of conditional events (over the union
-of the antecedents, with assessed previsions filling the partially-void
-cases) get their level sets by integer algebra (&, ^, |) on the masks.  An
+get their level sets, and the conjunctions and disjunctions of conditional
+events (over the union of the antecedents, with assessed previsions filling
+the partially-void cases) their bit planes, by integer algebra (&, ^, |) on
+the masks.  An
 assessed family's constituents are the joint codes (keys) of its worlds:
 `keyed_partition` finds them in one pass, as a code column per member, and
 projects the columns onto sub-families; `quantity_constituents` gives each
@@ -131,29 +132,33 @@ def _codes(masks, n_worlds):
     """The code of each world, i on the worlds of masks[i], which partition
     the worlds: bytes, or past 256 masks a tuple read from wider lanes.
 
-    A world's lane holds its code.  While more than three lane values
-    remain, plane j, the union of the masks whose lane has bit j set, is
-    spread into bit j of the lanes, and the masks are merged in pairs by
-    lane >> 1; the last three are spread and weighted by their lane.  The
-    work is a few operations on whole masks per plane, never a pass over the
-    worlds per level.
+    While more than three lane values remain, plane j, the union of the
+    masks whose lane has bit j set, is taken, and the masks are merged in
+    pairs by lane >> 1; the last two masks are the planes of bits j and
+    j + 1.  The work is a few operations on whole masks per plane, never a
+    pass over the worlds per level.
     """
-    width = 1 if len(masks) <= 1 << 8 else 2 if len(masks) <= 1 << 16 else 4
-    by_lane = list(masks)  # the masks by lane >> j
-    total = j = 0
+    planes, by_lane = [], list(masks)  # the masks by lane >> j
     while len(by_lane) > 3:
-        total += spread_bits(reduce(or_, by_lane[1::2]), width) << j
+        planes.append(reduce(or_, by_lane[1::2]))
         by_lane = list(map(or_, by_lane[::2], by_lane[1::2] + [0]))
-        j += 1
-    for lane, mask in enumerate(by_lane[1:], 1):
-        total += lane * spread_bits(mask, width) << j
+    return _from_planes(planes + by_lane[1:], len(masks), n_worlds)
+
+
+def _from_planes(planes, n_codes, n_worlds, renumber=None):
+    """The code of each world, of n_codes codes, with bit j set on the worlds
+    of planes[j], and renumbered through the list `renumber` when given:
+    bytes, or past 256 codes a tuple.  A world's lane holds its code; each
+    plane is spread into its bit of the lanes at once."""
+    width = 1 if n_codes <= 1 << 8 else 2 if n_codes <= 1 << 16 else 4
+    total = sum(spread_bits(plane, width, j) for j, plane in enumerate(planes) if plane)
     lanes = total.to_bytes(n_worlds * width, "little")
     if width == 1:
-        return lanes
+        return lanes if renumber is None else lanes.translate(bytes(renumber).ljust(256, b"\0"))
     lanes = array(_TYPECODES[width], lanes)
     if sys.byteorder == "big":
         lanes.byteswap()
-    return tuple(lanes)  # hashable, as the immutable quantity is
+    return tuple(lanes if renumber is None else map(renumber.__getitem__, lanes))  # hashable
 
 
 def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
@@ -207,13 +212,18 @@ def demorgan_previsions(m: CompoundPrevisionMap) -> CompoundPrevisionMap:
     return CompoundPrevisionMap({tuple(sorted(s)): ONE - v for s, v in m.items()})
 
 
-def _conjunction_level_sets(family, previsions):
-    """(union, level sets, x of the full set) of the family's conjunction: 0
-    on the worlds where some member fails, 1 where every member holds, and
-    x_S on the block where exactly the members S are void.
+def _conjunction(family, previsions, label, complement=False):
+    """The family's conjunction, or with `complement` one minus it, as a
+    quantity on the union of antecedents: 0 on the worlds where some member
+    fails, 1 where every member holds, and x_S on the block where exactly the
+    members S are void; x of the full set is the built-in void value.
 
-    Each member splits every block by its antecedent, so the work is integer
-    algebra on the event masks, not a classification of each world.
+    Each member splits every block by its antecedent, depth first, so the
+    work is integer algebra on the event masks, and at most one block per
+    member is held at a time.  Each block is folded into the bit planes of
+    the codes as it is made, its value numbered as first seen, and code 0
+    void; the planes are spread into lanes once, and one translation puts
+    the values in level order.  No mask per block or per level is kept.
     """
     if not family:
         raise ValueError("family must be non-empty")
@@ -223,23 +233,42 @@ def _conjunction_level_sets(family, previsions):
     false = 0
     for ce in family:
         false |= ce.antecedent.members & ~ce.consequent.members
-    blocks = {(): union.members & ~false}
-    for i, ce in enumerate(family, start=1):
-        split = {}
-        for void, worlds in blocks.items():
-            active = worlds & ce.antecedent.members
-            if active:
-                split[void] = active
-            if active != worlds:
-                split[void + (i,)] = worlds ^ active
-        blocks = split
-    xs = {void: previsions.get(void) if void else ONE for void in blocks}
-    missing = [(void, ws) for void, ws in blocks.items() if xs[void] is None]
+    values, bits, seen, missing = [None], [[]], {}, None  # code c's value and bits; codes by ratio
+    planes = [0] * (len(family) + 1)  # plane j: the worlds whose code has bit j
+    antecedents, n = [ce.antecedent.members for ce in family], len(family)
+    # split blocks (i, void members, worlds) by member i; (n, None, false) is 0
+    stack = [(0, frozenset(), union.members & ~false), (n, None, false)]
+    push, get = stack.append, previsions.get
+    while stack:
+        i, void, worlds = stack.pop()
+        if not worlds:
+            continue
+        if i < n:
+            active = worlds & antecedents[i]
+            push((i + 1, void, active))
+            push((i + 1, void | {i + 1}, worlds ^ active))
+            continue
+        x = ZERO if void is None else get(void) if void else ONE
+        if x is None:  # name the subset of the lowest world lacking one
+            missing = min(missing or (worlds, void), (worlds & -worlds, void))
+            continue
+        code = seen.setdefault(x.as_integer_ratio(), len(values))
+        if code == len(values):
+            values.append(x)
+            bits.append([j for j in range(code.bit_length()) if code >> j & 1])
+        for j in bits[code]:
+            planes[j] |= worlds
     if missing:
-        # name the subset of the lowest world lacking one
-        previsions.require(min(missing, key=lambda block: block[1] & -block[1])[0])
-    level_sets = [(ZERO, false)] + [(xs[void], ws) for void, ws in blocks.items()]
-    return union, level_sets, previsions.get(range(1, len(family) + 1))
+        previsions.require(missing[1])
+    levels = [ONE - v for v in values[1:]] if complement else values[1:]
+    order = sorted(range(len(levels)), key=scale_to_integers(levels)[0].__getitem__, reverse=True)
+    # code c + 1 becomes the level of levels[c], which inverts `order`; void goes last
+    renumber = [len(levels)] + sorted(range(len(levels)), key=order.__getitem__)
+    codes = _from_planes(planes, len(values), len(union.space), renumber)
+    void = previsions.get(range(1, len(family) + 1))
+    if complement and void is not None:
+        void = ONE - void
+    return ConditionalQuantity(union, tuple(levels[c] for c in order), codes, label, void)
 
 
 def make_conjunction(
@@ -254,10 +283,7 @@ def make_conjunction(
     when present, becomes the built-in void value.
     """
     family = list(family)
-    union, level_sets, void = _conjunction_level_sets(family, previsions)
-    return ConditionalQuantity.from_level_sets(
-        union, level_sets, label or f"and({len(family)})", void
-    )
+    return _conjunction(family, previsions, label or f"and({len(family)})")
 
 
 def make_disjunction(
@@ -271,13 +297,7 @@ def make_disjunction(
     convert a map of direct disjunction previsions with demorgan_previsions.
     """
     negated = [ConditionalEvent(~ce.consequent, ce.antecedent) for ce in family]
-    union, level_sets, void = _conjunction_level_sets(negated, negation_previsions)
-    return ConditionalQuantity.from_level_sets(
-        union,
-        [(ONE - v, worlds) for v, worlds in level_sets],
-        label or f"or({len(family)})",
-        None if void is None else ONE - void,
-    )
+    return _conjunction(negated, negation_previsions, label or f"or({len(negated)})", True)
 
 
 class Assessment(Record):

@@ -77,6 +77,11 @@ written out by hand, as the closed forms and the Frechet bounds wrote them
 before they took the named t-norms from `frank.tnorm`; the `hand_*`
 functions and `prefix_sum_lambda_solution_TL` (whose running bound came from
 prefix sums) are those closed forms, and each must return equal Fractions.
+
+`per_member_m_values` finds a level's m-values with one exact LP for every
+member that no witness gives mass, as `coherence._m_values` did before one
+LP over the union of those members' active sets could prove them all zero;
+the two must return equal m-values, witnessed positions and zero sets.
 """
 
 from fractions import Fraction
@@ -102,6 +107,7 @@ from prevision.lp import (
     OptimizationResult,
     _check_optimum,
     _check_refutation,
+    maximize_component_sum,
 )
 
 ZERO = Fraction(0)
@@ -681,6 +687,27 @@ def _compound_statuses(family, world):
         elif world not in ce.consequent:
             false = True
     return void, false
+
+
+def per_member_m_values(system, columns, voids, witnesses):
+    """(m-values, witnessed positions, zero positions) of the members whose
+    active sets are the unknowns h with columns[i][h] != voids[i]: a witness's
+    mass where some witness gives one, else the member's own maximum, whose
+    maximizer then joins the witnesses."""
+    supports = [w.support for w in witnesses]
+    m_values, witnessed, zero = [None] * len(columns), set(), []
+    for i, (column, void) in enumerate(zip(columns, voids)):
+        mass = max(sum(v for h, v in s if column[h] != void) for s in supports)
+        if mass > 0:
+            m_values[i] = mass
+            witnessed.add(i)
+            continue
+        best = maximize_component_sum(system, (h for h, c in enumerate(column) if c != void))
+        m_values[i] = best.value
+        supports.append(best.support)
+        if best.value == 0:
+            zero.append(i)
+    return m_values, witnessed, zero
 
 
 def per_world_conjunction(family, previsions):

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_book_gains, fraction_rows, fraction_sigma, table_rows, worlds_of
+from oracles import (
+    fraction_book_gains,
+    fraction_rows,
+    fraction_sigma,
+    per_member_m_values,
+    table_rows,
+    worlds_of,
+)
 from prevision import (
     Assessment,
     CompoundPrevisionMap,
@@ -528,6 +535,120 @@ class TestIntegerRows:
             if check_coherence(base).coherent:
                 extension_interval(base, draw("T"))
         assert min(kinds.values()) >= 5
+
+
+class TestZeroSet:
+    """One LP over the union of the active sets that no witness gives mass
+    proves each of them zero when its maximum is 0; otherwise each member
+    gets its own LP, and the m-values are those of one LP per member."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record every `_m_values` call with its arguments and answer, and
+        the `maximize_component_sum` calls made inside it."""
+        import prevision.coherence as coherence
+
+        calls, real_m_values, real_maximize = [], coherence._m_values, coherence.maximize_component_sum
+
+        def m_values(system, columns, voids, witnesses):
+            calls.append({"args": (system, columns, voids, witnesses), "lps": []})
+            calls[-1]["answer"] = real_m_values(system, columns, voids, witnesses)
+            return calls[-1]["answer"]
+
+        def maximize(system, index_set):
+            index_set = set(index_set)
+            calls[-1]["lps"].append(index_set)
+            return real_maximize(system, index_set)
+
+        monkeypatch.setattr(coherence, "_m_values", m_values)
+        monkeypatch.setattr(coherence, "maximize_component_sum", maximize)
+        return calls
+
+    @staticmethod
+    def active(columns, voids, i):
+        return {h for h, c in enumerate(columns[i]) if c != voids[i]}
+
+    def test_one_lp_proves_three_zeros(self, monkeypatch):
+        """(0, 1/2, 3/4, 0, 0, 0, 0): level one is solvable with members 2, 3
+        and 6 stuck at zero, and level two is booked.  One LP over their
+        union proves the three zeros, where one LP per member took three."""
+        assessment, _ = family7_assessment((0, F(1, 2), F(3, 4), 0, 0, 0, 0))
+        unpatched = check_coherence(assessment)
+        calls = self.spy(monkeypatch)
+        verdict = check_coherence(assessment)
+        assert verdict == unpatched and not verdict.coherent
+        assert verdict.trace[0].i0 == {2, 3, 6} and verdict.trace[1].member_indices == (2, 3, 6)
+        (call,) = calls
+        system, columns, voids, witnesses = call["args"]
+        assert call["lps"] == [set().union(*(self.active(columns, voids, i) for i in (1, 2, 5)))]
+        assert call["answer"] == per_member_m_values(system, columns, voids, witnesses)
+        level = verdict.trace[0]
+        assert level.m_values == tuple(call["answer"][0])
+        assert [level.m_values[i] for i in (1, 2, 5)] == [0, 0, 0]
+
+    def test_positive_union_falls_back_to_one_lp_per_member(self, monkeypatch):
+        """An extension on a coherent base over {A, B, C}, from the extend
+        benchmark's pool: the base's level-one system leaves X2 and X3 without
+        witness mass, their union can get mass, and each then gets its own
+        LP, with maxima 1 and 15/17."""
+        space = build_world_space(["A", "B", "C"])
+        base = Assessment(
+            tuple(
+                indicator(ConditionalEvent(space.event(e), space.event(h)), f"X{i}")
+                for i, (e, h) in enumerate(
+                    (("!A & !C", "!B"), ("C", "A & B"), ("!A & !B", "C & !A")), 1
+                )
+            ),
+            (F(2, 5), F(3, 5), F(1, 5)),
+        )
+        target = indicator(ConditionalEvent(space.event("B & !A"), space.event("A & B")), "T")
+        calls = self.spy(monkeypatch)
+        interval = extension_interval(base, target)
+        assert (interval.lower, interval.upper) == (0, 0)
+        (call,) = [c for c in calls if len(c["lps"]) > 1]
+        system, columns, voids, witnesses = call["args"]
+        assert len(system.rows) == len(base) + 1  # the members and the normalization
+        union, *own = call["lps"]
+        assert own == [self.active(columns, voids, i) for i in (1, 2)]
+        assert union == own[0] | own[1]
+        m_values, witnessed, zero = call["answer"]
+        assert m_values[1:] == [1, F(15, 17)] and zero == []
+        assert call["answer"] == per_member_m_values(system, columns, voids, witnesses)
+
+    def test_m_values_match_one_lp_per_member(self, monkeypatch):
+        """Every level of quarter-grid checks and of random extensions gives
+        the m-values, witnessed positions and zero set of one LP per member;
+        both outcomes of the union LP occur."""
+        calls = self.spy(monkeypatch)
+        for values in random.Random(26).sample(quarter_grid(), 400):
+            check_coherence(family7_assessment(values)[0])
+        space = build_world_space(["A", "B", "C"])
+        pool = TestExactPropagation.EVENT_POOL
+        rng = random.Random(26)
+
+        def draw(label):
+            return indicator(
+                ConditionalEvent(space.event(rng.choice(pool)), space.event(rng.choice(pool))),
+                label,
+            )
+
+        for _ in range(300):
+            size = rng.randint(2, 3)
+            members = tuple(draw(f"X{i}") for i in range(1, size + 1))
+            base = Assessment(members, tuple(F(rng.randint(0, 5), 5) for _ in range(size)))
+            if check_coherence(base).coherent:
+                extension_interval(base, draw("T"))
+        unions = {"zero": 0, "positive": 0}
+        for call in calls:
+            assert call["answer"] == per_member_m_values(*call["args"])
+            system, columns, voids, witnesses = call["args"]
+            rest = [i for i in range(len(columns))
+                    if not any(h in self.active(columns, voids, i)
+                               for w in witnesses for h, _ in w.support)]
+            if len(rest) > 1:
+                assert call["lps"][0] == set().union(*(self.active(columns, voids, i) for i in rest))
+                unions["zero" if len(call["lps"]) == 1 else "positive"] += 1
+        assert min(unions.values()) >= 5, unions
 
 
 class TestValueTable:

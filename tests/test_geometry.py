@@ -1,7 +1,9 @@
 """Tests for conditional quantities, compounds, partitions, and linear systems."""
 
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -517,6 +519,47 @@ def test_constructors_match_the_per_world_codes():
             assert read_codes(disj) == per_world_codes(len(space), complement)
             seen["or"] += 1
     assert min(seen.values()) > 50, seen
+
+
+def test_wide_conjunction_codes_match_the_per_world_ones():
+    """256 levels and the void code: the codes come from two-byte lanes,
+    renumbered into level order, for the conjunction and the disjunction of
+    E|H1..E|H8 on 512 worlds, where every void pattern but the full one occurs."""
+    space = build_world_space(["E"] + [f"H{i}" for i in range(1, 9)])
+    family = [conditional(space, "E", f"H{i}") for i in range(1, 9)]
+    subsets = [s for r in range(1, 9) for s in itertools.combinations(range(1, 9), r)]
+    numerators = random.Random(23).sample(range(1, 1000), len(subsets))
+    previsions = {s: F(k, 1000) for s, k in zip(subsets, numerators)}
+    _, values, _ = per_world_conjunction(family, previsions)
+    conj = make_conjunction(family, previsions)
+    assert isinstance(conj.codes, tuple) and len(conj.levels) == 256
+    assert read_codes(conj) == per_world_codes(len(space), values)
+    negated = [ConditionalEvent(~ce.consequent, ce.antecedent) for ce in family]
+    _, inner, _ = per_world_conjunction(negated, previsions)
+    complement = {w: 1 - v for w, v in inner.items()}
+    disj = make_disjunction(family, previsions)
+    assert read_codes(disj) == per_world_codes(len(space), complement)
+
+
+def test_conjunction_build_memory_stays_near_its_codes():
+    """Building the n = 9 conjunction over 4^9 worlds allocates a few times
+    its codes, a byte per world, at peak: a mask per void pattern would be
+    2^9 masks of 4^9 bits, about 100 times the codes."""
+    n = 9
+    members = range(1, n + 1)
+    space = build_world_space([f"E{i}" for i in members] + [f"H{i}" for i in members])
+    family = [conditional(space, f"E{i}", f"H{i}") for i in members]
+    xs = [F(k % 4 + 1, 5) for k in range(n)]
+    previsions = {s: math.prod(xs[i - 1] for i in s)
+                  for r in range(1, n) for s in itertools.combinations(members, r)}
+    tracemalloc.start()
+    try:
+        conj = make_conjunction(family, previsions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(conj.codes) == 4**n
+    assert peak < 8 * len(conj.codes), f"peak {peak} bytes"
 
 
 def _random_formula(rng, atoms, depth=2):
