@@ -4,14 +4,15 @@ A conditional quantity X|K takes one exact rational value on each world of
 K; outside K it is void and, once assessed, stands in for its own prevision.
 It is stored in one form: its distinct values (levels) in descending order
 and per world a code byte, the index of its value or, where void, the level
-count.  It is built from level sets, (value, mask) pairs over the bit masks of
-`events`, and its codes come from the masks by a few bulk integer operations
-per bit plane, never by a Python int per world or a pass per level.  Indicators
-get their level sets, and the conjunctions and disjunctions of conditional
-events (over the union of the antecedents, with assessed previsions filling
-the partially-void cases) their bit planes, by integer algebra (&, ^, |) on
-the masks.  An
-assessed family's constituents are the joint codes (keys) of its worlds:
+count.  One builder, `_quantity`, makes each quantity but those of
+`from_values` from (value, mask) blocks over the bit masks of `events`: it
+folds each block into the bit planes of the codes as it arrives and orders
+the levels once, never spending a Python int per world or a pass per block
+or level.  Indicators, the level sets of `from_level_sets`, and the
+conjunctions and disjunctions of conditional events (over the union of the
+antecedents, with assessed previsions filling the partially-void cases, their
+blocks made one at a time by integer algebra on the masks) all go through it.
+An assessed family's constituents are the joint codes (keys) of its worlds:
 `keyed_partition` finds them in one pass, as a code column per member, and
 projects the columns onto sub-families; `quantity_constituents` gives each
 key its values and +/-/0 label, and reads a block's worlds off the code lanes
@@ -76,25 +77,14 @@ class ConditionalQuantity(Record):
     @classmethod
     def from_level_sets(cls, conditioning, level_sets, label="X|K", void_value=None):
         """The quantity worth v on the worlds of each (v, mask) pair; the
-        masks cover the conditioning worlds.  Equal values merge, and empty
-        masks are dropped.  Values are compared as integers over their
-        common denominator, not as Fractions."""
-        pairs = [(to_fraction(v), worlds) for v, worlds in level_sets if worlds]
-        values, masks = {}, {}
-        for key, (v, worlds) in zip(scale_to_integers([v for v, _ in pairs])[0], pairs):
-            values.setdefault(key, v)
-            masks[key] = masks.get(key, 0) | worlds
-        keys = sorted(values, reverse=True)
-        levels, masks = tuple(map(values.get, keys)), list(map(masks.get, keys))
-        return cls._from_levels(conditioning, levels, masks, label, void_value)
-
-    @classmethod
-    def _from_levels(cls, conditioning, levels, masks, label, void_value=None):
-        """The quantity worth levels[i] on the worlds of masks[i]: the levels
-        are Fractions in descending order, and the masks are non-empty and
-        partition the conditioning worlds."""
-        codes = _codes([*masks, (~conditioning).members], len(conditioning.space))
-        return cls(conditioning, levels, codes, label, void_value)
+        masks partition the conditioning worlds.  Equal values merge, and
+        empty masks are dropped."""
+        blocks = [(to_fraction(v), worlds) for v, worlds in level_sets]
+        masks = [worlds for _, worlds in blocks]
+        # disjoint masks, and only they, sum to their union
+        if not sum(masks) == reduce(or_, masks, 0) == conditioning.members:
+            raise ValueError("level sets must partition the conditioning worlds")
+        return _quantity(conditioning, blocks, label, void_value)
 
     @classmethod
     def from_values(cls, conditioning, values, label="X|K", void_value=None):
@@ -128,46 +118,61 @@ class ConditionalQuantity(Record):
         return set(self.levels) <= {ZERO, ONE}
 
 
-def _codes(masks, n_worlds):
-    """The code of each world, i on the worlds of masks[i], which partition
-    the worlds: bytes, or past 256 masks a tuple read from wider lanes.
-
-    While more than three lane values remain, plane j, the union of the
-    masks whose lane has bit j set, is taken, and the masks are merged in
-    pairs by lane >> 1; the last two masks are the planes of bits j and
-    j + 1.  The work is a few operations on whole masks per plane, never a
-    pass over the worlds per level.
-    """
-    planes, by_lane = [], list(masks)  # the masks by lane >> j
-    while len(by_lane) > 3:
-        planes.append(reduce(or_, by_lane[1::2]))
-        by_lane = list(map(or_, by_lane[::2], by_lane[1::2] + [0]))
-    return _from_planes(planes + by_lane[1:], len(masks), n_worlds)
-
-
-def _from_planes(planes, n_codes, n_worlds, renumber=None):
+def _from_planes(planes, n_codes, n_worlds, renumber):
     """The code of each world, of n_codes codes, with bit j set on the worlds
-    of planes[j], and renumbered through the list `renumber` when given:
-    bytes, or past 256 codes a tuple.  A world's lane holds its code; each
-    plane is spread into its bit of the lanes at once."""
+    of planes[j], renumbered through the list `renumber`: bytes, or past 256
+    codes a tuple.  A world's lane holds its code; each plane is spread into
+    its bit of the lanes at once."""
     width = 1 if n_codes <= 1 << 8 else 2 if n_codes <= 1 << 16 else 4
     total = sum(spread_bits(plane, width, j) for j, plane in enumerate(planes) if plane)
     lanes = total.to_bytes(n_worlds * width, "little")
     if width == 1:
-        return lanes if renumber is None else lanes.translate(bytes(renumber).ljust(256, b"\0"))
+        return lanes.translate(bytes(renumber).ljust(256, b"\0"))
     lanes = array(_TYPECODES[width], lanes)
     if sys.byteorder == "big":
         lanes.byteswap()
-    return tuple(lanes if renumber is None else map(renumber.__getitem__, lanes))  # hashable
+    return tuple(map(renumber.__getitem__, lanes))  # hashable
+
+
+def _quantity(conditioning, blocks, label, void_value=None, complement=False):
+    """The quantity worth x on the worlds of each (x, mask) block, a Fraction
+    and a mask; the blocks partition the conditioning worlds, equal values may
+    recur, and empty masks are skipped.  With `complement` every value, the
+    void value included, is one minus the given one.
+
+    Each block is folded into the bit planes of the codes as it arrives, its
+    value numbered as first seen, and code 0 void; the planes are spread into
+    lanes once, and one translation puts the values in level order.  No mask
+    per level is kept, and no pass over the worlds is made per block.
+    """
+    values, seen, planes = [None], {}, []  # code c's value; codes by ratio; plane j's worlds
+    for x, worlds in blocks:
+        if not worlds:
+            continue
+        code = seen.setdefault(x.as_integer_ratio(), len(values))
+        if code == len(values):
+            values.append(x)
+            planes += [0] * (code.bit_length() - len(planes))
+        j = 0
+        while code:  # the block's worlds join the plane of each bit of its code
+            if code & 1:
+                planes[j] |= worlds
+            code, j = code >> 1, j + 1
+    levels = [ONE - v for v in values[1:]] if complement else values[1:]
+    order = sorted(range(len(levels)), key=scale_to_integers(levels)[0].__getitem__, reverse=True)
+    # code c + 1 becomes the level of levels[c], which inverts `order`; void goes last
+    renumber = [len(levels)] + sorted(range(len(levels)), key=order.__getitem__)
+    codes = _from_planes(planes, len(values), len(conditioning.space), renumber)
+    if complement and void_value is not None:
+        void_value = ONE - void_value
+    levels = tuple(map(levels.__getitem__, order))
+    return ConditionalQuantity(conditioning, levels, codes, label, void_value)
 
 
 def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
     """The 0/1 quantity of a conditional event on its antecedent."""
     h, e = ce.antecedent.members, ce.consequent.members
-    true, false = h & e, h & ~e
-    if true and false:
-        return ConditionalQuantity._from_levels(ce.antecedent, (ONE, ZERO), [true, false], label)
-    return ConditionalQuantity._from_levels(ce.antecedent, (ONE,) if true else (ZERO,), [h], label)
+    return _quantity(ce.antecedent, [(ONE, h & e), (ZERO, h & ~e)], label)
 
 
 class CompoundPrevisionMap:
@@ -216,59 +221,45 @@ def _conjunction(family, previsions, label, complement=False):
     """The family's conjunction, or with `complement` one minus it, as a
     quantity on the union of antecedents: 0 on the worlds where some member
     fails, 1 where every member holds, and x_S on the block where exactly the
-    members S are void; x of the full set is the built-in void value.
-
-    Each member splits every block by its antecedent, depth first, so the
-    work is integer algebra on the event masks, and at most one block per
-    member is held at a time.  Each block is folded into the bit planes of
-    the codes as it is made, its value numbered as first seen, and code 0
-    void; the planes are spread into lanes once, and one translation puts
-    the values in level order.  No mask per block or per level is kept.
-    """
+    members S are void; x of the full set is the built-in void value."""
     if not family:
         raise ValueError("family must be non-empty")
     if not isinstance(previsions, CompoundPrevisionMap):
         previsions = CompoundPrevisionMap(previsions)
     union = reduce(or_, (ce.antecedent for ce in family))
+    void = previsions.get(range(1, len(family) + 1))
+    return _quantity(union, _blocks(family, previsions, union.members), label, void, complement)
+
+
+def _blocks(family, previsions, union):
+    """(x, worlds) per value block of the conjunction on the worlds `union`.
+
+    Each member splits every block by its antecedent, depth first, so the
+    work is integer algebra on the event masks, and at most one block per
+    member is held at a time.  Once every block is out, the subset of the
+    lowest world whose x_S is missing is raised as MissingPrevision.
+    """
     false = 0
     for ce in family:
         false |= ce.antecedent.members & ~ce.consequent.members
-    values, bits, seen, missing = [None], [[]], {}, None  # code c's value and bits; codes by ratio
-    planes = [0] * (len(family) + 1)  # plane j: the worlds whose code has bit j
-    antecedents, n = [ce.antecedent.members for ce in family], len(family)
-    # split blocks (i, void members, worlds) by member i; (n, None, false) is 0
-    stack = [(0, frozenset(), union.members & ~false), (n, None, false)]
-    push, get = stack.append, previsions.get
+    yield ZERO, false
+    antecedents, n, missing = [ce.antecedent.members for ce in family], len(family), None
+    stack, get = [(0, frozenset(), union & ~false)], previsions.get  # (i, void members, worlds)
     while stack:
         i, void, worlds = stack.pop()
         if not worlds:
             continue
         if i < n:
             active = worlds & antecedents[i]
-            push((i + 1, void, active))
-            push((i + 1, void | {i + 1}, worlds ^ active))
+            stack += (i + 1, void, active), (i + 1, void | {i + 1}, worlds ^ active)
             continue
-        x = ZERO if void is None else get(void) if void else ONE
+        x = get(void) if void else ONE
         if x is None:  # name the subset of the lowest world lacking one
             missing = min(missing or (worlds, void), (worlds & -worlds, void))
-            continue
-        code = seen.setdefault(x.as_integer_ratio(), len(values))
-        if code == len(values):
-            values.append(x)
-            bits.append([j for j in range(code.bit_length()) if code >> j & 1])
-        for j in bits[code]:
-            planes[j] |= worlds
+        else:
+            yield x, worlds
     if missing:
         previsions.require(missing[1])
-    levels = [ONE - v for v in values[1:]] if complement else values[1:]
-    order = sorted(range(len(levels)), key=scale_to_integers(levels)[0].__getitem__, reverse=True)
-    # code c + 1 becomes the level of levels[c], which inverts `order`; void goes last
-    renumber = [len(levels)] + sorted(range(len(levels)), key=order.__getitem__)
-    codes = _from_planes(planes, len(values), len(union.space), renumber)
-    void = previsions.get(range(1, len(family) + 1))
-    if complement and void is not None:
-        void = ONE - void
-    return ConditionalQuantity(union, tuple(levels[c] for c in order), codes, label, void)
 
 
 def make_conjunction(

@@ -56,7 +56,10 @@ ZERO = Fraction(0)
 # On conj-scale (Python 3.11, two-core Xeon VM, best of 7) that took 0.49-0.51
 # ms per operation against 0.48-0.49 ms column by column at 80 unknowns, and
 # 1.14-1.16 against 1.22-1.27 ms at 242; paired 8 s conj-scale runs at a width
-# of 64 or 256 gained nothing.  Other systems have at most 26 unknowns.
+# of 64 or 256 gained nothing.  Other systems have at most 26 unknowns, and
+# packed they lose: at a width of 0, grid7 fell from 1,271-1,274 to 1,162-1,189
+# operations per second, its tail rose from 1.16 to 1.31-1.33 ms (8 s pairs),
+# and the pivots, so the grid digest, changed.  So both paths stay.
 PACKED_WIDTH = 128
 
 

@@ -87,6 +87,27 @@ def test_quantity_requires_full_value_cover(space4):
         ConditionalQuantity.from_values(h, values)
 
 
+def test_level_sets_must_partition_the_conditioning_worlds():
+    # a mask outside the conditioning event, two overlapping masks, and a
+    # conditioning world left uncovered: each once took the value of code 0
+    # or the OR of two codes
+    space = build_world_space(["A", "B"])
+    a, ab, a_not_b = (space.event(f).members for f in ("A", "A & B", "A & !B"))
+    for conditioning, level_sets in (
+        (space.event("A & B"), [(F(1, 2), a)]),
+        (space.event("A"), [(F(1, 2), a), (F(1, 3), ab)]),
+        (space.event("A"), [(F(1, 2), ab)]),
+    ):
+        with pytest.raises(ValueError):
+            ConditionalQuantity.from_level_sets(conditioning, level_sets)
+    # a partition passes, empty masks and all, and equal values merge
+    q = ConditionalQuantity.from_level_sets(
+        space.event("A"), [(F(1, 2), ab), (3, 0), (F(2, 4), a_not_b)]
+    )
+    assert q.levels == (F(1, 2),)
+    assert q.values == {w: F(1, 2) for w in worlds_of(space.event("A"))}
+
+
 def test_indicator_round_trip(space4):
     ce = conditional(space4, "A", "H")
     q = indicator(ce, "A|H")

@@ -118,6 +118,33 @@ def test_every_workload_name_is_exported():
         assert hasattr(prevision, name), name
 
 
+# In a fresh interpreter: an undocumented name read, then a star import.
+SURFACE = """
+import prevision
+try:
+    prevision.build_sigma
+except AttributeError:
+    loaded = sorted(m for m in sys.modules if m.startswith("prevision."))
+names = {}
+exec("from prevision import *", names)
+bound = sorted(set(names) - {"__builtins__"})
+foreign = [n for n in bound if getattr(sys.modules[names[n].__module__], n) is not names[n]]
+print(loaded, bound == sorted(prevision.__all__), foreign)
+"""
+
+
+def test_star_import_binds_the_documented_surface_and_nothing_else():
+    # the package binds each name of `__all__` from its home module, the same
+    # object, and a name outside `__all__` fails before any module loads
+    script = f"import sys; sys.path.insert(0, sys.argv[1])\n{SURFACE}"
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script, str(SOURCE.parent)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[] True []"
+
+
 def _imports(path):
     """(tree, [(name, line, marked)]) of a source module: each name it
     imports, leaving out `__future__`, marked when its import line carries
