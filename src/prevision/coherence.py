@@ -21,7 +21,7 @@ from .geometry import (
     keyed_partition,
     quantity_constituents,
 )
-from .lp import maximize_component_sum, maximize_linear, solve_feasibility
+from .lp import carry_phase1, maximize_component_sum, maximize_linear, solve_feasibility
 from .record import Record
 
 # Not called here: kept importable because benchmarks/tracing.py patches them by name;
@@ -184,31 +184,50 @@ def _m_values(system: LinearSystem, columns, voids, witnesses):
     return m_values, witnessed, zero
 
 
-def _run_level(current: Assessment, index_map: tuple, codes):
+def _run_level(current: Assessment, index_map: tuple, columns, voids):
     """One recursion level on `current`, the members `index_map` (1-based) of
-    the assessment: one system for the simplex and the book check, over the
-    block columns `codes` (None: one pass over the worlds), projected for the next level."""
-    system = build_sigma(current, codes)
+    the assessment, over block columns with void codes `voids`, any target's
+    lane last.  The blocks where some member is active, a prefix of each
+    column, make the one system for the simplex and the book check."""
+    t, m = len(current), len(columns[0])
+    while m and all(column[m - 1] == void for column, void in zip(columns[:t], voids)):
+        m -= 1
+    system = build_sigma(current, [column[:m] for column in columns])
     labels = tuple(q.label for q in current.family)
     cert = solve_feasibility(system)
     if not cert.feasible:
         stakes = tuple(-u for u in cert.dual[:-1])
         book = _checked_book(DutchBook(index_map, stakes, cert.margin), system)
         record = LevelRecord(index_map, labels, False, None, None, frozenset(), None)
-        return record, book, None, None
-    columns, voids = system.codes, [len(q.levels) for q in current.family]
-    m_values, witnessed, zero = _m_values(system, columns, voids, [cert])
-    record = LevelRecord(
-        index_map,
-        labels,
-        True,
-        cert.solution,
-        tuple(m_values),
-        frozenset(index_map[i] for i in witnessed),
-        frozenset(index_map[i] for i in zero),
-    )
-    projected = zero and keyed_partition([columns[i] for i in zero], [voids[i] for i in zero])
-    return record, None, zero, projected
+        return record, book, None, system
+    m_values, witnessed, zero = _m_values(system, system.codes[:t], voids, [cert])
+    witnessed, i0 = (frozenset(index_map[i] for i in s) for s in (witnessed, zero))
+    record = LevelRecord(index_map, labels, True, cert.solution, tuple(m_values), witnessed, i0)
+    return record, None, zero, system
+
+
+def _walk(assessment: Assessment, target=None):
+    """The verdict on `assessment` and, per level walked, its members, block
+    columns, their void codes and its system.  A target's lane, when given,
+    follows the members' in every level's columns, projected from the last."""
+    if (screened := _hull_screen(assessment)) is not None:
+        return screened, []
+    lanes = assessment.family + (() if target is None else (target,))
+    voids = [len(q.levels) for q in lanes]
+    columns = keyed_partition([q.codes for q in lanes], voids)
+    current, index_map = assessment, tuple(range(1, len(assessment) + 1))
+    trace, levels = [], []
+    for _ in range(len(assessment)):
+        record, book, zero, system = _run_level(current, index_map, columns, voids)
+        trace.append(record)
+        levels.append((current, columns, voids, system))
+        if book is not None or not zero:
+            return CoherenceVerdict(book is None, tuple(trace), book), levels
+        keep = zero + list(range(len(current), len(columns)))  # the target's lane stays last
+        voids = [voids[i] for i in keep]
+        columns = keyed_partition([columns[i] for i in keep], voids)
+        current, index_map = current.restrict(zero), tuple(index_map[i] for i in zero)
+    raise RuntimeError("recursion failed to terminate")
 
 
 def check_coherence(assessment: Assessment) -> CoherenceVerdict:
@@ -219,23 +238,7 @@ def check_coherence(assessment: Assessment) -> CoherenceVerdict:
     antecedent; members stuck at zero form the next level's family.  The
     family strictly shrinks, so the loop is capped defensively at its size.
     """
-    screened = _hull_screen(assessment)
-    if screened is not None:
-        return screened
-    trace = []
-    current = assessment
-    index_map = tuple(range(1, len(assessment) + 1))
-    codes = None
-    for _ in range(len(assessment)):
-        record, book, zero, codes = _run_level(current, index_map, codes)
-        trace.append(record)
-        if book is not None:
-            return CoherenceVerdict(False, tuple(trace), book)
-        if not zero:
-            return CoherenceVerdict(True, tuple(trace))
-        current = current.restrict(zero)
-        index_map = tuple(index_map[i] for i in zero)
-    raise RuntimeError("recursion failed to terminate")
+    return _walk(assessment)[0]
 
 
 def find_dutch_book(assessment: Assessment) -> DutchBook | None:
@@ -291,36 +294,42 @@ def _charnes_cooper_range(system: LinearSystem, t: int, values, k_mass):
     return _linear_range(cc, [*values, 0])
 
 
-def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
+def _propagate(levels, target: ConditionalQuantity):
     """The exact coherent range of the target over a coherent assessment,
-    walking the levels `trace` of the assessment's own verdict.
+    from the levels of its walk with the target (`_walk`): per level, the
+    members, the block columns and void codes, and the system where some
+    member is active.
 
-    At each level the members in play and the target share one partition.
-    Where the target is active on every block, each solution puts its unit
-    mass on the target's active blocks K, so the range of the target's
-    values over the level's own system is the answer.  Where K must carry
-    mass, the level's linear-fractional range is the answer.  Where K never
-    carries mass, the target joins the next level.  Where K may carry mass
-    or not, values outside that range leave the target void, and the members
-    that then get no mass, with the target, form a strictly smaller problem
-    whose range joins the level's range.
+    The blocks where only the target is active sort last; they join that
+    system, which keeps its phase-1 basis.  Where the target is active on
+    every block, the range of its values over the system is the answer.
+    Else the level's verified phase-1 point leaves one LP on the mass of the
+    target's active blocks K: with mass on K, whether K must carry mass, and
+    then the level's linear-fractional range is the answer; without, whether
+    K can, and if not the target joins the next level.  Where K may carry
+    mass or not, values outside that range leave the target void, and the
+    members that then get no mass, with the target, form a strictly smaller
+    problem whose range joins the level's.
     """
     hull = target.hull()
-    for record in trace:
-        current = assessment.restrict(p - 1 for p in record.member_indices)
-        members = (*current.family, target)
-        t, voids, void = len(current), [len(q.levels) for q in members], len(target.levels)
-        system = build_sigma(current, keyed_partition([q.codes for q in members], voids))
-        columns = system.codes
+    for current, columns, voids, system in levels:
+        t, void = len(current), voids[-1]
+        if len(columns[t]) > system.n_unknowns:  # the blocks where only the target is active
+            member_system, system = system, build_sigma(current, columns)
+            carry_phase1(system, member_system)
         values = [*map((*target.levels, 0).__getitem__, columns[t])]  # 0 where void
         if void not in columns[t]:
             return _linear_range(system, values)
         k_mass = tuple(int(c != void) for c in columns[t])
-        least = maximize_linear(system, [-v for v in k_mass])
-        if least.value == 0 and maximize_linear(system, k_mass).value == 0:
+        witness = solve_feasibility(system)  # without K mass, a point of least K mass
+        if any(k_mass[h] for h, _ in witness.support):  # K can carry mass
+            witness = maximize_linear(system, [-v for v in k_mass])
+            if witness.value < 0:  # K must carry mass
+                return _charnes_cooper_range(system, t, values, k_mass)
+        elif maximize_linear(system, k_mass).value == 0:  # K never carries mass
             continue
         lo, hi = _charnes_cooper_range(system, t, values, k_mass)
-        if least.value < 0 or (lo, hi) == hull:
+        if (lo, hi) == hull:
             return lo, hi
         # the member rows, K's mass set to zero, then the normalization row
         void_target = LinearSystem(
@@ -328,14 +337,13 @@ def _propagate(assessment: Assessment, trace, target: ConditionalQuantity):
             system.scales[:t] + (1,) + system.scales[t:],
             system.labels,
         )
-        _, _, zero = _m_values(void_target, columns[:t], voids, [least])
+        _, _, zero = _m_values(void_target, columns[:t], voids, [witness])
         if not zero:
             return hull
-        sub = current.restrict(zero)
-        verdict = check_coherence(sub)
+        verdict, sub_levels = _walk(current.restrict(zero), target)
         if not verdict.coherent:
             raise RuntimeError("restriction of a coherent assessment failed")
-        sub_lo, sub_hi = _propagate(sub, verdict.trace, target)
+        sub_lo, sub_hi = _propagate(sub_levels, target)
         return min(lo, sub_lo), max(hi, sub_hi)
     return hull
 
@@ -346,17 +354,19 @@ def extension_interval(
     """The closed interval of values mu for which adding (target, mu) keeps
     the assessment coherent.
 
-    Raises IncoherentBase when the assessment itself fails.  A target already
-    in the family gets its assessed value.  Every other target, the
-    Frechet-Hoeffding, same-consequent and three-event family shapes
-    included, is propagated exactly through the levels of the assessment's
-    own verdict, with linear programs only.  Both endpoints are exact:
-    `exact` is always True.
+    Raises ValueError for a target over another world space, IncoherentBase
+    when the assessment itself fails.  A target already in the family gets
+    its assessed value.  Every other target, the Frechet-Hoeffding,
+    same-consequent and three-event family shapes included, is propagated
+    exactly, with linear programs only, through the levels of the verdict's
+    own walk, whose blocks the target refines.  `exact` is always True.
     """
-    verdict = check_coherence(assessment)
+    if target.space is not assessment.space:
+        raise ValueError("family members live in different world spaces")
+    verdict, levels = _walk(assessment, target)
     if not verdict.coherent:
         raise IncoherentBase("the base assessment is not coherent")
     for q, mu in zip(assessment.family, assessment.values):
         if (q.levels, q.codes) == (target.levels, target.codes):
             return ExtensionInterval(mu, mu, True)
-    return ExtensionInterval(*_propagate(assessment, verdict.trace, target), True)
+    return ExtensionInterval(*_propagate(levels, target), True)

@@ -120,18 +120,18 @@ class ConditionalQuantity(Record):
 
 def _from_planes(planes, n_codes, n_worlds, renumber):
     """The code of each world, of n_codes codes, with bit j set on the worlds
-    of planes[j], renumbered through the list `renumber`: bytes, or past 256
-    codes a tuple.  A world's lane holds its code; each plane is spread into
-    its bit of the lanes at once."""
+    of planes[j], renumbered through the list `renumber`, or left as they are
+    where it is None: bytes, or past 256 codes a tuple.  A world's lane holds
+    its code; each plane is spread into its bit of the lanes at once."""
     width = 1 if n_codes <= 1 << 8 else 2 if n_codes <= 1 << 16 else 4
     total = sum(spread_bits(plane, width, j) for j, plane in enumerate(planes) if plane)
     lanes = total.to_bytes(n_worlds * width, "little")
     if width == 1:
-        return lanes.translate(bytes(renumber).ljust(256, b"\0"))
+        return lanes if renumber is None else lanes.translate(bytes(renumber).ljust(256, b"\0"))
     lanes = array(_TYPECODES[width], lanes)
     if sys.byteorder == "big":
         lanes.byteswap()
-    return tuple(map(renumber.__getitem__, lanes))  # hashable
+    return tuple(lanes if renumber is None else map(renumber.__getitem__, lanes))  # hashable
 
 
 def _quantity(conditioning, blocks, label, void_value=None, complement=False):
@@ -141,28 +141,34 @@ def _quantity(conditioning, blocks, label, void_value=None, complement=False):
     void value included, is one minus the given one.
 
     Each block is folded into the bit planes of the codes as it arrives, its
-    value numbered as first seen, and code 0 void; the planes are spread into
-    lanes once, and one translation puts the values in level order.  No mask
-    per level is kept, and no pass over the worlds is made per block.
+    value numbered from 0 as first seen, and the void worlds last; the planes
+    are spread into lanes once, and one translation puts the values in level
+    order unless they arrived in it.  No mask per level, or pass per block.
     """
-    values, seen, planes = [None], {}, []  # code c's value; codes by ratio; plane j's worlds
+    values, seen, planes = [], {}, []  # code c's value; codes by ratio; plane j's worlds
     for x, worlds in blocks:
         if not worlds:
             continue
         code = seen.setdefault(x.as_integer_ratio(), len(values))
         if code == len(values):
             values.append(x)
-            planes += [0] * (code.bit_length() - len(planes))
+            planes += [0] * ((code + 1).bit_length() - len(planes))  # and the void code's
         j = 0
         while code:  # the block's worlds join the plane of each bit of its code
             if code & 1:
                 planes[j] |= worlds
             code, j = code >> 1, j + 1
-    levels = [ONE - v for v in values[1:]] if complement else values[1:]
-    order = sorted(range(len(levels)), key=scale_to_integers(levels)[0].__getitem__, reverse=True)
-    # code c + 1 becomes the level of levels[c], which inverts `order`; void goes last
-    renumber = [len(levels)] + sorted(range(len(levels)), key=order.__getitem__)
-    codes = _from_planes(planes, len(values), len(conditioning.space), renumber)
+    n, void = len(conditioning.space), len(values)
+    outside = ((1 << n) - 1) ^ conditioning.members  # the void worlds, coded `void`
+    for j in range(void.bit_length()):
+        if void >> j & 1:
+            planes[j] |= outside
+    levels = [ONE - v for v in values] if complement else values
+    order = sorted(range(void), key=scale_to_integers(levels)[0].__getitem__, reverse=True)
+    renumber = None  # the values arrived in level order, as an indicator's do
+    if order != sorted(order):  # code c becomes the level of levels[c]; void stays last
+        renumber = [*sorted(range(void), key=order.__getitem__), void]
+    codes = _from_planes(planes, void + 1, n, renumber)
     if complement and void_value is not None:
         void_value = ONE - void_value
     levels = tuple(map(levels.__getitem__, order))

@@ -82,6 +82,14 @@ prefix sums) are those closed forms, and each must return equal Fractions.
 member that no witness gives mass, as `coherence._m_values` did before one
 LP over the union of those members' active sets could prove them all zero;
 the two must return equal m-values, witnessed positions and zero sets.
+
+`two_walk_extension` is `coherence.extension_interval` as it was before one
+walk served both the base verdict and the propagation: `check_coherence` on
+the base, then each level of its trace partitioned again over the worlds
+with the target added, phase 1 run on that level's system, and both K-mass
+LPs run wherever the target may be void.  It looks the engine's names up in
+`prevision.coherence` and `prevision.geometry`, so spies on those count its
+work too; the two must return equal intervals.
 """
 
 from fractions import Fraction
@@ -90,6 +98,7 @@ from math import lcm, prod
 from operator import and_
 from typing import NamedTuple
 
+from prevision import coherence, geometry
 from prevision.closed_form import Family7Assessment, LambdaVector, _tail_products
 from prevision.errors import EmptySpace, UnknownAtom
 from prevision.events import parse_formula
@@ -930,3 +939,51 @@ def prefix_sum_lambda_solution_TL(xs):
                 entries[(prefix - {r}) | s] = gap * (1 - rho) * w
             entries[prefix | s] = running[h_star - 1] * w
     return LambdaVector(m, entries, case=case)
+
+
+def two_walk_extension(assessment, target):
+    """(lower, upper) of the target over a coherent base, None over an
+    incoherent one, by the base's verdict and then a propagation of its own."""
+    verdict = coherence.check_coherence(assessment)
+    if not verdict.coherent:
+        return None
+    for q, mu in zip(assessment.family, assessment.values):
+        if (q.levels, q.codes) == (target.levels, target.codes):
+            return mu, mu
+    return _two_walk_propagate(assessment, verdict.trace, target)
+
+
+def _two_walk_propagate(assessment, trace, target):
+    hull = target.hull()
+    for record in trace:
+        current = assessment.restrict(p - 1 for p in record.member_indices)
+        members = (*current.family, target)
+        t, voids, void = len(current), [len(q.levels) for q in members], len(target.levels)
+        system = coherence.build_sigma(
+            current, geometry.keyed_partition([q.codes for q in members], voids)
+        )
+        columns = system.codes
+        values = [*map((*target.levels, 0).__getitem__, columns[t])]  # 0 where void
+        if void not in columns[t]:
+            return coherence._linear_range(system, values)
+        k_mass = tuple(int(c != void) for c in columns[t])
+        least = coherence.maximize_linear(system, [-v for v in k_mass])
+        if least.value == 0 and coherence.maximize_linear(system, k_mass).value == 0:
+            continue
+        lo, hi = coherence._charnes_cooper_range(system, t, values, k_mass)
+        if least.value < 0 or (lo, hi) == hull:
+            return lo, hi
+        void_target = geometry.LinearSystem(
+            system.rows[:t] + (k_mass + (0,),) + system.rows[t:],
+            system.scales[:t] + (1,) + system.scales[t:],
+            system.labels,
+        )
+        _, _, zero = coherence._m_values(void_target, columns[:t], voids, [least])
+        if not zero:
+            return hull
+        sub = current.restrict(zero)
+        verdict = coherence.check_coherence(sub)
+        assert verdict.coherent, "restriction of a coherent assessment failed"
+        sub_lo, sub_hi = _two_walk_propagate(sub, verdict.trace, target)
+        return min(lo, sub_lo), max(hi, sub_hi)
+    return hull

@@ -223,21 +223,22 @@ class TestCheckCoherence:
         import prevision.geometry as geometry
 
         real = geometry.keyed_partition
-        passes = []
+        passes, lanes = [], []  # lanes: the checked quantities' world codes
 
-        def recorded(kind):
-            def partition(codes, voids):
-                assert len(voids) == len(codes)
-                passes.append((kind, len(codes), len(codes[0]) if codes else 0))
-                return real(codes, voids)
-            return partition
+        def partition(codes, voids):
+            assert len(voids) == len(codes)
+            worlds = [any(lane is q.codes for q in lanes) for lane in codes]
+            assert len(set(worlds)) == 1  # world codes and block columns never mix
+            kind = "worlds" if worlds[0] else "projection"
+            passes.append((kind, len(codes), len(codes[0]) if codes else 0))
+            return real(codes, voids)
 
         def built(*args):
             raise AssertionError("constituent object built on the check path")
 
-        # build_sigma keys the worlds; _run_level projects the keys
-        monkeypatch.setattr(geometry, "keyed_partition", recorded("worlds"))
-        monkeypatch.setattr(coherence, "keyed_partition", recorded("projection"))
+        # the walk keys the worlds, then projects the keys, through either name
+        monkeypatch.setattr(geometry, "keyed_partition", partition)
+        monkeypatch.setattr(coherence, "keyed_partition", partition)
         monkeypatch.setattr(geometry, "QuantityConstituent", built)
 
         space = build_world_space(["E", "H"])
@@ -249,6 +250,7 @@ class TestCheckCoherence:
             ConditionalEvent(space.event("E & H"), space.event("H")), "EH|H"
         )
         assessment = Assessment((h, e_given_h, same), (F(0), F(1, 3), F(1, 2)))
+        lanes[:] = assessment.family
         verdict = check_coherence(assessment)
         assert not verdict.coherent
         assert [r.member_indices for r in verdict.trace] == [(1, 2, 3), (2, 3)]
@@ -264,6 +266,7 @@ class TestCheckCoherence:
             cases += [Assessment(conjunction_family(n, xs), xs + (z,)) for z in (lo, hi, hi + F(1, 1000))]
         for case in cases:
             passes.clear()
+            lanes[:] = case.family
             verdict = check_coherence(case)
             kinds = [kind for kind, _, _ in passes]
             assert kinds == ["worlds"] + ["projection"] * (kinds.count("projection"))
