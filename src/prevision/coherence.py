@@ -105,7 +105,10 @@ def dutch_book_gains(
     """Gain of the stakes on every constituent inside the booked sub-family's
     union of antecedents.  Void members contribute nothing by construction.
     """
-    sub = assessment.restrict([p - 1 for p in book.member_indices])
+    indices = book.member_indices
+    if len(book.stakes) != len(indices) or not all(1 <= p <= len(assessment) for p in indices):
+        raise ValueError("a book needs one stake per member index, each in 1..len(assessment)")
+    sub = assessment.restrict([p - 1 for p in indices])
     inside = quantity_constituents(sub.family)[0]
     gains, L = _book_gains(build_sigma(sub), book.stakes)  # over the same blocks, in order
     return [(c, Fraction(g, L)) for c, g in zip(inside, gains)]

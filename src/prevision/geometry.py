@@ -36,7 +36,7 @@ from math import lcm
 from operator import itemgetter, or_
 from types import MappingProxyType
 
-from .errors import MissingPrevision, NotApplicable, OutOfRange
+from .errors import MissingPrevision, OutOfRange
 from .events import ConditionalEvent, Event, WorldSpace, spread_bits
 from .record import Record, to_fraction
 
@@ -67,6 +67,8 @@ class ConditionalQuantity(Record):
     _shown = ("conditioning", "levels", "label", "void_value")
 
     def __init__(self, conditioning: Event, levels: tuple, codes, label="X|K", void_value=None):
+        if conditioning.is_empty:
+            raise ValueError("conditioning event must be non-empty")
         if void_value is not None:
             void_value = to_fraction(void_value)
         vars(self).update(
@@ -113,9 +115,6 @@ class ConditionalQuantity(Record):
 
     def hull(self) -> tuple[Fraction, Fraction]:
         return self.levels[-1], self.levels[0]
-
-    def is_indicator(self) -> bool:
-        return set(self.levels) <= {ZERO, ONE}
 
 
 def _from_planes(planes, n_codes, n_worlds, renumber):
@@ -364,10 +363,6 @@ class QuantityConstituent(Record):
     def worlds(self) -> frozenset:
         return frozenset(compress(count(), map(self.codes.__eq__, zip(*self.lanes))))
 
-    @property
-    def all_void(self) -> bool:
-        return all(v is None for v in self.profile)
-
     def label(self) -> str:
         return "".join(_mark(v) for v in self.profile)
 
@@ -496,22 +491,9 @@ class LinearSystem(Record):
     def value_tables(self) -> tuple:
         return self.tables or tuple(tabulate(row[:-1]) for row in self.rows)
 
-    @classmethod
-    def from_fractions(cls, equalities, rhs, unknown_labels, normalization=True):
-        """The system of rational `equalities` with right-hand sides `rhs`."""
-        rows, scales = [], []
-        for row, b in zip(equalities, rhs):
-            ints, s = scale_to_integers((*row, b))
-            rows.append(tuple(ints))
-            scales.append(s)
-        if normalization:
-            rows.append((1,) * (len(unknown_labels) + 1))
-            scales.append(1)
-        return cls(tuple(rows), tuple(scales), tuple(unknown_labels), normalization)
-
     @property
     def n_unknowns(self) -> int:
-        return len(self.rows[0]) - 1 if self.rows else len(self.unknown_labels)
+        return len(self.rows[0]) - 1
 
     def combine(self, weights) -> tuple:
         """(sums, L): sum_r w_r * row_r over the rational rows, normalization
@@ -527,11 +509,6 @@ class LinearSystem(Record):
             if w:
                 sums = [a + w * v for a, v in zip(sums, row)]
         return sums
-
-    def check_solution(self, vec) -> bool:
-        """Non-negativity and every row, in integers: vec times the lcm of its denominators."""
-        ints, L = scale_to_integers([to_fraction(v) for v in vec])
-        return len(ints) == self.n_unknowns and self.solves(dict(enumerate(ints)), L)
 
     def solves(self, x, D) -> bool:
         """x_j / D, for j in the dict x and 0 elsewhere, is non-negative and meets each row."""
@@ -592,24 +569,3 @@ def signature_label(s, n: int) -> str:
     """Compact subset label: barred members carry a trailing tilde."""
     return "".join(f"{j}" if j in s else f"{j}~" for j in range(1, n + 1))
 
-
-def build_sigma_star(values: Sequence) -> LinearSystem:
-    """The reduced system over the 2^n blocks where every antecedent holds,
-    for the value sequence (x_1, ..., x_n, x_overall) of n logically
-    independent conditional events and their conjunction.  Unknowns follow
-    conjunction_signatures.
-    """
-    values = [to_fraction(v) for v in values]
-    if len(values) < 2:
-        raise NotApplicable("need at least one member prevision plus the overall one")
-    xs, x_all = values[:-1], values[-1]
-    n = len(xs)
-    sigs = conjunction_signatures(n)
-    full = frozenset(range(1, n + 1))
-    equalities = [
-        tuple(ONE if j in s else ZERO for s in sigs) for j in range(1, n + 1)
-    ]
-    equalities.append(tuple(ONE if s == full else ZERO for s in sigs))
-    return LinearSystem.from_fractions(
-        equalities, tuple(xs) + (x_all,), [signature_label(s, n) for s in sigs]
-    )

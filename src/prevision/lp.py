@@ -127,7 +127,7 @@ class _Simplex:
             self.row_bounds = [max(map(abs, table)) for table, _ in self.tables]
             self.packed = {}
         else:  # the rows transposed, rhs left out
-            self.columns = tuple(zip(*self.rows))[:-1] if self.rows else ((),) * self.m
+            self.columns = tuple(zip(*self.rows))[:-1]
 
     def copy(self) -> "_Simplex":
         """An independent state to pivot further; `self` stays as it is."""

@@ -40,12 +40,16 @@ they must return identical blocks and values.  The oracle's blocks are
 were built from level sets; every constructor's codes must read back equal
 to it.  `fraction_sigma` is the solvability system as Fraction rows, which
 `build_sigma` now emits as integer rows straight from the value codes;
-through `LinearSystem.from_fractions` the two must give identical rows and
-scales.  `fraction_rows` reads a system's integer rows back as Fraction
-equalities and right-hand sides, the view `LinearSystem` used to carry for
-the tests alone.  `table_rows` reads them back from the system's value
-tables, entry j of row r as table[codes[j]], which must give every row's
-entries.
+through `fraction_system` the two must give identical rows and scales.
+`fraction_system` builds a `LinearSystem` from Fraction equalities and
+right-hand sides, each row scaled to integers by the lcm of its
+denominators, and `fraction_rows`, its inverse, reads a system's integer
+rows back as Fraction equalities and right-hand sides: the two views
+`LinearSystem` used to carry for the tests alone.  `table_rows` reads the
+rows back from the system's value tables, entry j of row r as
+table[codes[j]], which must give every row's entries.  `integer_solves`
+checks a Fraction vector by `LinearSystem.solves`, the solver's own
+integer check, on the vector times the lcm of its denominators.
 
 `tuple_partition` is the keyed partition as sorted joint code tuples, one
 `zip` over the lanes and a set of tuples, as `keyed_partition` returned it
@@ -72,11 +76,15 @@ numbers, one bit test per world, and `mask_of` is its inverse.
 
 `sorted_conjunction_signatures` is the canonical unknown order as it was
 built before it was counted in binary: every member subset, sorted by its
-position key.  `HAND_TNORMS` holds min, product and max(sum - (n - 1), 0)
-written out by hand, as the closed forms and the Frechet bounds wrote them
-before they took the named t-norms from `frank.tnorm`; the `hand_*`
-functions and `prefix_sum_lambda_solution_TL` (whose running bound came from
-prefix sums) are those closed forms, and each must return equal Fractions.
+position key.  `sigma_star_solves` checks a mass vector in that order
+against the reduced system Sigma* of n logically independent conditional
+events and their conjunction, written from its defining equations, where
+`prevision.geometry` once built it as a `LinearSystem`.  `HAND_TNORMS`
+holds min, product and max(sum - (n - 1), 0) written out by hand, as the
+closed forms and the Frechet bounds wrote them before they took the named
+t-norms from `frank.tnorm`; the `hand_*` functions and
+`prefix_sum_lambda_solution_TL` (whose running bound came from prefix sums)
+are those closed forms, and each must return equal Fractions.
 
 `per_member_m_values` finds a level's m-values with one exact LP for every
 member that no witness gives mass, as `coherence._m_values` did before one
@@ -105,6 +113,7 @@ from prevision.events import parse_formula
 from prevision.frank import FrankKind
 from prevision.geometry import (
     CompoundPrevisionMap,
+    LinearSystem,
     _mark,
     quantity_constituents,
     scale_to_integers,
@@ -163,6 +172,21 @@ def _solve_square(matrix, rhs):
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
+
+
+def fraction_system(equalities, rhs, unknown_labels, normalization=True):
+    """The LinearSystem of rational `equalities` with right-hand sides `rhs`:
+    each row with its rhs times the lcm of its denominators, as integers, and
+    with normalization the row (1, ..., 1 | 1) last."""
+    rows, scales = [], []
+    for row, b in zip(equalities, rhs):
+        ints, s = scale_to_integers((*row, b))
+        rows.append(tuple(ints))
+        scales.append(s)
+    if normalization:
+        rows.append((1,) * (len(unknown_labels) + 1))
+        scales.append(1)
+    return LinearSystem(tuple(rows), tuple(scales), tuple(unknown_labels), normalization)
 
 
 def fraction_rows(system):
@@ -523,7 +547,8 @@ def per_field_pack(values, words):
 
 
 def fraction_check_solution(system, vec) -> bool:
-    """LinearSystem.check_solution on Fraction rows."""
+    """Whether vec, one entry per unknown, is non-negative and meets every
+    row, normalization included, in Fractions."""
     vec = [Fraction(v) for v in vec]
     if len(vec) != system.n_unknowns:
         return False
@@ -566,11 +591,18 @@ def fraction_verify_optimum(system, objective, result) -> None:
         raise RuntimeError("optimum dual bound mismatch")
 
 
+def integer_solves(system, vec) -> bool:
+    """`LinearSystem.solves` on vec, one entry per unknown, times the lcm of
+    its denominators."""
+    ints, D = scale_to_integers([Fraction(v) for v in vec])
+    return len(ints) == system.n_unknowns and system.solves(dict(enumerate(ints)), D)
+
+
 def integer_verify_certificate(system, cert) -> None:
     """Raise RuntimeError unless the certificate holds, by the solver's own
     integer checks on the system's integer rows."""
     if cert.feasible:
-        if not system.check_solution(cert.solution):
+        if not integer_solves(system, cert.solution):
             raise RuntimeError("solver produced a non-solution")
     else:  # multipliers y_r / s_r on the integer rows; no margin checks as 0
         rational = [*map(Fraction, cert.dual, system.scales), cert.margin or 0]
@@ -581,7 +613,7 @@ def integer_verify_certificate(system, cert) -> None:
 def integer_verify_optimum(system, objective, result) -> None:
     """Raise RuntimeError unless the maximizer is feasible and the dual
     proves its value, by the solver's own integer checks."""
-    if not system.check_solution(result.solution):
+    if not integer_solves(system, result.solution):
         raise RuntimeError("optimizer produced a non-solution")
     (*w, value), L = scale_to_integers([*map(Fraction, result.dual, system.scales), result.value])
     _check_optimum(system, w, value, L, *scale_to_integers(objective))
@@ -872,6 +904,21 @@ def sorted_conjunction_signatures(n):
         for mask in range(1 << n)
     )
     return sorted(subsets, key=position)
+
+
+def sigma_star_solves(masses, xs, overall) -> bool:
+    """Whether `masses`, one lambda_S per member subset S in the canonical
+    order, solve Sigma* for members valued xs and their conjunction valued
+    `overall`: every lambda_S >= 0 and they sum to 1, the lambda_S with
+    member i in S sum to x_i for each member i, and lambda of the full set
+    is `overall`."""
+    n, masses = len(xs), [Fraction(v) for v in masses]
+    subsets = sorted_conjunction_signatures(n)
+    if len(masses) != len(subsets) or min(masses) < 0 or sum(masses) != 1:
+        return False
+    mass = dict(zip(subsets, masses))
+    members = all(sum(v for s, v in mass.items() if i in s) == x for i, x in enumerate(xs, 1))
+    return members and mass[frozenset(range(1, n + 1))] == overall
 
 
 HAND_TNORMS = {

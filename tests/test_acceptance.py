@@ -12,6 +12,8 @@ import sys
 import time
 from fractions import Fraction
 
+from oracles import sigma_star_solves
+
 from prevision import (
     Assessment,
     ConditionalEvent,
@@ -38,7 +40,6 @@ from prevision import (
     tnorm,
     value_table,
 )
-from prevision.geometry import build_sigma_star
 
 F = Fraction
 SEED = 20260817
@@ -207,9 +208,7 @@ def test_criterion_04_mass_vectors_solve_the_system():
         xs = tuple(random_unit_fraction(rng) for _ in range(n))
         lo, hi = frechet_bounds_conjunction(xs)
         for builder, overall in ((lambda_solution_TL, lo), (lambda_solution_TM, hi)):
-            vector = builder(xs)
-            system = build_sigma_star(tuple(xs) + (overall,))
-            if not system.check_solution(vector.as_tuple()):
+            if not sigma_star_solves(builder(xs).as_tuple(), xs, overall):
                 failures.append((builder.__name__, xs))
     report(4, "both boundary constructors solve the mass system exactly, 500 tuples", failures)
 

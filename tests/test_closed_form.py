@@ -13,6 +13,7 @@ from oracles import (
     hand_frechet_disjunction,
     hand_same_consequent,
     prefix_sum_lambda_solution_TL,
+    sigma_star_solves,
     sorted_conjunction_signatures,
 )
 
@@ -31,7 +32,7 @@ from prevision import (
     lukasiewicz_sufficient,
     special_case_same_consequent,
 )
-from prevision.geometry import build_sigma_star, conjunction_signatures
+from prevision.geometry import conjunction_signatures
 
 F = Fraction
 
@@ -39,8 +40,7 @@ rational_unit = st.fractions(min_value=0, max_value=1, max_denominator=20)
 
 
 def solves_sigma_star(vector, xs, overall):
-    system = build_sigma_star(tuple(xs) + (overall,))
-    return system.check_solution(vector.as_tuple())
+    return sigma_star_solves(vector.as_tuple(), xs, overall)
 
 
 def lower_envelope(xs):
@@ -183,6 +183,35 @@ class TestLambdaSolutionTM:
     def test_solves_upper_boundary_system_exactly(self, xs):
         vec = lambda_solution_TM(xs)
         assert solves_sigma_star(vec, xs, upper_envelope(xs))
+
+
+def test_sigma_star_oracle_checks_every_equation():
+    """Every Sigma* equation the oracle is written from is checked: on the
+    explicit solutions at either Frechet bound, n = 1..5, moving one entry by
+    1/100 breaks the normalization, moving one entry's 1/100 onto another
+    breaks a member's equation, and moving the overall value breaks the full
+    set's; a solution of every equality with negative entries fails too."""
+    step = F(1, 100)
+    rng = random.Random(2029)
+    for n in range(1, 6):
+        for _ in range(6):
+            xs = tuple(F(rng.randint(0, 12), 12) for _ in range(n))
+            for builder, overall in zip(
+                (lambda_solution_TL, lambda_solution_TM), frechet_bounds_conjunction(xs)
+            ):
+                masses = builder(xs).as_tuple()
+                assert sigma_star_solves(masses, xs, overall)
+                for moved in (step, -step):
+                    assert not sigma_star_solves(masses, xs, overall + moved)
+                for i, j in itertools.permutations(range(len(masses)), 2):
+                    single = [*masses]
+                    single[i] += step
+                    assert not sigma_star_solves(single, xs, overall)
+                    single[j] -= step
+                    assert not sigma_star_solves(single, xs, overall)
+    # lambda = (z, y - z, x - z, 1 - x - y + z) meets every equality at z > min(x, y)
+    q = F(1, 4)
+    assert not sigma_star_solves((2 * q, -q, -q, F(1)), (q, q), 2 * q)
 
 
 class TestLambdaVector:

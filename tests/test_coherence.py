@@ -12,6 +12,7 @@ from oracles import (
     fraction_book_gains,
     fraction_rows,
     fraction_sigma,
+    fraction_system,
     per_member_m_values,
     table_rows,
     worlds_of,
@@ -21,6 +22,7 @@ from prevision import (
     CompoundPrevisionMap,
     ConditionalEvent,
     DutchBook,
+    Event,
     Family7Assessment,
     IncoherentBase,
     build_world_space,
@@ -42,7 +44,6 @@ from prevision import (
 from prevision.coherence import _checked_book
 from prevision.geometry import (
     ConditionalQuantity,
-    LinearSystem,
     build_sigma,
     keyed_partition,
     quantity_constituents,
@@ -435,10 +436,10 @@ class TestIntegerBookCheck:
 
 def assert_rows_match_fraction_sigma(assessment, partition=None):
     """build_sigma's integer rows and scales equal the oracle's Fraction rows
-    through LinearSystem.from_fractions, and its views give them back."""
+    through `fraction_system`, and its views give them back."""
     system = build_sigma(assessment, partition and [*zip(*(c.codes for c in partition[0]))])
     equalities, rhs, labels = fraction_sigma(assessment, partition)
-    assert system == LinearSystem.from_fractions(equalities, rhs, labels)
+    assert system == fraction_system(equalities, rhs, labels)
     assert fraction_rows(system) == (tuple(equalities), rhs)
 
 
@@ -685,12 +686,12 @@ class TestValueTable:
         assert values.count(F(1)) == 1 and values.count(F(0)) == 1
         for subset, x in previsions.items():
             assert values.count(x) == 1
-        assert rows[-1][0].all_void and rows[-1][1] == F(31, 100)
+        assert set(rows[-1][0].profile) == {None} and rows[-1][1] == F(31, 100)
 
     def test_free_void_value_reported_as_none(self):
         space, first, _ = pair_setup()
         rows = value_table(indicator(first))
-        assert rows[-1][0].all_void and rows[-1][1] is None
+        assert set(rows[-1][0].profile) == {None} and rows[-1][1] is None
 
 
 def test_book_gains_and_value_table_at_the_atom_bound_stay_small():
@@ -1027,3 +1028,45 @@ class TestExactPropagation:
         # pins the draw: among its bases are two whose target is pinned (to
         # 1/5 and 2/5) only past the first level
         assert coherent_bases == 1240
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda space: ConditionalQuantity.from_level_sets(Event(space, 0), []),
+        lambda space: ConditionalQuantity.from_values(Event(space, 0), {}),
+        lambda space: ConditionalQuantity(Event(space, 0), (), b"\x00" * len(space)),
+    ],
+    ids=["from_level_sets", "from_values", "init"],
+)
+def test_a_quantity_on_an_empty_conditioning_event_is_refused(build):
+    """Such a quantity has no levels, so no hull: each engine entry it reached
+    ended in an IndexError.  It is refused where it is built, as an empty
+    antecedent is."""
+    space, first, _ = pair_setup()
+    base = Assessment((indicator(first),), (F(1, 2),))
+    entries = (
+        lambda q: check_coherence(Assessment((q,), (F(0),))),
+        lambda q: extension_interval(base, q),
+        value_table,
+    )
+    for entry in entries:
+        with pytest.raises(ValueError, match="conditioning event must be non-empty"):
+            entry(build(space))
+
+
+@pytest.mark.parametrize(
+    "indices, stakes",
+    [((0,), (F(1),)), ((3,), (F(1),)), ((1, 2), (F(1),)), ((1,), (F(1), F(1)))],
+    ids=["index 0", "past the family", "a stake short", "a stake over"],
+)
+def test_a_malformed_book_is_refused(indices, stakes):
+    """Index 0 read the last member through a wrapped-around index, an index
+    past the family ended in IndexError, and stakes were zipped with the
+    members, so a missing one counted as 0 and an extra one was dropped."""
+    _, first, second = pair_setup()
+    assessment = Assessment((indicator(first), indicator(second)), (F(1, 2), F(1, 3)))
+    with pytest.raises(ValueError, match="one stake per member index"):
+        dutch_book_gains(assessment, DutchBook(indices, stakes, F(1)))
+    gains = dutch_book_gains(assessment, DutchBook((2,), (F(1),), F(1)))
+    assert sorted({g for _, g in gains}) == [F(-1, 3), F(2, 3)]

@@ -303,9 +303,9 @@ def test_two_independent_conditionals_give_nine_constituents():
     family = indicators(space, ("E1", "H1"), ("E2", "H2"))
     cs = enumerate_constituents(family)
     assert len(cs) == 9
-    inside = [c for c in cs if not c.all_void]
+    inside = [c for c in cs if set(c.profile) != {None}]
     assert len(inside) == 8
-    assert cs[-1].all_void
+    assert set(cs[-1].profile) == {None}
 
 
 def test_same_consequent_pair_gives_six_plus_void():
@@ -313,10 +313,10 @@ def test_same_consequent_pair_gives_six_plus_void():
     family = indicators(space, ("A", "H"), ("A", "K"))
     cs = enumerate_constituents(family)
     assert len(cs) == 7
-    labels = {c.label() for c in cs if not c.all_void}
+    labels = {c.label() for c in cs if set(c.profile) != {None}}
     assert labels == {"++", "--", "0-", "-0", "0+", "+0"}
     c0 = cs[-1]
-    assert c0.all_void
+    assert set(c0.profile) == {None}
     assert c0.worlds == worlds_of(space.event("!H & !K"))
 
 
@@ -391,6 +391,7 @@ def test_random_families_partition(e1mask, h1mask, e2mask, h2mask):
     union = h1 | h2
     for c in cs:
         inside_union = all(w in union for w in c.worlds)
-        assert inside_union != c.all_void or not c.all_void
-        if c.all_void:
+        void = set(c.profile) == {None}
+        assert inside_union != void or not void
+        if void:
             assert not any(w in union for w in c.worlds)

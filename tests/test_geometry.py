@@ -8,12 +8,15 @@ from fractions import Fraction as F
 
 import pytest
 from oracles import (
+    fraction_check_solution,
     fraction_quantity_constituents,
     fraction_rows,
+    integer_solves,
     mask_of,
     per_world_codes,
     per_world_conjunction,
     per_world_constituents,
+    sigma_star_solves,
     table_rows,
     tuple_partition,
     worlds_of,
@@ -29,14 +32,16 @@ from prevision import (
     OutOfRange,
     build_world_space,
     demorgan_previsions,
+    frechet_bounds_conjunction,
     indicator,
+    lambda_solution_TL,
+    lambda_solution_TM,
     make_conjunction,
     make_disjunction,
 )
 from prevision.geometry import (
     _CHUNK,
     build_sigma,
-    build_sigma_star,
     conjunction_signatures,
     constituents_in_all_antecedents,
     enumerate_constituents,
@@ -111,7 +116,7 @@ def test_level_sets_must_partition_the_conditioning_worlds():
 def test_indicator_round_trip(space4):
     ce = conditional(space4, "A", "H")
     q = indicator(ce, "A|H")
-    assert q.is_indicator()
+    assert set(q.levels) == {F(0), F(1)}
     assert q.hull() == (F(0), F(1))
 
 
@@ -428,7 +433,6 @@ def test_value_codes_match_the_fraction_partition():
         for q, given in zip(family, inputs):
             values = list(given.values())
             assert q.hull() == (min(values), max(values))
-            assert q.is_indicator() == (set(values) <= {F(0), F(1)})
             assert list(q.levels) == sorted(set(values), reverse=True)
             for w in worlds:
                 if w in given:
@@ -639,11 +643,13 @@ def test_constituent_views_match_the_per_world_classifier():
         quantities = [indicator(ce) for ce in family]
         blocks = enumerate_constituents(quantities)
         assert [(c.worlds, c.label()) for c in blocks] == expected
-        assert [c.all_void for c in blocks] == [set(label) == {"0"} for _, label in expected]
+        assert [set(c.profile) == {None} for c in blocks] == [
+            set(label) == {"0"} for _, label in expected
+        ]
         assert [(c.worlds, c.label()) for c in constituents_in_all_antecedents(quantities)] == [
             (worlds, label) for worlds, label in expected if "0" not in label
         ]
-        seen["c0"] += blocks[-1].all_void
+        seen["c0"] += set(blocks[-1].profile) == {None}
     assert min(seen.values()) > 100
 
 
@@ -810,9 +816,9 @@ def test_build_sigma_example_solution_checks():
     assert fraction_rows(system)[1] == (x, y)
     # mass split across the four one-sided classes solves the system
     solution = (F(0), x / 2, F(0), (1 - x) / 2, y / 2, (1 - y) / 2)
-    assert system.check_solution(solution)
-    assert not system.check_solution((F(1), 0, 0, 0, 0, 0))
-    assert not system.check_solution((F(1, 2),) * 6)  # breaks normalization
+    assert fraction_check_solution(system, solution)
+    assert not fraction_check_solution(system, (F(1), 0, 0, 0, 0, 0))
+    assert not fraction_check_solution(system, (F(1, 2),) * 6)  # breaks normalization
 
 
 def test_conjunction_signature_order():
@@ -827,42 +833,64 @@ def test_conjunction_signature_order():
 
 def test_sigma_star_single_event():
     x = F(2, 7)
-    system = build_sigma_star((x, x))
-    assert system.unknown_labels == ("1", "1~")
-    assert system.check_solution((x, 1 - x))
-    assert not system.check_solution((1 - x, x))
+    assert [signature_label(s, 1) for s in conjunction_signatures(1)] == ["1", "1~"]
+    assert sigma_star_solves((x, 1 - x), (x,), x)
+    assert not sigma_star_solves((1 - x, x), (x,), x)
 
 
 def test_sigma_star_two_events_from_sequence():
-    system = build_sigma_star((X, Y, Z))
-    assert system.unknown_labels == ("12", "1~2", "12~", "1~2~")
-    assert fraction_rows(system)[1] == (X, Y, Z)
     lam = (Z, Y - Z, X - Z, 1 - X - Y + Z)
-    assert system.check_solution(lam)
-    assert not system.check_solution((Z, X - Z, Y - Z, 1 - X - Y + Z))
+    assert sigma_star_solves(lam, (X, Y), Z)
+    assert not sigma_star_solves((Z, X - Z, Y - Z, 1 - X - Y + Z), (X, Y), Z)
 
 
-def test_sigma_star_solution_pads_into_full_sigma(space4, pair):
-    # placing the reduced-system mass on the fully active constituents and
-    # zero elsewhere solves the full system, whatever the internal previsions
-    conj = make_conjunction(pair, PAIR_PREVISIONS, "C")
-    family = (indicator(pair[0], "A|H"), indicator(pair[1], "B|K"), conj)
-    assessment = Assessment(family, (X, Y, Z))
-    star = build_sigma_star((X, Y, Z))
-    lam = (Z, Y - Z, X - Z, 1 - X - Y + Z)
-    assert star.check_solution(lam)
-    sigma = build_sigma(assessment)
-    inside, _ = quantity_constituents(family)
-    one, zero = F(1), F(0)
-    profile_for = {
-        "12": (one, one, one), "1~2": (zero, one, zero),
-        "12~": (one, zero, zero), "1~2~": (zero, zero, zero),
+def _padded_solves(xs, overall, masses, moved=F(0)):
+    """Whether `masses`, one per member subset in `conjunction_signatures`
+    order, placed on the blocks where every antecedent holds and zero
+    elsewhere, solve build_sigma for (E_i|H_i)_i and their conjunction,
+    assessed at (xs, overall + moved).  The conjunction fills its partly void
+    blocks with the min of the void members' xs and its all-void block with
+    `overall`; those blocks get no mass."""
+    n = len(xs)
+    space = build_world_space([f"{kind}{i}" for i in range(1, n + 1) for kind in "EH"])
+    events = [conditional(space, f"E{i}", f"H{i}") for i in range(1, n + 1)]
+    previsions = {
+        s: min(xs[i - 1] for i in s)
+        for r in range(1, n) for s in itertools.combinations(range(1, n + 1), r)
     }
-    padded = [F(0)] * len(inside)
-    index_of = {c.profile: i for i, c in enumerate(inside)}
-    for sig_label, mass in zip(star.unknown_labels, lam):
-        padded[index_of[profile_for[sig_label]]] = mass
-    assert sigma.check_solution(padded)
+    previsions[tuple(range(1, n + 1))] = overall
+    family = tuple(indicator(ce) for ce in events) + (make_conjunction(events, previsions),)
+    system = build_sigma(Assessment(family, (*xs, overall + moved)))
+    inside, _ = quantity_constituents(family)
+    index_of = {
+        frozenset(i for i, v in enumerate(c.profile[:n], 1) if v == 1): h
+        for h, c in enumerate(inside) if None not in c.profile
+    }
+    padded = [F(0)] * system.n_unknowns
+    for s, mass in zip(conjunction_signatures(n), masses):
+        padded[index_of[s]] = mass
+    return integer_solves(system, padded)
+
+
+def test_sigma_star_solution_pads_into_full_sigma():
+    # placing the reduced-system mass on the fully active constituents and
+    # zero elsewhere solves the full system: the hand-written lambda at n = 2,
+    # then the paper's explicit solutions at either Frechet bound, n = 2..4
+    lam = (Z, Y - Z, X - Z, 1 - X - Y + Z)
+    assert sigma_star_solves(lam, (X, Y), Z)
+    assert _padded_solves((X, Y), Z, lam)
+    rng = random.Random(29)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            xs = tuple(F(rng.randint(0, 20), 20) for _ in range(n))
+            for builder, overall in zip(
+                (lambda_solution_TL, lambda_solution_TM), frechet_bounds_conjunction(xs)
+            ):
+                masses = builder(xs).as_tuple()
+                assert sigma_star_solves(masses, xs, overall)
+                assert _padded_solves(xs, overall, masses), (builder.__name__, xs)
+                for moved in (F(1, 100), F(-1, 100)):
+                    assert not _padded_solves(xs, overall, masses, moved)
 
 
 def test_assessment_validation(space4):

@@ -18,9 +18,11 @@ from oracles import (
     basic_feasible_points,
     dense_maximize_linear,
     dense_solve_feasibility,
+    fraction_check_solution,
     fraction_maximize_linear,
     fraction_rows,
     fraction_solve_feasibility,
+    fraction_system,
     fraction_verify_certificate,
     fraction_verify_optimum,
     integer_verify_certificate,
@@ -43,7 +45,6 @@ from prevision import (
 from prevision.geometry import (
     LinearSystem,
     build_sigma,
-    build_sigma_star,
     scale_to_integers,
     tabulate,
 )
@@ -83,7 +84,7 @@ def full_columns(system):
 def assert_valid_certificate(system, cert):
     if cert.feasible:
         assert cert.solution is not None and cert.dual is None
-        assert system.check_solution(cert.solution)
+        assert fraction_check_solution(system, cert.solution)
     else:
         assert cert.solution is None and cert.dual is not None
         cols, rhs = full_columns(system)
@@ -139,16 +140,29 @@ def test_component_sums_on_the_pair():
     for index_set in (in_first, in_second):
         result = maximize_component_sum(system, index_set)
         assert result.value == 1
-        assert system.check_solution(result.solution)
+        assert fraction_check_solution(system, result.solution)
         assert oracle_maximum(
             system, [1 if j in index_set else 0 for j in range(6)]
         ) == 1
     assert maximize_component_sum(system, []).value == 0
 
 
+def reduced_pair_system(x, y, z):
+    """Sigma* of two conditional events valued x and y and their conjunction
+    valued z, over the blocks where both antecedents hold: one unknown per
+    member subset S, in the order {1, 2}, {2}, {1}, {}, then the rows of
+    member 1, member 2 and the conjunction."""
+    one, zero = F(1), F(0)
+    return fraction_system(
+        ((one, zero, one, zero), (one, one, zero, zero), (one, zero, zero, zero)),
+        (x, y, z),
+        ("12", "1~2", "12~", "1~2~"),
+    )
+
+
 def test_pinned_reduced_system_optima():
     x, y, z = F(7, 20), F(9, 20), F(1, 5)
-    system = build_sigma_star((x, y, z))
+    system = reduced_pair_system(x, y, z)
     expected = {0: z, 1: y - z, 2: x - z, 3: 1 - x - y + z}
     for j, value in expected.items():
         result = maximize_component_sum(system, [j])
@@ -163,7 +177,7 @@ def test_maximize_on_infeasible_system_raises():
 
 
 def x_plus_y_is_one():
-    return LinearSystem.from_fractions(((F(1), F(1)),), (F(1),), ("x", "y"), normalization=False)
+    return fraction_system(((F(1), F(1)),), (F(1),), ("x", "y"), normalization=False)
 
 
 def test_maximize_checks_the_refutation_before_calling_a_system_infeasible(monkeypatch):
@@ -183,12 +197,12 @@ def test_objectives_refuse_floats():
 
 
 def test_unbounded_direction_is_reported():
-    free = LinearSystem.from_fractions(
+    free = fraction_system(
         ((F(0),),), (F(0),), ("x",), normalization=False
     )
     result = maximize_linear(free, (F(1),))
     assert not result.bounded and result.value is None
-    capped = LinearSystem.from_fractions(
+    capped = fraction_system(
         ((F(1), F(1)),), (F(1),), ("x", "y"), normalization=False
     )
     result = maximize_linear(capped, (F(1), F(0)))
@@ -196,7 +210,7 @@ def test_unbounded_direction_is_reported():
 
 
 def test_redundant_rows_are_tolerated():
-    system = LinearSystem.from_fractions(
+    system = fraction_system(
         ((F(1), F(1)), (F(1), F(1)), (F(2), F(2))),
         (F(1), F(1), F(2)),
         ("x", "y"),
@@ -213,7 +227,7 @@ def test_row_permutation_invariance():
     rows = list(zip(*fraction_rows(base)))
     for _ in range(5):
         rng.shuffle(rows)
-        shuffled = LinearSystem.from_fractions(
+        shuffled = fraction_system(
             tuple(r for r, _ in rows), tuple(b for _, b in rows), base.unknown_labels
         )
         assert solve_feasibility(shuffled).feasible
@@ -235,7 +249,7 @@ def random_systems(draw):
     )
     rhs = tuple(draw(small_fractions) for _ in range(k))
     labels = tuple(f"x{j}" for j in range(m))
-    return LinearSystem.from_fractions(rows, rhs, labels)
+    return fraction_system(rows, rhs, labels)
 
 
 @settings(max_examples=120, deadline=None)
@@ -258,7 +272,7 @@ def test_maxima_match_bruteforce(system, index_set):
     else:
         result = maximize_component_sum(system, index_set)
         assert result.value == reference
-        assert system.check_solution(result.solution)
+        assert fraction_check_solution(system, result.solution)
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +281,7 @@ def test_maxima_match_bruteforce(system, index_set):
     unit_fractions,
 )
 def test_reduced_system_feasibility_matches_bruteforce(xs, overall):
-    system = build_sigma_star(tuple(xs) + (overall,))
+    system = reduced_pair_system(*xs, overall)
     cert = solve_feasibility(system)
     assert cert.feasible == oracle_feasible(system)
     assert_valid_certificate(system, cert)
@@ -306,7 +320,7 @@ def differential_systems(seed=11, count=300):
             rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
         normalization = rng.random() < 0.6
         objective = [_rational(rng) for _ in range(m)]
-        yield LinearSystem.from_fractions(
+        yield fraction_system(
             tuple(map(tuple, rows)), tuple(rhs), tuple(f"x{j}" for j in range(m)),
             normalization=normalization,
         ), objective
@@ -598,7 +612,7 @@ def wide_systems(seed=5, count=12):
             for j in rng.sample(range(m), 3):
                 x[j] = F(1, 3)
             rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
-        yield LinearSystem.from_fractions(
+        yield fraction_system(
             tuple(map(tuple, rows)), tuple(rhs), tuple(f"x{j}" for j in range(m)),
             normalization=i % 5 < 3,
         ), [_rational(rng) for _ in range(m)]
@@ -659,7 +673,7 @@ def degenerate_wide_systems(seed=7, count=10):
         (F(1, 2), F(-3, 2), F(-1, 2), F(1), F(0), F(1), F(0)) + (F(0),) * pad,
         (F(1), F(0), F(0), F(0), F(0), F(0), F(1)) + (F(0),) * pad,
     )
-    yield LinearSystem.from_fractions(
+    yield fraction_system(
         rows, (F(0), F(0), F(1)), tuple(f"x{j}" for j in range(lp.PACKED_WIDTH)),
         normalization=False,
     ), [F(v) for v in (10, -57, -9, -24, 0, 0, 0)] + [F(-1)] * pad
@@ -678,7 +692,7 @@ def degenerate_wide_systems(seed=7, count=10):
             for j in rng.sample(range(m), 2):
                 x[j] = F(1, 2)
             rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
-        yield LinearSystem.from_fractions(
+        yield fraction_system(
             tuple(map(tuple, rows)), tuple(rhs), tuple(f"x{j}" for j in range(m)),
             normalization=i % 3 != 0,
         ), [F(rng.randint(-2, 2)) for _ in range(m)]
@@ -1064,7 +1078,7 @@ def test_integer_checks_agree_with_the_fraction_reference():
 
 def mixed_denominator_system(rhs):
     """(1/3) x0 + (2/7) x1 + x2 = rhs over the simplex x0 + x1 + x2 = 1."""
-    return LinearSystem.from_fractions(
+    return fraction_system(
         ((F(1, 3), F(2, 7), F(1)),), (rhs,), ("x0", "x1", "x2")
     )
 

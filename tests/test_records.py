@@ -11,6 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import fraction_system
+
 import prevision as p
 from prevision.cli import Problem
 from prevision.closed_form import Family7Assessment, Family7Verdict, lambda_solution_TM
@@ -251,6 +253,6 @@ def test_cached_properties_and_solver_state_still_cache():
     assert q.values is q.values and len(q.values) == 4
     c = quantity_constituents([q])[0][0]
     assert c.worlds is c.worlds
-    system = LinearSystem.from_fractions(((F(1), F(0)),), (F(1, 2),), ("a", "b"))
+    system = fraction_system(((F(1), F(0)),), (F(1, 2),), ("a", "b"))
     assert solve_feasibility(system).feasible
     assert "_phase1" in vars(system) and system.unknown_labels == ("a", "b")

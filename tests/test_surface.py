@@ -12,6 +12,10 @@ patches; every name on such a line must be one of `LAYERS`' (module, name)
 pairs, so the mark cannot keep a dead import.  Since the package and the CLI
 load their modules lazily, `LAYERS` is also replayed in a fresh interpreter,
 to show that each traced call is still counted, and counted once.
+
+Code that only the tests call stays out of `src/`: every top-level function
+and class of a source module, and every method of a class off the package's
+`__all__`, must be referenced somewhere in `src/` outside its own body.
 """
 
 import ast
@@ -19,6 +23,7 @@ import importlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -196,3 +201,51 @@ def test_every_marked_import_is_a_traced_layer():
         marked |= {(module, name) for name, _, mark in _imports(path)[1] if mark}
     assert marked
     assert marked - traced == set()
+
+
+def _references(node):
+    """The names a subtree refers to, with their counts: each `ast.Name` id,
+    `ast.Attribute` attr, import alias, and string constant (which covers
+    `__all__` and the CLI's table of engine groups)."""
+    found = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            found.update(filter(None, (child.name, child.asname)))
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            found[child.value] += 1
+    return found
+
+
+def _unreferenced_definitions(source):
+    """The top-level functions and classes of the modules under `source`, and
+    the methods of classes off `prevision.__all__`, that nothing in those
+    modules refers to outside the definition itself; dunders are left out."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(source.glob("*.py"))]
+    everywhere = sum(map(_references, trees), Counter())
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((node.name, node))
+            if isinstance(node, ast.ClassDef) and node.name not in prevision.__all__:
+                definitions += [
+                    (f"{node.name}.{method.name}", method)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                ]
+    unreferenced = []
+    for qualified, node in definitions:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if everywhere[name] == _references(node)[name]:
+            unreferenced.append(qualified)
+    return unreferenced
+
+
+def test_every_definition_is_referenced_in_the_source():
+    assert _unreferenced_definitions(SOURCE) == []
