@@ -21,7 +21,7 @@ from .geometry import (
     keyed_partition,
     quantity_constituents,
 )
-from .lp import carry_phase1, maximize_component_sum, maximize_linear, solve_feasibility
+from .lp import maximize_component_sum, maximize_linear, solve_feasibility
 from .record import Record
 
 # Not called here: kept importable because benchmarks/tracing.py patches them by name;
@@ -300,38 +300,42 @@ def _charnes_cooper_range(system: LinearSystem, t: int, values, k_mass):
 def _propagate(levels, target: ConditionalQuantity):
     """The exact coherent range of the target over a coherent assessment,
     from the levels of its walk with the target (`_walk`): per level, the
-    members, the block columns and void codes, and the system where some
-    member is active.
+    members, the block columns and void codes, and the system over the
+    blocks where some member is active.
 
-    The blocks where only the target is active sort last; they join that
-    system, which keeps its phase-1 basis.  Where the target is active on
-    every block, the range of its values over the system is the answer.
-    Else the level's verified phase-1 point leaves one LP on the mass of the
-    target's active blocks K: with mass on K, whether K must carry mass, and
-    then the level's linear-fractional range is the answer; without, whether
-    K can, and if not the target joins the next level.  Where K may carry
-    mass or not, values outside that range leave the target void, and the
-    members that then get no mass, with the target, form a strictly smaller
-    problem whose range joins the level's.
+    On the blocks Q where only the target is active, sorted last, every
+    member row reads its prevision, the rhs, so the solutions over all
+    blocks mix the level system's with point masses on Q: each range below
+    is the level system's, widened to the target's values on Q.  Where the
+    target is active on every block, the range of its values is the answer.
+    Else Q lies in the target's active blocks K, and the level's verified
+    phase-1 point leaves one LP on K's mass: with mass on K, whether K must
+    carry mass, and then the linear-fractional range is the answer; without,
+    whether K can, and if not and Q is empty the target joins the next
+    level.  Where K may carry mass or not, values outside that range leave
+    the target void, and the members that then get no mass, with the
+    target, form a strictly smaller problem whose range joins the level's.
     """
     hull = target.hull()
     for current, columns, voids, system in levels:
-        t, void = len(current), voids[-1]
-        if len(columns[t]) > system.n_unknowns:  # the blocks where only the target is active
-            member_system, system = system, build_sigma(current, columns)
-            carry_phase1(system, member_system)
+        t, void, m = len(current), voids[-1], system.n_unknowns
         values = [*map((*target.levels, 0).__getitem__, columns[t])]  # 0 where void
-        if void not in columns[t]:
-            return _linear_range(system, values)
-        k_mass = tuple(int(c != void) for c in columns[t])
+        values, ends = values[:m], values[m:]  # the target's values on Q, then its range's ends
+        if void not in columns[t][:m]:
+            ends += _linear_range(system, values)
+            return min(ends), max(ends)
+        k_mass = tuple(int(c != void) for c in columns[t][:m])
         witness = solve_feasibility(system)  # without K mass, a point of least K mass
         if any(k_mass[h] for h, _ in witness.support):  # K can carry mass
             witness = maximize_linear(system, [-v for v in k_mass])
+            ends += _charnes_cooper_range(system, t, values, k_mass)
             if witness.value < 0:  # K must carry mass
-                return _charnes_cooper_range(system, t, values, k_mass)
-        elif maximize_linear(system, k_mass).value == 0:  # K never carries mass
+                return min(ends), max(ends)
+        elif maximize_linear(system, k_mass).value > 0:  # K can carry mass here
+            ends += _charnes_cooper_range(system, t, values, k_mass)
+        elif not ends:  # K never carries mass, here or on Q
             continue
-        lo, hi = _charnes_cooper_range(system, t, values, k_mass)
+        lo, hi = min(ends), max(ends)
         if (lo, hi) == hull:
             return lo, hi
         # the member rows, K's mass set to zero, then the normalization row
@@ -340,7 +344,7 @@ def _propagate(levels, target: ConditionalQuantity):
             system.scales[:t] + (1,) + system.scales[t:],
             system.labels,
         )
-        _, _, zero = _m_values(void_target, columns[:t], voids, [witness])
+        _, _, zero = _m_values(void_target, system.codes[:t], voids, [witness])
         if not zero:
             return hull
         verdict, sub_levels = _walk(current.restrict(zero), target)

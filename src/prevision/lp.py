@@ -8,12 +8,11 @@ column is read from the system's integer rows (each rational row times the
 lcm of its denominators, as `geometry.LinearSystem` stores them) only to
 price it or to enter it.  The state shares one positive common denominator,
 the previous pivot, so each pivot divides exactly and no gcd is ever taken.
-Phase 1 runs once per system, or not at all on one whose rows a feasible
-system shares over a prefix of its unknowns (`carry_phase1`); the end state
-is kept on the system, and every later optimum on it starts from a copy.
+Phase 1 runs once per system; the end state is kept on the system, and
+every later optimum on it starts from a copy.
 
 A system of fewer than PACKED_WIDTH unknowns, as every system of a
-seven-member check or of an extension is, prices one column after another,
+seven-member check or 3-atom extension is, prices one column after another,
 a dot product each, and Bland's rule enters the first that prices in.  A
 wider one, such as the 3^n - 1 unknowns of an n-member conjunction family,
 packs each integer row into one Python int with a field per unknown, from
@@ -334,19 +333,6 @@ def _after_phase1(system: LinearSystem) -> _Simplex:
         state.phase1()
         vars(system)["_phase1"] = state
     return state
-
-
-def carry_phase1(system: LinearSystem, prefix: LinearSystem) -> None:
-    """Keep on `system` the phase-1 end state of `prefix`, a feasible system
-    with the same rows over the first unknowns of `system`: its basis, each
-    artificial's index moved past the unknowns `system` adds, leaves those
-    and every artificial at 0."""
-    state = _after_phase1(prefix)
-    carried, shift = _Simplex(system), system.n_unknowns - prefix.n_unknowns
-    carried.E, carried.beta, carried.D = [list(r) for r in state.E], list(state.beta), state.D
-    carried.basis = [b + shift if b >= state.m else b for b in state.basis]
-    carried._set_costs([0] * shift + state.costs, state.cost_scale)  # the phase-1 costs
-    vars(system)["_phase1"] = carried
 
 
 def _check_refutation(system: LinearSystem, u, margin, L):

@@ -3,10 +3,15 @@
 The base verdict and the propagation share each level's partition, refined
 by the target, and its phase 1.  `oracles.two_walk_extension` is the
 extension as it ran before, a verdict walk and then a propagation with a
-partition and a phase 1 of its own at every level; every interval here must
-equal its interval, and the closed-form shapes their closed forms.  The work
+partition and a phase 1 of its own at every level, over every block the
+target refines; every interval here must equal its interval, and the
+closed-form shapes their closed forms.  The engine solves each level's
+system over the blocks where some member is active, and the blocks where
+only the target is active enter as the target's values there.  The work
 counts spy on `lp._Simplex.phase1`, on the calls of `keyed_partition` that
-read the quantities' world codes, and on `coherence.maximize_linear`.
+read the quantities' world codes, and on `coherence.maximize_linear`; one
+test also records the width of every system solved through `coherence`'s
+solver names.
 """
 
 import math
@@ -127,9 +132,10 @@ def test_closed_form_shapes_match_two_walks_and_their_closed_forms():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of phase-1 runs and world passes, and the objectives of the
-    `coherence.maximize_linear` calls on normalized (level) systems, made
-    by `measure(run, quantities)` for the world codes of `quantities`."""
+    """Counts of phase-1 runs and world passes, the objectives of the
+    `coherence.maximize_linear` calls on normalized (level) systems, and the
+    widths of the other (Charnes-Cooper) systems it maximizes over, made by
+    `measure(run, quantities)` for the world codes of `quantities`."""
     counts = {}
     real_phase1, real_partition, real_maximize = (
         lp._Simplex.phase1, geometry.keyed_partition, coherence.maximize_linear
@@ -147,6 +153,8 @@ def work(monkeypatch):
     def maximize(system, objective):
         if system.normalization:
             counts["level LPs"].append(tuple(objective))
+        else:
+            counts["Charnes-Cooper widths"].add(system.n_unknowns)
         return real_maximize(system, objective)
 
     monkeypatch.setattr(lp._Simplex, "phase1", phase1)
@@ -156,7 +164,9 @@ def work(monkeypatch):
 
     def measure(run, quantities):
         lanes[:] = quantities
-        counts.update({"phase1": 0, "world passes": 0, "level LPs": []})
+        counts.update(
+            {"phase1": 0, "world passes": 0, "level LPs": [], "Charnes-Cooper widths": set()}
+        )
         answer = run()
         return answer, dict(counts)
 
@@ -190,7 +200,9 @@ def test_one_walk_saves_a_world_pass_and_a_phase1(work, problem):
 def test_level_point_with_target_mass_runs_only_the_least_mass_lp(work):
     """X1 = !C|(!A & !B) = 2/5, X2 = (B & !C)|!A = 3/5 and T = C|!B: the
     level's phase-1 point gives the target's active blocks mass, so they can
-    carry mass, and the least-mass LP alone runs on the level's system."""
+    carry mass, and the least-mass LP alone runs on the level's system.  The
+    oracle's two K-mass LPs also span the blocks where only the target is
+    active, each of them in K."""
     abc = build_world_space(["A", "B", "C"])
     base = Assessment(
         (abc_indicator(abc, "!C", "!A & !B", "X1"), abc_indicator(abc, "B & !C", "!A", "X2")),
@@ -202,13 +214,16 @@ def test_level_point_with_target_mass_runs_only_the_least_mass_lp(work):
     assert answer == expected == (0, 1)
     (least,) = new["level LPs"]
     assert set(least) == {0, -1}
-    assert old["level LPs"] == [least, tuple(-c for c in least)]
+    m = len(least)
+    assert [c[:m] for c in old["level LPs"]] == [least, tuple(-c for c in least)]
+    assert [set(c[m:]) for c in old["level LPs"]] == [{-1}, {1}]
 
 
 def test_level_point_without_target_mass_runs_only_the_mass_maximum(work):
     """X = !A|(B & C) = 0 and T = B|!A: the level's phase-1 point gives the
     target's active blocks no mass, so it is a point of least mass, and the
-    most-mass LP alone runs on the level's system."""
+    most-mass LP alone runs on the level's system.  The oracle's two K-mass
+    LPs also span the blocks where only the target is active."""
     abc = build_world_space(["A", "B", "C"])
     base = Assessment((abc_indicator(abc, "!A", "B & C", "X"),), (F(0),))
     target = abc_indicator(abc, "B", "!A", "T")
@@ -217,4 +232,87 @@ def test_level_point_without_target_mass_runs_only_the_mass_maximum(work):
     assert answer == expected == (0, 1)
     (most,) = new["level LPs"]
     assert set(most) == {0, 1}
-    assert old["level LPs"] == [tuple(-c for c in most), most]
+    m = len(most)
+    assert [c[:m] for c in old["level LPs"]] == [tuple(-c for c in most), most]
+    assert [set(c[m:]) for c in old["level LPs"]] == [{-1}, {1}]
+
+
+def test_target_only_mass_spares_the_charnes_cooper_system(work):
+    """X = A|B = 1 and T = C|((B & !A) | !B): the level's system puts all
+    mass on A & B, where the target is void, so its active blocks carry mass
+    only where the target alone is active, C and !C under !B.  Their values
+    0 and 1 span the hull, and no Charnes-Cooper system is built; the
+    oracle's spans every block and the scale, 6 unknowns."""
+    abc = build_world_space(["A", "B", "C"])
+    base = Assessment((abc_indicator(abc, "A", "B", "X"),), (F(1),))
+    target = abc_indicator(abc, "C", "(B & !A) | !B", "T")
+    answer, new = work(lambda: interval(base, target), (*base.family, target))
+    expected, old = work(lambda: two_walk_extension(base, target), (*base.family, target))
+    assert answer == expected == (0, 1)
+    assert new["Charnes-Cooper widths"] == set() and old["Charnes-Cooper widths"] == {6}
+    (most,) = new["level LPs"]
+    assert most == (0, 1, 1)
+
+
+def test_every_extension_lp_runs_on_its_levels_member_active_blocks(monkeypatch):
+    """On the identity pool, each system an extension solves while it
+    propagates, a level's own, its Charnes-Cooper form or its void-target
+    form, is at most one unknown (the scale) wider than the blocks where some
+    member of the level being propagated is active."""
+    widths, level = [], {}
+    real_propagate = coherence._propagate
+
+    def propagate(levels, target):
+        def walked():
+            for current, columns, voids, system in levels:
+                members = zip(*columns[: len(current)])
+                level["m"] = sum(key != tuple(voids[: len(current)]) for key in members)
+                yield current, columns, voids, system
+
+        return real_propagate(walked(), target)
+
+    def spy(real):
+        def solve(system, *args):
+            if level:
+                widths.append((system.n_unknowns, level["m"]))
+            return real(system, *args)
+
+        return solve
+
+    monkeypatch.setattr(coherence, "_propagate", propagate)
+    for name in ("solve_feasibility", "maximize_linear", "maximize_component_sum"):
+        monkeypatch.setattr(coherence, name, spy(getattr(coherence, name)))
+    for base, target in extension_cases(random.Random(5)):
+        interval(base, target)
+        level.clear()
+    assert len(widths) > 200
+    assert all(n <= m + 1 for n, m in widths), max(n - m for n, m in widths)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_extensions_on_systems_past_the_packed_width(n):
+    """The indicators of n independent E_i|H_i make a level system of
+    3^n - 1 unknowns, 242 or 728, past `lp.PACKED_WIDTH`: these extensions
+    price every column at once, with non-zero costs.  Their conjunction's
+    interval is its Frechet bounds.  (E1 | !H1)|(H1 | none), where none is
+    the event that no H_i holds, reads E1 under H1 and 1 on none, so its
+    interval is [x_1, 1]; it and seeded targets whose antecedent reaches
+    none get the oracle's interval."""
+    events = independent_events(n)
+    xs = (F(9, 10), F(4, 5), F(9, 10), F(4, 5), F(9, 10), F(9, 10))[:n]
+    members, conj = product_conjunction(events, xs)
+    base = Assessment(members, xs)
+    assert geometry.build_sigma(base).n_unknowns == 3**n - 1 >= lp.PACKED_WIDTH
+    assert interval(base, conj) == frechet_bounds_conjunction(xs)
+    assert frechet_bounds_conjunction(xs)[0] > 0
+    space, rng = events[0].space, random.Random(n)
+    none = " & ".join(f"!H{i}" for i in range(1, n + 1))
+    target = abc_indicator(space, "E1 | !H1", f"H1 | ({none})", "T")
+    assert interval(base, target) == two_walk_extension(base, target) == (xs[0], 1)
+    for _ in range(3):
+        i, j, k = (rng.randint(1, n) for _ in range(3))
+        consequent = rng.choice([f"E{i}", f"E{i} | !H{i}", f"E{i} & H{i}", f"E{i} & E{j}"])
+        antecedent = rng.choice([f"H{i} | !H{j}", f"E{j}", f"!H{j}", f"H{i} | (E{k} & !H{j})"])
+        target = abc_indicator(space, consequent, antecedent, "T")
+        assert not (target.conditioning & space.event(none)).is_empty
+        assert interval(base, target) == two_walk_extension(base, target)

@@ -16,6 +16,11 @@ to show that each traced call is still counted, and counted once.
 Code that only the tests call stays out of `src/`: every top-level function
 and class of a source module, and every method of a class off the package's
 `__all__`, must be referenced somewhere in `src/` outside its own body.
+
+Inputs the engine cannot use are refused where they enter, with the library's
+own error: an empty family, compound or assessment, events of two spaces, a
+compound prevision keyed by a member that does not exist, and an LP objective
+or index set that does not fit its system.
 """
 
 import ast
@@ -24,11 +29,15 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import prevision
+from prevision import lp
+from prevision.errors import OutOfRange
+from prevision.geometry import build_sigma
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 SOURCE = Path(prevision.__file__).resolve().parent
@@ -249,3 +258,41 @@ def _unreferenced_definitions(source):
 
 def test_every_definition_is_referenced_in_the_source():
     assert _unreferenced_definitions(SOURCE) == []
+
+
+def _one_member_system():
+    space = prevision.build_world_space(["A", "B"])
+    x = prevision.indicator(prevision.ConditionalEvent(space.event("A"), space.event("B")))
+    return build_sigma(prevision.Assessment((x,), (Fraction(1, 2),)))
+
+
+def _two_space_conjunction():
+    first, second = (prevision.build_world_space(["A", "B"]) for _ in range(2))
+    return first.event("A") & second.event("A")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: prevision.make_conjunction([], {}), ValueError, "family must be non-empty"),
+        (lambda: prevision.Assessment((), ()), ValueError, "family must be non-empty"),
+        (_two_space_conjunction, ValueError, "different world spaces"),
+        (lambda: prevision.CompoundPrevisionMap({(0,): 1}), ValueError, "bad member subset"),
+        (lambda: prevision.lambda_solution_TL([]), OutOfRange, "at least one member"),
+        (lambda: prevision.lambda_solution_TM([]), OutOfRange, "at least one member"),
+        (
+            lambda: lp.maximize_linear(_one_member_system(), [1]),
+            ValueError,
+            "objective length must match",
+        ),
+        (
+            lambda: lp.maximize_component_sum(_one_member_system(), [2]),
+            ValueError,
+            "index out of range",
+        ),
+    ],
+    ids=["conjunction", "assessment", "spaces", "subset", "TL", "TM", "objective", "index"],
+)
+def test_malformed_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
