@@ -311,8 +311,8 @@ def _propagate(levels, target: ConditionalQuantity):
     Else Q lies in the target's active blocks K, and the level's verified
     phase-1 point leaves one LP on K's mass: with mass on K, whether K must
     carry mass, and then the linear-fractional range is the answer; without,
-    whether K can, and if not and Q is empty the target joins the next
-    level.  Where K may carry mass or not, values outside that range leave
+    whether K can, and if not the target joins the next level, whose range
+    covers Q's values.  Where K may carry mass or not, values outside it leave
     the target void, and the members that then get no mass, with the
     target, form a strictly smaller problem whose range joins the level's.
     """
@@ -333,7 +333,7 @@ def _propagate(levels, target: ConditionalQuantity):
                 return min(ends), max(ends)
         elif maximize_linear(system, k_mass).value > 0:  # K can carry mass here
             ends += _charnes_cooper_range(system, t, values, k_mass)
-        elif not ends:  # K never carries mass, here or on Q
+        else:  # K never carries mass here: the next level covers Q
             continue
         lo, hi = min(ends), max(ends)
         if (lo, hi) == hull:

@@ -165,7 +165,9 @@ def _evaluate(node, atom_mask, full):
 class WorldSpace(Record):
     """The truth assignments over `atoms` surviving the constraints, bit a of
     `kept` set for each: world w is the w-th, in increasing (`itertools.product`)
-    order, and atom i of n is true in assignment a when bit n - 1 - i is set."""
+    order, and atom i of n is true in assignment a when bit n - 1 - i is set.
+    It keeps what depends on it alone, each built once: its atoms' masks, and
+    `geometry`'s block maps of event families."""
 
     # kept has 2**len(atoms) bits, past the int-to-str limit: not shown
     _compared, _shown = ("atoms", "kept"), ("atoms",)
@@ -184,6 +186,11 @@ class WorldSpace(Record):
     def _atom_masks(self) -> dict:
         # {name: mask}, filled as atoms are named; it holds ints only, so
         # keeping it here makes no reference cycle
+        return {}
+
+    @cached_property
+    def _block_maps(self) -> dict:
+        # `geometry`'s {event family: block map}; ints, bytes and tuples only
         return {}
 
     def _atom_mask(self, name) -> int:

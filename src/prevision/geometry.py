@@ -4,14 +4,14 @@ A conditional quantity X|K takes one exact rational value on each world of
 K; outside K it is void and, once assessed, stands in for its own prevision.
 It is stored in one form: its distinct values (levels) in descending order
 and per world a code byte, the index of its value or, where void, the level
-count.  One builder, `_quantity`, makes each quantity but those of
-`from_values` from (value, mask) blocks over the bit masks of `events`: it
-folds each block into the bit planes of the codes as it arrives and orders
-the levels once, never spending a Python int per world or a pass per block
-or level.  Indicators, the level sets of `from_level_sets`, and the
-conjunctions and disjunctions of conditional events (over the union of the
-antecedents, with assessed previsions filling the partially-void cases, their
-blocks made one at a time by integer algebra on the masks) all go through it.
+count.  `_lanes` codes each quantity but those of `from_values`: it folds
+(key, mask) blocks over the bit masks of `events` into the bit planes of the
+codes as they arrive, never a Python int per world or a pass per block.  A
+conjunction's blocks, made by integer algebra on the masks, depend only on
+its events, so each space keeps a block map per family of under 8 members:
+a compound or an indicator (a one-member conjunction, which shares the map's
+lanes) then only gives each block its value and relabels the lanes in level
+order.  Level sets, and wider families, fold their values via `_quantity`.
 An assessed family's constituents are the joint codes (keys) of its worlds:
 `keyed_partition` finds them in one pass, as a code column per member, and
 projects the columns onto sub-families; `quantity_constituents` gives each
@@ -44,6 +44,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 # array typecodes, and struct formats, of unsigned integers 1, 2 and 4 bytes wide
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
+# Block maps kept per space, the oldest dropped past it: an entry holds a
+# byte per world, 16 KB over 4^7 worlds and 1 MB over 2^20.
+_BLOCK_MAPS = 32
 # Worlds per record buffer of keyed_partition.  One buffer for all 16,384
 # worlds of an n = 7 family (128 KB) raised conj-scale's peak RSS by 0.1 MB.
 _CHUNK = 4096
@@ -117,67 +120,69 @@ class ConditionalQuantity(Record):
         return self.levels[-1], self.levels[0]
 
 
-def _from_planes(planes, n_codes, n_worlds, renumber):
-    """The code of each world, of n_codes codes, with bit j set on the worlds
-    of planes[j], renumbered through the list `renumber`, or left as they are
-    where it is None: bytes, or past 256 codes a tuple.  A world's lane holds
-    its code; each plane is spread into its bit of the lanes at once."""
-    width = 1 if n_codes <= 1 << 8 else 2 if n_codes <= 1 << 16 else 4
-    total = sum(spread_bits(plane, width, j) for j, plane in enumerate(planes) if plane)
-    lanes = total.to_bytes(n_worlds * width, "little")
-    if width == 1:
-        return lanes if renumber is None else lanes.translate(bytes(renumber).ljust(256, b"\0"))
-    lanes = array(_TYPECODES[width], lanes)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return tuple(lanes if renumber is None else map(renumber.__getitem__, lanes))  # hashable
-
-
-def _quantity(conditioning, blocks, label, void_value=None, complement=False):
-    """The quantity worth x on the worlds of each (x, mask) block, a Fraction
-    and a mask; the blocks partition the conditioning worlds, equal values may
-    recur, and empty masks are skipped.  With `complement` every value, the
-    void value included, is one minus the given one.
-
-    Each block is folded into the bit planes of the codes as it arrives, its
-    value numbered from 0 as first seen, and the void worlds last; the planes
-    are spread into lanes once, and one translation puts the values in level
-    order unless they arrived in it.  No mask per level, or pass per block.
-    """
-    values, seen, planes = [], {}, []  # code c's value; codes by ratio; plane j's worlds
-    for x, worlds in blocks:
+def _lanes(blocks, outside, n_worlds) -> tuple:
+    """(keys, codes): each (key, mask) block is folded into the bit planes of
+    the codes as it arrives, its key numbered from 0 as first seen, and the
+    worlds of the mask `outside` get the code after the last; keys by code.
+    Each plane is then spread into its bit of the lanes at once: a byte per
+    world, or past 256 codes a tuple."""
+    seen, planes = {}, []
+    for key, worlds in blocks:
         if not worlds:
             continue
-        code = seen.setdefault(x.as_integer_ratio(), len(values))
-        if code == len(values):
-            values.append(x)
-            planes += [0] * ((code + 1).bit_length() - len(planes))  # and the void code's
+        code = seen.setdefault(key, len(seen))
+        planes += [0] * (len(seen).bit_length() - len(planes))  # and the void code's
         j = 0
         while code:  # the block's worlds join the plane of each bit of its code
             if code & 1:
                 planes[j] |= worlds
             code, j = code >> 1, j + 1
-    n, void = len(conditioning.space), len(values)
-    outside = ((1 << n) - 1) ^ conditioning.members  # the void worlds, coded `void`
+    void = len(seen)
     for j in range(void.bit_length()):
         if void >> j & 1:
             planes[j] |= outside
-    levels = [ONE - v for v in values] if complement else values
-    order = sorted(range(void), key=scale_to_integers(levels)[0].__getitem__, reverse=True)
-    renumber = None  # the values arrived in level order, as an indicator's do
-    if order != sorted(order):  # code c becomes the level of levels[c]; void stays last
-        renumber = [*sorted(range(void), key=order.__getitem__), void]
-    codes = _from_planes(planes, void + 1, n, renumber)
-    if complement and void_value is not None:
-        void_value = ONE - void_value
-    levels = tuple(map(levels.__getitem__, order))
-    return ConditionalQuantity(conditioning, levels, codes, label, void_value)
+    width = 1 if void < 1 << 8 else 2 if void < 1 << 16 else 4
+    total = sum(spread_bits(plane, width, j) for j, plane in enumerate(planes) if plane)
+    lanes = total.to_bytes(n_worlds * width, "little")
+    if width > 1:
+        lanes = array(_TYPECODES[width], lanes)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        lanes = tuple(lanes)  # hashable
+    return tuple(seen), lanes
+
+
+def _quantity(conditioning, blocks, label, void_value=None):
+    """The quantity worth x on the worlds of each (x, mask) block, a Fraction
+    and a mask; the blocks partition the conditioning worlds, equal values may
+    recur, and empty masks are skipped.  No mask per level, or pass per block."""
+    n = len(conditioning.space)
+    values, codes = _lanes(blocks, ((1 << n) - 1) ^ conditioning.members, n)
+    return ConditionalQuantity(conditioning, *_levels(values, codes), label, void_value)
+
+
+def _levels(values, codes) -> tuple:
+    """(levels, codes): the distinct values of codes 0, 1, ... in descending
+    order, and the codes renumbered to index them, void last; the same codes
+    where each keeps its number."""
+    ratios = [x.as_integer_ratio() for x in values]
+    value = dict(zip(ratios, values))  # the distinct values, by ratio
+    # whole part, the float of the rest, and on a tie of both the value: exact
+    order = sorted(value, key=lambda r: (r[0] // r[1], r[0] % r[1] / r[1], value[r]), reverse=True)
+    level = dict(zip(order, count()))
+    renumber = [*map(level.__getitem__, ratios), len(order)]
+    levels = tuple(map(value.__getitem__, order))
+    if renumber == [*range(len(renumber))]:
+        return levels, codes
+    if isinstance(codes, bytes):
+        return levels, codes.translate(bytes(renumber).ljust(256, b"\0"))
+    return levels, tuple(map(renumber.__getitem__, codes))
 
 
 def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
-    """The 0/1 quantity of a conditional event on its antecedent."""
-    h, e = ce.antecedent.members, ce.consequent.members
-    return _quantity(ce.antecedent, [(ONE, h & e), (ZERO, h & ~e)], label)
+    """The 0/1 quantity of a conditional event on its antecedent: the
+    one-member conjunction, whose codes are its block map's lanes, shared."""
+    return _conjunction([ce], {}, label)
 
 
 class CompoundPrevisionMap:
@@ -232,39 +237,68 @@ def _conjunction(family, previsions, label, complement=False):
     if not isinstance(previsions, CompoundPrevisionMap):
         previsions = CompoundPrevisionMap(previsions)
     union = reduce(or_, (ce.antecedent for ce in family))
-    void = previsions.get(range(1, len(family) + 1))
-    return _quantity(union, _blocks(family, previsions, union.members), label, void, complement)
+    void_value = previsions.get(range(1, len(family) + 1))
+    if complement and void_value is not None:
+        void_value = ONE - void_value
+    if len(family) >= 8:  # 2^n + 1 block ids pass a byte lane: no block map
+        blocks = _values(_blocks(family, union.members), previsions, complement)
+        return _quantity(union, blocks, label, void_value)
+    blocks, lanes = _block_map(family, union)
+    xs = [x for x, _ in _values(zip(blocks, repeat(None)), previsions, complement)]
+    return ConditionalQuantity(union, *_levels(xs, lanes), label, void_value)
 
 
-def _blocks(family, previsions, union):
-    """(x, worlds) per value block of the conjunction on the worlds `union`.
+def _values(blocks, previsions, complement):
+    """(x, worlds) per ((void set, lowest world), worlds) block: x is 1 where
+    no member is void, 0 on the false block (void set None), else x_S, or
+    with `complement` one minus that.  Blocks lacking x_S are left out; once
+    every block is out, the subset of the lowest world lacking one is raised
+    as MissingPrevision."""
+    get, missing = previsions.get, []
+    for (s, at), worlds in blocks:
+        x = ZERO if s is None else get(s) if s else ONE
+        if x is None:
+            missing.append((at, s))
+        else:
+            yield ONE - x if complement else x, worlds
+    if missing:
+        previsions.require(min(missing)[1])
 
-    Each member splits every block by its antecedent, depth first, so the
-    work is integer algebra on the event masks, and at most one block per
-    member is held at a time.  Once every block is out, the subset of the
-    lowest world whose x_S is missing is raised as MissingPrevision.
-    """
-    false = 0
-    for ce in family:
-        false |= ce.antecedent.members & ~ce.consequent.members
-    yield ZERO, false
-    antecedents, n, missing = [ce.antecedent.members for ce in family], len(family), None
-    stack, get = [(0, frozenset(), union & ~false)], previsions.get  # (i, void members, worlds)
+
+def _block_map(family, union):
+    """(blocks, lanes): the family's blocks of worlds, each its void set and
+    lowest world, and per world its block id, as `_blocks` gives them, then
+    the worlds outside `union`; built once per space and event family."""
+    space, key = union.space, tuple((ce.consequent.members, ce.antecedent.members) for ce in family)
+    maps = space._block_maps
+    if key not in maps:
+        if len(maps) >= _BLOCK_MAPS:
+            del maps[next(iter(maps))]  # the oldest
+        maps[key] = _lanes(_blocks(family, union.members), space._full ^ union.members, len(space))
+    return maps[key]
+
+
+def _blocks(family, union):
+    """((void set, lowest world), worlds) per non-empty block of the
+    conjunction on the worlds `union`: where no member is void, then each
+    void set's, then the false block (void set None), where some member
+    fails.  Each member splits every block by its antecedent, depth first,
+    active part first: integer algebra on the event masks, with at most one
+    block per member held at a time."""
+    false = reduce(or_, (ce.antecedent.members & ~ce.consequent.members for ce in family))
+    antecedents, n = [ce.antecedent.members for ce in family], len(family)
+    stack = [(0, frozenset(), union & ~false)]  # (i, void members, worlds)
     while stack:
         i, void, worlds = stack.pop()
         if not worlds:
             continue
         if i < n:
             active = worlds & antecedents[i]
-            stack += (i + 1, void, active), (i + 1, void | {i + 1}, worlds ^ active)
+            stack += (i + 1, void | {i + 1}, worlds ^ active), (i + 1, void, active)
             continue
-        x = get(void) if void else ONE
-        if x is None:  # name the subset of the lowest world lacking one
-            missing = min(missing or (worlds, void), (worlds & -worlds, void))
-        else:
-            yield x, worlds
-    if missing:
-        previsions.require(missing[1])
+        yield (void, (worlds & -worlds).bit_length() - 1), worlds
+    if false:
+        yield (None, (false & -false).bit_length() - 1), false
 
 
 def make_conjunction(
@@ -276,7 +310,9 @@ def make_conjunction(
 
     Value 1 where every member holds, 0 where any member fails, and the
     supplied x_S where exactly the members in S are void.  The full-set entry,
-    when present, becomes the built-in void value.
+    when present, becomes the built-in void value.  Under 8 members the first
+    build on a space makes the family's block map, and every later build, with
+    any previsions, only relabels its lanes.
     """
     family = list(family)
     return _conjunction(family, previsions, label or f"and({len(family)})")

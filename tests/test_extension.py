@@ -254,6 +254,26 @@ def test_target_only_mass_spares_the_charnes_cooper_system(work):
     assert most == (0, 1, 1)
 
 
+def test_level_that_cannot_reach_the_target_leaves_its_blocks_to_the_next(work):
+    """X1 = (A & C)|A = 4/5, X2 = (B & !A)|!C = 1 and T = C|(!A & !B): X2 = 1
+    keeps all mass off !A & !B & !C, the one block where T and a member are
+    active, so the first level's system puts no mass on K; T alone is active
+    on !A & !B & C.  The next level's range covers that block's value, so no
+    void-target LP and no sub-walk from the world codes run: one world pass
+    and the two levels' phase-1 runs."""
+    abc = build_world_space(["A", "B", "C"])
+    base = Assessment(
+        (abc_indicator(abc, "A & C", "A", "X1"), abc_indicator(abc, "B & !A", "!C", "X2")),
+        (F(4, 5), F(1)),
+    )
+    target = abc_indicator(abc, "C", "!A & !B", "T")
+    answer, new = work(lambda: interval(base, target), (*base.family, target))
+    expected, _ = work(lambda: two_walk_extension(base, target), (*base.family, target))
+    assert answer == expected == (0, 1)
+    assert new["world passes"] == 1 and new["phase1"] == 2
+    assert new["level LPs"] == [(0, 0, 0, 1), (0, 0)]
+
+
 def test_every_extension_lp_runs_on_its_levels_member_active_blocks(monkeypatch):
     """On the identity pool, each system an extension solves while it
     propagates, a level's own, its Charnes-Cooper form or its void-target

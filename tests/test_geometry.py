@@ -1,9 +1,11 @@
 """Tests for conditional quantities, compounds, partitions, and linear systems."""
 
+import gc
 import itertools
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +24,7 @@ from oracles import (
     worlds_of,
 )
 
+import prevision.geometry as geometry
 from prevision import (
     Assessment,
     CompoundPrevisionMap,
@@ -238,6 +241,18 @@ def test_reprs_stay_short_past_the_int_to_str_limit(n_atoms):
     for obj in (event, ce, q, *inside, c0):
         assert len(repr(obj)) < 1000
     assert repr(event) == f"Event({3 << n_atoms - 3} of {3 << n_atoms - 2} worlds)"
+
+
+def test_levels_order_exactly_past_float_range_and_precision():
+    # values past the float range, and values one float cannot tell apart,
+    # still sort in exact descending order
+    space = build_world_space(["A", "B", "C"])
+    huge, third, tiny = F(10**400), F(1, 3), F(1, 10**30)
+    values = [third, huge + 1, third + tiny, -huge, huge, third - tiny, F(0)]
+    level_sets = [(v, 1 << w) for w, v in enumerate(values)] + [(F(0), 1 << 7)]
+    q = ConditionalQuantity.from_level_sets(space.everything, level_sets)
+    assert q.levels == tuple(sorted(set(values), reverse=True))
+    assert read_codes(q) == per_world_codes(8, dict(enumerate(values + [F(0)])))
 
 
 @pytest.mark.parametrize("n_levels", [1, 3, 255, 256])
@@ -585,6 +600,159 @@ def test_conjunction_build_memory_stays_near_its_codes():
         tracemalloc.stop()
     assert len(conj.codes) == 4**n
     assert peak < 8 * len(conj.codes), f"peak {peak} bytes"
+
+
+def test_warm_builds_at_n7_share_or_translate_the_block_maps_lanes():
+    """Over 4^7 worlds a warm indicator's codes are its block map's lanes,
+    the same object, and a warm conjunction allocates under 2 bytes per
+    world at peak: its codes, a byte per world, and the union's mask."""
+    n = 7
+    members = range(1, n + 1)
+    space = build_world_space([f"E{i}" for i in members] + [f"H{i}" for i in members])
+    family = [conditional(space, f"E{i}", f"H{i}") for i in members]
+    xs = [F(k % 4 + 1, 5) for k in range(n)]
+    subsets = [s for r in range(1, n) for s in itertools.combinations(members, r)]
+    previsions = CompoundPrevisionMap({s: math.prod(xs[i - 1] for i in s) for s in subsets})
+    cold = make_conjunction(family, previsions)
+    first = family[0]
+    indicator(first)
+    lanes = space._block_maps[((first.consequent.members, first.antecedent.members),)][1]
+    assert indicator(first).codes is lanes
+    tracemalloc.start()
+    try:
+        warm = make_conjunction(family, previsions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert warm == cold and len(warm.codes) == len(space) == 4**n
+    assert peak < 2 * len(space), f"peak {peak} bytes"
+
+
+def _block_map_families(count):
+    """`count` seeded families of 1-7 conditional events over 3-6 atoms, a
+    third of them under a constraint, as (atoms, constraints, formula pairs,
+    previsions), so that a fresh space can be built for each; x_S in
+    quarters, with repeats, 0 and 1, and in a third of the families about 5%
+    of them dropped."""
+    rng = random.Random(31)
+    for _ in range(count):
+        atoms = ["A", "B", "C", "D", "E", "F"][: rng.randint(3, 6)]
+        constraints = [f"!({atoms[0]} & {atoms[1]})"] if rng.random() < 0.33 else []
+        space, formulas, size = build_world_space(atoms, constraints), [], rng.randint(1, 7)
+        while len(formulas) < size:
+            consequent, antecedent = (_random_formula(rng, atoms) for _ in range(2))
+            if not space.event(antecedent).is_empty:
+                formulas.append((consequent, antecedent))
+        drop = rng.choice((0, 0, 0.05))
+        previsions = {
+            subset: F(rng.randint(0, 4), 4)
+            for r in range(1, size + 1)
+            for subset in itertools.combinations(range(1, size + 1), r)
+            if rng.random() >= drop
+        }
+        yield atoms, constraints, formulas, previsions
+
+
+def test_cold_and_warm_block_map_builds_match_the_per_world_ones():
+    """On a fresh space every compound's first build fills the block map and
+    its second reads it; both equal the per-world compound, or name the same
+    missing subset, and so does each member's indicator."""
+    seen = {"constrained": 0, "n = 7": 0, "built": 0, "missing": 0}
+    for atoms, constraints, formulas, previsions in _block_map_families(150):
+        space = build_world_space(atoms, constraints)
+        family = [conditional(space, c, a) for c, a in formulas]
+        negated = [ConditionalEvent(~ce.consequent, ce.antecedent) for ce in family]
+        seen["constrained"] += bool(constraints)
+        seen["n = 7"] += len(family) == 7
+        for build, inner, complement in (
+            (make_conjunction, family, False),
+            (make_disjunction, negated, True),
+        ):
+            try:
+                _, values, void_value = per_world_conjunction(inner, previsions)
+            except MissingPrevision as missing:
+                for _ in ("cold", "warm"):
+                    with pytest.raises(MissingPrevision) as exc:
+                        build(family, previsions)
+                    assert exc.value.subset == missing.subset
+                seen["missing"] += 1
+                continue
+            if complement:
+                values = {w: 1 - v for w, v in values.items()}
+                void_value = None if void_value is None else 1 - void_value
+            expected = per_world_codes(len(space), values)
+            for _ in ("cold", "warm"):
+                q = build(family, previsions, "C")
+                assert read_codes(q) == expected and q.void_value == void_value
+                assert q.space is space and q.label == "C"
+            seen["built"] += 1
+        for ce in family:
+            given = {w: F(w in ce.consequent) for w in worlds_of(ce.antecedent)}
+            for _ in ("cold", "warm"):
+                assert read_codes(indicator(ce)) == per_world_codes(len(space), given)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_a_warm_build_runs_no_set_algebra(monkeypatch, space4, pair):
+    calls = []
+    real = geometry._blocks
+    monkeypatch.setattr(geometry, "_blocks", lambda *args: calls.append(args) or real(*args))
+    builds = (
+        lambda values: make_conjunction(pair, values),
+        lambda values: make_disjunction(pair, values),
+        lambda values: indicator(pair[1]),
+    )
+    cold = [build(PAIR_PREVISIONS) for build in builds]
+    assert len(calls) == 3
+    other = {(1,): Y, (2,): X, (1, 2): F(0)}
+    warm = [build(values) for values in (PAIR_PREVISIONS, other) for build in builds]
+    assert len(calls) == 3 and warm[:3] == cold
+    _, values, _ = per_world_conjunction(pair, other)
+    assert read_codes(warm[3]) == per_world_codes(len(space4), values)
+
+
+def test_equal_spaces_build_on_their_own_block_maps():
+    spaces = [build_world_space(["A", "B", "C"], ["!(A & B)"]) for _ in range(2)]
+    assert spaces[0] == spaces[1] and spaces[0] is not spaces[1]
+    for space in spaces + spaces:  # cold on each, then warm
+        family = [conditional(space, "A", "C"), conditional(space, "B", "!C")]
+        previsions = {(1,): X, (2,): Y}
+        for q in (indicator(family[0]), make_conjunction(family, previsions),
+                  make_disjunction(family, previsions)):
+            assert q.space is space
+    assert all(len(space._block_maps) == 3 for space in spaces)
+
+
+def test_a_space_keeps_the_block_maps_of_its_last_32_families(monkeypatch):
+    space = build_world_space(["A", "B", "C", "D", "E"])
+    families = [[ConditionalEvent(space.event("A"), Event(space, k))] for k in range(1, 34)]
+    for family in families:
+        make_conjunction(family, {})
+    assert len(space._block_maps) == 32
+    calls = []
+    real = geometry._blocks
+    monkeypatch.setattr(geometry, "_blocks", lambda *args: calls.append(args) or real(*args))
+    make_conjunction(families[-1], {})
+    assert not calls
+    make_conjunction(families[0], {})  # the oldest was dropped: built again
+    assert len(calls) == 1 and len(space._block_maps) == 32
+
+
+def test_a_dropped_space_with_compounds_is_freed_without_the_cyclic_collector():
+    # the block maps kept on the space hold ints, bytes and tuples, so the
+    # compounds built on it leave no reference cycle through it
+    gc.disable()
+    try:
+        space = build_world_space(["A", "H", "B", "K"])
+        family = [conditional(space, "A", "H"), conditional(space, "B", "K")]
+        quantities = [indicator(family[0]), make_conjunction(family, PAIR_PREVISIONS),
+                      make_disjunction(family, PAIR_PREVISIONS)]
+        assert len(space._block_maps) == 3 and quantities[0].space is space
+        ref = weakref.ref(space)
+        del space, family, quantities
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _random_formula(rng, atoms, depth=2):
