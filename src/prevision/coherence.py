@@ -56,20 +56,28 @@ class DutchBook(Record):
 class LevelRecord(Record):
     """One level of the recursion: which members were in play and what the
     solvability analysis found; `solution`, `m_values` and the zero-mass
-    set `i0` are None on an unsolvable level."""
+    set `i0` are None on an unsolvable level.  A walked level also keeps, neither
+    compared nor shown, its `assessment` (the members in play), their block
+    `columns` with any target's lane last, the lanes' `voids` codes, and the
+    `system` over the blocks where some member is active; None elsewhere."""
 
     _compared = _shown = (
         "member_indices", "labels", "feasible", "solution", "m_values", "m_witnessed", "i0"
     )
 
-    def __init__(self, member_indices, labels, feasible, solution, m_values, m_witnessed, i0):
+    def __init__(self, member_indices, labels, feasible, solution, m_values, m_witnessed, i0,
+                 assessment=None, columns=None, voids=None, system=None):
         vars(self).update(
             member_indices=member_indices, labels=labels, feasible=feasible, solution=solution,
             m_values=m_values, m_witnessed=m_witnessed, i0=i0,
+            assessment=assessment, columns=columns, voids=voids, system=system,
         )
 
 
 class CoherenceVerdict(Record):
+    """Whether an assessment is coherent, the `trace` of its level records, which
+    keep their level systems, and the checked Dutch book of an incoherent one."""
+
     _compared = _shown = ("coherent", "trace", "dutch_book")
 
     def __init__(self, coherent: bool, trace: tuple, dutch_book: DutchBook | None = None):
@@ -187,46 +195,37 @@ def _m_values(system: LinearSystem, columns, voids, witnesses):
     return m_values, witnessed, zero
 
 
-def _run_level(current: Assessment, index_map: tuple, columns, voids):
-    """One recursion level on `current`, the members `index_map` (1-based) of
-    the assessment, over block columns with void codes `voids`, any target's
-    lane last.  The blocks where some member is active, a prefix of each
-    column, make the one system for the simplex and the book check."""
-    t, m = len(current), len(columns[0])
-    while m and all(column[m - 1] == void for column, void in zip(columns[:t], voids)):
-        m -= 1
-    system = build_sigma(current, [column[:m] for column in columns])
-    labels = tuple(q.label for q in current.family)
-    cert = solve_feasibility(system)
-    if not cert.feasible:
-        stakes = tuple(-u for u in cert.dual[:-1])
-        book = _checked_book(DutchBook(index_map, stakes, cert.margin), system)
-        record = LevelRecord(index_map, labels, False, None, None, frozenset(), None)
-        return record, book, None, system
-    m_values, witnessed, zero = _m_values(system, system.codes[:t], voids, [cert])
-    witnessed, i0 = (frozenset(index_map[i] for i in s) for s in (witnessed, zero))
-    record = LevelRecord(index_map, labels, True, cert.solution, tuple(m_values), witnessed, i0)
-    return record, None, zero, system
-
-
-def _walk(assessment: Assessment, target=None):
-    """The verdict on `assessment` and, per level walked, its members, block
-    columns, their void codes and its system.  A target's lane, when given,
-    follows the members' in every level's columns, projected from the last."""
+def _walk(assessment: Assessment, target=None) -> CoherenceVerdict:
+    """The verdict on `assessment`, whose records keep each level's state.  A
+    target's lane, when given, follows the members' in every level's columns,
+    projected from the last.  The blocks where some member is active, a prefix
+    of each column, make the one system for the simplex and the book check."""
     if (screened := _hull_screen(assessment)) is not None:
-        return screened, []
+        return screened
     lanes = assessment.family + (() if target is None else (target,))
     voids = [len(q.levels) for q in lanes]
     columns = keyed_partition([q.codes for q in lanes], voids)
-    current, index_map = assessment, tuple(range(1, len(assessment) + 1))
-    trace, levels = [], []
+    current, index_map, trace = assessment, tuple(range(1, len(assessment) + 1)), []
     for _ in range(len(assessment)):
-        record, book, zero, system = _run_level(current, index_map, columns, voids)
-        trace.append(record)
-        levels.append((current, columns, voids, system))
-        if book is not None or not zero:
-            return CoherenceVerdict(book is None, tuple(trace), book), levels
-        keep = zero + list(range(len(current), len(columns)))  # the target's lane stays last
+        t, m = len(current), len(columns[0])
+        while m and all(column[m - 1] == void for column, void in zip(columns[:t], voids)):
+            m -= 1
+        system = build_sigma(current, [column[:m] for column in columns])
+        labels = tuple(q.label for q in current.family)
+        state = (current, tuple(columns), tuple(voids), system)  # kept on the level's record
+        cert = solve_feasibility(system)
+        if not cert.feasible:
+            stakes = tuple(-u for u in cert.dual[:-1])
+            book = _checked_book(DutchBook(index_map, stakes, cert.margin), system)
+            record = LevelRecord(index_map, labels, False, None, None, frozenset(), None, *state)
+            return CoherenceVerdict(False, (*trace, record), book)
+        m_values, witnessed, zero = _m_values(system, system.codes[:t], voids, [cert])
+        witnessed, i0 = (frozenset(index_map[i] for i in s) for s in (witnessed, zero))
+        trace.append(LevelRecord(index_map, labels, True, cert.solution, tuple(m_values),
+                                 witnessed, i0, *state))
+        if not zero:
+            return CoherenceVerdict(True, tuple(trace))
+        keep = zero + list(range(t, len(columns)))  # the target's lane stays last
         voids = [voids[i] for i in keep]
         columns = keyed_partition([columns[i] for i in keep], voids)
         current, index_map = current.restrict(zero), tuple(index_map[i] for i in zero)
@@ -241,7 +240,7 @@ def check_coherence(assessment: Assessment) -> CoherenceVerdict:
     antecedent; members stuck at zero form the next level's family.  The
     family strictly shrinks, so the loop is capped defensively at its size.
     """
-    return _walk(assessment)[0]
+    return _walk(assessment)
 
 
 def find_dutch_book(assessment: Assessment) -> DutchBook | None:
@@ -297,11 +296,11 @@ def _charnes_cooper_range(system: LinearSystem, t: int, values, k_mass):
     return _linear_range(cc, [*values, 0])
 
 
-def _propagate(levels, target: ConditionalQuantity):
+def _propagate(trace, target: ConditionalQuantity):
     """The exact coherent range of the target over a coherent assessment,
-    from the levels of its walk with the target (`_walk`): per level, the
-    members, the block columns and void codes, and the system over the
-    blocks where some member is active.
+    from the `trace` of its walk with the target (`_walk`): each level record's
+    members, block columns and void codes, and system over the blocks where
+    some member is active.
 
     On the blocks Q where only the target is active, sorted last, every
     member row reads its prevision, the rhs, so the solutions over all
@@ -317,8 +316,9 @@ def _propagate(levels, target: ConditionalQuantity):
     target, form a strictly smaller problem whose range joins the level's.
     """
     hull = target.hull()
-    for current, columns, voids, system in levels:
-        t, void, m = len(current), voids[-1], system.n_unknowns
+    for level in trace:
+        system, columns, voids = level.system, level.columns, level.voids
+        t, void, m = len(level.assessment), voids[-1], system.n_unknowns
         values = [*map((*target.levels, 0).__getitem__, columns[t])]  # 0 where void
         values, ends = values[:m], values[m:]  # the target's values on Q, then its range's ends
         if void not in columns[t][:m]:
@@ -347,10 +347,10 @@ def _propagate(levels, target: ConditionalQuantity):
         _, _, zero = _m_values(void_target, system.codes[:t], voids, [witness])
         if not zero:
             return hull
-        verdict, sub_levels = _walk(current.restrict(zero), target)
+        verdict = _walk(level.assessment.restrict(zero), target)
         if not verdict.coherent:
             raise RuntimeError("restriction of a coherent assessment failed")
-        sub_lo, sub_hi = _propagate(sub_levels, target)
+        sub_lo, sub_hi = _propagate(verdict.trace, target)
         return min(lo, sub_lo), max(hi, sub_hi)
     return hull
 
@@ -370,10 +370,10 @@ def extension_interval(
     """
     if target.space is not assessment.space:
         raise ValueError("family members live in different world spaces")
-    verdict, levels = _walk(assessment, target)
+    verdict = _walk(assessment, target)
     if not verdict.coherent:
         raise IncoherentBase("the base assessment is not coherent")
     for q, mu in zip(assessment.family, assessment.values):
         if (q.levels, q.codes) == (target.levels, target.codes):
             return ExtensionInterval(mu, mu, True)
-    return ExtensionInterval(*_propagate(levels, target), True)
+    return ExtensionInterval(*_propagate(verdict.trace, target), True)

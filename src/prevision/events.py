@@ -271,7 +271,7 @@ class Event(Record):
         return Event(self.space, self.space._full ^ self.members)
 
     def __contains__(self, world_index: int) -> bool:
-        return self.members >> world_index & 1 == 1
+        return world_index >= 0 and self.members >> world_index & 1 == 1
 
     @property
     def is_empty(self) -> bool:

@@ -41,7 +41,7 @@ from prevision import (
     special_case_same_consequent,
     value_table,
 )
-from prevision.coherence import _checked_book
+from prevision.coherence import LevelRecord, _checked_book
 from prevision.geometry import (
     ConditionalQuantity,
     build_sigma,
@@ -449,6 +449,74 @@ def assert_book_gains_match(assessment, verdict):
         return 0
     assert dutch_book_gains(assessment, book) == fraction_book_gains(assessment, book)
     return 1
+
+
+def assert_record_keeps_its_level(record, walked, target=None):
+    """A walked record keeps its members' assessment, cut from the `walked`
+    one, their block columns with the target's lane last and their void
+    codes, and the system over the columns' member-active prefix; a record
+    with the same compared fields and none of these is equal, with the same
+    hash and repr."""
+    t = len(record.member_indices)
+    assert record.assessment == walked.restrict([p - 1 for p in record.member_indices])
+    lanes = record.assessment.family + (() if target is None else (target,))
+    assert list(record.voids) == [len(q.levels) for q in lanes] and len(record.columns) == len(lanes)
+    active = [key[:t] != tuple(record.voids[:t]) for key in zip(*record.columns)]
+    m = sum(active)
+    assert active == [True] * m + [False] * (len(active) - m)
+    assert record.system == build_sigma(record.assessment, [c[:m] for c in record.columns])
+    bare = LevelRecord(*(getattr(record, name) for name in LevelRecord._compared))
+    assert bare.system is None
+    assert (bare, hash(bare), repr(bare)) == (record, hash(record), repr(record))
+
+
+def test_walked_records_keep_their_level_systems(monkeypatch):
+    """A multi-level check and the walks of extension intervals, sub-walks
+    included, leave each level's system on its record."""
+    space = build_world_space(["E", "H"])
+    h = indicator(ConditionalEvent(space.event("H"), space.everything), "H")
+    e_given_h = indicator(ConditionalEvent(space.event("E"), space.event("H")), "E|H")
+    base = Assessment((h, e_given_h), (F(0), F(1, 3)))
+    verdict = check_coherence(base)
+    assert verdict.coherent and len(verdict.trace) == 2
+    for record in verdict.trace:
+        assert_record_keeps_its_level(record, base)
+
+    import prevision.coherence as coherence
+
+    traces, depth = [], [0]
+
+    def propagate(trace, target):
+        traces.append((trace, target, depth[0]))  # at depth 1 and past, a sub-walk's
+        depth[0] += 1
+        try:
+            return real_propagate(trace, target)
+        finally:
+            depth[0] -= 1
+
+    real_propagate = coherence._propagate
+    monkeypatch.setattr(coherence, "_propagate", propagate)
+    space = build_world_space(["A", "B", "C"])
+    rng = random.Random(65)
+
+    def draw(label):
+        pool = TestExactPropagation.EVENT_POOL
+        consequent, antecedent = (space.event(rng.choice(pool)) for _ in range(2))
+        return indicator(ConditionalEvent(consequent, antecedent), label)
+
+    for _ in range(400):
+        size = rng.randint(1, 3)
+        members = tuple(draw(f"X{i}") for i in range(1, size + 1))
+        base = Assessment(members, tuple(F(rng.randint(0, 5), 5) for _ in range(size)))
+        if check_coherence(base).coherent:
+            extension_interval(base, draw("T"))
+    levels = 0
+    for trace, target, _ in traces:
+        for record in trace:
+            assert_record_keeps_its_level(record, trace[0].assessment, target)
+            levels += 1
+    assert len(traces) > 100 and levels > len(traces)
+    assert any(sub for _, _, sub in traces)
 
 
 class TestIntegerRows:

@@ -292,6 +292,15 @@ def test_event_boolean_laws():
     assert (a | ~a).is_sure
 
 
+def test_no_index_outside_the_space_is_a_member():
+    """A negative index used to raise ValueError (negative shift count)."""
+    space = build_world_space(["A", "B"])
+    a, sure = space.event("A"), space.everything
+    assert [w for w in range(len(space)) if w in a] == [2, 3]
+    for outside in (-1, -5, len(space), 64):
+        assert outside not in a and outside not in sure
+
+
 def test_empty_antecedent_rejected():
     space = build_world_space(["A", "H"])
     with pytest.raises(ValueError):

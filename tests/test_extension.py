@@ -282,12 +282,13 @@ def test_every_extension_lp_runs_on_its_levels_member_active_blocks(monkeypatch)
     widths, level = [], {}
     real_propagate = coherence._propagate
 
-    def propagate(levels, target):
+    def propagate(trace, target):
         def walked():
-            for current, columns, voids, system in levels:
-                members = zip(*columns[: len(current)])
-                level["m"] = sum(key != tuple(voids[: len(current)]) for key in members)
-                yield current, columns, voids, system
+            for record in trace:
+                t = len(record.assessment)
+                members = zip(*record.columns[:t])
+                level["m"] = sum(key != tuple(record.voids[:t]) for key in members)
+                yield record
 
         return real_propagate(walked(), target)
 

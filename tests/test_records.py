@@ -156,7 +156,8 @@ SIGNATURES = {
     "OptimizationResult": ["value", "solution", ("bounded", True), ("dual", None), ("support", ())],
     "DutchBook": ["member_indices", "stakes", "margin"],
     "LevelRecord": [
-        "member_indices", "labels", "feasible", "solution", "m_values", "m_witnessed", "i0"
+        "member_indices", "labels", "feasible", "solution", "m_values", "m_witnessed", "i0",
+        ("assessment", None), ("columns", None), ("voids", None), ("system", None),
     ],
     "CoherenceVerdict": ["coherent", "trace", ("dutch_book", None)],
     "ExtensionInterval": ["lower", "upper", "exact"],
