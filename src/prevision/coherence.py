@@ -195,16 +195,16 @@ def _m_values(system: LinearSystem, columns, voids, witnesses):
     return m_values, witnessed, zero
 
 
-def _walk(assessment: Assessment, target=None) -> CoherenceVerdict:
-    """The verdict on `assessment`, whose records keep each level's state.  A
-    target's lane, when given, follows the members' in every level's columns,
-    projected from the last.  The blocks where some member is active, a prefix
-    of each column, make the one system for the simplex and the book check."""
+def _walk(assessment: Assessment, target=None, lanes=None) -> CoherenceVerdict:
+    """The verdict on `assessment`, whose records keep each level's state.  The
+    first level keys `lanes`, the members' and any target's world codes or a
+    walked level's columns for them, and each later one projects the last; the
+    member-active prefix of its columns makes a level's one system."""
     if (screened := _hull_screen(assessment)) is not None:
         return screened
-    lanes = assessment.family + (() if target is None else (target,))
-    voids = [len(q.levels) for q in lanes]
-    columns = keyed_partition([q.codes for q in lanes], voids)
+    quantities = assessment.family + (() if target is None else (target,))
+    voids = [len(q.levels) for q in quantities]
+    columns = keyed_partition(lanes or [q.codes for q in quantities], voids)
     current, index_map, trace = assessment, tuple(range(1, len(assessment) + 1)), []
     for _ in range(len(assessment)):
         t, m = len(current), len(columns[0])
@@ -219,7 +219,7 @@ def _walk(assessment: Assessment, target=None) -> CoherenceVerdict:
             book = _checked_book(DutchBook(index_map, stakes, cert.margin), system)
             record = LevelRecord(index_map, labels, False, None, None, frozenset(), None, *state)
             return CoherenceVerdict(False, (*trace, record), book)
-        m_values, witnessed, zero = _m_values(system, system.codes[:t], voids, [cert])
+        m_values, witnessed, zero = _m_values(system, columns[:t], voids, [cert])
         witnessed, i0 = (frozenset(index_map[i] for i in s) for s in (witnessed, zero))
         trace.append(LevelRecord(index_map, labels, True, cert.solution, tuple(m_values),
                                  witnessed, i0, *state))
@@ -312,8 +312,8 @@ def _propagate(trace, target: ConditionalQuantity):
     carry mass, and then the linear-fractional range is the answer; without,
     whether K can, and if not the target joins the next level, whose range
     covers Q's values.  Where K may carry mass or not, values outside it leave
-    the target void, and the members that then get no mass, with the
-    target, form a strictly smaller problem whose range joins the level's.
+    the target void, and the members that then get no mass, with the target,
+    form on its columns a strictly smaller problem whose range joins the level's.
     """
     hull = target.hull()
     for level in trace:
@@ -344,10 +344,11 @@ def _propagate(trace, target: ConditionalQuantity):
             system.scales[:t] + (1,) + system.scales[t:],
             system.labels,
         )
-        _, _, zero = _m_values(void_target, system.codes[:t], voids, [witness])
+        _, _, zero = _m_values(void_target, columns[:t], voids, [witness])
         if not zero:
             return hull
-        verdict = _walk(level.assessment.restrict(zero), target)
+        lanes = [columns[i] for i in (*zero, t)]
+        verdict = _walk(level.assessment.restrict(zero), target, lanes)
         if not verdict.coherent:
             raise RuntimeError("restriction of a coherent assessment failed")
         sub_lo, sub_hi = _propagate(verdict.trace, target)

@@ -231,11 +231,15 @@ def _conjunction(family, previsions, label, complement=False):
     """The family's conjunction, or with `complement` one minus it, as a
     quantity on the union of antecedents: 0 on the worlds where some member
     fails, 1 where every member holds, and x_S on the block where exactly the
-    members S are void; x of the full set is the built-in void value."""
+    members S are void; x of the full set is the built-in void value.  An x_S
+    whose S names a member outside the family is refused."""
     if not family:
         raise ValueError("family must be non-empty")
     if not isinstance(previsions, CompoundPrevisionMap):
         previsions = CompoundPrevisionMap(previsions)
+    for subset, _ in previsions.items():
+        if max(subset) > len(family):
+            raise ValueError(f"bad member subset {tuple(sorted(subset))} for {len(family)} members")
     union = reduce(or_, (ce.antecedent for ce in family))
     void_value = previsions.get(range(1, len(family) + 1))
     if complement and void_value is not None:
@@ -499,17 +503,15 @@ class LinearSystem(Record):
     `value_tables` gives row r as (table, codes), entry j table[codes[j]]:
     `tables` where given, as by `build_sigma`, else derived from the rows.
     `labels` names the unknowns, or returns their names when `unknown_labels`
-    is first read; `codes` holds a `build_sigma` system's block columns.  `lp`
-    also keeps the simplex state after phase 1 on the system, so that every
-    LP on it runs phase 1 once.
+    is first read.  `lp` also keeps the simplex state after phase 1 on the
+    system, so that every LP on it runs phase 1 once.
     """
 
     _shown = ("rows", "scales", "labels", "normalization")
 
-    def __init__(self, rows, scales, labels, normalization=True, codes=None, tables=None):
+    def __init__(self, rows, scales, labels, normalization=True, tables=None):
         vars(self).update(
-            rows=rows, scales=scales, labels=labels, normalization=normalization,
-            codes=codes, tables=tables,
+            rows=rows, scales=scales, labels=labels, normalization=normalization, tables=tables
         )
 
     def __eq__(self, other):
@@ -565,8 +567,8 @@ def build_sigma(assessment: Assessment, codes=None) -> LinearSystem:
 
     `codes` is the family's keyed_partition when already known, else it is
     computed here.  Columns of further trailing quantities only refine the
-    blocks.  The labels mark the family's own codes and are joined only when
-    read.
+    blocks.  Each row's column stays only in its value table and the labels,
+    which mark the family's own codes and are joined only when read.
     """
     family = assessment.family
     if codes is None:
@@ -585,7 +587,7 @@ def build_sigma(assessment: Assessment, codes=None) -> LinearSystem:
         marks = [(*map(_mark, q.levels), "0") for q in family]
         return ("".join(map(tuple.__getitem__, marks, key)) for key in zip(*codes))
 
-    return LinearSystem(tuple(rows), tuple(scales), labels, True, codes, tuple(tables))
+    return LinearSystem(tuple(rows), tuple(scales), labels, True, tuple(tables))
 
 
 def conjunction_signatures(n: int) -> list[frozenset]:

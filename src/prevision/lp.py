@@ -299,10 +299,6 @@ class _Simplex:
         """(x, D): x maps each basic unknown to its value times D."""
         return {b: v for b, v in zip(self.basis, self.beta) if b < self.m}, self.D
 
-    def multipliers(self) -> list:
-        """w = c_B E, the cost row's multipliers on the integer rows, over L."""
-        return self.w
-
     def residual(self) -> tuple:
         """(r, L): the artificials' sum after phase 1 is r / L, L = cost_scale D."""
         return -self.z0, self.cost_scale * self.D
@@ -370,7 +366,7 @@ def _refutation(system: LinearSystem, simplex: _Simplex) -> tuple:
     """(dual, margin) of the phase-1 end state of an infeasible system,
     checked on the solver's integers before any Fraction is built."""
     margin, L = simplex.residual()
-    u = [-v for v in simplex.multipliers()]
+    u = [-v for v in simplex.w]
     _check_refutation(system, u, margin, L)
     return tuple(Fraction(s * v, L) for v, s in zip(u, system.scales)), Fraction(margin, L)
 
@@ -405,7 +401,7 @@ def maximize_linear(system: LinearSystem, objective: Sequence) -> OptimizationRe
     if not simplex.maximize_objective(costs, cost_scale):
         return OptimizationResult(None, None, bounded=False)
     x, D = simplex.point()
-    w, L = simplex.multipliers(), cost_scale * D
+    w, L = simplex.w, cost_scale * D
     value = sum(costs[j] * v for j, v in x.items())
     if not system.solves(x, D):
         raise RuntimeError("optimizer produced a non-solution")

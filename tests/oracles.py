@@ -1006,10 +1006,8 @@ def _two_walk_propagate(assessment, trace, target):
         current = assessment.restrict(p - 1 for p in record.member_indices)
         members = (*current.family, target)
         t, voids, void = len(current), [len(q.levels) for q in members], len(target.levels)
-        system = coherence.build_sigma(
-            current, geometry.keyed_partition([q.codes for q in members], voids)
-        )
-        columns = system.codes
+        columns = geometry.keyed_partition([q.codes for q in members], voids)
+        system = coherence.build_sigma(current, columns)
         values = [*map((*target.levels, 0).__getitem__, columns[t])]  # 0 where void
         if void not in columns[t]:
             return coherence._linear_range(system, values)

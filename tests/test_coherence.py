@@ -256,7 +256,7 @@ class TestCheckCoherence:
         assert not verdict.coherent
         assert [r.member_indices for r in verdict.trace] == [(1, 2, 3), (2, 3)]
         assert verdict.dutch_book.member_indices == (2, 3)
-        level_one = len(build_sigma(assessment).codes[0])
+        level_one = build_sigma(assessment).n_unknowns
         assert passes[:2] == [("worlds", 3, len(space)), ("projection", 2, level_one)]
 
         # the grid7 and conj-scale shapes: one world pass per check

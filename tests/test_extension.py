@@ -274,6 +274,27 @@ def test_level_that_cannot_reach_the_target_leaves_its_blocks_to_the_next(work):
     assert new["level LPs"] == [(0, 0, 0, 1), (0, 0)]
 
 
+def test_sub_extension_walks_its_levels_columns(work, monkeypatch):
+    """X1 = B|B = 1, X2 = (!B & !C)|A = 2/5 and T = (A & !C)|A: the level's
+    system can put mass on A, T's active blocks, and need not, and its range
+    there falls short of T's hull; with no mass on A, X2 gets none, so X2 and T
+    walk a smaller problem.  It keys the level's own columns, not the world
+    codes, so the interval makes one world pass, the base walk's."""
+    abc = build_world_space(["A", "B", "C"])
+    base = Assessment(
+        (abc_indicator(abc, "B", "B", "X1"), abc_indicator(abc, "!B & !C", "A", "X2")),
+        (F(1), F(2, 5)),
+    )
+    target = abc_indicator(abc, "A & !C", "A", "T")
+    answer, new = work(lambda: interval(base, target), (*base.family, target))
+    expected, _ = work(lambda: two_walk_extension(base, target), (*base.family, target))
+    walks, real_walk = [], coherence._walk
+    monkeypatch.setattr(coherence, "_walk", lambda *args: walks.append(args) or real_walk(*args))
+    assert answer == expected == interval(base, target) == (F(2, 5), 1)
+    assert len(walks) == 2  # the base's walk and the sub-extension's
+    assert new["world passes"] == 1
+
+
 def test_every_extension_lp_runs_on_its_levels_member_active_blocks(monkeypatch):
     """On the identity pool, each system an extension solves while it
     propagates, a level's own, its Charnes-Cooper form or its void-target

@@ -827,7 +827,8 @@ def test_value_tables_reproduce_the_rows():
         given += system.n_unknowns >= lp.PACKED_WIDTH
         *members, normalization = system.value_tables
         assert normalization == ((1,), bytes(system.n_unknowns))
-        assert [codes for _, codes in members] == list(system.codes)
+        # each unknown is one block: the members' codes key it
+        assert len(set(zip(*(codes for _, codes in members)))) == system.n_unknowns
         assert [table[-1] for table, _ in members] == [row[-1] for row in system.rows[:-1]]
     assert given >= 4 and derived >= 12
 
@@ -886,17 +887,25 @@ def test_a_dropped_wide_system_is_freed_without_the_cycle_collector():
 def test_wrong_optimum_dual_raises(monkeypatch):
     system = example_pair_system()
     assert maximize_component_sum(system, [0]).dual is not None
-    monkeypatch.setattr(lp._Simplex, "multipliers", lambda self: [0] * self.k)
+    maximize_objective = lp._Simplex.maximize_objective
+
+    def zero_multipliers(self, costs, cost_scale):
+        bounded = maximize_objective(self, costs, cost_scale)
+        self.w = [0] * self.k
+        return bounded
+
+    monkeypatch.setattr(lp._Simplex, "maximize_objective", zero_multipliers)
     with pytest.raises(RuntimeError, match="dual"):
         maximize_component_sum(system, [0])
 
 
 def test_corrupted_solver_integers_raise_before_any_result(monkeypatch):
     """Both solve paths check the simplex's own integers: one solution entry,
-    one multiplier or the refutation margin moved by 1 raises RuntimeError."""
-    point, multipliers, residual = (
-        lp._Simplex.point, lp._Simplex.multipliers, lp._Simplex.residual
-    )
+    one multiplier or the refutation margin moved by 1 raises RuntimeError.
+    A multiplier moves in the phase-1 state an infeasible system is refuted
+    from, or in the state an optimum ends in, each a copy of the kept one."""
+    point, residual = lp._Simplex.point, lp._Simplex.residual
+    after_phase1, maximize_objective = lp._after_phase1, lp._Simplex.maximize_objective
     kinds = set()
     for system, objective in differential_systems():
         # a column some row weighs, and a row with a non-zero rhs
@@ -907,29 +916,45 @@ def test_corrupted_solver_integers_raise_before_any_result(monkeypatch):
             x, D = point(self)
             return {**x, j: x.get(j, 0) + 1}, D
 
-        def bad_multipliers(self):
-            return [v + (i == r) for i, v in enumerate(multipliers(self))]
+        def moved(simplex):
+            simplex.w = [v + (i == r) for i, v in enumerate(simplex.w)]
+            return simplex
+
+        def bad_refutation(refuted):
+            return moved(after_phase1(refuted).copy())
+
+        def bad_optimum(self, costs, cost_scale):
+            bounded = maximize_objective(self, costs, cost_scale)
+            moved(self)
+            return bounded
 
         def bad_residual(self):
             margin, L = residual(self)
             return margin + 1, L
 
+        # (path, source): what is patched, and the entry moved, None for none
+        patches = {
+            ("feasibility", "point"): (lp._Simplex, "point", bad_point, j),
+            ("maximize", "point"): (lp._Simplex, "point", bad_point, j),
+            ("maximize", "multipliers"): (lp._Simplex, "maximize_objective", bad_optimum, r),
+            ("feasibility", "multipliers"): (lp, "_after_phase1", bad_refutation, r),
+            ("feasibility", "residual"): (lp._Simplex, "residual", bad_residual, 0),
+        }
         cases = []
         if solve_feasibility(system).feasible:
-            cases.append(("feasibility", "point", bad_point, j))
+            cases.append(("feasibility", "point"))
             result = maximize_linear(system, objective)
             if result.bounded:
-                cases.append(("maximize", "point", bad_point, j))
-                cases.append(("maximize", "multipliers", bad_multipliers, r))
+                cases += [("maximize", "point"), ("maximize", "multipliers")]
         else:
-            cases.append(("feasibility", "multipliers", bad_multipliers, r))
-            cases.append(("feasibility", "residual", bad_residual, 0))
-        for path, source, bad, hit in cases:
+            cases += [("feasibility", "multipliers"), ("feasibility", "residual")]
+        for path, source in cases:
+            owner, name, bad, hit = patches[path, source]
             if hit is None:
                 continue
             kinds.add((path, source))
             with monkeypatch.context() as patch:
-                patch.setattr(lp._Simplex, source, bad)
+                patch.setattr(owner, name, bad)
                 with pytest.raises(RuntimeError):
                     if path == "feasibility":
                         solve_feasibility(system)

@@ -148,7 +148,7 @@ SIGNATURES = {
     "Assessment": ["family", "values"],
     "QuantityConstituent": ["profile", "codes", "lanes"],
     "LinearSystem": [
-        "rows", "scales", "labels", ("normalization", True), ("codes", None), ("tables", None)
+        "rows", "scales", "labels", ("normalization", True), ("tables", None)
     ],
     "FeasibilityCertificate": [
         "feasible", ("solution", None), ("dual", None), ("margin", None), ("support", ())
@@ -235,7 +235,7 @@ def test_uncompared_fields_stay_out_of_equality_and_hash():
     assert (other, hash(other)) == (result, hash(result))
     # a linear system compares its rows, scales, labels and normalization
     system = RECORDS["LinearSystem"][0]()
-    assert system == LinearSystem(system.rows, system.scales, ("a", "b"), True, [b"\x00"], ())
+    assert system == LinearSystem(system.rows, system.scales, ("a", "b"), True, ())
 
 
 def test_problem_stays_mutable_and_unhashable():

@@ -271,6 +271,11 @@ def _two_space_conjunction():
     return first.event("A") & second.event("A")
 
 
+def _two_events():
+    space = prevision.build_world_space(["A", "B", "H"])
+    return [prevision.ConditionalEvent(space.event(a), space.event("H")) for a in "AB"]
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -278,6 +283,19 @@ def _two_space_conjunction():
         (lambda: prevision.Assessment((), ()), ValueError, "family must be non-empty"),
         (_two_space_conjunction, ValueError, "different world spaces"),
         (lambda: prevision.CompoundPrevisionMap({(0,): 1}), ValueError, "bad member subset"),
+        # an x_S naming a member outside the family is refused, not dropped
+        (
+            lambda: prevision.make_conjunction(
+                _two_events(), {(1,): "1/2", (2,): "1/3", (1, 2, 3): "1/5"}
+            ),
+            ValueError,
+            "bad member subset",
+        ),
+        (
+            lambda: prevision.make_disjunction(_two_events(), {(7,): "9/10"}),
+            ValueError,
+            "bad member subset",
+        ),
         (lambda: prevision.lambda_solution_TL([]), OutOfRange, "at least one member"),
         (lambda: prevision.lambda_solution_TM([]), OutOfRange, "at least one member"),
         (
@@ -291,7 +309,10 @@ def _two_space_conjunction():
             "index out of range",
         ),
     ],
-    ids=["conjunction", "assessment", "spaces", "subset", "TL", "TM", "objective", "index"],
+    ids=[
+        "conjunction", "assessment", "spaces", "subset", "conjunction-subset",
+        "disjunction-subset", "TL", "TM", "objective", "index",
+    ],
 )
 def test_malformed_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=message):
