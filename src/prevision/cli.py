@@ -357,19 +357,21 @@ def cmd_bounds(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:
 def parse_parameter(raw: str) -> FrankParameter:
     _engine("frank")
     s = raw.strip().lower()
-    if s == "min":
-        return FrankParameter.min()
-    if s == "product":
-        return FrankParameter.product()
+    s = {"min": "0", "product": "1"}.get(s, s)  # named by their exact parameters
     if s in ("lukasiewicz", "inf", "infinity"):
         return FrankParameter.lukasiewicz()
     try:
-        value = float(parse_rational(s, "--lambda"))
-    except (ProblemError, OverflowError):
+        value = parse_rational(s, "--lambda")
+        x = float(value)
+    except ProblemError:
         raise ProblemError(
             f"--lambda: {abridged(raw)} is neither min|product|lukasiewicz nor a positive real"
         ) from None
-    return FrankParameter.from_value(value)
+    except OverflowError:
+        raise ProblemError(f"--lambda: {abridged(raw)} is too large for a float") from None
+    if x in (0, 1) and value not in (0, 1):  # only exact 0 and 1 name min and product
+        raise ProblemError(f"--lambda: {abridged(raw)} is not {int(x)} but rounds to it as a float")
+    return FrankParameter.from_value(x)
 
 
 def cmd_tnorm(ns: argparse.Namespace) -> tuple[int, dict, list[str]]:

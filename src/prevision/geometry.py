@@ -26,8 +26,6 @@ denominators, each a value table read at a code per unknown;
 from __future__ import annotations
 
 import struct
-import sys
-from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -42,8 +40,10 @@ from .record import Record, to_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# array typecodes, and struct formats, of unsigned integers 1, 2 and 4 bytes wide
+# struct formats of unsigned integers 1, 2 and 4 bytes wide, in < or > byte order
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
+# every byte in order: a prefix of it is the valid codes of a byte lane
+_BYTES = bytes(range(256))
 # Block maps kept per space, the oldest dropped past it: an entry holds a
 # byte per world, 16 KB over 4^7 worlds and 1 MB over 2^20.
 _BLOCK_MAPS = 32
@@ -72,6 +72,12 @@ class ConditionalQuantity(Record):
     def __init__(self, conditioning: Event, levels: tuple, codes, label="X|K", void_value=None):
         if conditioning.is_empty:
             raise ValueError("conditioning event must be non-empty")
+        n, valid = len(conditioning.space), _BYTES[: len(levels) + 1]
+        if len(codes) != n or (  # in 1 KB pieces, no lane-sized copy; what translate leaves is bad
+            any(codes[i : i + 1024].translate(None, valid) for i in range(0, n, 1024))
+            if isinstance(codes, bytes) else not 0 <= min(codes) <= max(codes) <= len(levels)
+        ):
+            raise ValueError(f"need {n} codes, one per world, each 0..{len(levels)}, the void code")
         if void_value is not None:
             void_value = to_fraction(void_value)
         vars(self).update(
@@ -100,11 +106,10 @@ class ConditionalQuantity(Record):
         if values.keys() != set(compress(range(n), inside)):
             raise ValueError("values must cover exactly the conditioning worlds")
         values = {w: to_fraction(v) for w, v in values.items()}
-        levels = sorted(set(values.values()), reverse=True)
-        index = {v: i for i, v in enumerate(levels)}
-        codes = [index.get(values.get(w), len(levels)) for w in range(n)]  # void last
-        codes = bytes(codes) if len(levels) < 256 else tuple(codes)
-        return cls(conditioning, tuple(levels), codes, label, void_value)
+        index = dict(zip(dict.fromkeys(values.values()), count()))  # as first seen
+        codes = [index.get(values.get(w), len(index)) for w in range(n)]  # void last
+        codes = bytes(codes) if len(index) < 256 else tuple(codes)
+        return cls(conditioning, *_levels([*index], codes), label, void_value)
 
     @property
     def space(self) -> WorldSpace:
@@ -144,11 +149,8 @@ def _lanes(blocks, outside, n_worlds) -> tuple:
     width = 1 if void < 1 << 8 else 2 if void < 1 << 16 else 4
     total = sum(spread_bits(plane, width, j) for j, plane in enumerate(planes) if plane)
     lanes = total.to_bytes(n_worlds * width, "little")
-    if width > 1:
-        lanes = array(_TYPECODES[width], lanes)
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        lanes = tuple(lanes)  # hashable
+    if width > 1:  # a tuple, hashable
+        lanes = struct.unpack(f"<{n_worlds}{_TYPECODES[width]}", lanes)
     return tuple(seen), lanes
 
 
@@ -440,16 +442,13 @@ def keyed_partition(codes, voids) -> list:
     keys.discard(void)
     keys, columns, at = b"".join(sorted(keys)), [], 0
     for width in widths:
-        columns.append(keys[at::size] if width == 1 else _field(keys, at, width, size))
+        if width == 1:
+            columns.append(keys[at::size])
+        else:  # each record's field at..at + width, the rest skipped
+            fields = struct.iter_unpack(f">{at}x{_TYPECODES[width]}{size - at - width}x", keys)
+            columns.append(tuple(map(itemgetter(0), fields)))
         at += width
     return columns
-
-
-def _field(keys, at, width, size) -> tuple:
-    """Bytes at..at + width of each record of `keys`, as big-endian codes."""
-    fields = struct.iter_unpack(f"{at}x{width}s{size - at - width}x", keys)
-    fields = b"".join(map(itemgetter(0), fields))
-    return struct.unpack(f">{len(fields) // width}{_TYPECODES[width]}", fields)
 
 
 def quantity_constituents(family):

@@ -40,8 +40,7 @@ trusts the solver state and none does Fraction arithmetic per entry.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
@@ -194,9 +193,7 @@ class _Simplex:
         j = (negative & -negative).bit_length() // (64 * words) - 1
         if not self.degenerate:
             digits, B = fields.to_bytes(8 * words * self.m, "little"), 8 * words
-            top = array("Q", digits)[words - 1 :: words]
-            if sys.byteorder == "big":
-                top.byteswap()
+            top = struct.unpack(f"<{words * self.m}Q", digits)[words - 1 :: words]
             j = top.index(least := min(top))
             if words > 1 and top.count(least) > 1:
                 tied = (t for t in range(j, self.m) if top[t] == least)

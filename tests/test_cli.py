@@ -645,12 +645,30 @@ class TestFrankCommands:
         code, out, _ = run(capsys, "tnorm", "--lambda", "inf", "1/2", "3/5")
         assert code == 0
         assert "value: 1/10" in out
+        code, out, _ = run(capsys, "tnorm", "--lambda", "1", "1/2", "3/5")
+        assert (code, out) == (0, "value: 3/10\n")
+        code, out, _ = run(capsys, "tnorm", "--lambda", "1e-300", "1/2", "3/5")
+        assert (code, out) == (0, "value: 0.5\n")  # generic, not min
 
     def test_bad_lambda_exits_two(self, capsys):
         for bad in ("-3", "words"):
             code, _, err = run(capsys, "tnorm", "--lambda", bad, "1/2", "3/5")
             assert code == 2
             assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "lam, why",
+        [
+            # T_lambda here is below min's 1/2 by about 1e-43
+            ("1e-400", "is not 0 but rounds to it as a float"),
+            ("1.00000000000000001", "is not 1 but rounds to it as a float"),
+            ("1e400", "is too large for a float"),
+        ],
+    )
+    def test_lambda_no_float_holds_exits_two(self, capsys, lam, why):
+        for command in ("tnorm", "tconorm"):
+            code, out, err = run(capsys, command, "--lambda", lam, "1/2", "3/5")
+            assert (code, out, err) == (2, "", f"error: --lambda: {lam!r} {why}\n")
 
     def test_solve_lambda_named_kinds(self, capsys):
         for target, kind, lam in (

@@ -250,9 +250,13 @@ def test_levels_order_exactly_past_float_range_and_precision():
     huge, third, tiny = F(10**400), F(1, 3), F(1, 10**30)
     values = [third, huge + 1, third + tiny, -huge, huge, third - tiny, F(0)]
     level_sets = [(v, 1 << w) for w, v in enumerate(values)] + [(F(0), 1 << 7)]
-    q = ConditionalQuantity.from_level_sets(space.everything, level_sets)
-    assert q.levels == tuple(sorted(set(values), reverse=True))
-    assert read_codes(q) == per_world_codes(8, dict(enumerate(values + [F(0)])))
+    given = dict(enumerate(values + [F(0)]))
+    for q in (
+        ConditionalQuantity.from_level_sets(space.everything, level_sets),
+        ConditionalQuantity.from_values(space.everything, given),
+    ):
+        assert q.levels == tuple(sorted(set(values), reverse=True))
+        assert read_codes(q) == per_world_codes(8, given)
 
 
 @pytest.mark.parametrize("n_levels", [1, 3, 255, 256])

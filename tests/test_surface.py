@@ -276,10 +276,19 @@ def _two_events():
     return [prevision.ConditionalEvent(space.event(a), space.event("H")) for a in "AB"]
 
 
+def _quantity_on_a(codes):
+    # beside indicator(B|A), such codes failed deep in build_sigma or keyed_partition
+    space = prevision.build_world_space(["A", "B"])
+    return prevision.ConditionalQuantity(space.event("A"), (Fraction(1), Fraction(0)), codes)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
         (lambda: prevision.make_conjunction([], {}), ValueError, "family must be non-empty"),
+        (lambda: _quantity_on_a(bytes([0, 5, 2, 2])), ValueError, "each 0..2, the void code"),
+        (lambda: _quantity_on_a((0, -1, 2, 2)), ValueError, "each 0..2, the void code"),
+        (lambda: _quantity_on_a(bytes([0, 1])), ValueError, "need 4 codes, one per world"),
         (lambda: prevision.Assessment((), ()), ValueError, "family must be non-empty"),
         (_two_space_conjunction, ValueError, "different world spaces"),
         (lambda: prevision.CompoundPrevisionMap({(0,): 1}), ValueError, "bad member subset"),
@@ -310,7 +319,8 @@ def _two_events():
         ),
     ],
     ids=[
-        "conjunction", "assessment", "spaces", "subset", "conjunction-subset",
+        "conjunction", "code-past-void", "tuple-code-below-0", "codes-short", "assessment",
+        "spaces", "subset", "conjunction-subset",
         "disjunction-subset", "TL", "TM", "objective", "index",
     ],
 )
