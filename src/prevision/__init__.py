@@ -6,10 +6,10 @@ interval of coherent extensions, and provides the Frank t-norm/t-conorm family
 together with the closed-form boundary solutions that make the
 Frechet-Hoeffding envelope sharp.  `__all__` is the documented surface;
 internals (systems, the LP, constituent views) come from their modules.
-The first read of a documented name loads the whole surface (PEP 562): each
-name of `__all__` is bound from the namespace of the module that holds it,
-so `__all__` is the one list of the surface, and `import prevision.cli`
-loads only what its command runs.
+The first read of a documented name loads the whole surface (PEP 562):
+`_bind`, which the CLI and `coherence` share, binds each name of `__all__`
+from the namespace of the module that holds it, so `__all__` is the one
+list of the surface, and `import prevision.cli` loads only what it runs.
 """
 
 __all__ = [
@@ -64,10 +64,16 @@ __all__ = [
 ]
 
 
+def _bind(modules, namespace) -> None:
+    """Import this package's `modules` in order and bind into `namespace`
+    every name of `__all__` that each one holds."""
+    for module in modules:
+        found = vars(__import__(f"{__name__}.{module}", fromlist=["*"]))
+        namespace.update((n, found[n]) for n in __all__ if n in found)
+
+
 def __getattr__(name: str):
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    for module in ("errors", "events", "geometry", "coherence", "closed_form", "frank"):
-        found = vars(__import__(f"{__name__}.{module}", fromlist=["*"]))
-        globals().update((n, found[n]) for n in __all__ if n in found)
+    _bind(("errors", "events", "geometry", "coherence", "closed_form", "frank"), globals())
     return globals()[name]

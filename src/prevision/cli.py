@@ -11,12 +11,14 @@ exact rational (7/20) before any computation.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections.abc import Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
+from . import __all__ as _documented, _bind
 from .errors import FormulaError, IncoherentBase, PrevisionError, UnknownAtom, abridged
 from .record import Record
 
@@ -31,37 +33,29 @@ MAX_LITERAL_DIGITS = 1000
 # Results print exactly up to this many bits in a numerator or denominator:
 # at most 4,215 digits, inside CPython's default 4,300-digit int-to-str limit.
 MAX_RESULT_BITS = 14_000
+# A subcommand reads a token that starts like a negative number as a value, "-1/2" and
+# "-1e-400" too, where argparse's own pattern (3.10 to 3.13.0) takes only "-1" and "-1.5"
+_NEGATIVE = re.compile(r"-\.?\d")
 
 
-# The engine names each group binds into this module, by module in import order.
-_GROUPS = {
-    "problem": (
-        ("coherence", ("check_coherence", "extension_interval", "value_table")),
-        ("events", ("ConditionalEvent", "WorldSpace", "build_world_space")),
-        ("geometry", ("Assessment", "CompoundPrevisionMap", "ConditionalQuantity", "indicator",
-                      "demorgan_previsions", "make_conjunction", "make_disjunction")),
-    ),
-    "frank": (("frank", ("FrankKind", "FrankParameter", "solve_lambda", "tconorm", "tnorm",
-                         "frechet_bounds_conjunction", "frechet_bounds_disjunction")),),
-}
+# The engine modules whose documented names each group binds into this module.
+_GROUPS = {"problem": ("coherence", "events", "geometry"), "frank": ("frank",)}
 
 
 @cache
 def _engine(group: str) -> None:
-    """Bind one group of engine names into this module, so that a command loads
+    """Bind one group's engine names into this module, so that a command loads
     only the modules it runs; once, so that a name patched here stays patched."""
-    for module, names in _GROUPS[group]:
-        loaded = __import__(module, globals(), None, names, 1)
-        globals().update((name, getattr(loaded, name)) for name in names)
+    _bind(_GROUPS[group], globals())
 
 
 def __getattr__(name: str):
-    """An engine name read from outside, as by a patch, binds its group after
-    the problem group, so that group is bound whole before any patch."""
-    for group, modules in _GROUPS.items():
-        if any(name in names for _, names in modules):
-            _engine("problem")
-            _engine(group)
+    """A documented name read from outside, as by a patch, binds both groups,
+    the problem group first, so each is bound whole before any patch."""
+    if name in _documented:
+        _engine("problem")
+        _engine("frank")
+        if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -201,11 +195,12 @@ def build_problem(data: object, origin: str = "problem") -> Problem:
         raw_prevs = entry.get("previsions", {}) or {}
         if not isinstance(raw_prevs, dict):
             raise ProblemError(f"{where}: previsions must be an object")
-        prevs = {
-            _parse_subset(k, len(members), f"{where}.previsions"):
-                parse_rational(v, f"{where}.previsions[{abridged(k)}]")
-            for k, v in raw_prevs.items()
-        }
+        prevs = {}
+        for k, v in raw_prevs.items():
+            subset = _parse_subset(k, len(members), f"{where}.previsions")
+            if subset in prevs:
+                raise ProblemError(f"{where}.previsions: {abridged(k)} repeats an earlier subset")
+            prevs[subset] = parse_rational(v, f"{where}.previsions[{abridged(k)}]")
         try:
             if kind == "conjunction":
                 quantities[name] = make_conjunction(family, prevs, name)
@@ -500,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     # added last, so --json stays the last option in every subcommand's usage
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p._negative_number_matcher = _NEGATIVE
     return parser
 
 

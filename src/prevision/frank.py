@@ -62,17 +62,23 @@ class FrankParameter(Record):
 
     @classmethod
     def from_value(cls, value) -> "FrankParameter":
-        """Canonicalize a raw parameter value: 0, 1, inf become named kinds."""
-        value = float(value)
+        """Canonicalize a raw parameter value: exactly 0, 1 or inf name a kind; a
+        value that only rounds to 0 or 1 as a float, or that no float holds, is refused."""
         if value < 0:
             raise OutOfRange("parameter must be non-negative")
         if value == 0:
             return cls.min()
         if value == 1:
             return cls.product()
-        if math.isinf(value):
+        if value == math.inf:
             return cls.lukasiewicz()
-        return cls.generic(value)
+        try:
+            x = float(value)
+        except OverflowError:
+            raise OutOfRange("parameter is too large for a float") from None
+        if x in (0, 1):
+            raise OutOfRange(f"parameter is not {int(x)} but rounds to it as a float")
+        return cls.generic(x)
 
 
 Real = int | float | Fraction

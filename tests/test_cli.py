@@ -333,6 +333,9 @@ FORMULA_ERRORS = [
                 (("compounds", 0, "previsions"), {"one": "7/20"}),
                 (("compounds", 0, "previsions"), {"2,1": "7/20"}),
                 (("compounds", 0, "previsions"), {"3": "7/20"}),
+                (("compounds", 0, "previsions"), {"1": "7/20", "2": "9/20", "01": "1/2"}),
+                (("compounds", 0, "previsions"),
+                 {"1": "7/20", "2": "9/20", "1,2": "1/5", "1, 2": "1/4"}),
                 (("compounds", 0, "previsions"), {}),
                 (("assessment",), ["X"]),
                 (("assessment",), {}),
@@ -374,7 +377,8 @@ FORMULA_ERRORS = [
         "duplicate-conditional-name", "compound-named-like-a-conditional",
         "consequent-not-a-string", "unknown-compound-kind", "one-member-compound",
         "previsions-not-an-object", "subset-not-numbers", "subset-not-ascending",
-        "subset-outside-members", "missing-member-prevision", "assessment-not-an-object",
+        "subset-outside-members", "subset-named-twice", "subset-spaced-twice",
+        "missing-member-prevision", "assessment-not-an-object",
         "no-assessed-values", "query-not-an-object",
         "assessment-nested-900-deep", "member-nested-900-deep",
         "undeclared-3000-character-name", "subset-3000-character-key",
@@ -390,6 +394,32 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 200  # a bad value is echoed abridged
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tnorm", "--lambda", "-1e-400", "1/2", "3/5"),
+        ("solve-lambda", "1/2", "1/2", "--target", "-1e-400"),
+        ("bounds", "conjunction", "-1e-400", "1/2"),
+        ("tnorm", "--lambda", "2", "-1/2", "1/2"),
+        ("tnorm", "--lambda", "2", "-1e-3", "1/2"),
+        ("tconorm", "--lambda", "-1/2", "1/2", "3/5"),
+        ("lambda-solution", "-1/2", "1/2"),
+        ("tnorm", "--lambda", "-0.5", "1/2"),
+    ],
+    ids=[
+        "lambda-exponent", "target-exponent", "bounds-exponent", "tnorm-fraction",
+        "tnorm-exponent", "lambda-fraction", "lambda-solution-fraction", "lambda-decimal",
+    ],
+)
+def test_negative_literals_are_values_with_one_error_line(capsys, argv):
+    # argparse took "-1e-400" and "-1/2" for options: its usage text, then
+    # "expected one argument" or "unrecognized arguments"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in err
 
 
 @pytest.mark.parametrize("path, value, line", FORMULA_ERRORS)
@@ -540,6 +570,26 @@ class TestExtend:
         assert code == 0
         assert "interval: [63/400, 7/20]" in out
         assert "exact: yes" in out
+
+    def test_member_subset_named_twice_exits_two(self, capsys, tmp_path):
+        # "01" is member subset (1,): the later key silently won, and the
+        # interval read [63/400, 97/260]
+        data = {
+            "atoms": ["A", "H", "K"],
+            "conditionals": [
+                {"name": "X", "consequent": "A", "antecedent": "H"},
+                {"name": "Y", "consequent": "A", "antecedent": "K"},
+            ],
+            "compounds": [
+                {"name": "C", "kind": "conjunction", "members": ["X", "Y"],
+                 "previsions": {"1": "0.35", "2": "0.45", "01": "1/2"}},
+            ],
+            "assessment": {"X": "0.35", "Y": "0.45"},
+            "query": {"target": "C"},
+        }
+        code, out, err = run(capsys, "extend", "--problem", write_problem(tmp_path, data))
+        assert (code, out) == (2, "")
+        assert err == "error: compounds[0].previsions: '01' repeats an earlier subset\n"
 
     def test_target_with_vanishing_antecedent_mass(self, capsys, tmp_path):
         # the target's antecedent may carry zero mass; its only coherent

@@ -45,12 +45,28 @@ def test_parameter_validation():
             FrankParameter.generic(bad)
     with pytest.raises(ValueError):
         FrankParameter(FrankKind.MIN, 2.0)
-    assert FrankParameter.from_value(0) == MIN
-    assert FrankParameter.from_value(1.0) == PRODUCT
+    assert FrankParameter.from_value(0) == FrankParameter.from_value(F(0)) == MIN
+    assert FrankParameter.from_value(1.0) == FrankParameter.from_value(F(2, 2)) == PRODUCT
     assert FrankParameter.from_value(math.inf) == LUK
     assert FrankParameter.from_value(2.5).kind is FrankKind.GENERIC
     with pytest.raises(OutOfRange):
         FrankParameter.from_value(-1)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (F(1, 10**400), "is not 0 but rounds to it as a float"),
+        (F(10**400 + 1, 10**400), "is not 1 but rounds to it as a float"),
+        (10**400, "is too large for a float"),
+        (F(10**400), "is too large for a float"),
+    ],
+    ids=["rounds-to-0", "rounds-to-1", "int-past-float", "fraction-past-float"],
+)
+def test_parameter_no_float_holds_is_refused(value, message):
+    # these read as min, product and a raw OverflowError
+    with pytest.raises(OutOfRange, match=message):
+        FrankParameter.from_value(value)
 
 
 def test_named_kinds_exact_on_rationals():

@@ -11,7 +11,9 @@ its import line carries `# noqa: F401`, which marks the names `LAYERS`
 patches; every name on such a line must be one of `LAYERS`' (module, name)
 pairs, so the mark cannot keep a dead import.  Since the package and the CLI
 load their modules lazily, `LAYERS` is also replayed in a fresh interpreter,
-to show that each traced call is still counted, and counted once.
+to show that each traced call is still counted, and counted once.  The CLI
+lists no engine name: each free name it reads is defined in it, a builtin, or
+a documented name of a module that one of its `_GROUPS` binds.
 
 Code that only the tests call stays out of `src/`: every top-level function
 and class of a source module, and every method of a class off the package's
@@ -24,6 +26,7 @@ or index set that does not fit its system.
 """
 
 import ast
+import builtins
 import importlib
 import json
 import subprocess
@@ -159,6 +162,50 @@ def test_star_import_binds_the_documented_surface_and_nothing_else():
     assert result.stdout.splitlines()[-1] == "[] True []"
 
 
+# In a fresh interpreter, so that no module holds a name bound there lazily:
+# the documented names that the CLI's engine groups bind.
+GROUPED = """
+import prevision
+bound = {}
+prevision._bind([m for modules in ast.literal_eval(sys.argv[2]).values() for m in modules], bound)
+print(sorted(bound))
+"""
+
+
+def test_every_free_name_of_the_cli_is_defined_builtin_or_grouped():
+    # The CLI lists no engine name: each one it reads must come from a module
+    # of its `_GROUPS`, bound by `_engine`, or a command fails with NameError.
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    (groups,) = _assigned(tree, "_GROUPS")
+    script = f"import ast, sys; sys.path.insert(0, sys.argv[1])\n{GROUPED}"
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script, str(SOURCE.parent), repr(groups)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    grouped = set(ast.literal_eval(result.stdout.splitlines()[-1]))
+    defined = set(dir(builtins))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            defined.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.arg):
+            defined.add(node.arg)
+        elif isinstance(node, ast.alias):
+            defined.add(node.asname or node.name.partition(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            defined.add(node.name)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    free = read - defined
+    assert {"check_coherence", "tnorm", "build_world_space"} <= free
+    assert free - grouped == set()
+
+
 def _imports(path):
     """(tree, [(name, line, marked)]) of a source module: each name it
     imports, leaving out `__future__`, marked when its import line carries
@@ -215,7 +262,7 @@ def test_every_marked_import_is_a_traced_layer():
 def _references(node):
     """The names a subtree refers to, with their counts: each `ast.Name` id,
     `ast.Attribute` attr, import alias, and string constant (which covers
-    `__all__` and the CLI's table of engine groups)."""
+    `__all__`)."""
     found = Counter()
     for child in ast.walk(node):
         if isinstance(child, ast.Name):
@@ -289,6 +336,10 @@ def _quantity_on_a(codes):
         (lambda: _quantity_on_a(bytes([0, 5, 2, 2])), ValueError, "each 0..2, the void code"),
         (lambda: _quantity_on_a((0, -1, 2, 2)), ValueError, "each 0..2, the void code"),
         (lambda: _quantity_on_a(bytes([0, 1])), ValueError, "need 4 codes, one per world"),
+        # worlds 0 and 1 lie outside A: a value on world 1 and a void world 2
+        # were taken, and check_coherence beside indicator(B|A) said coherent
+        (lambda: _quantity_on_a(bytes([2, 0, 2, 1])), ValueError, "void code exactly outside"),
+        (lambda: _quantity_on_a((2, 0, 2, 1)), ValueError, "void code exactly outside"),
         (lambda: prevision.Assessment((), ()), ValueError, "family must be non-empty"),
         (_two_space_conjunction, ValueError, "different world spaces"),
         (lambda: prevision.CompoundPrevisionMap({(0,): 1}), ValueError, "bad member subset"),
@@ -319,7 +370,8 @@ def _quantity_on_a(codes):
         ),
     ],
     ids=[
-        "conjunction", "code-past-void", "tuple-code-below-0", "codes-short", "assessment",
+        "conjunction", "code-past-void", "tuple-code-below-0", "codes-short",
+        "void-inside", "tuple-void-inside", "assessment",
         "spaces", "subset", "conjunction-subset",
         "disjunction-subset", "TL", "TM", "objective", "index",
     ],
