@@ -3,10 +3,12 @@
 import reprlib
 
 # Values echoed into error messages: strings up to 80 characters and
-# containers up to 3 levels deep print whole, longer or deeper ones abridged.
+# containers up to 3 levels deep print whole, longer or deeper ones abridged;
+# a Fraction as its p/q text, abridged as a string is but unquoted.
 _ECHO = reprlib.Repr()
 _ECHO.maxstring = 80
 _ECHO.maxlevel = 3
+_ECHO.repr_Fraction = lambda x, level: _ECHO.repr_str(str(x), level)[1:-1]
 abridged = _ECHO.repr
 
 

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 
-from .errors import OutOfRange, TargetOutOfBounds
+from .errors import OutOfRange, TargetOutOfBounds, abridged
 from .record import Record, to_fraction
 
 # expansion window around the product point, and the log-parameter horizon
@@ -90,7 +90,7 @@ def _validated(xs: Sequence[Real]) -> list:
         raise OutOfRange("need at least one argument")
     for x in xs:
         if not 0 <= x <= 1:
-            raise OutOfRange(f"argument {x} outside [0,1]")
+            raise OutOfRange(f"argument {abridged(x)} outside [0,1]")
     return xs
 
 
@@ -214,7 +214,7 @@ def solve_lambda(xs: Sequence[Real], target: Real) -> tuple[FrankParameter, bool
     lower, upper = frechet_bounds_conjunction(exact)
     if not lower <= target <= upper:
         raise TargetOutOfBounds(
-            f"target {target} outside the attainable range [{lower}, {upper}]"
+            f"target {abridged(target)} outside the attainable range [{lower}, {upper}]"
         )
     if lower == upper:
         return FrankParameter.product(), False

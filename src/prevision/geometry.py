@@ -8,10 +8,10 @@ count.  `_lanes` codes each quantity but those of `from_values`: it folds
 (key, mask) blocks over the bit masks of `events` into the bit planes of the
 codes as they arrive, never a Python int per world or a pass per block.  A
 conjunction's blocks, made by integer algebra on the masks, depend only on
-its events, so each space keeps a block map per family of under 8 members:
-a compound or an indicator (a one-member conjunction, which shares the map's
-lanes) then only gives each block its value and relabels the lanes in level
-order.  Level sets, and wider families, fold their values via `_quantity`.
+its events, so each space keeps a block map per family of under 8 members,
+its codes checked once: a compound or an indicator (a one-member conjunction
+sharing the map's lanes) then only values the blocks and relabels the lanes
+in level order.  Level sets, and wider families, fold via `_quantity`.
 An assessed family's constituents are the joint codes (keys) of its worlds:
 `keyed_partition` finds them in one pass, as a code column per member, and
 projects the columns onto sub-families; `quantity_constituents` gives each
@@ -29,8 +29,8 @@ import struct
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import compress, count, repeat
-from math import lcm
+from itertools import chain, compress, count, repeat
+from math import gcd, lcm
 from operator import itemgetter, or_
 from types import MappingProxyType
 
@@ -42,8 +42,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 # struct formats of unsigned integers 1, 2 and 4 bytes wide, in < or > byte order
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
-# Worlds per piece of `_void_outside`, so it holds a few KB, not a lane: a warm n = 7
-# conjunction's build peaks at 28,720 traced bytes, 28,581 with no codes check.
+# Worlds per piece of `_void_outside`, so it holds a few KB, not a lane: it runs once per
+# block-map entry, and a cold n = 7 conjunction peaks at 122,055 traced bytes with or without it.
 _PIECE = 1024
 # Block maps kept per space, the oldest dropped past it: an entry holds a
 # byte per world, 16 KB over 4^7 worlds and 1 MB over 2^20.
@@ -201,7 +201,7 @@ def _levels(values, codes) -> tuple:
 def indicator(ce: ConditionalEvent, label: str = "E|H") -> ConditionalQuantity:
     """The 0/1 quantity of a conditional event on its antecedent: the
     one-member conjunction, whose codes are its block map's lanes, shared."""
-    return _conjunction([ce], {}, label)
+    return _conjunction([ce], _NO_PREVISIONS, label)
 
 
 class CompoundPrevisionMap:
@@ -209,20 +209,25 @@ class CompoundPrevisionMap:
 
     Keys are 1-based member indices.  Entries are previsions of the
     sub-compounds over S, evaluated beforehand; singletons are the plain
-    conditional previsions.
+    conditional previsions.  The entries are checked in one pass, and the
+    largest index is kept: a compound refuses a wider map in one comparison.
     """
 
     def __init__(self, entries):
-        store = {}
-        for key, value in dict(entries).items():
-            subset = frozenset(key) if not isinstance(key, int) else frozenset([key])
-            if not subset or not all(isinstance(i, int) and i >= 1 for i in subset):
-                raise ValueError(f"bad member subset {key!r}")
-            v = to_fraction(value)
+        entries = dict(entries)
+        subsets = [frozenset([k] if isinstance(k, int) else k) for k in entries]
+        indices = frozenset().union(*subsets)
+        # every index's type at C speed, then the least of the few distinct
+        # ones: only a fault walks the subsets again, to name the first bad one
+        ints = all(map(isinstance, chain.from_iterable(subsets), repeat(int)))
+        if not (all(subsets) and ints and min(indices, default=1) >= 1):
+            bad = lambda s: not s or not all(isinstance(i, int) and i >= 1 for i in s)
+            raise ValueError(f"bad member subset {next(compress(entries, map(bad, subsets)))!r}")
+        values = [*map(to_fraction, entries.values())]
+        for subset, v in zip(subsets, values):
             if not 0 <= v.numerator <= v.denominator:
                 raise OutOfRange(f"prevision {v} for subset {sorted(subset)} not in [0,1]")
-            store[subset] = v
-        self._entries = store
+        self._entries, self._largest = dict(zip(subsets, values)), max(indices, default=0)
 
     def get(self, subset) -> Fraction | None:
         return self._entries.get(frozenset(subset))
@@ -238,6 +243,9 @@ class CompoundPrevisionMap:
 
     def __len__(self):
         return len(self._entries)
+
+
+_NO_PREVISIONS = CompoundPrevisionMap({})  # an indicator's
 
 
 def demorgan_previsions(m: CompoundPrevisionMap) -> CompoundPrevisionMap:
@@ -256,9 +264,9 @@ def _conjunction(family, previsions, label, complement=False):
         raise ValueError("family must be non-empty")
     if not isinstance(previsions, CompoundPrevisionMap):
         previsions = CompoundPrevisionMap(previsions)
-    for subset, _ in previsions.items():
-        if max(subset) > len(family):
-            raise ValueError(f"bad member subset {tuple(sorted(subset))} for {len(family)} members")
+    if previsions._largest > len(family):
+        subset = next(s for s, _ in previsions.items() if max(s) > len(family))
+        raise ValueError(f"bad member subset {tuple(sorted(subset))} for {len(family)} members")
     union = reduce(or_, (ce.antecedent for ce in family))
     void_value = previsions.get(range(1, len(family) + 1))
     if complement and void_value is not None:
@@ -268,7 +276,12 @@ def _conjunction(family, previsions, label, complement=False):
         return _quantity(union, blocks, label, void_value)
     blocks, lanes = _block_map(family, union)
     xs = [x for x, _ in _values(zip(blocks, repeat(None)), previsions, complement)]
-    return ConditionalQuantity(union, *_levels(xs, lanes), label, void_value)
+    levels, codes = _levels(xs, lanes)
+    # no pass over the worlds: the map's lanes were checked, and _levels keeps void last
+    q = object.__new__(ConditionalQuantity)
+    vars(q).update(conditioning=union, levels=levels, codes=codes, label=label,
+                   void_value=void_value)
+    return q
 
 
 def _values(blocks, previsions, complement):
@@ -291,13 +304,16 @@ def _values(blocks, previsions, complement):
 def _block_map(family, union):
     """(blocks, lanes): the family's blocks of worlds, each its void set and
     lowest world, and per world its block id, as `_blocks` gives them, then
-    the worlds outside `union`; built once per space and event family."""
+    the worlds outside `union`; built and checked once per space and family."""
     space, key = union.space, tuple((ce.consequent.members, ce.antecedent.members) for ce in family)
-    maps = space._block_maps
+    maps, mask = space._block_maps, union.members
     if key not in maps:
+        blocks, lanes = _lanes(_blocks(family, mask), space._full ^ mask, len(space))
+        if not _void_outside(lanes, len(blocks), mask):
+            raise ValueError("block map lanes not void exactly outside the antecedents")
         if len(maps) >= _BLOCK_MAPS:
             del maps[next(iter(maps))]  # the oldest
-        maps[key] = _lanes(_blocks(family, union.members), space._full ^ union.members, len(space))
+        maps[key] = blocks, lanes
     return maps[key]
 
 
@@ -494,8 +510,8 @@ def constituents_in_all_antecedents(family) -> list:
 
 def scale_to_integers(values) -> tuple:
     """(ints, s): the rationals times s, the lcm of their denominators, as
-    integers.  Every Fraction row, vector or objective that meets the
-    integer form below goes through here."""
+    integers.  Every Fraction row or objective that meets the integer form
+    below goes through here; `LinearSystem.combine` reduces its own weights."""
     s = lcm(*(v.denominator for v in values))
     return [v.numerator * (s // v.denominator) for v in values], s
 
@@ -553,8 +569,10 @@ class LinearSystem(Record):
         """(sums, L): sum_r w_r * row_r over the rational rows, normalization
         row included, rhs last, as integers over one common denominator L.
         Integer row r is s_r times rational row r, so it weighs w_r / s_r."""
-        W, L = scale_to_integers([Fraction(w, s) for w, s in zip(weights, self.scales)])
-        return self.weigh(W), L
+        ratios = zip([w.as_integer_ratio() for w in weights], self.scales)
+        terms = [(p // g, q * s // g) for (p, q), s in ratios for g in [gcd(p, q * s)]]
+        L = lcm(*(d for _, d in terms))
+        return self.weigh([p * (L // d) for p, d in terms]), L
 
     def weigh(self, W) -> list:
         """sum_r W_r * row_r over the integer rows, rhs last."""

@@ -28,6 +28,9 @@ two must give equal ints.
 The `fraction_*` checks are the certificate, optimum and betting-book checks
 in Fraction arithmetic on the unscaled rows that the integer checks in
 `prevision.lp` and `prevision.coherence` replaced; they must agree.
+`fraction_combine` weighs a system's rows by one Fraction per row, as
+`LinearSystem.combine` did before it reduced integer pairs; the two must
+return identical sums and denominators.
 
 `fraction_quantity_constituents` and `per_world_conjunction` are the
 partition and the conjunction built world by world from Fraction values that
@@ -617,6 +620,13 @@ def integer_verify_optimum(system, objective, result) -> None:
         raise RuntimeError("optimizer produced a non-solution")
     (*w, value), L = scale_to_integers([*map(Fraction, result.dual, system.scales), result.value])
     _check_optimum(system, w, value, L, *scale_to_integers(objective))
+
+
+def fraction_combine(system, weights):
+    """`LinearSystem.combine` in Fractions: the weight w_r / s_r of integer
+    row r as one Fraction per row, scaled to integers together."""
+    W, L = scale_to_integers([Fraction(w, s) for w, s in zip(weights, system.scales)])
+    return system.weigh(W), L
 
 
 def fraction_book_gains(assessment, book):

@@ -402,6 +402,7 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv)
         ("tnorm", "--lambda", "-1e-400", "1/2", "3/5"),
         ("solve-lambda", "1/2", "1/2", "--target", "-1e-400"),
         ("bounds", "conjunction", "-1e-400", "1/2"),
+        ("tnorm", "--lambda", "1/2", "-1e-400", "1/2"),
         ("tnorm", "--lambda", "2", "-1/2", "1/2"),
         ("tnorm", "--lambda", "2", "-1e-3", "1/2"),
         ("tconorm", "--lambda", "-1/2", "1/2", "3/5"),
@@ -409,7 +410,8 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv)
         ("tnorm", "--lambda", "-0.5", "1/2"),
     ],
     ids=[
-        "lambda-exponent", "target-exponent", "bounds-exponent", "tnorm-fraction",
+        "lambda-exponent", "target-exponent", "bounds-exponent", "argument-exponent",
+        "tnorm-fraction",
         "tnorm-exponent", "lambda-fraction", "lambda-solution-fraction", "lambda-decimal",
     ],
 )
@@ -420,6 +422,7 @@ def test_negative_literals_are_values_with_one_error_line(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "usage:" not in err
+    assert len(err) < 200  # -1e-400 is -1/10^400: its 400 zeros are echoed abridged
 
 
 @pytest.mark.parametrize("path, value, line", FORMULA_ERRORS)

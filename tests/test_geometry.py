@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 from oracles import (
     fraction_check_solution,
+    fraction_combine,
     fraction_quantity_constituents,
     fraction_rows,
     integer_solves,
@@ -759,6 +760,97 @@ def test_a_dropped_space_with_compounds_is_freed_without_the_cyclic_collector():
         gc.enable()
 
 
+def test_each_block_map_entry_checks_its_codes_once(monkeypatch, space4):
+    """The codes check runs once per block-map entry, when it is built: no
+    later indicator, conjunction or disjunction on the family, with any
+    previsions, walks the worlds again."""
+    calls = []
+    real = geometry._void_outside
+    monkeypatch.setattr(geometry, "_void_outside", lambda *args: calls.append(args) or real(*args))
+    family = [conditional(space4, "A", "H"), conditional(space4, "B", "K"),
+              conditional(space4, "A & B", "H | K")]
+    previsions = [
+        {(1,): X, (2,): Y, (3,): Z, (1, 2): Z, (1, 3): F(0), (2, 3): F(1, 10)},
+        {s: F(1, 2) for r in (1, 2, 3) for s in itertools.combinations((1, 2, 3), r)},
+    ]
+    builds = [lambda values, ce=ce: indicator(ce) for ce in family] + [
+        lambda values: make_conjunction(family, values),
+        lambda values: make_disjunction(family, values),
+        lambda values: make_conjunction(family[1:], {(1,): Y, (2,): Z}),
+    ]
+    for build in builds:
+        build(previsions[0])
+        assert len(calls) == 1, "the first build on a family checks its map entry"
+        calls.clear()
+        for values in previsions + previsions:
+            q = build(values)
+            assert q.space is space4
+        assert not calls, "a warm build checks nothing world by world"
+    # a hand-built quantity is still checked on every construction
+    ConditionalQuantity(family[0].antecedent, indicator(family[0]).levels, indicator(family[0]).codes)
+    assert len(calls) == 1
+
+
+def test_a_block_map_entry_whose_codes_fail_the_check_is_refused_and_not_kept(monkeypatch, space4):
+    real = geometry._lanes
+
+    def corrupted(blocks, outside, n_worlds):  # world 0, outside H | K, given block 0
+        keys, lanes = real(blocks, outside, n_worlds)
+        return keys, bytes([0]) + lanes[1:]
+
+    pair = [conditional(space4, "A", "H"), conditional(space4, "B", "K")]
+    monkeypatch.setattr(geometry, "_lanes", corrupted)
+    for build in (lambda: indicator(pair[0]), lambda: make_conjunction(pair, PAIR_PREVISIONS)):
+        with pytest.raises(ValueError, match="void exactly outside the antecedents"):
+            build()
+    assert not space4._block_maps
+    monkeypatch.setattr(geometry, "_lanes", real)
+    conj = make_conjunction(pair, PAIR_PREVISIONS)
+    assert len(space4._block_maps) == 1 and 0 not in conj.conditioning
+    assert read_codes(conj) == per_world_codes(len(space4), per_world_conjunction(pair, PAIR_PREVISIONS)[1])
+
+
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        ({(): X}, ValueError, "bad member subset ()"),
+        ({(0,): X}, ValueError, "bad member subset (0,)"),
+        ({(1,): X, (2, 0): Y}, ValueError, "bad member subset (2, 0)"),
+        ({0: X}, ValueError, "bad member subset 0"),
+        ({(1,): X, (1.0, 2): Y}, ValueError, "bad member subset (1.0, 2)"),
+        ({(1, 2): X, (2, 1.0): Y}, ValueError, "bad member subset (2, 1.0)"),
+        ({(1,): X, ("2",): Y}, ValueError, "bad member subset ('2',)"),
+        ({(F(1),): X}, ValueError, "bad member subset (Fraction(1, 1),)"),
+        ({(1,): X, (2,): F(3, 2)}, OutOfRange, "prevision 3/2 for subset [2] not in [0,1]"),
+        ({(2, 1): F(-1, 4)}, OutOfRange, "prevision -1/4 for subset [1, 2] not in [0,1]"),
+    ],
+    ids=["empty", "zero", "zero-in-pair", "zero-int-key", "float-index", "float-in-a-repeat",
+         "str-index", "fraction-index", "above-one", "below-zero"],
+)
+def test_compound_prevision_maps_refuse_bad_entries_by_name(entries, error, message):
+    with pytest.raises(error) as exc:
+        CompoundPrevisionMap(entries)
+    assert str(exc.value) == message
+
+
+def test_compound_prevision_maps_take_int_keys_and_true_as_member_one():
+    m = CompoundPrevisionMap([(1, X), ((True, 2), Y), ((3,), "1/2")])
+    assert (m.get([1]), m.get([1, 2]), m.get([3]), len(m)) == (X, Y, F(1, 2), 3)
+
+
+@pytest.mark.parametrize("prebuilt", [False, True], ids=["dict", "map"])
+def test_a_subset_past_the_family_is_named(pair, prebuilt):
+    entries = {(1,): X, (2,): Y, (2, 3): Z, (1, 4): Z}
+    previsions = CompoundPrevisionMap(entries) if prebuilt else entries
+    for build in (make_conjunction, make_disjunction):
+        with pytest.raises(ValueError) as exc:
+            build(pair, previsions)
+        assert str(exc.value) == "bad member subset (2, 3) for 2 members"
+    # the largest index may equal the family's size
+    four = {s: Z for r in range(1, 5) for s in itertools.combinations(range(1, 5), r)}
+    assert make_conjunction(pair + pair, CompoundPrevisionMap(four)).void_value == Z
+
+
 def _random_formula(rng, atoms, depth=2):
     if depth == 0 or rng.random() < 0.3:
         atom = rng.choice(atoms)
@@ -974,6 +1066,33 @@ def test_points_for_three_events_and_their_conjunction():
     assert len(active) == 8
     for p in active:
         assert p[3] == (one if p[:3] == (one, one, one) else zero)
+
+
+def test_combine_matches_the_fraction_weights():
+    """`combine` weighs each row by a reduced integer pair; the Fraction form
+    it replaced returns identical sums and denominators on seeded stakes,
+    zero, negative and normalization-row weights included."""
+    rng = random.Random(37)
+    space = build_world_space(["A", "B", "C", "H"])
+    pool = ["A", "B", "C", "H", "!A", "A | B", "B & !C", "A | H"]
+    fraction = lambda: F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 7, 9, 10)))
+    seen = {"zero": 0, "negative": 0, "normalization": 0}
+    for _ in range(150):
+        size = rng.randint(1, 4)
+        events = [conditional(space, *rng.sample(pool, 2)) for _ in range(size)]
+        family = [indicator(ce) for ce in events]
+        if size > 1:
+            previsions = {(1,): F(rng.randint(0, 8), 8), (2,): F(rng.randint(0, 9), 9)}
+            family.append(make_conjunction(events[:2], previsions))
+        mu = [F(rng.randint(0, 12), rng.choice((5, 6, 12))) for _ in family]
+        system = build_sigma(Assessment(family, mu))
+        stakes = [rng.choice((0, rng.randint(-3, 3), fraction())) for _ in family]
+        for row in (stakes + [0], stakes + [fraction()]):
+            assert system.combine(row) == fraction_combine(system, row)
+            seen["zero"] += 0 in row
+            seen["negative"] += any(w < 0 for w in row)
+            seen["normalization"] += row[-1] != 0
+    assert min(seen.values()) >= 50, seen
 
 
 def test_build_sigma_example_solution_checks():
