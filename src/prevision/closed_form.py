@@ -17,22 +17,12 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import OutOfRange
-from .frank import FrankParameter, tnorm
+from .frank import FrankParameter, _validated, tnorm
 from .geometry import conjunction_signatures, signature_label
 from .record import Record, to_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _unit_fractions(values) -> list[Fraction]:
-    out = []
-    for v in values:
-        f = to_fraction(v)
-        if not ZERO <= f <= ONE:
-            raise OutOfRange(f"value {f} outside [0,1]")
-        out.append(f)
-    return out
 
 
 class LambdaVector(Record):
@@ -85,10 +75,11 @@ def lambda_solution_TL(xs) -> LambdaVector:
     Dispatches on the largest prefix whose running lower bound is positive;
     the chosen branch is recorded on the result as `case`.
     """
-    xs = _unit_fractions(xs)
-    m = len(xs)
-    if m == 0:
+    xs = [*map(to_fraction, xs)]
+    if not xs:
         raise OutOfRange("need at least one member")
+    xs = _validated(xs, "value")
+    m = len(xs)
     full = frozenset(range(1, m + 1))
     if m == 1:
         return LambdaVector(
@@ -131,10 +122,11 @@ def lambda_solution_TM(xs) -> LambdaVector:
     Works on the ascending rearrangement; the permutation used (original
     1-based member index per sorted slot) is recorded on the result.
     """
-    xs = _unit_fractions(xs)
-    n = len(xs)
-    if n == 0:
+    xs = [*map(to_fraction, xs)]
+    if not xs:
         raise OutOfRange("need at least one member")
+    xs = _validated(xs, "value")
+    n = len(xs)
     order = sorted(range(n), key=lambda i: (xs[i], i))
     permutation = tuple(i + 1 for i in order)
     entries = {}
@@ -153,12 +145,12 @@ class Family7Assessment(Record):
     _compared = _shown = ("x_1", "x_2", "x_3", "x_12", "x_13", "x_23", "x_123")
 
     def __init__(self, x_1, x_2, x_3, x_12, x_13, x_23, x_123):
-        xs = _unit_fractions((x_1, x_2, x_3, x_12, x_13, x_23, x_123))
+        xs = _validated(map(to_fraction, (x_1, x_2, x_3, x_12, x_13, x_23, x_123)), "value")
         vars(self).update(zip(self._compared, xs))
 
     @classmethod
     def _all_tnorm(cls, parameter, x_1, x_2, x_3) -> "Family7Assessment":
-        xs = _unit_fractions((x_1, x_2, x_3))
+        xs = _validated(map(to_fraction, (x_1, x_2, x_3)), "value")
         pairs = [tnorm(parameter, (xs[i], xs[j])) for i, j in ((0, 1), (0, 2), (1, 2))]
         return cls(*xs, *pairs, tnorm(parameter, xs))
 
@@ -185,8 +177,8 @@ def family7_bounds(x_1, x_2, x_3, x_12, x_13, x_23) -> tuple[Fraction, Fraction]
     The range is the coherent extension interval of the six values; it comes
     back empty, lower > upper, exactly when the six are incoherent.
     """
-    x_1, x_2, x_3, x_12, x_13, x_23 = _unit_fractions(
-        (x_1, x_2, x_3, x_12, x_13, x_23)
+    x_1, x_2, x_3, x_12, x_13, x_23 = _validated(
+        map(to_fraction, (x_1, x_2, x_3, x_12, x_13, x_23)), "value"
     )
     lower = max(ZERO, x_12 + x_13 - x_1, x_12 + x_23 - x_2, x_13 + x_23 - x_3)
     upper = min(x_12, x_13, x_23, 1 - x_1 - x_2 - x_3 + x_12 + x_13 + x_23)
@@ -230,7 +222,7 @@ def special_case_same_consequent(
     With freely overlapping antecedents the interval is [xy, min(x,y)];
     antecedents that cannot happen together pin it to the product.
     """
-    xs = _unit_fractions((x, y))
+    xs = _validated(map(to_fraction, (x, y)), "value")
     product = tnorm(FrankParameter.product(), xs)
     if disjoint_antecedents:
         return product, product
@@ -250,7 +242,7 @@ def lukasiewicz_sufficient(x_1, x_2, x_3) -> SufficiencyVerdict:
     with the total below 2 is sufficient for incoherence; anything else is
     left undetermined for the full check.
     """
-    x_1, x_2, x_3 = _unit_fractions((x_1, x_2, x_3))
+    x_1, x_2, x_3 = _validated(map(to_fraction, (x_1, x_2, x_3)), "value")
     total = x_1 + x_2 + x_3
     if total - 2 >= 0:
         return SufficiencyVerdict.COHERENT

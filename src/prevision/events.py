@@ -2,8 +2,9 @@
 
 A world space numbers the truth assignments over a list of atoms that survive
 the declared constraints, keeping only their mask.  An event is a bit mask,
-one Python int with bit w set for each world w in it; a formula's event is
-integer algebra (&, |, ^) over the masks of the atoms it names.  An atom's
+one Python int with bit w set for each world w in it.  A formula is read into
+its event in one pass: each grammar level combines the masks of its parts by
+integer algebra (&, |, ^), and an atom's mask is read as it is met.  An atom's
 mask is built once per space by shifting and doubling a bit pattern, whose
 bits at the assignments a constraint drops are squeezed out in one bytes pass.
 The constituents of a family of conditional events, its blocks of worlds with
@@ -26,9 +27,10 @@ from .record import Record
 # 16 MB RSS in 0.05 s, or at 20 MB in 0.4 s under one constraint, and a CLI
 # check of two conditionals and their conjunction under it at 21 MB in 0.2 s.
 MAX_ATOMS = 20
-# A formula has at most MAX_FORMULA_TOKENS tokens and nests "!" and "(" at most
-# MAX_FORMULA_NESTING deep, so parsing and evaluating it, which recurse once per
-# nesting level and per chained operator, stay inside Python's recursion limit.
+# A formula has at most MAX_FORMULA_TOKENS tokens, which bounds its length
+# before any of it is read, and nests "!" and "(" at most MAX_FORMULA_NESTING
+# deep: reading it recurses once per nesting level, inside Python's recursion
+# limit, and loops over a chain of "&" or "|".
 MAX_FORMULA_TOKENS = 500
 MAX_FORMULA_NESTING = 100
 
@@ -53,15 +55,19 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over: equiv > or > and > not > atom/parens.
+    """Recursive descent over: equiv > or > and > not > atom/parens, each
+    level combining the masks of its parts.
 
     "=" binds loosest and declares extensional equality of its two sides.
+    An undeclared atom reads as no world; the first one met is raised once
+    the whole formula has parsed, so a malformed formula is refused first.
     """
 
-    def __init__(self, tokens, text):
-        self.tokens = tokens
+    def __init__(self, space, text):
+        self.tokens = _tokenize(text)
         self.pos = self.nesting = 0
-        self.text = text
+        self.space, self.text, self.full = space, text, space._full
+        self.unknown = None
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -75,32 +81,34 @@ class _Parser:
         if self.take() != tok:
             raise FormulaError(f"expected {tok!r} in {abridged(self.text)}")
 
-    def parse(self):
-        node = self.equiv()
+    def parse(self) -> int:
+        mask = self.equiv()
         if self.peek() is not None:
             raise FormulaError(f"trailing tokens in {abridged(self.text)}")
-        return node
+        if self.unknown is not None:
+            raise UnknownAtom(self.unknown)
+        return mask
 
     def equiv(self):
-        node = self.disj()
+        mask = self.disj()
         if self.peek() == "=":
             self.take()
-            node = ("eq", node, self.disj())
-        return node
+            mask = self.full ^ mask ^ self.disj()
+        return mask
 
     def disj(self):
-        node = self.conj()
+        mask = self.conj()
         while self.peek() == "|":
             self.take()
-            node = ("or", node, self.conj())
-        return node
+            mask |= self.conj()
+        return mask
 
     def conj(self):
-        node = self.unary()
+        mask = self.unary()
         while self.peek() == "&":
             self.take()
-            node = ("and", node, self.unary())
-        return node
+            mask &= self.unary()
+        return mask
 
     def unary(self):
         tok = self.peek()
@@ -109,18 +117,18 @@ class _Parser:
             self.nesting += 1
             if self.nesting > MAX_FORMULA_NESTING:
                 raise FormulaError(f"a formula nested more than {MAX_FORMULA_NESTING} deep")
-            node = ("not", self.unary()) if tok == "!" else self.equiv()
+            mask = self.full ^ self.unary() if tok == "!" else self.equiv()
             if tok == "(":
                 self.expect(")")
             self.nesting -= 1
-            return node
+            return mask
         if tok is None or tok in "&|()=!":
             raise FormulaError(f"malformed formula {abridged(self.text)}")
-        return ("atom", self.take())
-
-
-def parse_formula(text):
-    return _Parser(_tokenize(text), text).parse()
+        self.take()
+        if tok in self.space.atoms:
+            return self.space._atom_mask(tok)
+        self.unknown = self.unknown or tok
+        return 0
 
 
 def spread_bits(mask: int, width: int = 1, bit: int = 0) -> int:
@@ -143,23 +151,6 @@ def _pattern(shift: int, n_worlds: int) -> int:
         mask |= mask << period
         period *= 2
     return mask
-
-
-def _evaluate(node, atom_mask, full):
-    """The mask of the worlds where a parsed formula holds, by integer
-    algebra over the masks of its atoms, which `atom_mask` maps each name to."""
-    kind = node[0]
-    if kind == "atom":
-        return atom_mask(node[1])
-    if kind == "not":
-        return full ^ _evaluate(node[1], atom_mask, full)
-    a = _evaluate(node[1], atom_mask, full)
-    b = _evaluate(node[2], atom_mask, full)
-    if kind == "and":
-        return a & b
-    if kind == "or":
-        return a | b
-    return full ^ a ^ b  # eq
 
 
 class WorldSpace(Record):
@@ -200,8 +191,6 @@ class WorldSpace(Record):
         return masks[name]
 
     def _build_atom_mask(self, name) -> int:
-        if name not in self.atoms:
-            raise UnknownAtom(name)
         n_assignments = 1 << len(self.atoms)
         pattern = _pattern(len(self.atoms) - 1 - self.atoms.index(name), n_assignments)
         if len(self) == n_assignments:
@@ -212,7 +201,7 @@ class WorldSpace(Record):
 
     def event(self, formula: str) -> "Event":
         """Event denoted by a Boolean formula over the declared atoms."""
-        return Event(self, _evaluate(parse_formula(formula), self._atom_mask, self._full))
+        return Event(self, _Parser(self, formula).parse())
 
     @property
     def everything(self) -> "Event":

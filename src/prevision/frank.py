@@ -84,13 +84,13 @@ class FrankParameter(Record):
 Real = int | float | Fraction
 
 
-def _validated(xs: Sequence[Real]) -> list:
+def _validated(xs: Sequence[Real], what: str = "argument") -> list:
     xs = list(xs)
     if not xs:
-        raise OutOfRange("need at least one argument")
+        raise OutOfRange(f"need at least one {what}")
     for x in xs:
         if not 0 <= x <= 1:
-            raise OutOfRange(f"argument {abridged(x)} outside [0,1]")
+            raise OutOfRange(f"{what} {abridged(x)} outside [0,1]")
     return xs
 
 
@@ -214,7 +214,8 @@ def solve_lambda(xs: Sequence[Real], target: Real) -> tuple[FrankParameter, bool
     lower, upper = frechet_bounds_conjunction(exact)
     if not lower <= target <= upper:
         raise TargetOutOfBounds(
-            f"target {abridged(target)} outside the attainable range [{lower}, {upper}]"
+            f"target {abridged(target)} outside the attainable range"
+            f" [{abridged(lower)}, {abridged(upper)}]"
         )
     if lower == upper:
         return FrankParameter.product(), False

@@ -34,7 +34,7 @@ from math import gcd, lcm
 from operator import itemgetter, or_
 from types import MappingProxyType
 
-from .errors import MissingPrevision, OutOfRange
+from .errors import MissingPrevision, OutOfRange, abridged
 from .events import ConditionalEvent, Event, WorldSpace, spread_bits
 from .record import Record, to_fraction
 
@@ -226,7 +226,9 @@ class CompoundPrevisionMap:
         values = [*map(to_fraction, entries.values())]
         for subset, v in zip(subsets, values):
             if not 0 <= v.numerator <= v.denominator:
-                raise OutOfRange(f"prevision {v} for subset {sorted(subset)} not in [0,1]")
+                raise OutOfRange(
+                    f"prevision {abridged(v)} for subset {sorted(subset)} not in [0,1]"
+                )
         self._entries, self._largest = dict(zip(subsets, values)), max(indices, default=0)
 
     def get(self, subset) -> Fraction | None:

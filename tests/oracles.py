@@ -65,17 +65,23 @@ constituent views of `prevision.geometry`, which group the indicators' value
 codes instead, must return the same blocks, labels and order.
 
 `per_world_space` and `per_world_event` are world spaces and events as they
-were before formulas were evaluated by set algebra: every surviving
-assignment materialized as a tuple of bools, and each formula's parse tree
-walked once per world after its atoms are checked.  `set_algebra_event` is
-the evaluator that the bit masks of `prevision.events` replaced: each atom's
-worlds a frozenset found by a bit test on every assignment number, and the
-formula set algebra over them.  `assignment_numbers` lists those numbers
-from a space's constraint mask, as constrained spaces kept them before they
-kept only the mask.  `build_world_space` and `WorldSpace.event`
-must give the same worlds under the same numbering, and raise the same error
-types; `worlds_of` reads an event's mask back as a frozenset of world
-numbers, one bit test per world, and `mask_of` is its inverse.
+were before formulas were evaluated by set algebra: every assignment
+materialized as a {name: bool} dict, and each formula evaluated once per
+world.  `set_algebra_event` is the evaluator that the bit masks of
+`prevision.events` replaced: each atom's worlds a frozenset found by a bit
+test on every assignment number, and the formula set algebra over them.  All
+three read a formula with Python's `ast`, not the package's parser, so a
+grammar fault there shows as a disagreement: "!" and "=" become "~" and "==",
+which with "&" and "|" bind in the grammar's order, and any other node
+Python accepts (a call, a tuple, a constant, a chained or non-"=="
+comparison) makes the formula malformed, refused before any atom is looked
+up.  They do not apply the package's token and nesting caps.
+`assignment_numbers` lists those numbers from a space's constraint mask, as
+constrained spaces kept them before they kept only the mask.
+`build_world_space` and `WorldSpace.event` must give the same worlds under
+the same numbering, and raise the same error types; `worlds_of` reads an
+event's mask back as a frozenset of world numbers, one bit test per world,
+and `mask_of` is its inverse.
 
 `sorted_conjunction_signatures` is the canonical unknown order as it was
 built before it was counted in binary: every member subset, sorted by its
@@ -103,7 +109,9 @@ LPs run wherever the target may be void.  It looks the engine's names up in
 work too; the two must return equal intervals.
 """
 
+import ast
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations, compress, count, product, repeat
 from math import lcm, prod
 from operator import and_
@@ -111,8 +119,7 @@ from typing import NamedTuple
 
 from prevision import coherence, geometry
 from prevision.closed_form import Family7Assessment, LambdaVector, _tail_products
-from prevision.errors import EmptySpace, UnknownAtom
-from prevision.events import parse_formula
+from prevision.errors import EmptySpace, FormulaError, UnknownAtom
 from prevision.frank import FrankKind
 from prevision.geometry import (
     CompoundPrevisionMap,
@@ -801,55 +808,70 @@ def per_world_codes(n_worlds, values):
     return tuple(by_value[s] for s in order), tuple(codes)
 
 
-def _eval_node(node, assignment, atom_index):
-    kind = node[0]
-    if kind == "atom":
-        return assignment[atom_index[node[1]]]
-    if kind == "not":
-        return not _eval_node(node[1], assignment, atom_index)
-    a = _eval_node(node[1], assignment, atom_index)
-    b = _eval_node(node[2], assignment, atom_index)
-    if kind == "and":
-        return a and b
-    if kind == "or":
-        return a or b
-    return a == b  # eq
+_PYTHON_OPERATORS = str.maketrans({"!": "~", "=": "=="})
+_FORMULA_NODES = (ast.Expression, ast.Name, ast.Load, ast.UnaryOp, ast.Invert, ast.BinOp,
+                  ast.BitAnd, ast.BitOr, ast.Compare, ast.Eq)
 
 
-def _checked_node(text, atom_index):
-    """The parse tree of `text`, once every atom it names is declared."""
-    node = parse_formula(text)
-    stack = [node]
-    while stack:
-        top = stack.pop()
-        if top[0] == "atom":
-            if top[1] not in atom_index:
-                raise UnknownAtom(top[1])
-        else:
-            stack.extend(top[1:])
-    return node
+@cache
+def _formula_tree(text):
+    """The Python expression tree of a formula, "!" and "=" read as "~" and
+    "==", which with "&" and "|" bind in the grammar's order, once its every
+    node is one the grammar has: a call, a tuple, a constant or a chained or
+    non-"==" comparison is malformed."""
+    try:
+        tree = ast.parse(text.translate(_PYTHON_OPERATORS).strip(), mode="eval")
+    except SyntaxError:
+        raise FormulaError(f"malformed formula {text!r}") from None
+    for node in ast.walk(tree):
+        chained = isinstance(node, ast.Compare) and len(node.ops) > 1
+        if chained or not isinstance(node, _FORMULA_NODES):
+            raise FormulaError(f"malformed formula {text!r}")
+    return tree.body
+
+
+def _formula_value(text, atom, sure):
+    """The value of a formula read by Python's parser, over the values that
+    `atom` gives each name it meets, left to right, and `sure`, the value of
+    a formula that always holds: "!" is sure ^ x and "=" is sure ^ a ^ b."""
+
+    def value(node):
+        if isinstance(node, ast.Name):
+            return atom(node.id)
+        if isinstance(node, ast.UnaryOp):
+            return sure ^ value(node.operand)
+        if isinstance(node, ast.Compare):
+            return sure ^ value(node.left) ^ value(node.comparators[0])
+        left, right = value(node.left), value(node.right)
+        return left & right if isinstance(node.op, ast.BitAnd) else left | right
+
+    return value(_formula_tree(text))
+
+
+class _World(dict):
+    """One world's truth value per atom name; an undeclared name raises UnknownAtom."""
+
+    def __missing__(self, name):
+        raise UnknownAtom(name)
 
 
 def per_world_space(atoms, constraints=()):
-    """(atom_index, worlds): the bool tuples over `atoms`, in
-    `itertools.product` order, on which every constraint holds."""
-    atom_index = {a: i for i, a in enumerate(atoms)}
-    nodes = [_checked_node(text, atom_index) for text in constraints]
-    worlds = [
-        w
-        for w in product((False, True), repeat=len(atoms))
-        if all(_eval_node(n, w, atom_index) for n in nodes)
-    ]
+    """(atoms, worlds): the worlds over `atoms`, in `itertools.product`
+    order, on which every constraint holds, each constraint read on every
+    assignment before the next."""
+    assignments = [_World(zip(atoms, w)) for w in product((False, True), repeat=len(atoms))]
+    holds = [[_formula_value(t, w.__getitem__, True) for w in assignments] for t in constraints]
+    worlds = [w for w, *flags in zip(assignments, *holds) if all(flags)]
     if not worlds:
         raise EmptySpace(f"constraints {list(constraints)!r} admit no world")
-    return atom_index, worlds
+    return atoms, worlds
 
 
 def per_world_event(space, formula):
     """The numbers of the worlds of a `per_world_space` on which `formula` holds."""
-    atom_index, worlds = space
-    node = _checked_node(formula, atom_index)
-    return frozenset(i for i, w in enumerate(worlds) if _eval_node(node, w, atom_index))
+    _, worlds = space
+    holds = (_formula_value(formula, w.__getitem__, True) for w in worlds)
+    return frozenset(compress(count(), holds))
 
 
 def worlds_of(event):
@@ -883,20 +905,7 @@ def set_algebra_event(space, formula):
         bit = 1 << (len(space.atoms) - 1 - space.atoms.index(name))
         return frozenset(compress(count(), map(and_, assignments, repeat(bit))))
 
-    def evaluate(node):
-        kind = node[0]
-        if kind == "atom":
-            return atom_worlds(node[1])
-        if kind == "not":
-            return everything - evaluate(node[1])
-        a, b = evaluate(node[1]), evaluate(node[2])
-        if kind == "and":
-            return a & b
-        if kind == "or":
-            return a | b
-        return everything - (a ^ b)  # eq
-
-    return evaluate(parse_formula(formula))
+    return _formula_value(formula, atom_worlds, everything)
 
 
 def sorted_conjunction_signatures(n):

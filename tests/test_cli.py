@@ -352,6 +352,7 @@ FORMULA_ERRORS = [
         ),
         ((("constraints",), ["A & !A", "A | " * 249 + "A"]), ("check",)),
         *(((path, value), ("check",)) for path, value, _ in FORMULA_ERRORS),
+        ((("compounds", 0, "previsions", "1"), "-1e-400"), ("check",)),
     ],
     ids=[
         "empty-antecedent", "duplicate-atoms", "non-string-member",
@@ -385,6 +386,7 @@ FORMULA_ERRORS = [
         "bad-character-after-3000", "unclosed-3000", "unknown-3000-character-atom",
         "empty-space-1000-character-constraint",
         *(f"formula-error-{i}" for i in range(len(FORMULA_ERRORS))),
+        "compound-prevision-exponent",
     ],
 )
 def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv):
@@ -408,11 +410,15 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, edit, argv)
         ("tconorm", "--lambda", "-1/2", "1/2", "3/5"),
         ("lambda-solution", "-1/2", "1/2"),
         ("tnorm", "--lambda", "-0.5", "1/2"),
+        ("lambda-solution", "-1e-400", "1/2"),
+        # the attainable range [0, 1/10^400] is echoed abridged too
+        ("solve-lambda", "1e-400", "1/2", "--target", "1"),
     ],
     ids=[
         "lambda-exponent", "target-exponent", "bounds-exponent", "argument-exponent",
         "tnorm-fraction",
         "tnorm-exponent", "lambda-fraction", "lambda-solution-fraction", "lambda-decimal",
+        "lambda-solution-exponent", "solve-lambda-range-exponent",
     ],
 )
 def test_negative_literals_are_values_with_one_error_line(capsys, argv):

@@ -18,6 +18,7 @@ from oracles import (
 )
 
 from prevision import (
+    CompoundPrevisionMap,
     Family7Assessment,
     FrankKind,
     LambdaVector,
@@ -423,3 +424,27 @@ def test_named_tnorms_match_the_handwritten_formulas():
         same(vector.as_tuple(), expected.as_tuple())
         cases.add(vector.case)
     assert cases == {"single", "a", "b", "c", "d", "e", "f"}
+
+
+# -1/10^400, whose 400-digit denominator an error line echoes abridged
+TINY_NEGATIVE = F(-1, 10**400)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: family7_bounds(x, 0, 0, 0, 0, 0),
+        lambda x: Family7Assessment(0, 0, 0, 0, 0, 0, x),
+        lambda x: lukasiewicz_sufficient(0, x, 0),
+        lambda x: special_case_same_consequent(x, 0),
+        lambda x: lambda_solution_TL((F(1, 2), x)),
+        lambda x: lambda_solution_TM((x, F(1, 2))),
+        lambda x: CompoundPrevisionMap({(1,): x}),
+    ],
+    ids=["family7_bounds", "Family7Assessment", "lukasiewicz_sufficient",
+         "special_case_same_consequent", "TL", "TM", "CompoundPrevisionMap"],
+)
+def test_an_out_of_range_value_is_echoed_abridged(call):
+    with pytest.raises(OutOfRange) as refused:
+        call(TINY_NEGATIVE)
+    assert len(str(refused.value)) < 200

@@ -124,8 +124,20 @@ def test_malformed_formulas_rejected():
             space.event(bad)
 
 
-# 3,000 nots, 3,000 nested parentheses and a 3,000-term chain, which nests as
-# deep as it is long: each deeper than Python's recursion limit allows
+def test_a_malformed_formula_is_refused_before_an_undeclared_atom():
+    # the formula is read in one pass, atoms as they are met: an undeclared
+    # one is raised only once the whole formula has parsed
+    space = build_world_space(["A", "B"])
+    for bad in ["Q &", "(Q"]:
+        with pytest.raises(FormulaError):
+            space.event(bad)
+    # of two undeclared atoms the leftmost is named
+    with pytest.raises(UnknownAtom, match="'Q'"):
+        space.event("Q | R")
+
+
+# 3,000 nots and 3,000 nested parentheses, each deeper than Python's recursion
+# limit allows, and a 3,000-term chain, six times the token cap
 DEEP_FORMULAS = ["!" * 3000 + "A", "(" * 3000 + "A" + ")" * 3000, " & ".join(["A"] * 3000)]
 
 
@@ -216,6 +228,21 @@ def test_set_algebra_matches_the_per_world_evaluator():
     assert outcomes == {
         (frozenset, False), (frozenset, True), UnknownAtom, FormulaError, EmptySpace
     }
+
+
+# as written, Python reads each of these, as a call, a chained or non-"=="
+# comparison, a tuple or a constant; the grammar refuses them all
+PYTHON_ONLY = ["A (B)", "(A)(B)", "A = B = C", "()", "A != B", "1"]
+
+
+@pytest.mark.parametrize("formula", PYTHON_ONLY)
+def test_what_only_python_reads_is_malformed_to_both_readers(formula):
+    space = build_world_space(["A", "B", "C"])
+    oracle = per_world_space(["A", "B", "C"])
+    expected = _outcome(lambda: space.event(formula))
+    assert expected is FormulaError
+    assert _outcome(lambda: per_world_event(oracle, formula)) is expected
+    assert _outcome(lambda: set_algebra_event(space, formula)) is expected
 
 
 def _atom_bit(space, assignments, name, w):
